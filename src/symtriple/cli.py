@@ -76,6 +76,14 @@ class _Usage(Exception):
     pass
 
 
+def _gate(args, case: families.CaseSpec, m_dim: int) -> None:
+    if families.is_heavy(m_dim) and not args.allow_heavy:
+        raise _Heavy(
+            f"{case.case_label()} has tangent dimension {m_dim} > "
+            f"{families.LIGHT_M_DIM_LIMIT}; pass --allow-heavy"
+        )
+
+
 def _load_case(args, need_verified: bool = True):
     """Build the triple system for a case spec, enforcing the heavy gate."""
     param = _resolve_param(args)
@@ -83,14 +91,10 @@ def _load_case(args, need_verified: bool = True):
     case = families.CaseSpec(fam, param, getattr(args, "connection", "levi-civita"))
     if fam != "file":
         try:
-            heavy = families.is_heavy(fam, param)
+            m_dim = families.case_m_dim(fam, param)
         except ValidationError as exc:
             raise _Usage(str(exc)) from None
-        if heavy and not args.allow_heavy:
-            raise _Heavy(
-                f"{case.case_label()} has tangent dimension "
-                f"{families.case_m_dim(fam, param)} > 35; pass --allow-heavy"
-            )
+        _gate(args, case, m_dim)
         try:
             triple = families.build_triple(fam, param)
         except ValidationError as exc:
@@ -99,6 +103,8 @@ def _load_case(args, need_verified: bool = True):
         # parameter errors are usage errors, but invalid mathematics inside a
         # well-formed file (e.g. a non-skew form) is a mathematical failure
         triple = families.build_triple(fam, param)
+        # a file's size is known only once loaded, still before any checking
+        _gate(args, case, 2 * triple.dim + 3)
     if fam == "file" and need_verified:
         report = verify_axioms(triple)
         if not report.passed:
@@ -345,6 +351,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_MATH
+    except ConstructionError as exc:
+        print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_MATH
     except _Math as exc:
         print(str(exc), file=sys.stderr)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, ValidationError
-from .linalg import Matrix, Subspace, comm, trace_product
+from .linalg import Matrix, comm, inverse, trace_product
 from .scalars import GaussianRational, HALF, I, ONE, ZERO, qi
 from .triples import InnerDerivationSpace, SymplecticTripleSystem, inder_basis
 
@@ -160,25 +160,10 @@ class ReductiveSplit:
 
     h_indices: tuple
     m_indices: tuple
-    h_space: Subspace
-    m_space: Subspace
 
     @property
     def m_dim(self) -> int:
         return len(self.m_indices)
-
-    def proj_h(self, x):
-        return tuple(x[i] for i in self.h_indices)
-
-    def proj_m(self, x):
-        return tuple(x[i] for i in self.m_indices)
-
-
-def _axis_subspace(dim: int, indices) -> Subspace:
-    rows = []
-    for i in indices:
-        rows.append(tuple(ONE if j == i else ZERO for j in range(dim)))
-    return Subspace.span(rows, ambient=dim)
 
 
 def build_enveloping(T: SymplecticTripleSystem, inder: InnerDerivationSpace | None = None):
@@ -288,10 +273,6 @@ def build_enveloping(T: SymplecticTripleSystem, inder: InnerDerivationSpace | No
     split = ReductiveSplit(
         h_indices=tuple(range(3, 3 + h)),
         m_indices=tuple(range(0, 3)) + tuple(range(3 + h, dim)),
-        h_space=_axis_subspace(dim, range(3, 3 + h)),
-        m_space=_axis_subspace(
-            dim, list(range(0, 3)) + list(range(3 + h, dim))
-        ),
     )
     return algebra, split
 
@@ -349,13 +330,13 @@ def killing_form(L: GradedLieAlgebra) -> Matrix:
 
 
 class InvariantMetric:
-    """Gram matrix of the invariant metric on the m basis."""
+    """Gram matrix of the invariant metric on the m basis, and its inverse."""
 
     __slots__ = ("gram", "_inverse")
 
-    def __init__(self, gram: Matrix):
+    def __init__(self, gram: Matrix, gram_inverse: Matrix):
         self.gram = gram
-        self._inverse = None
+        self._inverse = gram_inverse
 
     def value(self, x, y) -> GaussianRational:
         acc = ZERO
@@ -374,34 +355,7 @@ class InvariantMetric:
         return tuple(self.gram[i, j] for j in range(self.gram.cols))
 
     def inverse(self) -> Matrix:
-        if self._inverse is None:
-            self._inverse = _invert(self.gram)
         return self._inverse
-
-
-def _invert(m: Matrix) -> Matrix:
-    if m.rows != m.cols:
-        raise ValidationError("only square matrices invert")
-    d = m.rows
-    # Gauss-Jordan on dense rows [m | id]
-    rows = [[m[i, j] for j in range(d)] + [ONE if j == i else ZERO for j in range(d)]
-            for i in range(d)]
-    for col in range(d):
-        piv = None
-        for r in range(col, d):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise ValidationError("matrix is singular")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = rows[col][col].inverse()
-        rows[col] = [inv * x for x in rows[col]]
-        for r in range(d):
-            if r != col and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[col])]
-    return Matrix.from_rows([row[d:] for row in rows])
 
 
 def metric_g(L: GradedLieAlgebra, split: ReductiveSplit, kappa: Matrix | None = None) -> InvariantMetric:
@@ -431,8 +385,7 @@ def metric_g(L: GradedLieAlgebra, split: ReductiveSplit, kappa: Matrix | None = 
             expect = ONE if i == j else ZERO
             if gram[i, j] != expect:
                 raise ConstructionError("vertical block of the metric is not orthonormal")
-    _invert(gram)  # raises if degenerate
-    return InvariantMetric(gram)
+    return InvariantMetric(gram, inverse(gram))  # inverse raises if degenerate
 
 
 def metric_skew_operator(metric: InvariantMetric, u, v) -> Matrix:

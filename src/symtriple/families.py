@@ -114,11 +114,9 @@ def case_m_dim(family: str, param) -> int:
     return 2 * case_t_dim(family, param) + 3
 
 
-def is_heavy(family: str, param) -> bool:
+def is_heavy(m_dim: int) -> bool:
     """True for cases beyond the light tier (tangent dimension > 35)."""
-    if family == "file":
-        return False
-    return case_m_dim(family, param) > LIGHT_M_DIM_LIMIT
+    return m_dim > LIGHT_M_DIM_LIMIT
 
 
 def expected_hol_levi_civita(n: int) -> int:
@@ -157,7 +155,8 @@ def expected_hol_skew(family: str, param) -> int:
 
 
 # Table selections.  The default list is the quick tier; --all-light adds the
-# remaining cases of tangent dimension <= 35 (unarion takes minutes).
+# remaining cases of tangent dimension <= 35 (unarion, the largest, takes
+# about a second).
 DEFAULT_TABLE_CASES = (
     ("symplectic", 1),
     ("symplectic", 2),

@@ -1,9 +1,12 @@
 """Exact dense-semantics linear algebra over the Gaussian rationals.
 
 Matrices store only nonzero entries (row-major dicts) but behave as dense
-exact matrices.  ``Subspace`` keeps a canonical reduced-row-echelon basis,
-with pivots normalized to 1 and eliminated from every other row, so two
-equal subspaces always carry identical basis tuples.
+exact matrices.  Elimination works on one vector type, the sparse vector
+``{index: nonzero GaussianRational}`` of a ``Matrix.data`` row, and on one
+routine, ``Subspace.insert``: a canonical reduced-row-echelon basis, with
+pivots normalized to 1 and eliminated from every other row, so two equal
+subspaces always carry identical rows.  Rank, kernel, inverse and center
+are all computed by it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .errors import DimensionError
+from .errors import DimensionError, ValidationError
 from .scalars import GaussianRational, ONE, ZERO, qi
 
 __all__ = [
@@ -19,12 +22,10 @@ __all__ = [
     "Subspace",
     "rank",
     "kernel",
+    "inverse",
     "bracket_closure",
     "center_of",
     "vec",
-    "vec_add",
-    "vec_sub",
-    "vec_scale",
 ]
 
 Vector = tuple
@@ -32,24 +33,6 @@ Vector = tuple
 
 def vec(values: Iterable) -> Vector:
     return tuple(qi(v) for v in values)
-
-
-def zero_vec(n: int) -> Vector:
-    return (ZERO,) * n
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: GaussianRational, v: Vector) -> Vector:
-    if not c:
-        return zero_vec(len(v))
-    return tuple(c * a for a in v)
 
 
 class Matrix:
@@ -91,25 +74,14 @@ class Matrix:
         return Matrix(nr, nc, data)
 
     @staticmethod
-    def from_entries(rows: int, cols: int, entries: dict) -> "Matrix":
+    def from_flat(v: dict, rows: int, cols: int) -> "Matrix":
+        """The matrix whose row-major flattening is the sparse vector ``v``."""
+        if v and (min(v) < 0 or max(v) >= rows * cols):
+            raise DimensionError(f"flat index outside {rows}x{cols}")
         data: dict = {}
-        for (i, j), x in entries.items():
-            x = qi(x)
-            if not x:
-                continue
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise DimensionError(f"entry ({i},{j}) outside {rows}x{cols}")
+        for p, x in v.items():
+            i, j = divmod(p, cols)
             data.setdefault(i, {})[j] = x
-        return Matrix(rows, cols, data)
-
-    @staticmethod
-    def from_flat(v: Vector, rows: int, cols: int) -> "Matrix":
-        if len(v) != rows * cols:
-            raise DimensionError("flat vector length mismatch")
-        data: dict = {}
-        for p, x in enumerate(v):
-            if x:
-                data.setdefault(p // cols, {})[p % cols] = x
         return Matrix(rows, cols, data)
 
     # -- access -----------------------------------------------------------
@@ -238,14 +210,12 @@ class Matrix:
                 t = t + x
         return t
 
-    def flatten(self) -> Vector:
-        out = [ZERO] * (self.rows * self.cols)
+    def flatten(self) -> dict:
+        """Row-major flattening as a sparse vector."""
         nc = self.cols
-        for i, row in self.data.items():
-            base = i * nc
-            for j, x in row.items():
-                out[base + j] = x
-        return tuple(out)
+        return {
+            i * nc + j: x for i, row in self.data.items() for j, x in row.items()
+        }
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -292,101 +262,127 @@ def trace_product(a: Matrix, b: Matrix) -> GaussianRational:
 # ---------------------------------------------------------------------------
 
 
-def _reduce_against(v: list, rows: Sequence[Vector], pivots: Sequence[int]) -> None:
-    """In place, eliminate the pivot coordinates of ``rows`` from ``v``."""
-    for r, p in zip(rows, pivots):
-        c = v[p]
-        if c:
-            for k in range(p, len(v)):
-                rk = r[k]
-                if rk:
-                    v[k] = v[k] - c * rk
+def _add_scaled(w: dict, c: GaussianRational, v: dict) -> None:
+    """In place, w += c * v on sparse vectors, dropping entries that cancel."""
+    for k, x in v.items():
+        y = w.get(k)
+        if y is None:
+            w[k] = c * x
+        else:
+            y = y + c * x
+            if y:
+                w[k] = y
+            else:
+                del w[k]
+
+
+def _sparse(v, ambient: int) -> dict:
+    """A fresh sparse copy of ``v``, given sparse or as a dense sequence of
+    length ``ambient``, with entries in Q(i) and zeros dropped."""
+    if isinstance(v, dict):
+        if v and (min(v) < 0 or max(v) >= ambient):
+            raise DimensionError(f"vector index outside ambient {ambient}")
+        items = v.items()
+    else:
+        if len(v) != ambient:
+            raise DimensionError(f"vector length {len(v)} != ambient {ambient}")
+        items = enumerate(v)
+    w = {}
+    for k, x in items:
+        if type(x) is not GaussianRational:
+            x = qi(x)
+        if x:
+            w[k] = x
+    return w
 
 
 class Subspace:
-    """A linear subspace held as a canonical reduced-row-echelon basis."""
+    """A linear subspace held as a canonical reduced-row-echelon basis.
 
-    __slots__ = ("ambient", "rows", "pivots")
+    ``basis`` maps each pivot to its row, in increasing pivot order.  A row
+    is a sparse vector ``{index: nonzero GaussianRational}`` whose least
+    index is its pivot, with value 1, and which is zero at every other
+    pivot; so two equal subspaces always carry identical bases.  Vectors
+    may be passed sparse or as dense sequences of length ``ambient``.
+    """
 
-    def __init__(self, ambient: int, rows: tuple = (), pivots: tuple = ()):
+    __slots__ = ("ambient", "basis")
+
+    def __init__(self, ambient: int, basis: dict | None = None):
         self.ambient = ambient
-        self.rows = rows
-        self.pivots = pivots
+        self.basis = basis if basis is not None else {}
 
     @staticmethod
     def zero_space(ambient: int) -> "Subspace":
         return Subspace(ambient)
 
     @staticmethod
-    def span(vectors: Iterable[Sequence], ambient: int | None = None) -> "Subspace":
+    def span(vectors: Iterable, ambient: int | None = None) -> "Subspace":
         vectors = list(vectors)
         if ambient is None:
-            if not vectors:
-                raise DimensionError("ambient dimension required for empty span")
+            if not vectors or isinstance(vectors[0], dict):
+                raise DimensionError("ambient dimension required for this span")
             ambient = len(vectors[0])
         s = Subspace(ambient)
         for v in vectors:
-            s, _ = s.insert(vec(v))
+            s, _ = s.insert(v)
         return s
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.basis)
 
-    def insert(self, v: Vector) -> tuple["Subspace", bool]:
+    @property
+    def pivots(self) -> tuple:
+        return tuple(self.basis)
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(self.basis.values())
+
+    def _reduce(self, w: dict) -> None:
+        """In place, eliminate every pivot coordinate from ``w``.  One pass
+        over the pivots present in ``w`` suffices, since each row is zero
+        at every other pivot."""
+        basis = self.basis
+        for p in [k for k in w if k in basis]:
+            _add_scaled(w, -w[p], basis[p])
+
+    def insert(self, v) -> tuple["Subspace", bool]:
         """Echelonized span of this basis plus ``v``; flag reports growth."""
-        if len(v) != self.ambient:
-            raise DimensionError(
-                f"vector length {len(v)} != ambient {self.ambient}"
-            )
-        w = [x if type(x) is GaussianRational else qi(x) for x in v]
-        _reduce_against(w, self.rows, self.pivots)
-        p = _first_nonzero(w)
-        if p is None:
+        w = _sparse(v, self.ambient)
+        self._reduce(w)
+        if not w:
             return self, False
+        p = min(w)
         c = w[p]
         if c != ONE:
             inv = c.inverse()
-            for k in range(p, len(w)):
-                if w[k]:
-                    w[k] = inv * w[k]
-        new_row = tuple(w)
-        # Eliminate the new pivot from existing rows, keep pivot order.
-        rows = []
-        pivots = []
-        placed = False
-        for r, rp in zip(self.rows, self.pivots):
-            if not placed and p < rp:
-                rows.append(new_row)
-                pivots.append(p)
-                placed = True
-            c = r[p]
-            if c:
-                r = tuple(
-                    x - c * y if y else x for x, y in zip(r, new_row)
-                )
-            rows.append(r)
-            pivots.append(rp)
-        if not placed:
-            rows.append(new_row)
-            pivots.append(p)
-        return Subspace(self.ambient, tuple(rows), tuple(pivots)), True
+            w = {k: inv * x for k, x in w.items()}
+        # Eliminate the new pivot from the other rows, keeping pivot order.
+        basis = {}
+        for q, r in self.basis.items():
+            if p < q and p not in basis:
+                basis[p] = w
+            c = r.get(p)
+            if c is not None:
+                r = dict(r)
+                _add_scaled(r, -c, w)
+            basis[q] = r
+        basis.setdefault(p, w)
+        return Subspace(self.ambient, basis), True
 
-    def contains(self, v: Sequence) -> bool:
-        w = list(vec(v))
-        if len(w) != self.ambient:
-            raise DimensionError("vector/ambient mismatch")
-        _reduce_against(w, self.rows, self.pivots)
-        return _first_nonzero(w) is None
+    def contains(self, v) -> bool:
+        w = _sparse(v, self.ambient)
+        self._reduce(w)
+        return not w
 
-    def coords_of(self, v: Sequence) -> Vector | None:
+    def coords_of(self, v) -> tuple | None:
         """Coordinates of ``v`` in this basis, or None if outside the span."""
-        w = list(vec(v))
-        if len(w) != self.ambient:
-            raise DimensionError("vector/ambient mismatch")
-        coords = tuple(w[p] for p in self.pivots)
-        _reduce_against(w, self.rows, self.pivots)
-        if _first_nonzero(w) is not None:
+        w = _sparse(v, self.ambient)
+        coords = tuple(w.get(p, ZERO) for p in self.basis)
+        self._reduce(w)
+        if w:
             return None
         return coords
 
@@ -394,66 +390,69 @@ class Subspace:
         if self.ambient != other.ambient:
             raise DimensionError("ambient mismatch")
         s = self
-        for r in other.rows:
+        for r in other.basis.values():
             s, _ = s.insert(r)
         return s
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.rows == other.rows
+        return self.ambient == other.ambient and self.basis == other.basis
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        return hash((self.ambient, self.pivots))
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
-def _first_nonzero(v: Sequence) -> int | None:
-    for k, x in enumerate(v):
-        if x:
-            return k
-    return None
+def _augmented(vectors: Sequence[dict], offset: int) -> Subspace:
+    """Echelon basis of [V | I]: the rows v_s + e_{offset+s}, for sparse
+    vectors v_s indexed below ``offset``."""
+    s = Subspace(offset + len(vectors))
+    for i, v in enumerate(vectors):
+        s, _ = s.insert({**v, offset + i: ONE})
+    return s
+
+
+def _null_space(vectors: Sequence[dict], offset: int) -> Subspace:
+    """All coefficient rows c with sum c_s v_s = 0: the rows of the echelon
+    form of [V | I] whose pivots lie in the identity block."""
+    s = _augmented(vectors, offset)
+    return Subspace(len(vectors), {
+        p - offset: {k - offset: x for k, x in r.items()}
+        for p, r in s.basis.items()
+        if p >= offset
+    })
 
 
 # ---------------------------------------------------------------------------
-# Rank / kernel
+# Rank / kernel / inverse
 # ---------------------------------------------------------------------------
 
 
 def rank(m: Matrix) -> int:
     """Row rank over Q(i), exact."""
-    s = Subspace(m.cols)
-    for i in range(m.rows):
-        if i in m.data:
-            row = [ZERO] * m.cols
-            for j, x in m.data[i].items():
-                row[j] = x
-            s, _ = s.insert(tuple(row))
-    return s.dim
+    return Subspace.span(m.data.values(), ambient=m.cols).dim
 
 
 def kernel(m: Matrix) -> Subspace:
     """Subspace of all v with m @ v = 0."""
-    s = Subspace(m.cols)
-    for i in range(m.rows):
-        if i in m.data:
-            row = [ZERO] * m.cols
-            for j, x in m.data[i].items():
-                row[j] = x
-            s, _ = s.insert(tuple(row))
-    pivot_set = set(s.pivots)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for f in free_cols:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, p in zip(s.rows, s.pivots):
-            if r[f]:
-                v[p] = -r[f]
-        basis.append(tuple(v))
-    return Subspace.span(basis, ambient=m.cols)
+    cols = m.transpose().data
+    return _null_space([cols.get(j, _EMPTY) for j in range(m.cols)], m.rows)
+
+
+def inverse(m: Matrix) -> Matrix:
+    """m^-1, read off the echelon form [I | m^-1] of [m | I]."""
+    if m.rows != m.cols:
+        raise DimensionError("only square matrices invert")
+    d = m.rows
+    s = _augmented([m.data.get(i, _EMPTY) for i in range(d)], d)
+    if any(p >= d for p in s.basis):
+        raise ValidationError("matrix is singular")
+    return Matrix(d, d, {
+        p: {k - d: x for k, x in r.items() if k >= d} for p, r in s.basis.items()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -523,47 +522,25 @@ def center_of(space: Subspace) -> Subspace:
     """{x in space : [x, y] = 0 for every y in the space}.
 
     Computed by intersecting, one basis constraint at a time, the kernels of
-    c -> [sum c_i B_i, B_j]; the candidate space shrinks quickly, which keeps
-    large inputs tractable.
+    c -> [sum c_i X_i, B_j] over the current candidates X_i; the candidate
+    space shrinks quickly, which keeps large inputs tractable.
     """
     mats = matrices_of(space)
-    k = len(mats)
-    if k == 0:
+    if not mats:
         return space
     d = mats[0].rows
-    # Current candidate expressed by coefficient rows over the basis mats.
-    cand = [tuple(ONE if i == j else ZERO for j in range(k)) for i in range(k)]
-    cand_mats = list(mats)
+    cand = list(space.rows)  # flattened candidate matrices
     for bj in mats:
         if not cand:
             break
-        images = [comm(x, bj) for x in cand_mats]
-        if all(im.is_zero() for im in images):
+        images = [comm(Matrix.from_flat(x, d, d), bj).flatten() for x in cand]
+        if not any(images):
             continue
-        # lam in kernel(M) where M columns are flattened images.
-        m = Matrix(d * d, len(images))
-        for s, im in enumerate(images):
-            for i, row in im.data.items():
-                for j, x in row.items():
-                    m.set_entry(i * d + j, s, x)
-        lam_space = kernel(m)
         new_cand = []
-        for lam in lam_space.rows:
-            combo = [ZERO] * k
-            for s, ls in enumerate(lam):
-                if ls:
-                    for t, ct in enumerate(cand[s]):
-                        if ct:
-                            combo[t] = combo[t] + ls * ct
-            new_cand.append(tuple(combo))
+        for lam in _null_space(images, d * d).basis.values():
+            x: dict = {}
+            for s, c in lam.items():
+                _add_scaled(x, c, cand[s])
+            new_cand.append(x)
         cand = new_cand
-        cand_mats = []
-        for coeffs in cand:
-            acc = Matrix(d, d)
-            for s, cs in enumerate(coeffs):
-                if cs:
-                    acc = acc + mats[s].scale(cs)
-            cand_mats.append(acc)
-    return Subspace.span(
-        [m.flatten() for m in cand_mats], ambient=space.ambient
-    )
+    return Subspace.span(cand, ambient=space.ambient)

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from symtriple import cli
 from symtriple.cli import main
+from symtriple.errors import ConstructionError, ValidationError
 from symtriple.triples import build_symplectic_type, save_sts
 
 
@@ -46,6 +50,40 @@ def test_verify_file_round_trip(capsys, tmp_path):
     save_sts(t, path)
     code, out, _ = run(capsys, "verify", "--family", "file", "--path", str(path))
     assert code == 0
+
+
+def test_verify_file_heavy_gate(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "sp9.sts.json"
+    save_sts(build_symplectic_type(9), path)  # tangent dimension 39
+    checked = []
+
+    def stub_axioms(triple, mode="fast"):
+        checked.append(triple.dim)
+        raise ValidationError("stub stops after the gate")
+
+    monkeypatch.setattr(cli, "verify_axioms", stub_axioms)
+    code, _, err = run(capsys, "verify", "--family", "file", "--path", str(path))
+    assert code == 3 and "tangent dimension 39" in err and "--allow-heavy" in err
+    assert checked == []  # refused before any checking
+    code, _, err = run(
+        capsys, "verify", "--family", "file", "--path", str(path), "--allow-heavy"
+    )
+    assert code == 1 and checked == [18]
+
+
+@pytest.mark.parametrize("command", [
+    ("holonomy",),
+    ("curvature", "-i", "0", "-j", "1"),
+    ("ricci",),
+])
+def test_construction_failure_exit_code(capsys, monkeypatch, command):
+    def failing_build(triple):
+        raise ConstructionError("inner derivations not closed")
+
+    monkeypatch.setattr(cli, "build_model", failing_build)
+    code, out, err = run(capsys, *command, "--family", "symplectic", "--n", "1")
+    assert code == 1 and out == ""
+    assert err == "construction failed: inner derivations not closed\n"
 
 
 def test_verify_malformed_file(capsys, tmp_path):

@@ -17,7 +17,7 @@ from symtriple.linalg import (
     trace_product,
     vec,
 )
-from symtriple.scalars import ZERO, qi
+from symtriple.scalars import ONE, GaussianRational, qi
 
 E12 = Matrix.from_rows([[0, 1], [0, 0]])
 E21 = Matrix.from_rows([[0, 0], [1, 0]])
@@ -34,7 +34,7 @@ def test_kernel_examples():
     k = kernel(Matrix.zero(2, 3))
     assert k.dim == 3
     k = kernel(Matrix.from_rows([[1, 1]]))
-    assert k.dim == 1 and k.rows[0] == vec([1, -1])
+    assert k.dim == 1 and k.rows[0] == {0: qi(1), 1: qi(-1)}
 
 
 def test_matrix_algebra():
@@ -60,6 +60,8 @@ def test_insert_examples():
     assert not grew and z.dim == 0
     with pytest.raises(DimensionError):
         s.insert(vec([1, 0]))
+    with pytest.raises(DimensionError):
+        s.insert({3: qi(1)})
 
 
 def test_span_is_order_independent():
@@ -103,7 +105,7 @@ def test_closure_with_multipliers_and_stop():
 def test_center_examples():
     sl2 = bracket_closure([E12, E21])
     assert center_of(sl2).dim == 0
-    span_id = Subspace.span([Matrix.identity(2).flatten()])
+    span_id = Subspace.span([Matrix.identity(2).flatten()], ambient=4)
     assert center_of(span_id) == span_id
     # gl2 = sl2 + identity has a one-dimensional center
     gl2, _ = sl2.insert(Matrix.identity(2).flatten())
@@ -124,7 +126,7 @@ def test_rank_nullity(rows, cols, seed):
     k = kernel(m)
     assert rank(m) + k.dim == cols
     for v in k.rows:
-        assert all(x == ZERO for x in m.apply(v))
+        assert (m @ Matrix.from_flat(v, cols, 1)).is_zero()
 
 
 @settings(max_examples=40)
@@ -134,3 +136,39 @@ def test_insert_idempotent(vectors):
     for v in vectors:
         s2, grew = s.insert(vec(v))
         assert not grew and s2 == s
+
+
+_entries = st.builds(
+    GaussianRational, st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3)
+)
+_sparse_vectors = st.dictionaries(st.integers(0, 7), _entries, max_size=5)
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(_sparse_vectors, max_size=6),
+    st.lists(st.lists(_entries, min_size=6, max_size=6), max_size=3),
+)
+def test_canonical_form_on_sparse_input(vectors, combos):
+    s = Subspace.span(vectors, ambient=8)
+    assert list(s.pivots) == sorted(s.pivots) and s.dim <= len(vectors)
+    for p, row in zip(s.pivots, s.rows):
+        assert min(row) == p and row[p] == ONE
+        assert all(row.values())  # no stored zeros
+        assert all(p not in other for q, other in s.basis.items() if q != p)
+    # every input and every linear combination of inputs lies in the span
+    in_span = list(vectors)
+    for coeffs in combos:
+        v = {}
+        for c, u in zip(coeffs, vectors):
+            for k, x in u.items():
+                v[k] = v.get(k, qi(0)) + c * x
+        in_span.append(v)
+    for v in in_span:
+        coords = s.coords_of(v)
+        assert coords is not None and s.contains(v)
+        rebuilt = {}
+        for c, row in zip(coords, s.rows):
+            for k, x in row.items():
+                rebuilt[k] = rebuilt.get(k, qi(0)) + c * x
+        assert {k: x for k, x in rebuilt.items() if x} == {k: x for k, x in v.items() if x}
