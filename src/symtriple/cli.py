@@ -76,10 +76,10 @@ class _Usage(Exception):
     pass
 
 
-def _gate(args, case: families.CaseSpec, m_dim: int) -> None:
+def _gate(args, param, m_dim: int) -> None:
     if families.is_heavy(m_dim) and not args.allow_heavy:
         raise _Heavy(
-            f"{case.case_label()} has tangent dimension {m_dim} > "
+            f"{args.family}({param}) has tangent dimension {m_dim} > "
             f"{families.LIGHT_M_DIM_LIMIT}; pass --allow-heavy"
         )
 
@@ -88,13 +88,12 @@ def _load_case(args, need_verified: bool = True):
     """Build the triple system for a case spec, enforcing the heavy gate."""
     param = _resolve_param(args)
     fam = args.family
-    case = families.CaseSpec(fam, param, getattr(args, "connection", "levi-civita"))
     if fam != "file":
         try:
             m_dim = families.case_m_dim(fam, param)
         except ValidationError as exc:
             raise _Usage(str(exc)) from None
-        _gate(args, case, m_dim)
+        _gate(args, param, m_dim)
         try:
             triple = families.build_triple(fam, param)
         except ValidationError as exc:
@@ -104,7 +103,7 @@ def _load_case(args, need_verified: bool = True):
         # well-formed file (e.g. a non-skew form) is a mathematical failure
         triple = families.build_triple(fam, param)
         # a file's size is known only once loaded, still before any checking
-        _gate(args, case, 2 * triple.dim + 3)
+        _gate(args, param, 2 * triple.dim + 3)
     if fam == "file" and need_verified:
         report = verify_axioms(triple)
         if not report.passed:

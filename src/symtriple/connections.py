@@ -15,7 +15,7 @@ from __future__ import annotations
 from .enveloping import HomogeneousModel
 from .errors import ConstructionError, DimensionError
 from .linalg import Matrix, comm
-from .scalars import HALF, ZERO, qi
+from .scalars import HALF, ONE, ZERO, qi
 
 __all__ = [
     "NomizuMap",
@@ -186,10 +186,14 @@ def alpha_family(model: HomogeneousModel, a, b_matrix, label: str | None = None)
     return NomizuMap(ops, label, params=(a, tuple(tuple(r) for r in rows)))
 
 
+_IDENTITY3 = tuple(tuple(ONE if r == s else ZERO for s in range(3)) for r in range(3))
+
+
 def _closed_form_skew(model: HomogeneousModel, canonical: bool) -> NomizuMap:
     """Closed-form tables: alpha(X, xi) = 0, alpha(xi_i, X) = -phi_i(X),
     alpha(X, Y) = 0, and alpha(xi, xi') = 0 (distinguished) or -[xi, xi']
-    (canonical)."""
+    (canonical).  These are the family members ``alpha_family`` gives at
+    (a, B) = (2, I) and (0, I), whose parameters the map carries."""
     md = model.m_dim
     ops = _ops_zero(md)
     for i in range(3):
@@ -203,30 +207,20 @@ def _closed_form_skew(model: HomogeneousModel, canonical: bool) -> NomizuMap:
             for j in range(3):
                 for l, v in model.m_bracket_m(i, j).items():
                     ops[i].set_entry(l, j, -v)
-    return NomizuMap(ops, "canonical" if canonical else "distinguished")
-
-
-def _named_skew(model: HomogeneousModel, canonical: bool) -> NomizuMap:
     a = qi(0) if canonical else qi(2)
-    eye = [[1 if r == s else 0 for s in range(3)] for r in range(3)]
-    combo = alpha_family(model, a, eye)
-    closed = _closed_form_skew(model, canonical)
-    if combo.ops != closed.ops:
-        raise ConstructionError(
-            "affine-combination and closed-form constructions disagree for "
-            + closed.label
-        )
-    return NomizuMap(closed.ops, closed.label, params=combo.params)
+    return NomizuMap(
+        ops, "canonical" if canonical else "distinguished", params=(a, _IDENTITY3)
+    )
 
 
 def alpha_distinguished(model: HomogeneousModel) -> NomizuMap:
-    """alpha_g + 2 alpha_o + sum_r alpha_rr, verified against its value table."""
-    return _named_skew(model, canonical=False)
+    """alpha_g + 2 alpha_o + sum_r alpha_rr, from its value table."""
+    return _closed_form_skew(model, canonical=False)
 
 
 def alpha_canonical(model: HomogeneousModel) -> NomizuMap:
-    """alpha_g + sum_r alpha_rr, verified against its value table."""
-    return _named_skew(model, canonical=True)
+    """alpha_g + sum_r alpha_rr, from its value table."""
+    return _closed_form_skew(model, canonical=True)
 
 
 def alpha_zero(model: HomogeneousModel) -> NomizuMap:

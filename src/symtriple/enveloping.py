@@ -94,16 +94,6 @@ class GradedLieAlgebra:
         self.table = table
         self._ads: list | None = None
 
-    # index layout helpers
-    def is_vertical(self, i: int) -> bool:
-        return i < 3
-
-    def is_h(self, i: int) -> bool:
-        return 3 <= i < 3 + self.h_dim
-
-    def is_odd(self, i: int) -> bool:
-        return i >= 3 + self.h_dim
-
     def odd_index(self, a: int, k: int) -> int:
         return 3 + self.h_dim + a * self.t_dim + k
 
@@ -142,13 +132,6 @@ class GradedLieAlgebra:
             m = Matrix(self.dim, self.dim, data)
             self._ads[i] = m
         return m
-
-    def grading_ranges(self):
-        return {
-            "sp_v": range(0, 3),
-            "inder": range(3, 3 + self.h_dim),
-            "odd": range(3 + self.h_dim, self.dim),
-        }
 
     def __repr__(self):
         return f"GradedLieAlgebra(dim={self.dim}, n={self.n})"
@@ -460,10 +443,6 @@ class HomogeneousModel:
     def xi_vector(self, i: int):
         """xi_i as an m-coordinate vector (i in 1..3)."""
         return _axis(self.m_dim, i - 1)
-
-    def xi_basis(self):
-        """The three vertical generators as m-coordinate vectors."""
-        return tuple(self.xi_vector(i) for i in (1, 2, 3))
 
     def m_to_g(self, p: int) -> int:
         return self.split.m_indices[p]

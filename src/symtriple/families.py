@@ -12,8 +12,6 @@ Family parameters follow the constructions in ``triples``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .composition import build_composition
 from .errors import ValidationError
 from .jordan import build_jordan
@@ -27,7 +25,6 @@ from .triples import (
 )
 
 __all__ = [
-    "CaseSpec",
     "FAMILIES",
     "J_KINDS",
     "build_triple",
@@ -35,7 +32,6 @@ __all__ = [
     "is_heavy",
     "expected_hol_levi_civita",
     "expected_hol_skew",
-    "expected_inder_dim",
     "DEFAULT_TABLE_CASES",
     "ALL_LIGHT_TABLE_CASES",
     "HEAVY_TABLE_CASES",
@@ -49,26 +45,6 @@ LIGHT_M_DIM_LIMIT = 35
 
 _EXC_T_DIM = {"scalar": 4, "unarion": 14, "binarion": 20, "quaternion": 32, "octonion": 56}
 _EXC_INDER = {"scalar": 3, "unarion": 21, "binarion": 35, "quaternion": 66, "octonion": 133}
-
-
-@dataclass(frozen=True)
-class CaseSpec:
-    """One family member plus the connection to study on it."""
-
-    family: str
-    param: object  # n, w, a J-kind, or a file path
-    connection: str = "levi-civita"
-
-    def case_label(self) -> str:
-        if self.family == "symplectic":
-            return f"symplectic(n={self.param})"
-        if self.family == "orthogonal":
-            return f"orthogonal(w={self.param})"
-        if self.family == "special":
-            return f"special(w={self.param})"
-        if self.family == "exceptional":
-            return f"exceptional(J={self.param})"
-        return f"file({self.param})"
 
 
 def build_triple(family: str, param) -> SymplecticTripleSystem:
@@ -124,20 +100,6 @@ def expected_hol_levi_civita(n: int) -> int:
     return 8 * n * n + 10 * n + 3
 
 
-def expected_inder_dim(family: str, param) -> int:
-    if family == "symplectic":
-        n = param
-        return n * (2 * n + 1)
-    if family == "orthogonal":
-        w = param
-        return 3 + w * (w - 1) // 2
-    if family == "special":
-        return param * param
-    if family == "exceptional":
-        return _EXC_INDER[param]
-    raise ValidationError(f"no closed-form inder dimension for {family!r}")
-
-
 def expected_hol_skew(family: str, param) -> int:
     """Table closed form for the two skew-torsion holonomies: 3 + dim inder."""
     if family == "symplectic":
@@ -156,7 +118,7 @@ def expected_hol_skew(family: str, param) -> int:
 
 # Table selections.  The default list is the quick tier; --all-light adds the
 # remaining cases of tangent dimension <= 35 (unarion, the largest, takes
-# about a second).
+# about 0.3 s).
 DEFAULT_TABLE_CASES = (
     ("symplectic", 1),
     ("symplectic", 2),

@@ -102,7 +102,7 @@ class GaussianRational:
 
     def __add__(s, o):
         if not isinstance(o, GaussianRational):
-            o = qi(o)
+            o = _coerce(o)
             if o is NotImplemented:
                 return o
         if not (o.a or o.b):
@@ -115,7 +115,7 @@ class GaussianRational:
 
     def __sub__(s, o):
         if not isinstance(o, GaussianRational):
-            o = qi(o)
+            o = _coerce(o)
             if o is NotImplemented:
                 return o
         if not (o.a or o.b):
@@ -132,7 +132,7 @@ class GaussianRational:
 
     def __mul__(s, o):
         if not isinstance(o, GaussianRational):
-            o = qi(o)
+            o = _coerce(o)
             if o is NotImplemented:
                 return o
         if not (s.a or s.b) or not (o.a or o.b):
@@ -153,7 +153,7 @@ class GaussianRational:
 
     def __truediv__(s, o):
         if not isinstance(o, GaussianRational):
-            o = qi(o)
+            o = _coerce(o)
             if o is NotImplemented:
                 return o
         return s * o.inverse()
@@ -245,7 +245,18 @@ _SCALAR_RE = _re.compile(
 
 
 def qi(value) -> GaussianRational:
-    """Coerce an int, Fraction, string or GaussianRational to GaussianRational."""
+    """Coerce an int, Fraction, string or GaussianRational to GaussianRational.
+
+    Raises ``TypeError`` for any other type (floats included).
+    """
+    out = _coerce(value)
+    if out is NotImplemented:
+        raise TypeError(f"cannot make an exact scalar from {type(value).__name__} {value!r}")
+    return out
+
+
+def _coerce(value):
+    """``qi`` for the arithmetic operators: NotImplemented for unknown types."""
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, int):

@@ -284,7 +284,33 @@ def build_special_type(w: int) -> SymplecticTripleSystem:
 
 
 def build_exceptional_type(jordan: CubicJordan) -> SymplecticTripleSystem:
-    """T_J of dim 2 + 2 dim(J), from a cubic Jordan algebra J."""
+    """T_J of dim 2 + 2 dim(J), from a cubic Jordan algebra J.
+
+    An element is (alpha, beta, a, b) with alpha, beta scalars and a, b in J.
+    The product is [x1, x2, x3] = (g(x1, x2, x3), -g(tau x1, tau x2, tau x3),
+    c(x1, x2, x3), -c(tau x1, tau x2, tau x3)), where tau swaps alpha with
+    beta and a with b, t is the trace form of J, and with
+    s12 = alpha1 beta2 + beta1 alpha2:
+
+        g = (t(a1,b2) + t(b1,a2) - 3 s12) alpha3
+            + 2 (alpha1 t(b2,a3) + alpha2 t(b1,a3) - t(a1 x a2, a3))
+        c = (t(a1,b2) + t(b1,a2) - s12) a3
+            + 2 (t(b2,a3) - beta2 alpha3) a1 + 2 (t(b1,a3) - beta1 alpha3) a2
+            + 2 (alpha1 b2 x b3 + alpha2 b1 x b3 + alpha3 b1 x b2)
+            - 2 ((a1 x a2) x b3 + (a1 x a3) x b2 + (a2 x a3) x b1)
+
+    The cross product x here must be the full adjoint linearization
+    (``linearized_cross``, with a x a twice the adjoint); the half-normalized
+    cross makes the derivation identity fail, and for the scalar algebra it
+    degenerates T_J into the special-type system.  The axiom checker is the
+    arbiter: this normalization is the one that passes it.
+
+    A basis element lies in exactly one slot, so on a basis triple each term
+    above is a single lookup in tables of e_p x e_q, (e_p x e_q) x e_r and
+    t(e_p x e_q, e_r), picked by the slot kinds; tau maps basis elements to
+    basis elements, so the tau-components are the same lookups at the
+    swapped indices.
+    """
     dj = jordan.dim
     dim = 2 + 2 * dj
     tform = jordan.trace_form
@@ -299,90 +325,100 @@ def build_exceptional_type(jordan: CubicJordan) -> SymplecticTripleSystem:
                 omega.set_entry(2 + p, 2 + dj + q, -t_pq)
                 omega.set_entry(2 + dj + p, 2 + q, t_pq)
 
-    zero_j = (ZERO,) * dj
-    basis_elems = []
-    basis_elems.append((ONE, ZERO, zero_j, zero_j))
-    basis_elems.append((ZERO, ONE, zero_j, zero_j))
-    for p in range(dj):
-        basis_elems.append((ZERO, ZERO, jordan.basis_element(p), zero_j))
-    for p in range(dj):
-        basis_elems.append((ZERO, ZERO, zero_j, jordan.basis_element(p)))
-
+    gamma_c = _exc_components(jordan)
+    tau = [1, 0] + list(range(2 + dj, dim)) + list(range(2, 2 + dj))
     cols: dict = {}
-    for i, x1 in enumerate(basis_elems):
-        for j, x2 in enumerate(basis_elems):
-            for k, x3 in enumerate(basis_elems):
-                g, c = _exc_gamma_c(jordan, x1, x2, x3)
-                gt, ct = _exc_gamma_c(
-                    jordan, _exc_t(x1), _exc_t(x2), _exc_t(x3)
-                )
-                if g:
-                    _add_entry(cols, i, j, k, 0, g)
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                g, c = gamma_c(i, j, k)
+                gt, ct = gamma_c(tau[i], tau[j], tau[k])
+                if not (g or c or gt or ct):
+                    continue
+                col = {0: g} if g else {}
                 if gt:
-                    _add_entry(cols, i, j, k, 1, -gt)
-                for l, v in enumerate(c):
-                    if v:
-                        _add_entry(cols, i, j, k, 2 + l, v)
-                for l, v in enumerate(ct):
-                    if v:
-                        _add_entry(cols, i, j, k, 2 + dj + l, -v)
+                    col[1] = -gt
+                col.update((2 + l, v) for l, v in c.items())
+                col.update((2 + dj + l, -v) for l, v in ct.items())
+                cols[(i, j, k)] = col
     kind = "scalar" if jordan.kind == "scalar" else f"H3({jordan.algebra.kind})"
     return SymplecticTripleSystem(dim, omega, cols, f"exceptional(J={kind})")
 
 
-def _exc_t(x):
-    alpha, beta, a, b = x
-    return (beta, alpha, b, a)
-
-
-def _exc_gamma_c(J: CubicJordan, x1, x2, x3):
-    """The two component maps of the exceptional triple product.
-
-    The cross product here must be the full adjoint linearization
-    (``linearized_cross``, with a x a twice the adjoint); the half-normalized
-    cross makes the derivation identity fail, and for the scalar algebra it
-    degenerates T_J into the special-type system.  The axiom checker is the
-    arbiter: this normalization is the one that passes it.
-    """
-    al1, be1, a1, b1 = x1
-    al2, be2, a2, b2 = x2
-    al3, be3, a3, b3 = x3
-    t = J.t
-    cross = J.linearized_cross
-    two = qi(2)
-    three = qi(3)
-
-    s12 = al1 * be2 + be1 * al2
-    t_a1b2 = t(a1, b2)
-    t_b1a2 = t(b1, a2)
-    t_b2a3 = t(b2, a3)
-    t_b1a3 = t(b1, a3)
-
-    g = (-three * s12 + t_a1b2 + t_b1a2) * al3 + two * (
-        al1 * t_b2a3 + al2 * t_b1a3 - t(cross(a1, a2), a3)
-    )
-
-    coef0 = -s12 + t_a1b2 + t_b1a2
-    coef1 = two * (t_b2a3 - be2 * al3)
-    coef2 = two * (t_b1a3 - be1 * al3)
-    c = [
-        coef0 * v3 + coef1 * v1 + coef2 * v2
-        for v3, v1, v2 in zip(a3, a1, a2)
+def _exc_components(J: CubicJordan):
+    """(g, c) of ``build_exceptional_type`` on basis triples, as a function
+    of the basis indices (i, j, k); c is a sorted sparse {J-index: value}."""
+    dj = J.dim
+    e = [J.basis_element(p) for p in range(dj)]
+    tf = J.trace_form
+    two, m1, m2, m3 = (qi(n) for n in (2, -1, -2, -3))
+    x = [
+        [{l: v for l, v in enumerate(J.linearized_cross(e[p], e[q])) if v} for q in range(dj)]
+        for p in range(dj)
     ]
+    x2 = [[_combine((two, u)) for u in row] for row in x]
+    # xx[p][q][r] = -2 (e_p x e_q) x e_r,  tx[p][q][r] = -2 t(e_p x e_q, e_r)
+    xx = [
+        [[_combine(*((m2 * ul, x[l][r]) for l, ul in u.items())) for r in range(dj)] for u in row]
+        for row in x
+    ]
+    tx = [
+        [[sum((m2 * ul * tf[l][r] for l, ul in u.items()), ZERO) for r in range(dj)] for u in row]
+        for row in x
+    ]
+    # the nonzero terms of g or c for each slot-kind triple of (x1, x2, x3);
+    # a kind triple not listed gives (0, 0)
+    rules = {
+        ("al", "be", "al"): lambda p, q, r: (m3, _EMPTY),
+        ("be", "al", "al"): lambda p, q, r: (m3, _EMPTY),
+        ("a", "b", "al"): lambda p, q, r: (tf[p][q], _EMPTY),
+        ("b", "a", "al"): lambda p, q, r: (tf[p][q], _EMPTY),
+        ("al", "b", "a"): lambda p, q, r: (two * tf[q][r], _EMPTY),
+        ("b", "al", "a"): lambda p, q, r: (two * tf[p][r], _EMPTY),
+        ("a", "a", "a"): lambda p, q, r: (tx[p][q][r], _EMPTY),
+        ("al", "be", "a"): lambda p, q, r: (ZERO, {r: m1}),
+        ("be", "al", "a"): lambda p, q, r: (ZERO, {r: m1}),
+        ("a", "be", "al"): lambda p, q, r: (ZERO, {p: m2}),
+        ("be", "a", "al"): lambda p, q, r: (ZERO, {q: m2}),
+        ("al", "b", "b"): lambda p, q, r: (ZERO, x2[q][r]),
+        ("b", "al", "b"): lambda p, q, r: (ZERO, x2[p][r]),
+        ("b", "b", "al"): lambda p, q, r: (ZERO, x2[p][q]),
+        ("a", "a", "b"): lambda p, q, r: (ZERO, xx[p][q][r]),
+        # (a, b, a) and (b, a, a) meet three terms of c
+        ("a", "b", "a"): lambda p, q, r: (
+            ZERO, _add_at(xx[p][r][q], (r, tf[p][q]), (p, two * tf[q][r]))
+        ),
+        ("b", "a", "a"): lambda p, q, r: (
+            ZERO, _add_at(xx[q][r][p], (r, tf[p][q]), (q, two * tf[p][r]))
+        ),
+    }
+    kinds = ["al", "be"] + ["a"] * dj + ["b"] * dj
+    pos = [0, 0] + list(range(dj)) * 2
+    none = (ZERO, _EMPTY)
 
-    def _acc(vec, scal):
-        if scal:
-            for l, v in enumerate(vec):
-                if v:
-                    c[l] = c[l] + scal * v
+    def gamma_c(i: int, j: int, k: int):
+        rule = rules.get((kinds[i], kinds[j], kinds[k]))
+        return rule(pos[i], pos[j], pos[k]) if rule else none
 
-    _acc(cross(b2, b3), two * al1)
-    _acc(cross(b1, b3), two * al2)
-    _acc(cross(b1, b2), two * al3)
-    _acc(cross(cross(a1, a2), b3), -two)
-    _acc(cross(cross(a1, a3), b2), -two)
-    _acc(cross(cross(a2, a3), b1), -two)
-    return g, tuple(c)
+    return gamma_c
+
+
+def _combine(*terms) -> dict:
+    """The sum of s * u over terms (s, u) of sparse vectors u, sorted by
+    index and without zeros."""
+    out: dict = {}
+    for s, u in terms:
+        for l, v in u.items():
+            out[l] = out.get(l, ZERO) + s * v
+    return {l: out[l] for l in sorted(out) if out[l]}
+
+
+def _add_at(u: dict, *terms) -> dict:
+    """u plus v e_l for each term (l, v), sorted by index and without zeros."""
+    out = dict(u)
+    for l, v in terms:
+        out[l] = out.get(l, ZERO) + v
+    return {l: out[l] for l in sorted(out) if out[l]}
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,13 @@ def test_family_specializations(model_cache):
 def test_skew_value_tables(family, param, model_cache):
     model = model_cache(family, param)
     md = model.m_dim
-    dist = alpha_distinguished(model)  # construction gate already cross-checks
+    dist = alpha_distinguished(model)
     can = alpha_canonical(model)
+    # the closed-form tables are the family members at (a, B) = (2, I), (0, I)
+    for closed, a in ((dist, 2), (can, 0)):
+        combo = alpha_family(model, a, IDENTITY3)
+        assert combo.ops == closed.ops
+        assert combo.params == closed.params
     xi = [model.xi_vector(i) for i in (1, 2, 3)]
     zero = (ZERO,) * md
     for i in range(3):

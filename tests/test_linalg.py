@@ -64,6 +64,13 @@ def test_insert_examples():
         s.insert({3: qi(1)})
 
 
+def test_float_entries_are_rejected():
+    with pytest.raises(TypeError):
+        vec([0.5])
+    with pytest.raises(TypeError):
+        Subspace.span([[0.5, 1]])
+
+
 def test_span_is_order_independent():
     vs = [[1, 2, 3], [0, 1, 1], [2, 5, 7], [1, 0, 0]]
     spans = {Subspace.span(p, 3) for p in itertools.permutations(vs)}

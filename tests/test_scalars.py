@@ -61,6 +61,18 @@ def test_conjugate_and_parts():
     assert ZERO.is_real and not I.is_real
 
 
+def test_unknown_types_are_rejected():
+    for bad in (0.5, None, 1j):
+        with pytest.raises(TypeError):
+            qi(bad)
+    # the operators still defer, so Python raises TypeError for them too
+    with pytest.raises(TypeError):
+        ONE + 0.5
+    with pytest.raises(TypeError):
+        0.5 * ONE
+    assert ONE != 1.0
+
+
 @given(scalars, scalars, scalars)
 def test_field_laws(x, y, z):
     assert (x + y) + z == x + (y + z)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from symtriple.errors import ParseError, ValidationError
@@ -12,6 +15,7 @@ from symtriple.triples import (
     is_simple,
     load_sts,
     save_sts,
+    scalar_to_json,
     verify_axioms,
 )
 
@@ -147,6 +151,14 @@ def test_perturbed_tensor_fails_with_witness(triple_cache):
     assert report.failures[0].witness
 
 
+def test_perturbed_exceptional_tensor_fails_with_witness(triple_cache):
+    # the verifier is not vacuous on the table-driven exceptional build
+    bad = _mutated(triple_cache("exceptional", "unarion"))
+    report = verify_axioms(bad)
+    assert not report.passed
+    assert report.failures[0].witness
+
+
 def test_zero_product_fails_axiom_two():
     good = build_symplectic_type(1)
     zero = SymplecticTripleSystem(good.dim, good.omega, {}, "zero-product")
@@ -245,3 +257,28 @@ def test_load_rejects_malformed_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ParseError):
         load_sts(path)
+
+
+# sha256 of the exceptional tensors as built by the dense gamma evaluation
+# that preceded the table-driven build; any change to omega or to a single
+# structure constant changes the digest
+EXCEPTIONAL_DIGESTS = {
+    "scalar": "b5fa821193e0a92704e110c123d66c50bcd7fdbb6aad9aa563c50668084a5649",
+    "unarion": "a976c57486cdb0036102bf40e8e4725e9751f002a985605770bafe8183af3ab2",
+    "binarion": "280b0d070e0448c9718e52fbc93d057fb7dc776e449cd3ebe7eea1e313bb184f",
+    "quaternion": "5aa2d677905dfb78382037e9221cfdd820ad2f2ad9375c89a577ff4ad2322c7b",
+    "octonion": "a2056388353daa3ef3efd88f364097611f1efbbba15ba8625c524ef91d215d83",
+}
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["scalar", "unarion", "binarion"]
+    + [pytest.param(k, marks=pytest.mark.heavy) for k in ("quaternion", "octonion")],
+)
+def test_exceptional_tensor_digest(kind, triple_cache):
+    t = triple_cache("exceptional", kind)
+    omega_rows = [[scalar_to_json(t.omega[i, j]) for j in range(t.dim)] for i in range(t.dim)]
+    triple_rows = [[i, j, k, l, scalar_to_json(v)] for (i, j, k, l, v) in t.entries()]
+    doc = json.dumps([omega_rows, triple_rows], separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == EXCEPTIONAL_DIGESTS[kind]
