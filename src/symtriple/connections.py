@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .enveloping import HomogeneousModel
 from .errors import ConstructionError, DimensionError
-from .linalg import Matrix, comm
+from .linalg import Matrix, combination, comm_minus
 from .scalars import HALF, ONE, ZERO, qi
 
 __all__ = [
@@ -73,11 +73,9 @@ class NomizuMap:
 
     def op_of(self, x) -> Matrix:
         """The operator alpha(x, .) for an m-coordinate vector x."""
-        acc = Matrix(self.m_dim, self.m_dim)
-        for i, xi in enumerate(x):
-            if xi:
-                acc = acc + self.ops[i].scale(xi)
-        return acc
+        if len(x) != self.m_dim:
+            raise DimensionError("NomizuMap arguments must live on the m basis")
+        return combination(zip(x, self.ops), self.m_dim)
 
     def __eq__(self, other):
         if not isinstance(other, NomizuMap):
@@ -168,19 +166,15 @@ def alpha_family(model: HomogeneousModel, a, b_matrix, label: str | None = None)
     rows = [[qi(x) for x in row] for row in b_matrix]
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise DimensionError("b_matrix must be 3x3")
-    base = alpha_levi_civita(model)
-    ops = [m for m in base.ops]
+    parts = [(ONE, alpha_levi_civita(model))]
     if a:
-        for i, m in enumerate(alpha_o(model).ops):
-            if not m.is_zero():
-                ops[i] = ops[i] + m.scale(a)
-    for r in range(3):
-        for s in range(3):
-            c = rows[r][s]
-            if c:
-                for i, m in enumerate(alpha_rs(model, r + 1, s + 1).ops):
-                    if not m.is_zero():
-                        ops[i] = ops[i] + m.scale(c)
+        parts.append((a, alpha_o(model)))
+    parts += [
+        (c, alpha_rs(model, r + 1, s + 1))
+        for r, row in enumerate(rows) for s, c in enumerate(row) if c
+    ]
+    md = model.m_dim
+    ops = [combination(((c, p.ops[i]) for c, p in parts), md) for i in range(md)]
     if label is None:
         label = f"family(a={a}, B={[[str(x) for x in row] for row in rows]})"
     return NomizuMap(ops, label, params=(a, tuple(tuple(r) for r in rows)))
@@ -274,12 +268,10 @@ def is_skew_torsion(model: HomogeneousModel, alpha: NomizuMap) -> bool:
 
 def curvature(model: HomogeneousModel, alpha: NomizuMap, i: int, j: int) -> Matrix:
     """The curvature operator R(e_i, e_j) on the m basis."""
-    r = comm(alpha.ops[i], alpha.ops[j])
-    for k, v in model.m_bracket_m(i, j).items():
-        r = r - alpha.ops[k].scale(v)
-    for t, v in model.m_bracket_h(i, j).items():
-        r = r - model.ad_m_inder(t).scale(v)
-    return r
+    return comm_minus(alpha.ops[i], alpha.ops[j], [
+        *((v, alpha.ops[k]) for k, v in model.m_bracket_m(i, j).items()),
+        *((v, model.ad_m_inder(t)) for t, v in model.m_bracket_h(i, j).items()),
+    ])
 
 
 def curvature_of(model: HomogeneousModel, alpha: NomizuMap, x, y) -> Matrix:
@@ -288,46 +280,34 @@ def curvature_of(model: HomogeneousModel, alpha: NomizuMap, x, y) -> Matrix:
     md = model.m_dim
     if len(x) != md or len(y) != md:
         raise DimensionError("curvature arguments must live on the m basis")
-    r = comm(alpha.op_of(x), alpha.op_of(y))
     mker = [ZERO] * md
     hker = [ZERO] * model.h_dim
     for i, xi in enumerate(x):
-        if not xi:
-            continue
         for j, yj in enumerate(y):
-            if not yj:
-                continue
-            c = xi * yj
-            for k, v in model.m_bracket_m(i, j).items():
-                mker[k] = mker[k] + c * v
-            for t, v in model.m_bracket_h(i, j).items():
-                hker[t] = hker[t] + c * v
-    for k, v in enumerate(mker):
-        if v:
-            r = r - alpha.ops[k].scale(v)
-    for t, v in enumerate(hker):
-        if v:
-            r = r - model.ad_m_inder(t).scale(v)
-    return r
+            if xi and yj:
+                c = xi * yj
+                for k, v in model.m_bracket_m(i, j).items():
+                    mker[k] = mker[k] + c * v
+                for t, v in model.m_bracket_h(i, j).items():
+                    hker[t] = hker[t] + c * v
+    return comm_minus(alpha.op_of(x), alpha.op_of(y), [
+        *((v, alpha.ops[k]) for k, v in enumerate(mker) if v),
+        *((v, model.ad_m_inder(t)) for t, v in enumerate(hker) if v),
+    ])
 
 
-def admissibility_failures(model: HomogeneousModel, alpha: NomizuMap, stop_early: bool = True):
-    """Pairs (h-index, m-index) where h fails to act as a derivation of alpha."""
-    out = []
-    md = model.m_dim
+def admissibility_failures(model: HomogeneousModel, alpha: NomizuMap) -> list:
+    """The first pair (h-index, m-index) at which h fails to act as a
+    derivation of alpha, [ad d, alpha_X] = alpha_{dX}, as a one-element
+    list; empty when every h-basis element acts as a derivation."""
     for t in range(model.h_dim):
         d = model.ad_m_inder(t)
-        for i in range(md):
-            rhs = Matrix(md, md)
-            for l in range(md):
-                v = d[l, i]
-                if v:
-                    rhs = rhs + alpha.ops[l].scale(v)
-            if comm(d, alpha.ops[i]) != rhs:
-                out.append((t, i))
-                if stop_early:
-                    return out
-    return out
+        cols = d.transpose().data  # cols[i] = d(e_i)
+        for i in range(model.m_dim):
+            terms = [(v, alpha.ops[l]) for l, v in cols.get(i, {}).items()]
+            if not comm_minus(d, alpha.ops[i], terms).is_zero():
+                return [(t, i)]
+    return []
 
 
 class Connection:
@@ -386,7 +366,7 @@ class Connection:
 CONNECTION_NAMES = ("levi-civita", "distinguished", "canonical")
 
 
-def connection_by_name(model: HomogeneousModel, name: str, validate: bool = True) -> Connection:
+def connection_by_name(model: HomogeneousModel, name: str) -> Connection:
     if name == "levi-civita":
         alpha = alpha_levi_civita(model)
     elif name == "distinguished":
@@ -397,6 +377,6 @@ def connection_by_name(model: HomogeneousModel, name: str, validate: bool = True
         alpha = alpha_zero(model)
     else:
         raise ValueError(f"unknown connection {name!r}")
-    if validate and admissibility_failures(model, alpha):
+    if admissibility_failures(model, alpha):
         raise ConstructionError(f"{name}: isotropy does not act by derivations")
     return Connection(model, alpha)

@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, ValidationError
-from .linalg import Matrix, comm, inverse, trace_product
+from .linalg import Matrix, comm, comm_minus, inverse, trace_product
 from .scalars import GaussianRational, HALF, I, ONE, ZERO, qi
-from .triples import InnerDerivationSpace, SymplecticTripleSystem, inder_basis
+from .triples import InnerDerivationSpace, SymplecticTripleSystem, check_witnesses, inder_basis
 
 __all__ = [
     "GradedLieAlgebra",
@@ -277,25 +277,20 @@ class JacobiReport:
         return not self.failures
 
 
-def verify_jacobi(L: GradedLieAlgebra, mode: str = "fast", max_failures: int = 50) -> JacobiReport:
+JACOBI_FAILURE_CAP = 50  # witnesses an audit keeps
+
+
+def verify_jacobi(L: GradedLieAlgebra, mode: str = "fast") -> JacobiReport:
     """Check [ad_x, ad_y] = ad_[x,y] on basis pairs (equivalent to Jacobi)."""
-    failures = []
-    checked = 0
-    for i in range(L.dim):
-        adi = L.ad(i)
-        for j in range(i + 1, L.dim):
-            checked += 1
-            lhs = comm(adi, L.ad(j))
-            rhs = Matrix(L.dim, L.dim)
-            for l, v in L.bracket_basis(i, j).items():
-                rhs = rhs + L.ad(l).scale(v)
-            if lhs != rhs:
-                failures.append(
-                    JacobiFailure((i, j), "[ad_i, ad_j] != ad_[e_i, e_j]")
-                )
-                if mode == "fast" or len(failures) >= max_failures:
-                    return JacobiReport(L.dim, checked, failures)
-    return JacobiReport(L.dim, checked, failures)
+    checked, failed = check_witnesses((
+        ((i, j), comm_minus(
+            L.ad(i), L.ad(j), [(v, L.ad(l)) for l, v in L.bracket_basis(i, j).items()]
+        ).is_zero())
+        for i in range(L.dim) for j in range(i + 1, L.dim)
+    ), mode, JACOBI_FAILURE_CAP)
+    return JacobiReport(L.dim, checked, [
+        JacobiFailure(w, "[ad_i, ad_j] != ad_[e_i, e_j]") for w in failed
+    ])
 
 
 def killing_form(L: GradedLieAlgebra) -> Matrix:

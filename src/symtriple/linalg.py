@@ -20,6 +20,8 @@ from .scalars import GaussianRational, ONE, ZERO, qi
 __all__ = [
     "Matrix",
     "Subspace",
+    "comm_minus",
+    "combination",
     "rank",
     "kernel",
     "inverse",
@@ -103,9 +105,6 @@ class Matrix:
             if not row:
                 del self.data[i]
 
-    def row_items(self, i: int):
-        return self.data.get(i, _EMPTY).items()
-
     def entries(self):
         for i, row in self.data.items():
             for j, x in row.items():
@@ -164,23 +163,9 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionError("matmul shape mismatch")
-        data: dict = {}
-        odata = other.data
-        for i, row in self.data.items():
-            acc: dict = {}
-            for k, x in row.items():
-                orow = odata.get(k)
-                if orow is None:
-                    continue
-                for j, y in orow.items():
-                    s = acc.get(j, ZERO) + x * y
-                    if s:
-                        acc[j] = s
-                    else:
-                        del acc[j]
-            if acc:
-                data[i] = acc
-        return Matrix(self.rows, other.cols, data)
+        acc: dict = {}
+        _add_product(acc, self, other, False)
+        return _collect(self.rows, other.cols, acc)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
@@ -240,7 +225,73 @@ _EMPTY: dict = {}
 
 def comm(a: Matrix, b: Matrix) -> Matrix:
     """Commutator [a, b] = ab - ba."""
-    return a @ b - b @ a
+    return comm_minus(a, b, ())
+
+
+def comm_minus(a: Matrix, b: Matrix, terms: Iterable) -> Matrix:
+    """[a, b] - sum c M over the pairs (c, M) in ``terms``.
+
+    Every derivation and curvature identity of the package has this form.
+    Both products and every term are summed into one sparse accumulator,
+    so no intermediate matrix is built.
+    """
+    n = a.rows
+    if not (a.cols == b.rows == b.cols == n):
+        raise DimensionError("comm_minus needs square matrices of one size")
+    acc: dict = {}
+    _add_product(acc, a, b, False)
+    _add_product(acc, b, a, True)
+    _add_terms(acc, n, ((-qi(c), m) for c, m in terms))
+    return _collect(n, n, acc)
+
+
+def combination(terms: Iterable, n: int) -> Matrix:
+    """sum c M over the pairs (c, M) of n x n matrices in ``terms``."""
+    acc: dict = {}
+    _add_terms(acc, n, terms)
+    return _collect(n, n, acc)
+
+
+def _accumulate(acc: dict, i: int, c: GaussianRational, row: dict) -> None:
+    """In place, row i of ``acc`` += c * row, keeping entries that cancel."""
+    out = acc.get(i)
+    if out is None:
+        acc[i] = {j: c * y for j, y in row.items()}
+        return
+    for j, y in row.items():
+        z = out.get(j)
+        out[j] = c * y if z is None else z + c * y
+
+
+def _add_product(acc: dict, a: Matrix, b: Matrix, subtract: bool) -> None:
+    """In place, acc += ab, or acc -= ab when ``subtract`` is set."""
+    bdata = b.data
+    for i, row in a.data.items():
+        for k, x in row.items():
+            brow = bdata.get(k)
+            if brow is not None:
+                _accumulate(acc, i, -x if subtract else x, brow)
+
+
+def _add_terms(acc: dict, n: int, terms) -> None:
+    """In place, acc += c M for each pair (c, M) of n x n ``terms``."""
+    for c, m in terms:
+        if m.rows != n or m.cols != n:
+            raise DimensionError(f"term of shape {m.rows}x{m.cols}, expected {n}x{n}")
+        c = qi(c)
+        if c:
+            for i, row in m.data.items():
+                _accumulate(acc, i, c, row)
+
+
+def _collect(rows: int, cols: int, acc: dict) -> Matrix:
+    """The matrix of an accumulator, without the entries that cancelled."""
+    data = {}
+    for i, row in acc.items():
+        row = {j: x for j, x in row.items() if x}
+        if row:
+            data[i] = row
+    return Matrix(rows, cols, data)
 
 
 def trace_product(a: Matrix, b: Matrix) -> GaussianRational:

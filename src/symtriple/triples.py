@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .errors import DimensionError, ParseError, ValidationError
 from .jordan import CubicJordan
-from .linalg import Matrix, Subspace, comm, rank
+from .linalg import Matrix, Subspace, comm, comm_minus, rank
 from .scalars import GaussianRational, HALF, ONE, ZERO, qi
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "build_special_type",
     "build_exceptional_type",
     "verify_axioms",
+    "check_witnesses",
     "inder_basis",
     "is_simple",
     "save_sts",
@@ -455,114 +456,75 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def verify_axioms(
-    T: SymplecticTripleSystem, mode: str = "fast", max_failures: int = 1000
-) -> AxiomReport:
+AXIOM_FAILURE_CAP = 1000  # witnesses an audit keeps per identity
+
+
+def check_witnesses(checks, mode: str, cap: int) -> tuple[int, list]:
+    """Consume ``(witness, ok)`` pairs in order and return how many were
+    checked and the witnesses that failed.  ``fast`` stops at the first
+    failure; ``audit`` goes on until ``cap`` failures are recorded."""
+    if mode not in ("fast", "audit"):
+        raise ValueError("mode must be 'fast' or 'audit'")
+    limit = 1 if mode == "fast" else cap
+    checked = 0
+    failed = []
+    for witness, ok in checks:
+        checked += 1
+        if not ok:
+            failed.append(witness)
+            if len(failed) >= limit:
+                break
+    return checked, failed
+
+
+def verify_axioms(T: SymplecticTripleSystem, mode: str = "fast") -> AxiomReport:
     """Exhaustively check identities (1)-(4) over basis tuples.
 
     ``fast`` stops each identity at its first failing tuple; ``audit``
-    collects every witness (capped at ``max_failures`` per identity).
+    collects every witness (capped at ``AXIOM_FAILURE_CAP`` per identity).
     """
-    if mode not in ("fast", "audit"):
-        raise ValueError("mode must be 'fast' or 'audit'")
     report = AxiomReport(T.label, T.dim)
     d = T.dim
     om = T.omega
+    bt = T.basis_triple
+    dmat = T.dmat
 
-    def record(ax, witness, detail) -> bool:
-        """Returns True when checking of this axiom should stop."""
-        report.failures.append(AxiomFailure(ax, witness, detail))
-        return mode == "fast" or sum(
-            1 for f in report.failures if f.axiom == ax
-        ) >= max_failures
+    def run(axiom: int, detail: str, checks) -> bool:
+        report.checked[axiom], failed = check_witnesses(checks, mode, AXIOM_FAILURE_CAP)
+        report.failures.extend(AxiomFailure(axiom, w, detail) for w in failed)
+        return not failed
 
     # (1) symmetry in the first two slots
-    n1 = 0
-    stop = False
-    for i in range(d):
-        if stop:
-            break
-        for j in range(i + 1, d):
-            if stop:
-                break
-            for k in range(d):
-                n1 += 1
-                if T.basis_triple(i, j, k) != T.basis_triple(j, i, k):
-                    if record(1, (i, j, k), "[e_i,e_j,e_k] != [e_j,e_i,e_k]"):
-                        stop = True
-                        break
-    report.checked[1] = n1
-    axiom1_ok = not any(f.axiom == 1 for f in report.failures)
+    axiom1_ok = run(1, "[e_i,e_j,e_k] != [e_j,e_i,e_k]", (
+        ((i, j, k), bt(i, j, k) == bt(j, i, k))
+        for i in range(d) for j in range(i + 1, d) for k in range(d)
+    ))
 
     # (2) [x,y,z] - [x,z,y] = (x,z)y - (x,y)z + 2(y,z)x
-    n2 = 0
-    stop = False
-    two = qi(2)
-    for i in range(d):
-        if stop:
-            break
-        for j in range(d):
-            if stop:
-                break
-            for k in range(d):
-                n2 += 1
-                lhs = dict(T.basis_triple(i, j, k))
-                for l, v in T.basis_triple(i, k, j).items():
-                    s = lhs.get(l, ZERO) - v
-                    if s:
-                        lhs[l] = s
-                    else:
-                        lhs.pop(l, None)
-                for l, v in ((j, om[i, k]), (k, -om[i, j]), (i, two * om[j, k])):
-                    if v:
-                        s = lhs.get(l, ZERO) - v
-                        if s:
-                            lhs[l] = s
-                        else:
-                            lhs.pop(l, None)
-                if lhs:
-                    if record(2, (i, j, k), "identity (2) residue nonzero"):
-                        stop = True
-                        break
-    report.checked[2] = n2
+    run(2, "identity (2) residue nonzero", (
+        ((i, j, k), not _combine(
+            (ONE, bt(i, j, k)), (-ONE, bt(i, k, j)),
+            (-om[i, k], {j: ONE}), (om[i, j], {k: ONE}), (-2 * om[j, k], {i: ONE}),
+        ))
+        for i in range(d) for j in range(d) for k in range(d)
+    ))
 
     # (3) derivation property, as the operator identity
     #     [d_ij, d_lm] = d_{d_ij(e_l), m} + d_{l, d_ij(e_m)}
-    pairs = (
-        [(i, j) for i in range(d) for j in range(i, d)]
-        if axiom1_ok
-        else [(i, j) for i in range(d) for j in range(d)]
-    )
-    n3 = 0
-    stop = False
-    for (i, j) in pairs:
-        if stop:
-            break
-        dij = T.dmat(i, j)
-        for (l, m) in pairs:
-            n3 += 1
-            lhs = comm(dij, T.dmat(l, m))
-            rhs = Matrix(d, d)
-            for p, v in T.basis_triple(i, j, l).items():
-                rhs = rhs + T.dmat(p, m).scale(v)
-            for p, v in T.basis_triple(i, j, m).items():
-                rhs = rhs + T.dmat(l, p).scale(v)
-            if lhs != rhs:
-                if record(3, (i, j, l, m), "d_{ij} fails the derivation identity"):
-                    stop = True
-                    break
-    report.checked[3] = n3
+    pairs = [(i, j) for i in range(d) for j in range(i if axiom1_ok else 0, d)]
+    run(3, "d_{ij} fails the derivation identity", (
+        ((i, j, l, m), comm_minus(dmat(i, j), dmat(l, m), [
+            *((v, dmat(p, m)) for p, v in bt(i, j, l).items()),
+            *((v, dmat(l, p)) for p, v in bt(i, j, m).items()),
+        ]).is_zero())
+        for (i, j) in pairs for (l, m) in pairs
+    ))
 
     # (4) d_ij in sp(T, omega): d^T omega + omega d = 0
-    n4 = 0
-    stop = False
-    for (i, j) in pairs:
-        n4 += 1
-        dij = T.dmat(i, j)
-        if not (dij.transpose() @ om + om @ dij).is_zero():
-            if record(4, (i, j), "d_{ij} not in sp(T, omega)"):
-                break
-    report.checked[4] = n4
+    run(4, "d_{ij} not in sp(T, omega)", (
+        ((i, j), (dmat(i, j).transpose() @ om + om @ dmat(i, j)).is_zero())
+        for (i, j) in pairs
+    ))
     return report
 
 
@@ -685,15 +647,24 @@ def save_sts(T: SymplecticTripleSystem, path) -> None:
 
 
 def load_sts(path) -> SymplecticTripleSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Read a structure-constant file; ``ParseError`` for any file that is
+    unreadable, not UTF-8 JSON or malformed, ``ValidationError`` for a form
+    that is not skew."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, integers past the digit limit, and nesting too deep
+        raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level: expected an object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    # JSON true/false load as bool, a subclass of int
+    if type(dim) is not int or dim < 1:
         raise ParseError("dim: expected a positive integer")
     label = doc.get("label", "file")
     if not isinstance(label, str):
@@ -719,7 +690,7 @@ def load_sts(path) -> SymplecticTripleSystem:
             raise ParseError(f"{where}: expected [i,j,k,l,coeff]")
         i, j, k, l = entry[:4]
         for name, idx in zip("ijkl", (i, j, k, l)):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
+            if type(idx) is not int or not 0 <= idx < dim:
                 raise ParseError(f"{where}: index {name}={idx!r} out of range 0..{dim-1}")
         v = scalar_from_json(entry[4], where)
         _add_entry(cols, i, j, k, l, v)

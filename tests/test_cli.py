@@ -94,6 +94,22 @@ def test_verify_malformed_file(capsys, tmp_path):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8", "too-deep", "long-int"])
+def test_verify_unreadable_file(capsys, tmp_path, kind):
+    path = tmp_path / "case.sts.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b'{"dim": 2, "label": "\xff"}')
+    elif kind == "too-deep":
+        path.write_text("[" * 100000)
+    elif kind == "long-int":
+        path.write_text('{"dim": 1' + "0" * 5000 + "}")
+    code, out, err = run(capsys, "verify", "--family", "file", "--path", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("file parse error: ") and err.count("\n") == 1
+
+
 def test_holonomy_json_record(capsys):
     code, out, _ = run(
         capsys,

@@ -171,7 +171,7 @@ def test_family_members_are_skew(model_cache):
 def test_admissibility(family, param, connection_cache):
     for name in ("levi-civita", "distinguished", "canonical"):
         conn = connection_cache(family, param, name)
-        assert not admissibility_failures(conn.model, conn.alpha, stop_early=False)
+        assert not admissibility_failures(conn.model, conn.alpha)
 
 
 def test_wedge_normalization_cross_check(model_cache):

@@ -10,7 +10,9 @@ from symtriple.linalg import (
     Subspace,
     bracket_closure,
     center_of,
+    combination,
     comm,
+    comm_minus,
     kernel,
     matrices_of,
     rank,
@@ -179,3 +181,34 @@ def test_canonical_form_on_sparse_input(vectors, combos):
             for k, x in row.items():
                 rebuilt[k] = rebuilt.get(k, qi(0)) + c * x
         assert {k: x for k, x in rebuilt.items() if x} == {k: x for k, x in v.items() if x}
+
+
+_small_matrices = st.dictionaries(
+    st.integers(0, 2),
+    st.dictionaries(st.integers(0, 2), _entries.filter(bool), min_size=1, max_size=3),
+    max_size=3,
+).map(lambda data: Matrix(3, 3, data))
+
+
+@settings(max_examples=60)
+@given(
+    _small_matrices,
+    _small_matrices,
+    st.lists(st.tuples(_entries | st.integers(-2, 2), _small_matrices), max_size=3),
+)
+def test_comm_minus_matches_matrix_arithmetic(a, b, terms):
+    want = a @ b - b @ a
+    total = Matrix(3, 3)
+    for c, m in terms:
+        want = want - m.scale(c)
+        total = total + m.scale(c)
+    got = comm_minus(a, b, terms)
+    assert got == want and all(x for _, _, x in got.entries())
+    assert comm(a, b) == a @ b - b @ a
+    assert combination(terms, 3) == total
+    # [a, b] minus itself cancels to the zero matrix
+    assert comm_minus(a, b, [(1, a @ b), (-1, b @ a)]).is_zero()
+    with pytest.raises(DimensionError):
+        comm_minus(a, b, [(1, Matrix(2, 2))])
+    with pytest.raises(DimensionError):
+        comm_minus(a, Matrix(2, 2), ())

@@ -282,3 +282,113 @@ def test_exceptional_tensor_digest(kind, triple_cache):
     triple_rows = [[i, j, k, l, scalar_to_json(v)] for (i, j, k, l, v) in t.entries()]
     doc = json.dumps([omega_rows, triple_rows], separators=(",", ":"))
     assert hashlib.sha256(doc.encode()).hexdigest() == EXCEPTIONAL_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": True, "omega": [["0"]], "triple": []},
+    {"dim": 2, "omega": [["0", "1"], ["-1", "0"]], "triple": [[True, False, 1, 0, "2"]]},
+    {"dim": 2, "omega": [["0", "1"], ["-1", "0"]], "triple": [[0, 1, 1, False, "2"]]},
+])
+def test_load_rejects_booleans(tmp_path, doc):
+    # JSON true/false are not integers, as they are not scalars
+    path = tmp_path / "bool.sts.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        load_sts(path)
+
+
+def _check_load(path):
+    """load_sts gives a system with integer dim and indices, or raises a
+    ParseError or ValidationError; any other exception propagates."""
+    try:
+        t = load_sts(path)
+    except (ParseError, ValidationError):
+        return
+    assert type(t.dim) is int
+    for key, col in t.cols.items():
+        assert all(type(x) is int for x in key + tuple(col))
+
+
+_json_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 5), st.floats(),
+    st.sampled_from(["0", "1", "-1", "1/2", "i", "3/4-2/5i", "1/0", "x", ""]),
+    st.text(max_size=4),
+)
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["re", "im", "dim", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+_ODD_VALUES = (
+    True, False, None, -1, 5, 0.5, "", "x", "1/0", [], {}, [0, 1], {"re": []},
+)
+
+
+def _paths(obj, prefix=()):
+    """Every key path into a document of nested dicts and lists."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _sts_doc(draw):
+    """A well-formed structure-constant document of dim n <= 4, with up to
+    two fields, rows, entries or cells replaced by odd values or deleted."""
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+    upper = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    entry = st.tuples(index, index, index, index, st.integers(-2, 2))
+    entries = draw(st.lists(entry, min_size=1, max_size=4))
+    doc = {
+        "dim": n,
+        "label": "fuzz",
+        "omega": [
+            [str(upper[i * n + j] if i < j else -upper[j * n + i] if i > j else 0)
+             for j in range(n)]
+            for i in range(n)
+        ],
+        "triple": [[i, j, k, l, str(c)] for i, j, k, l, c in entries],
+    }
+    odd = st.sampled_from(_ODD_VALUES)
+    for _ in range(draw(st.integers(0, 2))):
+        paths = list(_paths(doc))
+        top = draw(st.sampled_from(sorted({p[0] for p in paths})))
+        *where, key = draw(st.sampled_from([p for p in paths if p[0] == top]))
+        parent = doc
+        for step in where:
+            parent = parent[step]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(st.one_of(st.booleans(), odd, odd, _json_value))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_sts_doc(), _sts_doc(), _sts_doc(), _json_value))
+def test_load_fuzz_json_documents(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz-doc.sts.json"
+    path.write_text(json.dumps(doc))
+    _check_load(path)
+
+
+_VALID_BYTES = json.dumps({
+    "dim": 2, "omega": [["0", "1"], ["-1", "0"]], "triple": [[0, 1, 1, 0, "2"]],
+}).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=120),
+    st.tuples(st.integers(0, len(_VALID_BYTES) - 1), st.binary(min_size=1, max_size=3)).map(
+        lambda edit: _VALID_BYTES[:edit[0]] + edit[1] + _VALID_BYTES[edit[0] + len(edit[1]):]
+    ),
+))
+def test_load_fuzz_raw_bytes(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz-bytes.sts.json"
+    path.write_bytes(raw)
+    _check_load(path)
