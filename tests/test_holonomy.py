@@ -200,3 +200,19 @@ def test_heavy_e7_holonomy(connection_cache):
         compute_center=False,
     )
     assert res.dim == 2211 and res.contains_so
+
+
+@pytest.mark.heavy
+def test_heavy_e8_holonomy(connection_cache):
+    # e8: inder = e7 (133), table entry 136/136; LC is so(115), dim 6555
+    for name, dim in (("distinguished", 136), ("canonical", 136)):
+        res = holonomy_algebra(
+            connection_cache("exceptional", "octonion", name), compute_center=True
+        )
+        assert res.dim == dim
+        assert res.center_dim == 0
+    res = holonomy_algebra(
+        connection_cache("exceptional", "octonion", "levi-civita"),
+        compute_center=False,
+    )
+    assert res.dim == 6555 and res.contains_so

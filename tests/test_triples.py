@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from symtriple import triples
 from symtriple.errors import ParseError, ValidationError
-from symtriple.linalg import vec
+from symtriple.linalg import Matrix, vec
 from symtriple.scalars import ONE, qi
 from symtriple.triples import (
     SymplecticTripleSystem,
@@ -136,6 +137,18 @@ def test_exceptional_unarion_shape(triple_cache):
     assert 3 + inder_basis(t).dim + 2 * t.dim == 52
 
 
+@pytest.mark.heavy
+@pytest.mark.parametrize("kind", ["binarion", "quaternion", "octonion"])
+def test_heavy_exceptional_axioms(kind, triple_cache):
+    # e6/e7/e8: every identity holds, and each count is its closed form
+    t = triple_cache("exceptional", kind)
+    d = t.dim
+    report = verify_axioms(t)
+    assert report.passed, report.summary()
+    pairs = d * (d + 1) // 2
+    assert report.checked == {1: d * d * (d - 1) // 2, 2: d**3, 3: pairs**2, 4: pairs}
+
+
 def _mutated(t: SymplecticTripleSystem) -> SymplecticTripleSystem:
     cols = {k: dict(v) for k, v in t.cols.items()}
     (i, j, k), col = next(iter(sorted(cols.items())))
@@ -159,6 +172,51 @@ def test_perturbed_exceptional_tensor_fails_with_witness(triple_cache):
     assert report.failures[0].witness
 
 
+def _reference_identity3(t: SymplecticTripleSystem, mode: str):
+    """Identity (3) residue by residue over every (i <= j, l <= m), with
+    plain matrix arithmetic: (tuples checked, failing witnesses)."""
+    d = t.dim
+    cap = 1 if mode == "fast" else triples.AXIOM_FAILURE_CAP
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    checked, failed = 0, []
+    for i, j in pairs:
+        for l, m in pairs:
+            a, b = t.dmat(i, j), t.dmat(l, m)
+            rhs = Matrix(d, d)
+            for p, v in t.basis_triple(i, j, l).items():
+                rhs = rhs + t.dmat(p, m).scale(v)
+            for p, v in t.basis_triple(i, j, m).items():
+                rhs = rhs + t.dmat(l, p).scale(v)
+            checked += 1
+            if a @ b - b @ a != rhs:
+                failed.append((i, j, l, m))
+                if len(failed) == cap:
+                    return checked, failed
+    return checked, failed
+
+
+@pytest.mark.parametrize("mode", ["fast", "audit"])
+def test_derivation_witnesses_match_reference(mode, triple_cache):
+    # the same epsilon in [e_i,e_j,e_k] and [e_j,e_i,e_k]: (1) still holds,
+    # so identity (3) runs over i <= j, and it fails
+    t = triple_cache("special", 2)
+    cols = {key: dict(col) for key, col in t.cols.items()}
+    i, j, k = min(key for key in cols if key[0] < key[1])
+    l = min(cols[(i, j, k)])
+    for key in ((i, j, k), (j, i, k)):
+        cols[key][l] = cols[key][l] + ONE
+    bad = SymplecticTripleSystem(t.dim, t.omega, cols, "special(w=2)+symmetric")
+    # fewer d_ij span inder(T) than there are pairs, so a check over the
+    # spanning pairs alone would report different counts and witnesses
+    assert inder_basis(bad).dim < t.dim * (t.dim + 1) // 2
+    report = verify_axioms(bad, mode=mode)
+    assert 1 not in {f.axiom for f in report.failures}
+    checked, failed = _reference_identity3(bad, mode)
+    assert failed
+    assert report.checked[3] == checked
+    assert [f.witness for f in report.failures if f.axiom == 3] == failed
+
+
 def test_zero_product_fails_axiom_two():
     good = build_symplectic_type(1)
     zero = SymplecticTripleSystem(good.dim, good.omega, {}, "zero-product")
@@ -169,8 +227,6 @@ def test_zero_product_fails_axiom_two():
 
 
 def test_simplicity_criterion():
-    from symtriple.linalg import Matrix
-
     good = build_symplectic_type(2)
     assert is_simple(good)
     degenerate = SymplecticTripleSystem(
@@ -200,8 +256,6 @@ def test_save_load_round_trip(tmp_path, triple_cache):
 
 
 def test_round_trip_with_complex_entries(tmp_path):
-    from symtriple.linalg import Matrix
-
     omega = Matrix.from_rows([["0", "i"], ["-i", "0"]])
     t = SymplecticTripleSystem(
         2, omega, {(0, 0, 1): {0: qi("1/2-3i")}}, "handmade"
