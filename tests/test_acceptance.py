@@ -65,8 +65,10 @@ def test_criterion_02_enveloping_dimensions(model_cache):
         model = model_cache(family, param)
         if model.algebra.dim != expected:
             bad.append((family, param, model.algebra.dim, expected))
-        if not verify_jacobi(model.algebra).passed:
-            bad.append((family, param, "jacobi"))
+        report = verify_jacobi(model.algebra)
+        # every pair certified: 3,003 / 8,778 / 30,628 on e6 / e7 / e8
+        if not report.passed or report.checked_pairs != expected * (expected - 1) // 2:
+            bad.append((family, param, "jacobi", report.checked_pairs))
     ok = not bad
     _report(2, "enveloping dimensions + Jacobi", ok, f"{len(cases)} algebras")
     assert ok, bad

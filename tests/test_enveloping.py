@@ -1,5 +1,6 @@
 import pytest
 
+from symtriple import enveloping
 from symtriple.enveloping import (
     GradedLieAlgebra,
     build_enveloping,
@@ -10,7 +11,7 @@ from symtriple.enveloping import (
 )
 from symtriple.errors import ValidationError
 from symtriple.linalg import Matrix, comm, rank
-from symtriple.scalars import HALF, ONE, ZERO, qi
+from symtriple.scalars import HALF, I, ONE, ZERO, qi
 from symtriple.triples import SymplecticTripleSystem, build_symplectic_type
 
 from conftest import LIGHT_CASES
@@ -94,6 +95,96 @@ def test_jacobi_detects_mutation(model_cache):
 def test_jacobi_abelian_passes():
     abelian = GradedLieAlgebra(4, 1, 0, 2, {})
     assert verify_jacobi(abelian).passed
+
+
+def test_jacobi_rejects_unknown_mode(model_cache):
+    with pytest.raises(ValueError):
+        verify_jacobi(model_cache("symplectic", 1).algebra, mode="thorough")
+
+
+def test_sparse_bracket(model_cache):
+    L = model_cache("symplectic", 1).algebra
+    assert L.bracket({0: ONE}, {1: ONE}) == {2: qi(2)}
+    x, y = {0: ONE, 4: qi(2)}, {1: qi(3), 7: I}
+    want = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            for l, v in L.bracket_basis(i, j).items():
+                want[l] = want.get(l, ZERO) + a * b * v
+    assert L.bracket(x, y) == {l: v for l, v in want.items() if v}
+    assert L.bracket(y, x) == {l: -v for l, v in L.bracket(x, y).items()}
+    assert L.bracket(x, x) == {}
+
+
+def test_generators_fill_algebra(model_cache):
+    L = model_cache("exceptional", "unarion").algebra
+    assert len(enveloping._generators(L)) == 10  # of 52
+    assert enveloping._generators(GradedLieAlgebra(4, 1, 0, 2, {})) == [0, 1, 2, 3]
+
+
+def _reference_jacobi(L, mode):
+    """The all-pairs loop: every basis pair, in order, until the first
+    failure (fast) or the audit cap."""
+    limit = 1 if mode == "fast" else enveloping.JACOBI_FAILURE_CAP
+    checked, witnesses = 0, []
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            checked += 1
+            rhs = Matrix(L.dim, L.dim)
+            for l, v in L.bracket_basis(i, j).items():
+                rhs = rhs + L.ad(l).scale(v)
+            if comm(L.ad(i), L.ad(j)) != rhs:
+                witnesses.append((i, j))
+                if len(witnesses) == limit:
+                    return checked, witnesses
+    return checked, witnesses
+
+
+def _bumped(table, key, l):
+    """A copy of ``table`` with 1 added to the e_l coefficient of ``key``."""
+    t = {k: dict(e) for k, e in table.items()}
+    entry = t.setdefault(key, {})
+    entry[l] = entry.get(l, ZERO) + ONE
+    if not entry[l]:
+        del entry[l]
+    return t
+
+
+def _bumped_tables(table):
+    """Each table entry bumped by 1, one at a time."""
+    for key in sorted(table):
+        for l in sorted(table[key]):
+            yield _bumped(table, key, l)
+
+
+def _completed_tables(table, dim):
+    """One missing entry added to each pair's bracket, one at a time."""
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            l = min(set(range(dim)) - set(table.get((i, j), {})))
+            yield _bumped(table, (i, j), l)
+
+
+@pytest.mark.parametrize("mode", ["fast", "audit"])
+def test_jacobi_generators_match_reference(mode, model_cache):
+    sp4 = model_cache("symplectic", 1).algebra
+    sl4 = model_cache("special", 2).algebra
+    # two of the sl(4) bumps pass every generator-by-generator pair and
+    # fail only at a generator against a non-generator
+    for L0, tables in (
+        (sp4, [*_bumped_tables(sp4.table), *_completed_tables(sp4.table, sp4.dim)]),
+        (sl4, list(_bumped_tables(sl4.table))),
+    ):
+        failing = 0
+        for table in tables:
+            L = GradedLieAlgebra(L0.dim, L0.n, L0.h_dim, L0.t_dim, table)
+            report = verify_jacobi(L, mode=mode)
+            checked, witnesses = _reference_jacobi(L, mode)
+            assert (report.checked_pairs, [f.witness for f in report.failures]) == (
+                checked, witnesses
+            ), table
+            failing += bool(witnesses)
+        assert failing
 
 
 @pytest.mark.parametrize("family,param", LIGHT_CASES)
