@@ -52,6 +52,7 @@ from .holonomy import (
     holonomy_identity_check,
     ricci,
     scalar_curvature,
+    scalar_curvature_formula,
     table_report,
 )
 

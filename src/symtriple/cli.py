@@ -150,10 +150,7 @@ def cmd_verify(args) -> int:
     simple = None
     jacobi_ok = None
     if ok:
-        try:
-            simple = is_simple(triple)
-        except ValidationError as exc:
-            raise _Usage(str(exc)) from None
+        simple = is_simple(triple)
         if simple:
             try:
                 model = build_model(triple)

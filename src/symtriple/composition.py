@@ -21,10 +21,10 @@ files and everywhere downstream):
 
 from __future__ import annotations
 
-from .errors import DimensionError
+from .errors import DimensionError, ValidationError
 from .scalars import GaussianRational, HALF, ONE, ZERO
 
-__all__ = ["CompositionAlgebra", "build_composition", "KINDS"]
+__all__ = ["CompositionAlgebra", "build_composition", "unit_multiple", "KINDS"]
 
 KINDS = ("unarion", "binarion", "quaternion", "octonion")
 
@@ -197,21 +197,17 @@ def build_composition(kind: str) -> CompositionAlgebra:
     trace_coeffs = []
     for i in range(dim):
         s = tuple(a + b for a, b in zip(basis[i], conj[i]))
-        coeff = _unit_multiple(s, unit)
-        trace_coeffs.append(coeff)
+        trace_coeffs.append(unit_multiple(s, unit))
     return CompositionAlgebra(kind, dim, unit, mul, conj, gram, tuple(trace_coeffs))
 
 
-def _unit_multiple(x, unit) -> GaussianRational:
+def unit_multiple(x, unit) -> GaussianRational:
     """Scalar c with x = c * unit; raises if x is not such a multiple."""
     c = None
     for xi, ui in zip(x, unit):
         if ui:
             c = xi / ui
             break
-    if c is None:
-        raise ValueError("zero unit")
-    for xi, ui in zip(x, unit):
-        if xi != c * ui:
-            raise ValueError("element is not a multiple of the unit")
+    if c is None or any(xi != c * ui for xi, ui in zip(x, unit)):
+        raise ValidationError("element is not a multiple of the unit")
     return c

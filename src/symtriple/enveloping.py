@@ -203,18 +203,13 @@ def build_enveloping(T: SymplecticTripleSystem, inder: InnerDerivationSpace | No
                     (3 + h + 0 * t_dim + k, col[0]),
                     (3 + h + 1 * t_dim + k, col[1]),
                 ])
-    # h-odd:  [d, e_a (x) t_k] = e_a (x) d(t_k)
+    # h-odd:  [d, e_a (x) t_k] = e_a (x) d(t_k), over the nonzero columns of d
     for r in range(h):
-        dmat = inder.mats[r]
+        cols = inder.mats[r].transpose().data
         for a in range(2):
-            for k in range(t_dim):
-                j = 3 + h + a * t_dim + k
-                entries = []
-                for l in range(t_dim):
-                    v = dmat[l, k]
-                    if v:
-                        entries.append((3 + h + a * t_dim + l, v))
-                put(3 + r, j, entries)
+            odd = 3 + h + a * t_dim
+            for k, col in cols.items():
+                put(3 + r, odd + k, [(odd + l, v) for l, v in col.items()])
     # odd-odd:  [e_a (x) x, e_b (x) y] = (x,y) gamma_{a,b} + <a,b> d_{x,y}
     gamma_coords = {
         (a, b): _sl2_to_xi(_gamma_mat(a, b)) for a in range(2) for b in range(2)
@@ -448,7 +443,11 @@ def _axis(n: int, i: int):
 
 class HomogeneousModel:
     """Everything downstream code needs about one homogeneous space: the
-    triple system, g(T), the split, the metric, and the Sasaki operators."""
+    triple system, g(T), the split, the metric, and the Sasaki operators.
+
+    The operators on m are read off g(T)'s own adjoint action: for e_k in
+    sp(V) (+) h, ad(e_k) preserves m, and its restriction there is
+    ``ad_m_xi`` or ``ad_m_inder``."""
 
     __slots__ = (
         "triple",
@@ -458,10 +457,9 @@ class HomogeneousModel:
         "kappa",
         "metric",
         "phis",
-        "_mbm",
-        "_mbh",
-        "_adm_h",
-        "_adm_xi",
+        "_where",
+        "_parts",
+        "_ads",
     )
 
     def __init__(self, triple, inder, algebra, split, kappa, metric):
@@ -471,10 +469,11 @@ class HomogeneousModel:
         self.split = split
         self.kappa = kappa
         self.metric = metric
-        self._mbm: dict = {}
-        self._mbh: dict = {}
-        self._adm_h: list | None = None
-        self._adm_xi: list | None = None
+        # g-index -> (part, position): part 0 is m, part 1 is h
+        self._where = {g: (0, p) for p, g in enumerate(split.m_indices)}
+        self._where.update((g, (1, r)) for r, g in enumerate(split.h_indices))
+        self._parts: dict = {}
+        self._ads: dict = {}
         self.phis = tuple(self._build_phi(i) for i in range(3))
 
     # -- geometry ---------------------------------------------------------
@@ -505,91 +504,50 @@ class HomogeneousModel:
 
     def m_bracket_m(self, p: int, q: int) -> dict:
         """m-part of [e_p, e_q] for m-basis indices, as sparse m-coords."""
-        if p == q:
-            return {}
         if p > q:
             return {l: -v for l, v in self.m_bracket_m(q, p).items()}
-        r = self._mbm.get((p, q))
-        if r is None:
-            self._project(p, q)
-            r = self._mbm[(p, q)]
-        return r
+        return self._split_bracket(p, q)[0]
 
     def m_bracket_h(self, p: int, q: int) -> dict:
         """h-part of [e_p, e_q], as sparse coords over the inder basis."""
-        if p == q:
-            return {}
         if p > q:
             return {l: -v for l, v in self.m_bracket_h(q, p).items()}
-        r = self._mbh.get((p, q))
-        if r is None:
-            self._project(p, q)
-            r = self._mbh[(p, q)]
-        return r
+        return self._split_bracket(p, q)[1]
 
-    def _project(self, p: int, q: int) -> None:
-        L = self.algebra
-        h = L.h_dim
-        full = L.bracket_basis(self.m_to_g(p), self.m_to_g(q))
-        mm: dict = {}
-        hh: dict = {}
-        for l, v in full.items():
-            if 3 <= l < 3 + h:
-                hh[l - 3] = v
-            elif l < 3:
-                mm[l] = v
-            else:
-                mm[l - h] = v
-        self._mbm[(p, q)] = mm
-        self._mbh[(p, q)] = hh
+    def _split_bracket(self, p: int, q: int) -> tuple:
+        """(m-part, h-part) of [e_p, e_q] for p <= q."""
+        parts = self._parts.get((p, q))
+        if parts is None:
+            parts = ({}, {})
+            for l, v in self.algebra.bracket_basis(self.m_to_g(p), self.m_to_g(q)).items():
+                part, pos = self._where[l]
+                parts[part][pos] = v
+            self._parts[(p, q)] = parts
+        return parts
 
     # -- distinguished operators on m --------------------------------------
 
+    def _ad_m(self, k: int) -> Matrix:
+        """ad(e_k) restricted to m, for e_k in sp(V) (+) h."""
+        m = self._ads.get(k)
+        if m is None:
+            where = self._where
+            data: dict = {}
+            for l, row in self.algebra.ad(k).data.items():
+                part, pos = where[l]
+                if part == 0:
+                    data[pos] = {where[j][1]: v for j, v in row.items()}
+            m = Matrix(self.m_dim, self.m_dim, data)
+            self._ads[k] = m
+        return m
+
     def ad_m_inder(self, r: int) -> Matrix:
         """ad(d_r) restricted to m (kills the vertical block)."""
-        if self._adm_h is None:
-            self._adm_h = [None] * self.h_dim
-        m = self._adm_h[r]
-        if m is None:
-            L = self.algebra
-            t_dim = L.t_dim
-            dmat = self.inder.mats[r]
-            data: dict = {}
-            for a in range(2):
-                base = 3 + a * t_dim
-                for k in range(t_dim):
-                    col = base + k
-                    for l in range(t_dim):
-                        v = dmat[l, k]
-                        if v:
-                            data.setdefault(base + l, {})[col] = v
-            m = Matrix(self.m_dim, self.m_dim, data)
-            self._adm_h[r] = m
-        return m
+        return self._ad_m(self.split.h_indices[r])
 
     def ad_m_xi(self, i: int) -> Matrix:
         """ad(xi_i) restricted to m (i in 1..3)."""
-        if self._adm_xi is None:
-            self._adm_xi = [None, None, None]
-        m = self._adm_xi[i - 1]
-        if m is None:
-            L = self.algebra
-            t_dim = L.t_dim
-            data: dict = {}
-            for j in range(3):
-                for l, v in L.bracket_basis(i - 1, j).items():
-                    data.setdefault(l, {})[j] = v
-            xi = _XI[i - 1]
-            for a in range(2):
-                for k in range(t_dim):
-                    col = 3 + a * t_dim + k
-                    for row_v in range(2):
-                        v = xi[row_v, a]
-                        if v:
-                            data.setdefault(3 + row_v * t_dim + k, {})[col] = v
-            m = Matrix(self.m_dim, self.m_dim, data)
-            self._adm_xi[i - 1] = m
-        return m
+        return self._ad_m(self.m_to_g(i - 1))
 
     def _build_phi(self, idx: int) -> Matrix:
         """phi_{idx+1}: half ad(xi) on the vertical block, ad(xi) on the odd."""

@@ -34,7 +34,6 @@ __all__ = [
     "expected_hol_skew",
     "DEFAULT_TABLE_CASES",
     "ALL_LIGHT_TABLE_CASES",
-    "HEAVY_TABLE_CASES",
 ]
 
 FAMILIES = ("symplectic", "orthogonal", "special", "exceptional", "file")
@@ -134,10 +133,4 @@ ALL_LIGHT_TABLE_CASES = DEFAULT_TABLE_CASES + (
     ("special", 3),
     ("orthogonal", 5),
     ("exceptional", "unarion"),
-)
-
-HEAVY_TABLE_CASES = (
-    ("exceptional", "binarion"),
-    ("exceptional", "quaternion"),
-    ("exceptional", "octonion"),
 )

@@ -10,12 +10,11 @@ serves as a certified early-exit bound for the closure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .connections import Connection
 from .errors import ValidationError
 from .linalg import Matrix, Subspace, bracket_closure, center_of
-from .scalars import GaussianRational, ZERO
+from .scalars import GaussianRational, ZERO, qi
 from . import families
 
 __all__ = [
@@ -27,7 +26,7 @@ __all__ = [
     "HolonomyStructure",
     "ricci",
     "scalar_curvature",
-    "quadratic_scalar_probe",
+    "scalar_curvature_formula",
     "TableRow",
     "table_report",
     "format_table",
@@ -188,24 +187,21 @@ def scalar_curvature(conn: Connection) -> GaussianRational:
     return ricci(conn).scalar_curvature
 
 
-def quadratic_scalar_probe(n: int, a, b_matrix) -> Fraction:
-    """(4n+2)(4n+3) - 3/2 (a - tr B)^2 - 3n ||B||^2.
+def scalar_curvature_formula(n: int, a, b_matrix) -> GaussianRational:
+    """Scalar curvature of the family member ``alpha_family(model, a, B)``
+    on a model with dim T = 2n:
 
-    Discrepancy probe only: with this library's normalization of (a, B) the
-    formula does not reproduce the scalar curvatures of the distinguished or
-    canonical connections (it matches a differently scaled parametrization),
-    so nothing in the package asserts it; the exact per-connection closed
-    forms are the contract.
+        (4n+2)(4n+3) - 6 (a - tr B)^2 - 12 n ||B||^2,
+
+    with ||B||^2 the sum of the squared entries of B.  This is the paper's
+    (4n+2)(4n+3) - 3/2 (a' - tr B')^2 - 3n ||B'||^2 at (a', B') = (2a, 2B),
+    the paper's parameters for the library's (a, B).
     """
-    a = Fraction(a)
-    rows = [[Fraction(x) for x in row] for row in b_matrix]
-    tr = sum(rows[i][i] for i in range(3))
-    norm2 = sum(x * x for row in rows for x in row)
-    return (
-        Fraction((4 * n + 2) * (4 * n + 3))
-        - Fraction(3, 2) * (a - tr) ** 2
-        - 3 * n * norm2
-    )
+    a = qi(a)
+    rows = [[qi(x) for x in row] for row in b_matrix]
+    tr = rows[0][0] + rows[1][1] + rows[2][2]
+    norm2 = sum((x * x for row in rows for x in row), ZERO)
+    return qi((4 * n + 2) * (4 * n + 3)) - qi(6) * (a - tr) ** 2 - qi(12 * n) * norm2
 
 
 # ---------------------------------------------------------------------------

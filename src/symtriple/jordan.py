@@ -15,7 +15,7 @@ element c, the matrix with c at the position and conj(c) mirrored.  So
 
 from __future__ import annotations
 
-from .composition import CompositionAlgebra
+from .composition import CompositionAlgebra, unit_multiple
 from .errors import DimensionError, ValidationError
 from .scalars import GaussianRational, HALF, ONE, ZERO, qi
 
@@ -115,16 +115,7 @@ class CubicJordan:
         """Cubic norm, read off from (a x a) . a = n(a) * unit."""
         if self.kind != "hermitian":
             raise ValidationError("cubic norm via the cross identity needs the hermitian kind")
-        v = self.dot(self.cross(a, a), a)
-        c = None
-        for vi, ui in zip(v, self.unit):
-            if ui:
-                c = vi / ui
-                break
-        for vi, ui in zip(v, self.unit):
-            if vi != c * ui:
-                raise ValidationError("(a x a) . a is not a multiple of the unit")
-        return c
+        return unit_multiple(self.dot(self.cross(a, a), a), self.unit)
 
     def basis_element(self, i):
         return tuple(ONE if k == i else ZERO for k in range(self.dim))
@@ -165,7 +156,7 @@ class _Herm:
         c = self.c
         coords = [ZERO] * self.dim
         for i in range(3):
-            coords[i] = _unit_coeff(m[i][i], c.unit)
+            coords[i] = unit_multiple(m[i][i], c.unit)
         for p, (i, j) in enumerate(_OFFDIAG):
             base = 3 + p * c.dim
             for k in range(c.dim):
@@ -201,20 +192,8 @@ class _Herm:
     def mat_trace(self, m) -> GaussianRational:
         acc = ZERO
         for i in range(3):
-            acc = acc + _unit_coeff(m[i][i], self.c.unit)
+            acc = acc + unit_multiple(m[i][i], self.c.unit)
         return acc
-
-
-def _unit_coeff(x, unit) -> GaussianRational:
-    c = None
-    for xi, ui in zip(x, unit):
-        if ui:
-            c = xi / ui
-            break
-    for xi, ui in zip(x, unit):
-        if xi != c * ui:
-            raise ValidationError("diagonal entry is not a multiple of the unit")
-    return c
 
 
 def build_jordan(kind: str, algebra: CompositionAlgebra | None = None) -> CubicJordan:

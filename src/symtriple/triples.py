@@ -555,10 +555,9 @@ def verify_axioms(T: SymplecticTripleSystem, mode: str = "fast") -> AxiomReport:
 class InnerDerivationSpace:
     """Echelonized span of the operators d_{x,y}."""
 
-    __slots__ = ("source_dim", "space", "mats")
+    __slots__ = ("space", "mats")
 
-    def __init__(self, source_dim: int, space: Subspace, mats: list):
-        self.source_dim = source_dim
+    def __init__(self, space: Subspace, mats: list):
         self.space = space
         self.mats = mats
 
@@ -572,18 +571,6 @@ class InnerDerivationSpace:
     def bracket_coords(self, r: int, s: int):
         """Coordinates of [B_r, B_s] in this basis; None if it escapes."""
         return self.coords_of(comm(self.mats[r], self.mats[s]))
-
-    def structure_constants(self) -> dict:
-        out = {}
-        for r in range(self.dim):
-            for s in range(r + 1, self.dim):
-                coords = self.bracket_coords(r, s)
-                if coords is None:
-                    raise ValidationError(
-                        f"inner derivations not closed at basis pair ({r},{s})"
-                    )
-                out[(r, s)] = coords
-        return out
 
     def __repr__(self):
         return f"InnerDerivationSpace(dim={self.dim})"
@@ -607,7 +594,7 @@ def inder_basis(T: SymplecticTripleSystem) -> InnerDerivationSpace:
     d = T.dim
     space, _ = _span_dmats(T, [(i, j) for i in range(d) for j in range(i, d)])
     mats = [Matrix.from_flat(r, d, d) for r in space.rows]
-    return InnerDerivationSpace(d, space, mats)
+    return InnerDerivationSpace(space, mats)
 
 
 def is_simple(T: SymplecticTripleSystem) -> bool:

@@ -94,6 +94,21 @@ def test_verify_malformed_file(capsys, tmp_path):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("verify",),
+    ("holonomy",),
+    ("ricci",),
+    ("curvature", "-i", "0", "-j", "0"),
+])
+def test_dim_one_file_is_math_failure(capsys, tmp_path, command):
+    # the file parses, so the simplicity criterion's refusal is exit 1
+    path = tmp_path / "dim1.sts.json"
+    path.write_text('{"dim": 1, "omega": [["0"]], "triple": []}')
+    code, out, err = run(capsys, *command, "--family", "file", "--path", str(path))
+    assert code == 1 and out == ""
+    assert err == "invalid input: simplicity criterion excludes dim 1\n"
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8", "too-deep", "long-int"])
 def test_verify_unreadable_file(capsys, tmp_path, kind):
     path = tmp_path / "case.sts.json"

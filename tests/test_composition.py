@@ -2,7 +2,8 @@ from itertools import combinations, product
 
 import pytest
 
-from symtriple.composition import KINDS, build_composition
+from symtriple.composition import KINDS, build_composition, unit_multiple
+from symtriple.errors import ValidationError
 from symtriple.scalars import ONE, ZERO, qi
 
 
@@ -25,6 +26,16 @@ def test_unital(algebra):
         e = algebra.basis_element(i)
         assert algebra.multiply(algebra.unit, e) == e
         assert algebra.multiply(e, algebra.unit) == e
+
+
+def test_unit_multiple(algebra):
+    three = tuple(qi(3) * u for u in algebra.unit)
+    assert unit_multiple(three, algebra.unit) == qi(3)
+    if algebra.dim > 1:
+        with pytest.raises(ValidationError):
+            unit_multiple(algebra.basis_element(1), algebra.unit)
+    with pytest.raises(ValidationError):
+        unit_multiple(algebra.unit, (ZERO,) * algebra.dim)
 
 
 def test_conjugation_involution_and_norm(algebra):

@@ -83,6 +83,63 @@ def test_odd_odd_bracket(model_cache):
             assert hpart == want
 
 
+def _direct_ad_m_inder(model, r):
+    """ad(d_r) on m from the matrix of d_r: e_a (x) t_k -> e_a (x) d_r(t_k)."""
+    td = model.algebra.t_dim
+    dmat = model.inder.mats[r]
+    data = {}
+    for a in range(2):
+        base = 3 + a * td
+        for k in range(td):
+            for l in range(td):
+                if dmat[l, k]:
+                    data.setdefault(base + l, {})[base + k] = dmat[l, k]
+    return Matrix(model.m_dim, model.m_dim, data)
+
+
+def _direct_ad_m_xi(model, i):
+    """ad(xi_i) on m: the bracket [xi_i, xi_j] on the vertical block and
+    e_a (x) t_k -> xi_i(e_a) (x) t_k on the odd block."""
+    L = model.algebra
+    td = L.t_dim
+    xi = xi_matrices()[i - 1]
+    data = {}
+    for j in range(3):
+        for l, v in L.bracket_basis(i - 1, j).items():
+            data.setdefault(l, {})[j] = v
+    for a in range(2):
+        for b in range(2):
+            if xi[b, a]:
+                for k in range(td):
+                    data.setdefault(3 + b * td + k, {})[3 + a * td + k] = xi[b, a]
+    return Matrix(model.m_dim, model.m_dim, data)
+
+
+def _direct_split(model, p, q):
+    """(m-part, h-part) of [e_p, e_q] by the index ranges of the g basis."""
+    h = model.h_dim
+    mm, hh = {}, {}
+    for l, v in model.algebra.bracket_basis(model.m_to_g(p), model.m_to_g(q)).items():
+        if 3 <= l < 3 + h:
+            hh[l - 3] = v
+        else:
+            mm[l if l < 3 else l - h] = v
+    return mm, hh
+
+
+@pytest.mark.parametrize("family,param", LIGHT_CASES)
+def test_model_operators_match_direct_construction(family, param, model_cache):
+    model = model_cache(family, param)
+    for r in range(model.h_dim):
+        assert model.ad_m_inder(r) == _direct_ad_m_inder(model, r)
+    for i in (1, 2, 3):
+        assert model.ad_m_xi(i) == _direct_ad_m_xi(model, i)
+    for p in range(model.m_dim):
+        for q in range(model.m_dim):
+            got = (model.m_bracket_m(p, q), model.m_bracket_h(p, q))
+            assert got == _direct_split(model, p, q)
+
+
 def test_jacobi_detects_mutation(model_cache):
     L0 = model_cache("symplectic", 1).algebra
     table = {k: dict(v) for k, v in L0.table.items()}

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from symtriple.connections import connection_by_name
+from symtriple.connections import Connection, alpha_family, connection_by_name
 from symtriple.families import (
     expected_hol_levi_civita,
     expected_hol_skew,
@@ -10,9 +11,9 @@ from symtriple.families import (
 from symtriple.holonomy import (
     holonomy_algebra,
     holonomy_identity_check,
-    quadratic_scalar_probe,
     ricci,
     scalar_curvature,
+    scalar_curvature_formula,
     table_report,
 )
 from symtriple.linalg import comm, matrices_of
@@ -132,16 +133,25 @@ def test_zero_connection_smoke(model_cache):
         assert res.dim == model.h_dim
 
 
-def test_quadratic_probe_is_documented_discrepancy():
-    # The quadratic scalar-curvature formula does not reproduce the exact
-    # closed forms under this parametrization; assert the mismatch so the
-    # discrepancy stays visible.
-    eye = [[1 if r == s else 0 for s in range(3)] for r in range(3)]
-    probe = quadratic_scalar_probe(1, 2, eye)
-    assert probe == Fraction(63, 2)
-    assert probe != 0  # s^dist at n=1 is 0
-    zero3 = [[0] * 3 for _ in range(3)]
-    assert quadratic_scalar_probe(1, 0, zero3) == 42  # only the torsion-free case agrees
+@pytest.mark.parametrize("family,param", LIGHT_CASES)
+def test_scalar_curvature_formula(family, param, connection_cache):
+    # (4n+2)(4n+3) - 6(a - tr B)^2 - 12n||B||^2 at the named connections,
+    # (0, 0), (2, I) and (0, I), and at seeded generic members
+    model = connection_cache(family, param, "levi-civita").model
+    eye = [[int(r == s) for s in range(3)] for r in range(3)]
+    zero = [[0] * 3 for _ in range(3)]
+    for name, a, b in (("levi-civita", 0, zero), ("distinguished", 2, eye),
+                       ("canonical", 0, eye)):
+        want = scalar_curvature_formula(model.n, a, b)
+        assert scalar_curvature(connection_cache(family, param, name)) == want
+    rng = random.Random(7)
+    for _ in range(2):
+        a = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        b = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)]
+             for _ in range(3)]
+        conn = Connection(model, alpha_family(model, a, b))
+        assert scalar_curvature(conn) == scalar_curvature_formula(model.n, a, b)
+    assert scalar_curvature_formula(1, 2, eye) == 0  # the distinguished point at n = 1
 
 
 def test_table_report_all_pass(model_cache):
