@@ -245,25 +245,23 @@ def is_metric(model: HomogeneousModel, alpha: NomizuMap) -> bool:
 
 
 def is_skew_torsion(model: HomogeneousModel, alpha: NomizuMap) -> bool:
-    """Metric, and g((alpha - alpha_g)(., .), .) totally alternating."""
+    """Metric, and g((alpha - alpha_g)(., .), .) totally alternating.
+
+    alpha and alpha_g are both metric, so for D = alpha - alpha_g the form
+    g(D(X, Y), Z) already alternates in (Y, Z); it is a 3-form exactly when
+    D(X, Y) = -D(Y, X) as well.
+    """
     if not is_metric(model, alpha):
         return False
     base = alpha_levi_civita(model)
-    g = model.metric.gram
-    md = model.m_dim
-    w = []
-    for i in range(md):
-        d_i = alpha.ops[i] - base.ops[i]
-        w_i = d_i.transpose() @ g  # w_i[j, k] = g(D(e_i, e_j), e_k)
-        if not (w_i + w_i.transpose()).is_zero():
-            return False
-        w.append(w_i)
-    for i in range(md):
-        for j in range(i + 1, md):
-            for k in range(md):
-                if w[i][j, k] != -w[j][i, k]:
-                    return False
-    return True
+    cols = {}  # (i, j) -> D(e_i, e_j), sparse and nonzero
+    for i, (a_i, g_i) in enumerate(zip(alpha.ops, base.ops)):
+        for j, col in (a_i - g_i).transpose().data.items():
+            cols[(i, j)] = col
+    return all(
+        cols.get((j, i)) == {l: -x for l, x in col.items()}
+        for (i, j), col in cols.items()
+    )
 
 
 def curvature(model: HomogeneousModel, alpha: NomizuMap, i: int, j: int) -> Matrix:

@@ -1,8 +1,14 @@
 """Holonomy algebras, Ricci tensors and scalar curvatures.
 
-The holonomy algebra of an invariant connection is the smallest Lie
-subalgebra of gl(m) containing every curvature operator R(e_i, e_j) and
-closed under commutators with the left multiplications alpha(e_i, .).
+By Kostant's formula (Kobayashi-Nomizu II, ch. X, Thm 4.1) the holonomy
+algebra of an invariant connection is
+
+    m_0 + [alpha(m), m_0] + [alpha(m), [alpha(m), m_0]] + ...,
+
+with m_0 the span of the curvature operators R(e_i, e_j).  That sum is the
+smallest subspace of gl(m) containing every R(e_i, e_j) and invariant under
+[alpha(e_i, .), .]; it is already a Lie algebra, so no mutual commutators
+are taken.
 For a metric connection it sits inside so(m, g), whose dimension therefore
 serves as a certified early-exit bound for the closure.
 """
@@ -50,7 +56,8 @@ class HolonomyResult:
 
 
 def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyResult:
-    """Ambrose-Singer closure of the curvature operators of ``conn``."""
+    """The holonomy algebra of ``conn`` by Kostant's formula: the span of
+    the curvature operators, closed under [alpha(e_i, .), .]."""
     model = conn.model
     md = model.m_dim
     gens = []
@@ -61,7 +68,7 @@ def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyR
     metric = conn.is_metric()
     so_dim = model.so_dim()
     if not gens:
-        algebra = Subspace.zero_space(md * md)
+        algebra = Subspace(md * md)
     else:
         algebra = bracket_closure(
             gens, multipliers, stop_dim=so_dim if metric else None

@@ -364,10 +364,6 @@ class Subspace:
         self.basis = basis if basis is not None else {}
 
     @staticmethod
-    def zero_space(ambient: int) -> "Subspace":
-        return Subspace(ambient)
-
-    @staticmethod
     def span(vectors: Iterable, ambient: int | None = None) -> "Subspace":
         vectors = list(vectors)
         if ambient is None:
@@ -513,15 +509,18 @@ def inverse(m: Matrix) -> Matrix:
 
 def bracket_closure(
     gens: Sequence[Matrix],
-    multipliers: Sequence[Matrix] = (),
+    multipliers: Sequence[Matrix],
     stop_dim: int | None = None,
 ) -> Subspace:
-    """Smallest subspace containing ``gens``, closed under mutual commutators
-    and under commutators with each multiplier, by worklist iteration.
+    """Smallest subspace containing ``gens`` and invariant under [mu, .] for
+    each multiplier mu, by worklist iteration.
 
-    ``stop_dim`` may be set when the caller knows a Lie algebra of that
-    dimension which contains every generator and multiplier bracket; reaching
-    it proves the closure equals that algebra, so iteration can stop early.
+    ``bracket_closure(S, S)`` is the Lie algebra generated by S, since the
+    right-normed brackets [s_1, [s_2, ..., [s_k-1, s_k]]] span it.
+
+    ``stop_dim`` may be set when the caller knows a subspace of that
+    dimension which contains the closure; reaching it proves the closure
+    equals that subspace, so iteration can stop early.
     """
     sizes = {m.rows for m in gens} | {m.cols for m in gens}
     sizes |= {m.rows for m in multipliers} | {m.cols for m in multipliers}
@@ -531,32 +530,22 @@ def bracket_closure(
         return Subspace(0)
     d = gens[0].rows
     space = Subspace(d * d)
-    pool: list[Matrix] = []  # inserted matrices spanning the space
     work: list[Matrix] = []
 
     def push(mat: Matrix) -> bool:
         nonlocal space
         space, grew = space.insert(mat.flatten())
         if grew:
-            pool.append(mat)
             work.append(mat)
-        return grew
+        return stop_dim is not None and space.dim >= stop_dim
 
     for g in gens:
-        push(g)
-        if stop_dim is not None and space.dim >= stop_dim:
+        if push(g):
             return space
     while work:
         x = work.pop()
         for mu in multipliers:
-            push(comm(mu, x))
-            if stop_dim is not None and space.dim >= stop_dim:
-                return space
-        # pool grows during iteration; new entries are queued themselves,
-        # so bracketing against the pool snapshot at pop time suffices.
-        for y in pool:
-            push(comm(x, y))
-            if stop_dim is not None and space.dim >= stop_dim:
+            if push(comm(mu, x)):
                 return space
     return space
 

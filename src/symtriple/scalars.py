@@ -58,7 +58,8 @@ class GaussianRational:
 
     @staticmethod
     def parse(text: str) -> "GaussianRational":
-        """Parse strings like ``"3"``, ``"-1/2"``, ``"i"``, ``"3/4-2/5i"``."""
+        """Parse strings like ``"3"``, ``"-1/2"``, ``"i"``, ``"3/4-2/5i"``;
+        a zero denominator is malformed."""
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty scalar string")
@@ -240,7 +241,8 @@ def _imag_str(f: Fraction) -> str:
 
 
 _SCALAR_RE = _re.compile(
-    r"(?:(?P<re>[+-]?\d+(?:/\d+)?)(?=$|[+-]))?(?P<im>[+-]?(?:\d+(?:/\d+)?)?i)?"
+    r"(?:(?P<re>[+-]?\d+(?:/\d*[1-9]\d*)?)(?=$|[+-]))?"
+    r"(?P<im>[+-]?(?:\d+(?:/\d*[1-9]\d*)?)?i)?"
 )
 
 

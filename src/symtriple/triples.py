@@ -639,7 +639,7 @@ def scalar_from_json(obj, where: str) -> GaussianRational:
             if not (re_part.is_real and im_part.is_real):
                 raise ValueError("re/im parts must be plain rationals")
             return GaussianRational.from_fractions(re_part.re, im_part.re)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ParseError(f"{where}: bad scalar {obj!r} ({exc})") from None
     raise ParseError(f"{where}: bad scalar {obj!r} (unsupported type)")
 

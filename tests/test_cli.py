@@ -175,6 +175,19 @@ def test_holonomy_family_connection(capsys):
     assert json.loads(out)["dim"] == 6  # same map as the distinguished connection
 
 
+@pytest.mark.parametrize("coefficient", (
+    ("--a", "1/0"),
+    ("--b-matrix", "1/0,0,0;0,0,0;0,0,0"),
+))
+def test_family_zero_denominator_is_usage_error(capsys, coefficient):
+    code, out, err = run(
+        capsys, "ricci", "--family", "symplectic", "--n", "1",
+        "--connection", "family", *coefficient,
+    )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "1/0" in err
+
+
 def test_curvature_output_exact(capsys):
     code, out, _ = run(
         capsys,

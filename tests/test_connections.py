@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from symtriple.connections import (
+    NomizuMap,
     admissibility_failures,
     alpha_canonical,
     alpha_distinguished,
@@ -11,6 +12,8 @@ from symtriple.connections import (
     alpha_o,
     alpha_rs,
     connection_by_name,
+    is_metric,
+    is_skew_torsion,
 )
 from symtriple.enveloping import metric_skew_operator
 from symtriple.linalg import Matrix
@@ -155,6 +158,52 @@ def test_zero_map_not_skew(model_cache):
     zero = connection_by_name(model, "zero")
     assert zero.is_metric()
     assert not zero.is_skew_torsion()
+
+
+def dense_is_skew_torsion(model, alpha):
+    """The dense predicate: both so(g) checks on w_i = D_i^T g, then
+    w_i[j, k] = -w_j[i, k] entry by entry, for D = alpha - alpha_g."""
+    if not is_metric(model, alpha):
+        return False
+    base = alpha_levi_civita(model)
+    g = model.metric.gram
+    md = model.m_dim
+    w = []
+    for i in range(md):
+        w_i = (alpha.ops[i] - base.ops[i]).transpose() @ g
+        if not (w_i + w_i.transpose()).is_zero():
+            return False
+        w.append(w_i)
+    return all(
+        w[i][j, k] == -w[j][i, k]
+        for i in range(md) for j in range(i + 1, md) for k in range(md)
+    )
+
+
+@pytest.mark.parametrize("family,param", LIGHT_CASES)
+def test_skew_torsion_on_maps_that_fail_it(family, param, model_cache):
+    model = model_cache(family, param)
+    md = model.m_dim
+    lc = alpha_levi_civita(model).ops
+
+    def replaced(k, op, label):
+        return NomizuMap([op if i == k else x for i, x in enumerate(lc)], label)
+
+    bumped = Matrix(md, md, {i: dict(r) for i, r in lc[4].data.items()})
+    bumped.set_entry(1, 2, bumped[1, 2] + 1)
+    ad = model.ad_m_inder(0)
+    rr = alpha_rs(model, 2, 2).ops
+    cases = [
+        # metric, since ad h acts by isometries, but D(e_4, .) = 2 ad != -D(., e_4)
+        (replaced(4, lc[4] + ad.scale(2), "lc + 2 ad"), True, False),
+        # alpha_rs is a 3-form, so this member is metric and alternating
+        (NomizuMap([x + y.scale(3) for x, y in zip(lc, rr)], "lc + 3 a22"), True, True),
+        (replaced(4, bumped, "lc bumped"), False, False),
+    ]
+    for alpha, metric, skew in cases:
+        assert is_metric(model, alpha) == metric, alpha.label
+        assert is_skew_torsion(model, alpha) == skew, alpha.label
+        assert dense_is_skew_torsion(model, alpha) == skew, alpha.label
 
 
 def test_family_members_are_skew(model_cache):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from symtriple.holonomy import (
     scalar_curvature_formula,
     table_report,
 )
-from symtriple.linalg import comm, matrices_of
+from symtriple.linalg import Subspace, comm, matrices_of
 from symtriple.scalars import qi
 
 from conftest import LIGHT_CASES
@@ -75,15 +76,65 @@ def test_holonomy_contains_own_multipliers(connection_cache):
 
 
 def test_holonomy_closure_is_closed(connection_cache):
-    conn = connection_cache("symplectic", 1, "distinguished")
-    res = holonomy_algebra(conn, compute_center=False)
-    mats = matrices_of(res.algebra)
-    for x in mats:
-        for y in mats:
-            assert res.algebra.contains(comm(x, y).flatten())
-    for op in conn.alpha.ops:
+    for (family, param), name in itertools.product(
+        LIGHT_CASES, ("distinguished", "canonical")
+    ):
+        conn = connection_cache(family, param, name)
+        res = holonomy_algebra(conn, compute_center=False)
+        mats = matrices_of(res.algebra)
         for x in mats:
-            assert res.algebra.contains(comm(op, x).flatten())
+            for y in mats:
+                assert res.algebra.contains(comm(x, y).flatten()), (family, param, name)
+        for op in conn.alpha.ops:
+            for x in mats:
+                assert res.algebra.contains(comm(op, x).flatten()), (family, param, name)
+
+
+def full_lie_closure(gens, multipliers, stop_dim=None):
+    """The reference Lie closure: the span of ``gens`` closed under [mu, .]
+    for each multiplier and under mutual commutators."""
+    d = gens[0].rows
+    space = Subspace(d * d)
+    pool, work = [], []
+
+    def push(mat):
+        nonlocal space
+        space, grew = space.insert(mat.flatten())
+        if grew:
+            pool.append(mat)
+            work.append(mat)
+        return stop_dim is not None and space.dim >= stop_dim
+
+    for g in gens:
+        if push(g):
+            return space
+    while work:
+        x = work.pop()
+        for y in [*multipliers, *pool]:
+            if push(comm(y, x)):
+                return space
+    return space
+
+
+@pytest.mark.parametrize("family,param", LIGHT_CASES)
+def test_kostant_closure_matches_full_lie_closure(family, param, connection_cache):
+    # Kostant's span m_0 + [alpha(m), m_0] + ... is already a Lie algebra, so
+    # adding every mutual commutator leaves the echelon rows unchanged
+    model = connection_cache(family, param, "levi-civita").model
+    conns = [connection_cache(family, param, name)
+             for name in ("levi-civita", "distinguished", "canonical", "zero")]
+    rng = random.Random(11)
+    for _ in range(2):
+        a = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        b = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)]
+             for _ in range(3)]
+        conns.append(Connection(model, alpha_family(model, a, b)))
+    for conn in conns:
+        gens = [r for _, r in conn.curvature_pairs() if not r.is_zero()]
+        multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
+        stop = model.so_dim() if conn.is_metric() else None
+        want = full_lie_closure(gens, multipliers, stop)
+        assert holonomy_algebra(conn, compute_center=False).algebra == want, conn.label
 
 
 RICCI_TABLE = {

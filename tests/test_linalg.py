@@ -58,7 +58,7 @@ def test_insert_examples():
     assert not grew and s2 == s
     s3, grew = s.insert(vec([0, 1, 0]))
     assert grew and s3.dim == 2
-    z, grew = Subspace.zero_space(2).insert(vec([0, 0]))
+    z, grew = Subspace(2).insert(vec([0, 0]))
     assert not grew and z.dim == 0
     with pytest.raises(DimensionError):
         s.insert(vec([1, 0]))
@@ -87,12 +87,12 @@ def test_coords_of():
 
 
 def test_closure_nilpotent_generator():
-    assert bracket_closure([E12]).dim == 1
+    assert bracket_closure([E12], [E12]).dim == 1
 
 
 def test_closure_generates_sl2():
     # [E12, E21] = diag(1, -1), so the closure is the full traceless algebra.
-    space = bracket_closure([E12, E21])
+    space = bracket_closure([E12, E21], [E12, E21])
     assert space.dim == 3
     mats = matrices_of(space)
     for x in mats:
@@ -102,17 +102,20 @@ def test_closure_generates_sl2():
 
 def test_closure_with_multipliers_and_stop():
     # multiplier brackets alone must be followed: start from the diagonal.
+    # Without multipliers the closure is the span: no mutual commutators.
+    assert bracket_closure([E12, E21], []).dim == 2
     h = comm(E12, E21)
     space = bracket_closure([h], [E12, E21])
     assert space.dim == 3
-    space = bracket_closure([E12, E21], stop_dim=3)
+    space = bracket_closure([E12, E21], [E12, E21], stop_dim=3)
     assert space.dim == 3
+    mixed = [E12, Matrix.identity(3)]
     with pytest.raises(DimensionError):
-        bracket_closure([E12, Matrix.identity(3)])
+        bracket_closure(mixed, mixed)
 
 
 def test_center_examples():
-    sl2 = bracket_closure([E12, E21])
+    sl2 = bracket_closure([E12, E21], [E12, E21])
     assert center_of(sl2).dim == 0
     span_id = Subspace.span([Matrix.identity(2).flatten()], ambient=4)
     assert center_of(span_id) == span_id

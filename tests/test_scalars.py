@@ -42,8 +42,8 @@ def test_parse_and_format_round_trip():
         assert str(qi(s)) == s
     assert qi("3/4i").im == Fraction(3, 4)
     assert qi("3/4-2/5i").re == Fraction(3, 4)
-    for bad in ["", "+-3", "1/0", "x", "3..2", "i2"]:
-        with pytest.raises((ValueError, ZeroDivisionError)):
+    for bad in ["", "+-3", "1/0", "2/00", "1/0i", "3-1/0i", "x", "3..2", "i2"]:
+        with pytest.raises(ValueError):
             qi(bad)
 
 
