@@ -8,6 +8,20 @@ skew-torsion connections, and the distinguished / canonical members, plus
 torsion, metric and skew-torsion predicates, and curvature operators
 
     R(X, Y) = [alpha_X, alpha_Y] - alpha_{[X,Y]_m} - ad([X,Y]_h).
+
+Every named map is a block-wise multiple of the bracket: alpha(e_i, e_j) =
+c [e_i, e_j]_m, with c read off the blocks of e_i (row) and e_j (column),
+m = vertical (xi_1, xi_2, xi_3) (+) odd part.  Each operator alpha(e_i, .)
+is ``HomogeneousModel.bracket_op(i, vertical, odd)`` with
+
+    map                    vertical e_i    odd e_i
+    levi-civita            (1/2, 0)        (1, 1/2)
+    alpha_o                (1/2, 0)        0
+    distinguished          (0, -1)         0
+    canonical              (-1, -1)        0
+    eps block of alpha_rr  (-1/2, 0)       0
+
+alpha_rs adds its Phi_s and phi_s entries to that eps block (r = s only).
 """
 
 from __future__ import annotations
@@ -37,12 +51,6 @@ __all__ = [
     "CONNECTION_NAMES",
 ]
 
-_EPS3 = {}
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS3[(_i, _j, _k)] = 1
-    _EPS3[(_j, _i, _k)] = -1
-
-
 class NomizuMap:
     """Bilinear map m x m -> m, as left-multiplication matrices per basis."""
 
@@ -59,17 +67,7 @@ class NomizuMap:
 
     def value(self, x, y):
         """alpha(x, y) for m-coordinate vectors."""
-        if len(x) != self.m_dim or len(y) != self.m_dim:
-            raise DimensionError("NomizuMap arguments must live on the m basis")
-        out = [ZERO] * self.m_dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            img = self.ops[i].apply(y)
-            for l, v in enumerate(img):
-                if v:
-                    out[l] = out[l] + xi * v
-        return tuple(out)
+        return self.op_of(x).apply(y)
 
     def op_of(self, x) -> Matrix:
         """The operator alpha(x, .) for an m-coordinate vector x."""
@@ -89,44 +87,24 @@ class NomizuMap:
         return f"NomizuMap({self.label!r}, m_dim={self.m_dim})"
 
 
-def _ops_zero(m_dim: int):
-    return [Matrix(m_dim, m_dim) for _ in range(m_dim)]
-
-
-def _set_col(mat: Matrix, j: int, entries) -> None:
-    for l, v in entries:
-        if v:
-            mat.set_entry(l, j, mat[l, j] + v)
+def _block_ops(model: HomogeneousModel, vertical_row, odd_row=(ZERO, ZERO)) -> list:
+    """ops[i] = bracket_op(i, *row), with the row of e_i's block."""
+    return [
+        model.bracket_op(i, *(vertical_row if i < 3 else odd_row))
+        for i in range(model.m_dim)
+    ]
 
 
 def alpha_levi_civita(model: HomogeneousModel) -> NomizuMap:
     """Half-bracket on matching blocks, full bracket odd-into-vertical,
     zero vertical-into-odd."""
-    md = model.m_dim
-    ops = _ops_zero(md)
-    for i in range(md):
-        for j in range(md):
-            mbm = model.m_bracket_m(i, j)
-            if not mbm:
-                continue
-            if i < 3 and j < 3:
-                _set_col(ops[i], j, ((l, v * HALF) for l, v in mbm.items()))
-            elif i < 3:
-                continue  # alpha(vertical, odd) = 0
-            elif j < 3:
-                _set_col(ops[i], j, mbm.items())
-            else:
-                _set_col(ops[i], j, ((l, v * HALF) for l, v in mbm.items()))
-    return NomizuMap(ops, "levi-civita")
+    return NomizuMap(_block_ops(model, (HALF, ZERO), (ONE, HALF)), "levi-civita")
 
 
 def alpha_o(model: HomogeneousModel) -> NomizuMap:
-    """alpha_o(xi_i, xi_j) = eps_ijk xi_k; zero whenever an argument is odd."""
-    md = model.m_dim
-    ops = _ops_zero(md)
-    for (i, j, k), sgn in _EPS3.items():
-        ops[i].set_entry(k, j, qi(sgn))
-    return NomizuMap(ops, "alpha_o")
+    """alpha_o(xi_i, xi_j) = eps_ijk xi_k = [xi_i, xi_j] / 2; zero whenever
+    an argument is odd."""
+    return NomizuMap(_block_ops(model, (HALF, ZERO)), "alpha_o")
 
 
 def alpha_rs(model: HomogeneousModel, r: int, s: int) -> NomizuMap:
@@ -141,10 +119,7 @@ def alpha_rs(model: HomogeneousModel, r: int, s: int) -> NomizuMap:
     ri = r - 1
     phi_s = model.phi(s)
     w_s = model.metric.gram @ phi_s  # w_s[i, j] = g(e_i, phi_s e_j)
-    ops = _ops_zero(md)
-    if r == s:
-        for (i, j, k), sgn in _EPS3.items():
-            ops[i].set_entry(k, j, qi(-sgn))
+    ops = _block_ops(model, (-HALF if r == s else ZERO, ZERO))
     for i in range(3, md):
         # columns over odd Y: Phi_s(e_i, Y) xi_r
         row = w_s.data.get(i, {})
@@ -160,7 +135,7 @@ def alpha_rs(model: HomogeneousModel, r: int, s: int) -> NomizuMap:
     return NomizuMap(ops, f"alpha_{r}{s}")
 
 
-def alpha_family(model: HomogeneousModel, a, b_matrix, label: str | None = None) -> NomizuMap:
+def alpha_family(model: HomogeneousModel, a, b_matrix) -> NomizuMap:
     """alpha_g + a * alpha_o + sum_rs b[r][s] * alpha_rs."""
     a = qi(a)
     rows = [[qi(x) for x in row] for row in b_matrix]
@@ -175,51 +150,33 @@ def alpha_family(model: HomogeneousModel, a, b_matrix, label: str | None = None)
     ]
     md = model.m_dim
     ops = [combination(((c, p.ops[i]) for c, p in parts), md) for i in range(md)]
-    if label is None:
-        label = f"family(a={a}, B={[[str(x) for x in row] for row in rows]})"
+    label = f"family(a={a}, B={[[str(x) for x in row] for row in rows]})"
     return NomizuMap(ops, label, params=(a, tuple(tuple(r) for r in rows)))
 
 
 _IDENTITY3 = tuple(tuple(ONE if r == s else ZERO for s in range(3)) for r in range(3))
 
 
-def _closed_form_skew(model: HomogeneousModel, canonical: bool) -> NomizuMap:
-    """Closed-form tables: alpha(X, xi) = 0, alpha(xi_i, X) = -phi_i(X),
-    alpha(X, Y) = 0, and alpha(xi, xi') = 0 (distinguished) or -[xi, xi']
-    (canonical).  These are the family members ``alpha_family`` gives at
-    (a, B) = (2, I) and (0, I), whose parameters the map carries."""
-    md = model.m_dim
-    ops = _ops_zero(md)
-    for i in range(3):
-        phi = model.phi(i + 1)
-        for j in range(3, md):
-            for l in range(md):
-                v = phi[l, j]
-                if v:
-                    ops[i].set_entry(l, j, -v)
-        if canonical:
-            for j in range(3):
-                for l, v in model.m_bracket_m(i, j).items():
-                    ops[i].set_entry(l, j, -v)
-    a = qi(0) if canonical else qi(2)
+def alpha_distinguished(model: HomogeneousModel) -> NomizuMap:
+    """alpha_g + 2 alpha_o + sum_r alpha_rr, the family member at (a, B) =
+    (2, I), from its value table: alpha(xi_i, X) = -phi_i(X) and zero on
+    every other pair of blocks."""
     return NomizuMap(
-        ops, "canonical" if canonical else "distinguished", params=(a, _IDENTITY3)
+        _block_ops(model, (ZERO, -ONE)), "distinguished", params=(qi(2), _IDENTITY3)
     )
 
 
-def alpha_distinguished(model: HomogeneousModel) -> NomizuMap:
-    """alpha_g + 2 alpha_o + sum_r alpha_rr, from its value table."""
-    return _closed_form_skew(model, canonical=False)
-
-
 def alpha_canonical(model: HomogeneousModel) -> NomizuMap:
-    """alpha_g + sum_r alpha_rr, from its value table."""
-    return _closed_form_skew(model, canonical=True)
+    """alpha_g + sum_r alpha_rr, the family member at (a, B) = (0, I), from
+    its value table: the distinguished one plus alpha(xi, xi') = -[xi, xi']."""
+    return NomizuMap(
+        _block_ops(model, (-ONE, -ONE)), "canonical", params=(qi(0), _IDENTITY3)
+    )
 
 
 def alpha_zero(model: HomogeneousModel) -> NomizuMap:
     """The zero Nomizu map (flat-ish reference connection)."""
-    return NomizuMap(_ops_zero(model.m_dim), "zero")
+    return NomizuMap(_block_ops(model, (ZERO, ZERO)), "zero")
 
 
 def torsion_operator(model: HomogeneousModel, alpha: NomizuMap, i: int, j: int):
@@ -309,16 +266,14 @@ def admissibility_failures(model: HomogeneousModel, alpha: NomizuMap) -> list:
 
 
 class Connection:
-    """A Nomizu map together with cached derived tensors."""
+    """A Nomizu map together with its cached curvature operators."""
 
-    __slots__ = ("model", "alpha", "_curv", "_metric_flag", "_skew_flag")
+    __slots__ = ("model", "alpha", "_curv")
 
     def __init__(self, model: HomogeneousModel, alpha: NomizuMap):
         self.model = model
         self.alpha = alpha
         self._curv: dict = {}
-        self._metric_flag = None
-        self._skew_flag = None
 
     @property
     def label(self) -> str:
@@ -348,14 +303,10 @@ class Connection:
         return curvature_of(self.model, self.alpha, x, y)
 
     def is_metric(self) -> bool:
-        if self._metric_flag is None:
-            self._metric_flag = is_metric(self.model, self.alpha)
-        return self._metric_flag
+        return is_metric(self.model, self.alpha)
 
     def is_skew_torsion(self) -> bool:
-        if self._skew_flag is None:
-            self._skew_flag = is_skew_torsion(self.model, self.alpha)
-        return self._skew_flag
+        return is_skew_torsion(self.model, self.alpha)
 
     def __repr__(self):
         return f"Connection({self.label!r} on {self.model.triple.label!r})"

@@ -474,7 +474,7 @@ class HomogeneousModel:
         self._where.update((g, (1, r)) for r, g in enumerate(split.h_indices))
         self._parts: dict = {}
         self._ads: dict = {}
-        self.phis = tuple(self._build_phi(i) for i in range(3))
+        self.phis = tuple(self.bracket_op(i, HALF, ONE) for i in range(3))
 
     # -- geometry ---------------------------------------------------------
 
@@ -549,13 +549,27 @@ class HomogeneousModel:
         """ad(xi_i) restricted to m (i in 1..3)."""
         return self._ad_m(self.m_to_g(i - 1))
 
-    def _build_phi(self, idx: int) -> Matrix:
-        """phi_{idx+1}: half ad(xi) on the vertical block, ad(xi) on the odd."""
-        full = self.ad_m_xi(idx + 1)
+    def bracket_op(self, i: int, vertical, odd) -> Matrix:
+        """The operator e_j -> c_j [e_i, e_j]_m on m, with c_j = ``vertical``
+        on the vertical block (j < 3) and c_j = ``odd`` on the odd block.
+
+        phi_i and every named Nomizu map are built from it, operator by
+        operator, with these (vertical, odd) coefficients:
+
+            phi_i                  bracket_op(i - 1, 1/2, 1)
+            levi-civita            (1/2, 0) for vertical e_i, (1, 1/2) for odd
+            alpha_o                (1/2, 0) for vertical e_i, zero for odd
+            distinguished          (0, -1)  for vertical e_i, zero for odd
+            canonical              (-1, -1) for vertical e_i, zero for odd
+            eps block of alpha_rr  (-1/2, 0) for vertical e_i, zero for odd
+        """
+        vertical, odd = qi(vertical), qi(odd)
         data: dict = {}
-        for i, row in full.data.items():
-            for j, v in row.items():
-                data.setdefault(i, {})[j] = v * HALF if j < 3 else v
+        for j in range(self.m_dim):
+            c = vertical if j < 3 else odd
+            if c:
+                for l, v in self.m_bracket_m(i, j).items():
+                    data.setdefault(l, {})[j] = c * v
         return Matrix(self.m_dim, self.m_dim, data)
 
     def phi(self, i: int) -> Matrix:

@@ -16,6 +16,7 @@ from symtriple.connections import (
     is_skew_torsion,
 )
 from symtriple.enveloping import metric_skew_operator
+from symtriple.errors import DimensionError
 from symtriple.linalg import Matrix
 from symtriple.scalars import HALF, ONE, ZERO, qi
 
@@ -58,6 +59,9 @@ def test_levi_civita_values(model_cache):
     assert lc.value(odd, xi[0]) == tuple(
         qi("-i") if i == 3 else ZERO for i in range(md)
     )
+    for x, y in ((odd[:-1], odd), (odd, odd[:-1])):
+        with pytest.raises(DimensionError):
+            lc.value(x, y)
 
 
 def test_alpha_o_values(model_cache):
@@ -98,10 +102,106 @@ def test_family_specializations(model_cache):
     assert alpha_family(model, 0, IDENTITY3).ops == alpha_canonical(model).ops
 
 
+# ---------------------------------------------------------------------------
+# Reference constructions: each map built entry by entry from its own table,
+# independently of HomogeneousModel.bracket_op
+# ---------------------------------------------------------------------------
+
+EPS3 = {}
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    EPS3[(_i, _j, _k)] = 1
+    EPS3[(_j, _i, _k)] = -1
+
+
+def zero_ops(md):
+    return [Matrix(md, md) for _ in range(md)]
+
+
+def add_col(mat, j, entries):
+    for l, v in entries:
+        if v:
+            mat.set_entry(l, j, mat[l, j] + v)
+
+
+def reference_phi(model, i):
+    """phi_i: ad(xi_i)|_m with its vertical columns halved."""
+    data = {}
+    for l, row in model.ad_m_xi(i).data.items():
+        for j, v in row.items():
+            data.setdefault(l, {})[j] = v * HALF if j < 3 else v
+    return Matrix(model.m_dim, model.m_dim, data)
+
+
+def reference_levi_civita(model):
+    """Half-bracket on matching blocks, full bracket odd-into-vertical,
+    zero vertical-into-odd."""
+    md = model.m_dim
+    ops = zero_ops(md)
+    for i in range(md):
+        for j in range(md):
+            mbm = model.m_bracket_m(i, j)
+            if i < 3 and j < 3:
+                add_col(ops[i], j, ((l, v * HALF) for l, v in mbm.items()))
+            elif i < 3:
+                continue
+            elif j < 3:
+                add_col(ops[i], j, mbm.items())
+            else:
+                add_col(ops[i], j, ((l, v * HALF) for l, v in mbm.items()))
+    return ops
+
+
+def reference_alpha_o(model):
+    """alpha_o(xi_i, xi_j) = eps_ijk xi_k, zero on odd arguments."""
+    ops = zero_ops(model.m_dim)
+    for (i, j, k), sgn in EPS3.items():
+        ops[i].set_entry(k, j, qi(sgn))
+    return ops
+
+
+def reference_alpha_rs(model, r, s):
+    """-delta_rs eps_ijk xi_k on the vertical block, Phi_s(X, Y) xi_r on odd
+    pairs and phi_s(X) on (X, xi_r), extended alternating."""
+    md = model.m_dim
+    phi_s = reference_phi(model, s)
+    w_s = model.metric.gram @ phi_s
+    ops = zero_ops(md)
+    if r == s:
+        for (i, j, k), sgn in EPS3.items():
+            ops[i].set_entry(k, j, qi(-sgn))
+    for i in range(3, md):
+        for j, v in w_s.data.get(i, {}).items():
+            if j >= 3:
+                ops[i].set_entry(r - 1, j, v)
+        for l in range(md):
+            v = phi_s[l, i]
+            if v:
+                ops[i].set_entry(l, r - 1, v)
+                ops[r - 1].set_entry(l, i, -v)
+    return ops
+
+
+def reference_skew(model, canonical):
+    """alpha(xi_i, X) = -phi_i(X) on odd X, alpha(xi, xi') = 0 (distinguished)
+    or -[xi, xi']_m (canonical), zero on every other pair."""
+    md = model.m_dim
+    ops = zero_ops(md)
+    for i in range(3):
+        phi = reference_phi(model, i + 1)
+        for j in range(3, md):
+            for l in range(md):
+                if phi[l, j]:
+                    ops[i].set_entry(l, j, -phi[l, j])
+        if canonical:
+            for j in range(3):
+                for l, v in model.m_bracket_m(i, j).items():
+                    ops[i].set_entry(l, j, -v)
+    return ops
+
+
 @pytest.mark.parametrize("family,param", LIGHT_CASES)
 def test_skew_value_tables(family, param, model_cache):
     model = model_cache(family, param)
-    md = model.m_dim
     dist = alpha_distinguished(model)
     can = alpha_canonical(model)
     # the closed-form tables are the family members at (a, B) = (2, I), (0, I)
@@ -109,26 +209,15 @@ def test_skew_value_tables(family, param, model_cache):
         combo = alpha_family(model, a, IDENTITY3)
         assert combo.ops == closed.ops
         assert combo.params == closed.params
-    xi = [model.xi_vector(i) for i in (1, 2, 3)]
-    zero = (ZERO,) * md
-    for i in range(3):
-        for p in range(3, md):
-            x = basis_vec(md, p)
-            assert dist.value(x, xi[i]) == zero
-            assert dist.value(xi[i], x) == tuple(
-                -c for c in model.phi(i + 1).apply(x)
-            )
-            assert can.value(x, xi[i]) == dist.value(x, xi[i])
-            assert can.value(xi[i], x) == dist.value(xi[i], x)
-        for j in range(3):
-            assert dist.value(xi[i], xi[j]) == zero
-            mbm = model.m_bracket_m(i, j)
-            want = [ZERO] * md
-            for l, v in mbm.items():
-                want[l] = -v
-            assert can.value(xi[i], xi[j]) == tuple(want)
-    assert dist.value(basis_vec(md, 3), basis_vec(md, md - 1)) == zero
-    assert can.value(basis_vec(md, 3), basis_vec(md, md - 1)) == zero
+    # every map built by bracket_op equals its entry-by-entry table
+    for i in (1, 2, 3):
+        assert model.phi(i) == reference_phi(model, i)
+    assert list(alpha_levi_civita(model).ops) == reference_levi_civita(model)
+    assert list(alpha_o(model).ops) == reference_alpha_o(model)
+    for r, s in itertools.product((1, 2, 3), repeat=2):
+        assert list(alpha_rs(model, r, s).ops) == reference_alpha_rs(model, r, s)
+    assert list(dist.ops) == reference_skew(model, canonical=False)
+    assert list(can.ops) == reference_skew(model, canonical=True)
 
 
 def test_torsion_values(model_cache):

@@ -137,6 +137,28 @@ def test_kostant_closure_matches_full_lie_closure(family, param, connection_cach
         assert holonomy_algebra(conn, compute_center=False).algebra == want, conn.label
 
 
+@pytest.mark.parametrize("family,param,span_dim", [
+    ("symplectic", 1, 18),
+    ("special", 1, 18),
+    ("special", 2, 52),
+    ("orthogonal", 3, 102),
+    ("exceptional", "scalar", 52),
+])
+def test_holonomy_grows_through_multipliers(family, param, span_dim, model_cache):
+    # at (a, B) = (1, 0) the curvature operators span so(m) less three
+    # dimensions, which only the [alpha(e_i, .), .] steps of the closure add
+    model = model_cache(family, param)
+    conn = Connection(model, alpha_family(model, 1, [[0] * 3 for _ in range(3)]))
+    gens = [r for _, r in conn.curvature_pairs() if not r.is_zero()]
+    span = Subspace.span([r.flatten() for r in gens], ambient=model.m_dim ** 2)
+    assert span.dim == span_dim
+    res = holonomy_algebra(conn, compute_center=False)
+    assert res.dim > span.dim
+    assert res.dim == res.so_dim == model.so_dim()
+    multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
+    assert res.algebra == full_lie_closure(gens, multipliers, model.so_dim())
+
+
 RICCI_TABLE = {
     # connection -> (vertical const as n-function, horizontal const, scalar)
     "levi-civita": (lambda n: 4 * n + 2, lambda n: 4 * n + 2,

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 
@@ -419,7 +420,8 @@ def _sts_doc(draw):
         if isinstance(parent, dict) and draw(st.booleans()):
             del parent[key]
         else:
-            parent[key] = draw(st.one_of(st.booleans(), odd, odd, _json_value))
+            # a copy, so a later step never edits a shared _ODD_VALUES entry
+            parent[key] = copy.deepcopy(draw(st.one_of(st.booleans(), odd, odd, _json_value)))
     return doc
 
 
