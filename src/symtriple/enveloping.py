@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, ValidationError
-from .linalg import Matrix, Subspace, comm, comm_minus, inverse, trace_product
+from .linalg import Matrix, comm, comm_minus, inverse, lie_generators, trace_product
 from .scalars import GaussianRational, HALF, I, ONE, ZERO, qi
 from .triples import InnerDerivationSpace, SymplecticTripleSystem, check_witnesses, inder_basis
 
@@ -187,7 +187,7 @@ def build_enveloping(T: SymplecticTripleSystem, inder: InnerDerivationSpace | No
     # h-h
     for r in range(h):
         for s in range(r + 1, h):
-            coords = inder.bracket_coords(r, s)
+            coords = inder.coords_of(comm(inder.mats[r], inder.mats[s]))
             if coords is None:
                 raise ConstructionError(
                     f"inner derivations not closed under brackets at ({r},{s})"
@@ -287,51 +287,25 @@ def _ad_is_hom(L: GradedLieAlgebra, i: int, j: int) -> bool:
     ).is_zero()
 
 
-def _generators(L: GradedLieAlgebra) -> list:
-    """Basis indices S whose repeated brackets [s, w], starting from
-    span(S), fill g.  The walk takes indices in order of (nnz of ad_i, i)
-    and adds i to S when e_i is not yet in the closure of the earlier ones;
-    so it ends with the closure equal to g (S is the whole basis when the
-    table is abelian)."""
-    closure = Subspace(L.dim)
-    spanning: list = []  # the vectors that grew the closure
-    gens: list = []
-    work: list = []  # (s, w): [e_s, w] still to insert
-
-    def push(v: dict) -> None:
-        nonlocal closure
-        closure, grew = closure.insert(v)
-        if grew:
-            spanning.append(v)
-            work.extend((s, v) for s in gens)
-
-    for i in sorted(range(L.dim), key=lambda i: (L.ad(i).nnz(), i)):
-        if closure.contains({i: ONE}):
-            continue
-        gens.append(i)
-        work.extend((i, w) for w in spanning)
-        push({i: ONE})
-        while work and closure.dim < L.dim:
-            s, w = work.pop()
-            push(L.bracket({s: ONE}, w))
-    return gens
-
-
 def verify_jacobi(L: GradedLieAlgebra, mode: str = "fast") -> JacobiReport:
     """Check [ad_x, ad_y] = ad_[x,y] on basis pairs (equivalent to Jacobi).
 
     The x satisfying it for every y are those whose ad_x is a derivation;
     they form a subspace closed under the bracket, by bilinearity alone.
-    So the identity is evaluated only for the generators s of
-    ``_generators`` against every basis index j, which proves it for every
-    pair.  Only when one of those residues is nonzero does the check rerun
-    over every pair (i, j) to find the witnesses, so ``fast`` and
+    So the identity is evaluated only for basis indices s whose e_s generate
+    g as a Lie algebra (``linalg.lie_generators`` over the unit vectors,
+    cheapest ad_s first), against every basis index j, which proves it for
+    every pair.  Only when one of those residues is nonzero does the check
+    rerun over every pair (i, j) to find the witnesses, so ``fast`` and
     ``audit`` reports are those of the all-pairs loop.  On a pass
     ``checked_pairs`` is dim(dim - 1)/2, the pairs certified.
     """
     if mode not in ("fast", "audit"):
         raise ValueError("mode must be 'fast' or 'audit'")
-    gens = _generators(L)
+    gens = lie_generators(
+        [{i: ONE} for i in range(L.dim)], L.bracket, L.dim,
+        [L.ad(i).nnz() for i in range(L.dim)],
+    )
     if all(
         _ad_is_hom(L, min(s, j), max(s, j))
         for k, s in enumerate(gens) for j in range(L.dim)

@@ -26,6 +26,8 @@ __all__ = [
     "kernel",
     "inverse",
     "bracket_closure",
+    "close_under",
+    "lie_generators",
     "center_of",
     "vec",
 ]
@@ -507,20 +509,64 @@ def inverse(m: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
+def close_under(space: Subspace, vectors: Iterable, images,
+                stop_dim: int | None = None) -> Subspace:
+    """Extend ``space`` by ``vectors`` until it contains ``images(x)``, an
+    iterable of vectors linear in x, for each x in it: the closure of a span
+    under a set of linear maps.  Each vector that grows the space is queued,
+    and the last queued is taken first.  ``stop_dim`` may be set when the
+    caller knows a subspace of that dimension which contains the result;
+    reaching it proves the two equal.
+    """
+    work: list = []
+    pending = iter(vectors)
+    while True:
+        for y in pending:
+            space, grew = space.insert(y)
+            if grew:
+                work.append(y)
+            if stop_dim is not None and space.dim >= stop_dim:
+                return space
+        if not work:
+            return space
+        pending = images(work.pop())
+
+
+def lie_generators(candidates: Sequence[dict], act, ambient: int, weights: Sequence) -> list:
+    """Indices S of the sparse ``candidates`` such that the closure of
+    span{c_s : s in S} under act(c_s, .), s in S, contains every candidate.
+
+    The walk takes candidates in order of (weights[k], k) and puts one in S
+    only when it is not yet in the closure of the earlier ones, which it
+    then extends.  For a Lie bracket act, that closure is the Lie algebra
+    generated by S.
+    """
+    closure = Subspace(ambient)
+    gens: list = []
+    for k in sorted(range(len(candidates)), key=lambda k: (weights[k], k)):
+        v = candidates[k]
+        if not closure.contains(v):
+            gens.append(k)
+            mus = [candidates[s] for s in gens]
+            # the closure so far is already invariant under the earlier gens
+            closure = close_under(
+                closure, [v, *(act(v, w) for w in closure.rows)],
+                lambda x: (act(mu, x) for mu in mus), ambient,
+            )
+    return gens
+
+
 def bracket_closure(
     gens: Sequence[Matrix],
     multipliers: Sequence[Matrix],
     stop_dim: int | None = None,
 ) -> Subspace:
     """Smallest subspace containing ``gens`` and invariant under [mu, .] for
-    each multiplier mu, by worklist iteration.
+    each multiplier mu, by ``close_under`` on the flattened matrices.
 
     ``bracket_closure(S, S)`` is the Lie algebra generated by S, since the
     right-normed brackets [s_1, [s_2, ..., [s_k-1, s_k]]] span it.
-
-    ``stop_dim`` may be set when the caller knows a subspace of that
-    dimension which contains the closure; reaching it proves the closure
-    equals that subspace, so iteration can stop early.
+    ``stop_dim`` is that of ``close_under``.
     """
     sizes = {m.rows for m in gens} | {m.cols for m in gens}
     sizes |= {m.rows for m in multipliers} | {m.cols for m in multipliers}
@@ -529,25 +575,12 @@ def bracket_closure(
     if not gens:
         return Subspace(0)
     d = gens[0].rows
-    space = Subspace(d * d)
-    work: list[Matrix] = []
 
-    def push(mat: Matrix) -> bool:
-        nonlocal space
-        space, grew = space.insert(mat.flatten())
-        if grew:
-            work.append(mat)
-        return stop_dim is not None and space.dim >= stop_dim
+    def images(x: dict):
+        x = Matrix.from_flat(x, d, d)
+        return (comm(mu, x).flatten() for mu in multipliers)
 
-    for g in gens:
-        if push(g):
-            return space
-    while work:
-        x = work.pop()
-        for mu in multipliers:
-            if push(comm(mu, x)):
-                return space
-    return space
+    return close_under(Subspace(d * d), [g.flatten() for g in gens], images, stop_dim)
 
 
 def matrices_of(space: Subspace) -> list[Matrix]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -250,9 +251,15 @@ def test_table_heavy_gate(capsys):
     assert code == 3
 
 
+# sha256 of ``table --all-light --centers --json``: any change to a light
+# case's dimensions, centers or pass flags, or to the JSON layout, moves it
+ALL_LIGHT_DIGEST = "88e439501aeb07ed868e991cee6e7daa0a4934f343e5a3a3391195ac0327d3a1"
+
+
 def test_table_all_light(capsys):
-    code, out, _ = run(capsys, "table", "--all-light", "--json")
+    code, out, _ = run(capsys, "table", "--all-light", "--centers", "--json")
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ALL_LIGHT_DIGEST
     by_label = {r["case"]: r for r in json.loads(out)}
     f4 = by_label["exceptional(J=H3(unarion))"]
     assert f4["dims"] == {"levi-civita": 465, "distinguished": 24, "canonical": 24}

@@ -10,9 +10,9 @@ from symtriple.enveloping import (
     xi_matrices,
 )
 from symtriple.errors import ValidationError
-from symtriple.linalg import Matrix, comm, rank
+from symtriple.linalg import Matrix, bracket_closure, comm, lie_generators, rank
 from symtriple.scalars import HALF, I, ONE, ZERO, qi
-from symtriple.triples import SymplecticTripleSystem, build_symplectic_type
+from symtriple.triples import SymplecticTripleSystem, build_symplectic_type, inder_basis
 
 from conftest import LIGHT_CASES
 
@@ -173,10 +173,53 @@ def test_sparse_bracket(model_cache):
     assert L.bracket(x, x) == {}
 
 
+def _algebra_generators(L):
+    """The basis indices whose unit vectors ``verify_jacobi`` checks."""
+    return lie_generators(
+        [{i: ONE} for i in range(L.dim)], L.bracket, L.dim,
+        [L.ad(i).nnz() for i in range(L.dim)],
+    )
+
+
 def test_generators_fill_algebra(model_cache):
     L = model_cache("exceptional", "unarion").algebra
-    assert len(enveloping._generators(L)) == 10  # of 52
-    assert enveloping._generators(GradedLieAlgebra(4, 1, 0, 2, {})) == [0, 1, 2, 3]
+    gens = _algebra_generators(L)
+    assert len(gens) == 10  # of 52
+    ads = [L.ad(s) for s in gens]
+    closure = bracket_closure(ads, ads)
+    assert all(closure.contains(L.ad(i).flatten()) for i in range(L.dim))
+    assert _algebra_generators(GradedLieAlgebra(4, 1, 0, 2, {})) == [0, 1, 2, 3]
+
+
+# (generators, dim inder(T)): how many nonzero d_ij ``verify_axioms``
+# evaluates identity (3) for, of the d_ij spanning inder(T)
+INDER_GENERATORS = [
+    ("symplectic", 1, 2, 3),
+    ("special", 2, 3, 4),
+    ("orthogonal", 3, 4, 6),
+    ("exceptional", "scalar", 2, 3),
+    ("exceptional", "unarion", 8, 21),
+    pytest.param("exceptional", "binarion", 12, 35, marks=pytest.mark.heavy),
+    pytest.param("exceptional", "quaternion", 18, 66, marks=pytest.mark.heavy),
+]
+
+
+@pytest.mark.parametrize("family,param,n_gens,h_dim", INDER_GENERATORS)
+def test_inder_generators(family, param, n_gens, h_dim, triple_cache):
+    t = triple_cache(family, param)
+    d = t.dim
+    dmats = [t.dmat(i, j) for i in range(d) for j in range(i, d)]
+    dmats = [m for m in dmats if not m.is_zero()]
+    gens = lie_generators(
+        [m.flatten() for m in dmats],
+        lambda mu, x: comm(Matrix.from_flat(mu, d, d), Matrix.from_flat(x, d, d)).flatten(),
+        d * d,
+        [m.nnz() for m in dmats],
+    )
+    assert (len(gens), inder_basis(t).dim) == (n_gens, h_dim)
+    closure = bracket_closure([dmats[s] for s in gens], [dmats[s] for s in gens])
+    assert closure.dim == h_dim
+    assert all(closure.contains(m.flatten()) for m in dmats)
 
 
 def _reference_jacobi(L, mode):

@@ -219,6 +219,49 @@ def test_derivation_witnesses_match_reference(mode, triple_cache):
     assert [f.witness for f in report.failures if f.axiom == 3] == failed
 
 
+def _direct_sum(a: SymplecticTripleSystem, b: SymplecticTripleSystem):
+    """a (+) b: block-diagonal form, b's basis after a's, and no product
+    between the summands."""
+    d = a.dim
+    omega = Matrix(a.dim + b.dim, a.dim + b.dim, {
+        **a.omega.data,
+        **{d + i: {d + j: x for j, x in row.items()} for i, row in b.omega.data.items()},
+    })
+    cols = {key: dict(col) for key, col in a.cols.items()}
+    for (i, j, k), col in b.cols.items():
+        cols[(d + i, d + j, d + k)] = {d + l: x for l, x in col.items()}
+    return SymplecticTripleSystem(a.dim + b.dim, omega, cols, f"{a.label}+{b.label}")
+
+
+@pytest.mark.parametrize("mode", ["fast", "audit"])
+def test_derivation_generators_cover_summands(mode):
+    # inder(T) of symplectic(1) (+) special(1) is sp(2) (+) gl(1), which no
+    # single d_ij generates: identity (3) certified from too few generators
+    # would miss each bump of the special summand below
+    # (the sum fails (2), whose form terms mix the summands, but not (3))
+    good = _direct_sum(build_symplectic_type(1), build_special_type(1))
+    report = verify_axioms(good, mode=mode)
+    assert 3 not in {f.axiom for f in report.failures}
+    assert report.checked[3] == 100
+    d = good.dim
+    bumps = 0
+    for i, j in ((2, 3),):
+        for k in (2, 3):
+            for l in range(d):
+                cols = {key: dict(col) for key, col in good.cols.items()}
+                for key in ((i, j, k), (j, i, k)):
+                    col = cols.setdefault(key, {})
+                    col[l] = col.get(l, qi(0)) + ONE
+                bad = SymplecticTripleSystem(d, good.omega, cols, "bumped")
+                report = verify_axioms(bad, mode=mode)
+                checked, failed = _reference_identity3(bad, mode)
+                assert failed, (k, l)
+                assert report.checked[3] == checked
+                assert [f.witness for f in report.failures if f.axiom == 3] == failed
+                bumps += 1
+    assert bumps == 8
+
+
 def test_zero_product_fails_axiom_two():
     good = build_symplectic_type(1)
     zero = SymplecticTripleSystem(good.dim, good.omega, {}, "zero-product")
