@@ -22,6 +22,7 @@ files and everywhere downstream):
 from __future__ import annotations
 
 from .errors import DimensionError, ValidationError
+from .linalg import Matrix, table_product
 from .scalars import GaussianRational, HALF, ONE, ZERO
 
 __all__ = ["CompositionAlgebra", "build_composition", "unit_multiple", "KINDS"]
@@ -38,9 +39,9 @@ class CompositionAlgebra:
         self.kind = kind
         self.dim = dim
         self.unit = unit
-        self.mul = mul  # mul[i][j] = coordinate vector of e_i * e_j
-        self.conj = conj  # conj[i] = coordinate vector of conj(e_i)
-        self.norm_gram = norm_gram  # bilinear N with N(x, x) = n(x)
+        self.mul = mul  # mul[i][j] = sparse coordinate vector of e_i * e_j
+        self.conj = conj  # Matrix whose column i is conj(e_i)
+        self.norm_gram = norm_gram  # Matrix of the bilinear N with N(x, x) = n(x)
         self.trace_coeffs = trace_coeffs  # t(e_i) with x + conj(x) = t(x) * unit
 
     def _check(self, x):
@@ -50,29 +51,11 @@ class CompositionAlgebra:
     def multiply(self, x, y):
         self._check(x)
         self._check(y)
-        out = [ZERO] * self.dim
-        mul = self.mul
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, mk in enumerate(mul[i][j]):
-                    if mk:
-                        out[k] = out[k] + c * mk
-        return tuple(out)
+        return table_product(self.mul, x, y)
 
     def conjugate(self, x):
         self._check(x)
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if xi:
-                for k, ck in enumerate(self.conj[i]):
-                    if ck:
-                        out[k] = out[k] + xi * ck
-        return tuple(out)
+        return self.conj.apply(x)
 
     def trace(self, x) -> GaussianRational:
         self._check(x)
@@ -86,15 +69,7 @@ class CompositionAlgebra:
         """Symmetric bilinear norm form; norm_b(x, x) is the quadratic norm."""
         self._check(x)
         self._check(y)
-        t = ZERO
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.norm_gram[i]
-            for j, yj in enumerate(y):
-                if yj and row[j]:
-                    t = t + xi * yj * row[j]
-        return t
+        return self.norm_gram.bilinear(x, y)
 
     def norm(self, x) -> GaussianRational:
         return self.norm_b(x, x)
@@ -180,10 +155,13 @@ def build_composition(kind: str) -> CompositionAlgebra:
         raise ValueError(f"unknown composition algebra kind {kind!r}")
 
     basis = [tuple(ONE if k == i else ZERO for k in range(dim)) for i in range(dim)]
-    mul = tuple(tuple(mul_fn(basis[i], basis[j]) for j in range(dim)) for i in range(dim))
-    conj = tuple(conj_fn(basis[i]) for i in range(dim))
-    gram = tuple(
-        tuple(
+    mul = tuple(
+        tuple({k: v for k, v in enumerate(mul_fn(basis[i], basis[j])) if v} for j in range(dim))
+        for i in range(dim)
+    )
+    conj = Matrix.from_rows([conj_fn(b) for b in basis]).transpose()
+    gram = Matrix.from_rows([
+        [
             (
                 norm_fn(tuple(a + b for a, b in zip(basis[i], basis[j])))
                 - norm_fn(basis[i])
@@ -191,14 +169,13 @@ def build_composition(kind: str) -> CompositionAlgebra:
             )
             * HALF
             for j in range(dim)
-        )
+        ]
         for i in range(dim)
+    ])
+    trace_coeffs = tuple(
+        unit_multiple(tuple(a + b for a, b in zip(e, conj_fn(e))), unit) for e in basis
     )
-    trace_coeffs = []
-    for i in range(dim):
-        s = tuple(a + b for a, b in zip(basis[i], conj[i]))
-        trace_coeffs.append(unit_multiple(s, unit))
-    return CompositionAlgebra(kind, dim, unit, mul, conj, gram, tuple(trace_coeffs))
+    return CompositionAlgebra(kind, dim, unit, mul, conj, gram, trace_coeffs)
 
 
 def unit_multiple(x, unit) -> GaussianRational:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from .enveloping import HomogeneousModel
 from .errors import ConstructionError, DimensionError
-from .linalg import Matrix, combination, comm_minus
+from .linalg import Matrix, add_scaled, combination, comm_minus
 from .scalars import HALF, ONE, ZERO, qi
 
 __all__ = [
@@ -235,19 +235,18 @@ def curvature_of(model: HomogeneousModel, alpha: NomizuMap, x, y) -> Matrix:
     md = model.m_dim
     if len(x) != md or len(y) != md:
         raise DimensionError("curvature arguments must live on the m basis")
-    mker = [ZERO] * md
-    hker = [ZERO] * model.h_dim
+    # [X, Y]_m and [X, Y]_h, sparse
+    xy_m: dict = {}
+    xy_h: dict = {}
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
             if xi and yj:
                 c = xi * yj
-                for k, v in model.m_bracket_m(i, j).items():
-                    mker[k] = mker[k] + c * v
-                for t, v in model.m_bracket_h(i, j).items():
-                    hker[t] = hker[t] + c * v
+                add_scaled(xy_m, c, model.m_bracket_m(i, j))
+                add_scaled(xy_h, c, model.m_bracket_h(i, j))
     return comm_minus(alpha.op_of(x), alpha.op_of(y), [
-        *((v, alpha.ops[k]) for k, v in enumerate(mker) if v),
-        *((v, model.ad_m_inder(t)) for t, v in enumerate(hker) if v),
+        *((v, alpha.ops[k]) for k, v in xy_m.items()),
+        *((v, model.ad_m_inder(t)) for t, v in xy_h.items()),
     ])
 
 

@@ -22,9 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, ValidationError
-from .linalg import Matrix, comm, comm_minus, inverse, lie_generators, trace_product
+from .linalg import Matrix, add_scaled, comm, comm_minus, inverse, lie_generators, trace_product
 from .scalars import GaussianRational, HALF, I, ONE, ZERO, qi
-from .triples import InnerDerivationSpace, SymplecticTripleSystem, check_witnesses, inder_basis
+from .triples import (
+    _EPS2,
+    InnerDerivationSpace,
+    SymplecticTripleSystem,
+    _gamma_mat,
+    check_witnesses,
+    inder_basis,
+)
 
 __all__ = [
     "GradedLieAlgebra",
@@ -48,9 +55,6 @@ _XI = (
     Matrix.from_rows([[ZERO, -I], [-I, ZERO]]),
 )
 
-_EPS2 = ((0, 1), (-1, 0))  # <e_a, e_b> on V
-
-
 def xi_matrices():
     """The three vertical generators as 2x2 matrices over Q(i)."""
     return _XI
@@ -65,19 +69,6 @@ def _sl2_to_xi(m: Matrix):
     c2 = (r - q) * HALF
     c3 = I * (q + r) * HALF
     return (c1, c2, c3)
-
-
-def _gamma_mat(a: int, b: int) -> Matrix:
-    """gamma_{e_a, e_b} = <e_a,.>e_b + <e_b,.>e_a as a 2x2 matrix."""
-    m = Matrix(2, 2)
-    for c in range(2):
-        ea_c = _EPS2[a][c]
-        if ea_c:
-            m.set_entry(b, c, m[b, c] + qi(ea_c))
-        eb_c = _EPS2[b][c]
-        if eb_c:
-            m.set_entry(a, c, m[a, c] + qi(eb_c))
-    return m
 
 
 class GradedLieAlgebra:
@@ -108,17 +99,11 @@ class GradedLieAlgebra:
         return {l: -v for l, v in entry.items()}
 
     def bracket(self, x: dict, y: dict) -> dict:
-        """[x, y] of sparse coordinate vectors ``{index: coefficient}``."""
+        """[x, y] of sparse coordinate vectors ``{index: nonzero coefficient}``."""
         out: dict = {}
         for i, xi in x.items():
             for j, yj in y.items():
-                c = xi * yj
-                for l, v in self.bracket_basis(i, j).items():
-                    s = out.get(l, ZERO) + c * v
-                    if s:
-                        out[l] = s
-                    else:
-                        out.pop(l, None)
+                add_scaled(out, xi * yj, self.bracket_basis(i, j))
         return out
 
     def ad(self, i: int) -> Matrix:
@@ -126,11 +111,8 @@ class GradedLieAlgebra:
             self._ads = [None] * self.dim
         m = self._ads[i]
         if m is None:
-            data: dict = {}
-            for j in range(self.dim):
-                for l, v in self.bracket_basis(i, j).items():
-                    data.setdefault(l, {})[j] = v
-            m = Matrix(self.dim, self.dim, data)
+            cols = ((j, self.bracket_basis(i, j)) for j in range(self.dim))
+            m = Matrix(self.dim, self.dim, {j: col for j, col in cols if col}).transpose()
             self._ads[i] = m
         return m
 
@@ -163,27 +145,16 @@ def build_enveloping(T: SymplecticTripleSystem, inder: InnerDerivationSpace | No
     table: dict = {}
 
     def put(i, j, entries):
-        # entries: iterable of (index, coefficient)
-        if i > j:
-            i, j = j, i
-            entries = [(l, -v) for l, v in entries]
-        tgt = table.setdefault((i, j), {})
-        for l, v in entries:
-            if not v:
-                continue
-            s = tgt.get(l, ZERO) + v
-            if s:
-                tgt[l] = s
-            else:
-                del tgt[l]
-        if not tgt:
-            table.pop((i, j), None)
+        """Set [e_i, e_j], i < j, from (index, coefficient) pairs on distinct
+        indices; each pair (i, j) is put at most once."""
+        entry = {l: v for l, v in entries if v}
+        if entry:
+            table[(i, j)] = entry
 
     # vertical-vertical
     for i in range(3):
         for j in range(i + 1, 3):
-            coords = _sl2_to_xi(comm(_XI[i], _XI[j]))
-            put(i, j, [(k, v) for k, v in enumerate(coords) if v])
+            put(i, j, enumerate(_sl2_to_xi(comm(_XI[i], _XI[j]))))
     # h-h
     for r in range(h):
         for s in range(r + 1, h):
@@ -192,7 +163,7 @@ def build_enveloping(T: SymplecticTripleSystem, inder: InnerDerivationSpace | No
                 raise ConstructionError(
                     f"inner derivations not closed under brackets at ({r},{s})"
                 )
-            put(3 + r, 3 + s, [(3 + t, v) for t, v in enumerate(coords) if v])
+            put(3 + r, 3 + s, ((3 + t, v) for t, v in enumerate(coords)))
     # vertical-odd:  [xi, e_a (x) t_k] = xi(e_a) (x) t_k
     for i in range(3):
         for a in range(2):
@@ -237,15 +208,10 @@ def build_enveloping(T: SymplecticTripleSystem, inder: InnerDerivationSpace | No
                     entries = []
                     om = T.omega[k, l]
                     if om:
-                        for idx, v in enumerate(gamma_coords[(a, b)]):
-                            if v:
-                                entries.append((idx, om * v))
-                    eps = _EPS2[a][b]
+                        entries += ((idx, om * v) for idx, v in enumerate(gamma_coords[(a, b)]))
+                    eps = _EPS2[a, b]
                     if eps:
-                        e = qi(eps)
-                        for t, v in enumerate(d_coords(k, l)):
-                            if v:
-                                entries.append((3 + t, e * v))
+                        entries += ((3 + t, eps * v) for t, v in enumerate(d_coords(k, l)))
                     put(i, j, entries)
 
     algebra = GradedLieAlgebra(dim, n, h, t_dim, table)
@@ -345,16 +311,7 @@ class InvariantMetric:
         self._inverse = gram_inverse
 
     def value(self, x, y) -> GaussianRational:
-        acc = ZERO
-        for i, row in self.gram.data.items():
-            xi = x[i]
-            if not xi:
-                continue
-            for j, v in row.items():
-                yj = y[j]
-                if yj:
-                    acc = acc + xi * v * yj
-        return acc
+        return self.gram.bilinear(x, y)
 
     def eta(self, i: int):
         """The 1-form g(xi_i, .) as a coordinate row over the m basis."""

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .connections import Connection
+from .connections import Connection, connection_by_name
+from .enveloping import build_model
 from .errors import ValidationError
-from .linalg import Matrix, Subspace, bracket_closure, center_of
-from .scalars import GaussianRational, ZERO, qi
+from .linalg import Matrix, Subspace, add_scaled, bracket_closure, center_of
+from .scalars import GaussianRational, ONE, ZERO, qi
 from . import families
 
 __all__ = [
@@ -149,17 +150,12 @@ def ricci(conn: Connection) -> RicciData:
     """Ric(X, Y) = trace(Z -> R(Z, X) Y), plus block comparison against g."""
     model = conn.model
     md = model.m_dim
-    ric = Matrix(md, md)
+    rows: dict = {}
     for (i, j), r in conn.curvature_pairs():
         # contributes R(e_i, e_j)[i, k] to Ric[j, k] and -R[j, k] to Ric[i, k]
-        row_i = r.data.get(i)
-        if row_i:
-            for k, v in row_i.items():
-                ric.set_entry(j, k, ric[j, k] + v)
-        row_j = r.data.get(j)
-        if row_j:
-            for k, v in row_j.items():
-                ric.set_entry(i, k, ric[i, k] - v)
+        add_scaled(rows.setdefault(j, {}), ONE, r.data.get(i, {}))
+        add_scaled(rows.setdefault(i, {}), -ONE, r.data.get(j, {}))
+    ric = Matrix(md, md, {i: row for i, row in rows.items() if row})
     gram = model.metric.gram
     vertical = _block_constant(ric, gram, range(0, 3))
     horizontal = _block_constant(ric, gram, range(3, md))
@@ -231,20 +227,11 @@ class TableRow:
         return all(self.dims[k] == self.expected[k] for k in self.dims)
 
 
-def table_report(cases, model_cache=None, compute_centers: bool = False):
+def table_report(cases, compute_centers: bool = False):
     """Holonomy dimensions for the selected cases, against closed forms."""
-    from .connections import connection_by_name
-
     rows = []
     for family, param in cases:
-        if model_cache is not None and (family, param) in model_cache:
-            model = model_cache[(family, param)]
-        else:
-            from .enveloping import build_model
-
-            model = build_model(families.build_triple(family, param))
-            if model_cache is not None:
-                model_cache[(family, param)] = model
+        model = build_model(families.build_triple(family, param))
         n = model.n
         dims = {}
         centers = {}

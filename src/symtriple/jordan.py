@@ -1,8 +1,9 @@
 """Cubic Jordan algebras: the scalar algebra and hermitian 3x3 matrices.
 
-``scalar`` kind is the one-dimensional algebra with ``t(a, b) = 3ab`` and a
-zero cross product.  ``hermitian`` kind is H3(C) for a split composition
-algebra C: matrices ``x`` with ``x[j][i] = conj(x[i][j])``, with
+``scalar`` kind is the one-dimensional algebra with ``n(a) = a^3``, so
+``t(a, b) = 3ab``, ``tr(a) = 3a``, adjoint ``a^2`` and ``a x b = ab``.
+``hermitian`` kind is H3(C) for a split composition algebra C: matrices
+``x`` with ``x[j][i] = conj(x[i][j])``, with
 
     t(a, b)  = (1/2) tr(ab + ba)
     a x b    = (1/2) (ab + ba - tr(a) b - tr(b) a + (tr(a) tr(b) - t(a, b)) I3)
@@ -11,12 +12,16 @@ Basis order for the hermitian kind: the three diagonal units, then for each
 off-diagonal position (0,1), (0,2), (1,2) in that order and each C-basis
 element c, the matrix with c at the position and conj(c) mirrored.  So
 ``dim = 3 + 3 * dim(C)``.
+
+``cross_table`` and ``dot_table`` hold e_i x e_j and e_i . e_j as sparse
+coordinate vectors; ``trace_form`` is the dense nested tuple of t(e_i, e_j).
 """
 
 from __future__ import annotations
 
 from .composition import CompositionAlgebra, unit_multiple
 from .errors import DimensionError, ValidationError
+from .linalg import table_product
 from .scalars import GaussianRational, HALF, ONE, ZERO, qi
 
 __all__ = ["CubicJordan", "build_jordan"]
@@ -42,28 +47,13 @@ class CubicJordan:
         self.dim = dim
         self.unit = unit
         self.trace_form = trace_form  # t(e_i, e_j)
-        self.cross_table = cross_table  # e_i x e_j as coordinate vectors
-        self.dot_table = dot_table  # symmetrized product e_i . e_j
-        self.trace_lin = trace_lin  # tr(e_i), hermitian kind only
+        self.cross_table = cross_table  # e_i x e_j, sparse
+        self.dot_table = dot_table  # symmetrized product e_i . e_j, sparse
+        self.trace_lin = trace_lin  # tr(e_i)
 
     def _check(self, a):
         if len(a) != self.dim:
             raise DimensionError(f"element length {len(a)} != dim {self.dim}")
-
-    def _bilinear_vec(self, table, a, b):
-        out = [ZERO] * self.dim
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            row = table[i]
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                c = ai * bj
-                for k, vk in enumerate(row[j]):
-                    if vk:
-                        out[k] = out[k] + c * vk
-        return tuple(out)
 
     def t(self, a, b) -> GaussianRational:
         self._check(a)
@@ -81,29 +71,23 @@ class CubicJordan:
     def cross(self, a, b):
         self._check(a)
         self._check(b)
-        return self._bilinear_vec(self.cross_table, a, b)
+        return table_product(self.cross_table, a, b)
 
     def linearized_cross(self, a, b):
         """Full linearization of the adjoint map: a x' b with a x' a = 2 (a x a).
 
         Uniformly ab + ba - tr(a)b - tr(b)a + (tr(a)tr(b) - t(a,b)) * unit,
-        which for the scalar kind (where tr(a) = 3a) comes out as 2ab.
+        twice the cross product; for the scalar kind (where tr(a) = 3a) it
+        comes out as 2ab.
         """
-        self._check(a)
-        self._check(b)
-        doubled = self._bilinear_vec(self.cross_table, a, b)
-        if self.kind == "scalar":
-            return (qi(2) * a[0] * b[0],)
-        return tuple(x + x for x in doubled)
+        return tuple(x + x for x in self.cross(a, b))
 
     def dot(self, a, b):
         self._check(a)
         self._check(b)
-        return self._bilinear_vec(self.dot_table, a, b)
+        return table_product(self.dot_table, a, b)
 
     def trace_of(self, a) -> GaussianRational:
-        if self.kind != "hermitian":
-            raise ValidationError("trace_of is defined for the hermitian kind only")
         self._check(a)
         acc = ZERO
         for ai, ti in zip(a, self.trace_lin):
@@ -113,8 +97,6 @@ class CubicJordan:
 
     def norm(self, a) -> GaussianRational:
         """Cubic norm, read off from (a x a) . a = n(a) * unit."""
-        if self.kind != "hermitian":
-            raise ValidationError("cubic norm via the cross identity needs the hermitian kind")
         return unit_multiple(self.dot(self.cross(a, a), a), self.unit)
 
     def basis_element(self, i):
@@ -134,23 +116,14 @@ class _Herm:
 
     def to_matrix(self, coords):
         c = self.c
-        zero = (ZERO,) * c.dim
-        m = [[list(zero) for _ in range(3)] for _ in range(3)]
+        d = c.dim
+        m = [[None] * 3 for _ in range(3)]
         for i in range(3):
-            if coords[i]:
-                for k, u in enumerate(c.unit):
-                    if u:
-                        m[i][i][k] = coords[i] * u
+            m[i][i] = tuple(coords[i] * u for u in c.unit)
         for p, (i, j) in enumerate(_OFFDIAG):
-            base = 3 + p * c.dim
-            for k in range(c.dim):
-                x = coords[base + k]
-                if x:
-                    m[i][j][k] = m[i][j][k] + x
-                    for l, cc in enumerate(c.conj[k]):
-                        if cc:
-                            m[j][i][l] = m[j][i][l] + x * cc
-        return [[tuple(e) for e in row] for row in m]
+            m[i][j] = tuple(coords[3 + p * d: 3 + (p + 1) * d])
+            m[j][i] = c.conjugate(m[i][j])
+        return m
 
     def from_matrix(self, m):
         c = self.c
@@ -202,14 +175,7 @@ def build_jordan(kind: str, algebra: CompositionAlgebra | None = None) -> CubicJ
             raise ValidationError("scalar kind takes no composition algebra")
         three = qi(3)
         return CubicJordan(
-            "scalar",
-            None,
-            1,
-            (ONE,),
-            ((three,),),
-            (((ZERO,),),),
-            (((ONE,),),),
-            None,
+            "scalar", None, 1, (ONE,), ((three,),), (({0: ONE},),), (({0: ONE},),), (three,)
         )
     if kind != "hermitian":
         raise ValueError(f"unknown Jordan algebra kind {kind!r}")
@@ -236,7 +202,7 @@ def build_jordan(kind: str, algebra: CompositionAlgebra | None = None) -> CubicJ
             s = h.sym(mats[i], mats[j])  # ab + ba
             t_ij = HALF * h.mat_trace(s)
             tf_row.append(t_ij)
-            dot_row.append(h.from_matrix(_scale_mat(s, HALF)))
+            dot_row.append(_sparse(h.from_matrix(_scale_mat(s, HALF))))
             # 2 (a x b) = s - tr(a) b - tr(b) a + (tr(a) tr(b) - t(a,b)) I3
             coef = traces[i] * traces[j] - t_ij
             cm = [
@@ -257,7 +223,7 @@ def build_jordan(kind: str, algebra: CompositionAlgebra | None = None) -> CubicJ
                 ]
                 for k in range(3)
             ]
-            cr_row.append(h.from_matrix(_scale_mat(cm, HALF)))
+            cr_row.append(_sparse(h.from_matrix(_scale_mat(cm, HALF))))
         trace_form.append(tuple(tf_row))
         cross_table.append(tuple(cr_row))
         dot_table.append(tuple(dot_row))
@@ -272,6 +238,10 @@ def build_jordan(kind: str, algebra: CompositionAlgebra | None = None) -> CubicJ
         tuple(dot_table),
         traces,
     )
+
+
+def _sparse(coords) -> dict:
+    return {k: x for k, x in enumerate(coords) if x}
 
 
 def _scale_mat(m, c):

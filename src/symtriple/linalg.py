@@ -1,12 +1,15 @@
 """Exact dense-semantics linear algebra over the Gaussian rationals.
 
 Matrices store only nonzero entries (row-major dicts) but behave as dense
-exact matrices.  Elimination works on one vector type, the sparse vector
-``{index: nonzero GaussianRational}`` of a ``Matrix.data`` row, and on one
-routine, ``Subspace.insert``: a canonical reduced-row-echelon basis, with
-pivots normalized to 1 and eliminated from every other row, so two equal
-subspaces always carry identical rows.  Rank, kernel, inverse and center
-are all computed by it.
+exact matrices.  Every structure-constant table of the package, from the
+composition algebras to g(T), and all elimination work on one vector type,
+the sparse vector ``{index: nonzero GaussianRational}`` of a ``Matrix.data``
+row: ``add_scaled`` is its one in-place axpy and ``table_product`` evaluates
+a table of such vectors on dense elements.  Elimination has one routine,
+``Subspace.insert``: a canonical reduced-row-echelon basis, with pivots
+normalized to 1 and eliminated from every other row, so two equal subspaces
+always carry identical rows.  Rank, kernel, inverse and center are all
+computed by it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from .scalars import GaussianRational, ONE, ZERO, qi
 __all__ = [
     "Matrix",
     "Subspace",
+    "add_scaled",
+    "table_product",
     "comm_minus",
     "combination",
     "rank",
@@ -131,14 +136,9 @@ class Matrix:
         self._check_same_shape(other)
         data = {i: dict(r) for i, r in self.data.items()}
         for i, row in other.data.items():
-            tr = data.setdefault(i, {})
-            for j, x in row.items():
-                s = tr.get(j, ZERO) + x
-                if s:
-                    tr[j] = s
-                else:
-                    tr.pop(j, None)
-            if not tr:
+            r = data.setdefault(i, {})
+            add_scaled(r, ONE, row)
+            if not r:
                 del data[i]
         return Matrix(self.rows, self.cols, data)
 
@@ -181,6 +181,20 @@ class Matrix:
                     acc = acc + x * vj
             out[i] = acc
         return tuple(out)
+
+    def bilinear(self, x: Vector, y: Vector) -> GaussianRational:
+        """x^T M y for dense vectors x and y."""
+        if len(x) != self.rows or len(y) != self.cols:
+            raise DimensionError("bilinear form argument length mismatch")
+        acc = ZERO
+        for i, row in self.data.items():
+            xi = x[i]
+            if xi:
+                for j, v in row.items():
+                    yj = y[j]
+                    if yj:
+                        acc = acc + xi * v * yj
+        return acc
 
     def transpose(self) -> "Matrix":
         data: dict = {}
@@ -311,12 +325,15 @@ def trace_product(a: Matrix, b: Matrix) -> GaussianRational:
 
 
 # ---------------------------------------------------------------------------
-# Echelon bases
+# Sparse vectors and structure-constant tables
 # ---------------------------------------------------------------------------
 
 
-def _add_scaled(w: dict, c: GaussianRational, v: dict) -> None:
-    """In place, w += c * v on sparse vectors, dropping entries that cancel."""
+def add_scaled(w: dict, c: GaussianRational, v: dict) -> None:
+    """In place, w += c * v on sparse vectors, dropping entries that cancel.
+
+    ``c`` must be nonzero: an index new to ``w`` takes c * v[k] unchecked.
+    """
     for k, x in v.items():
         y = w.get(k)
         if y is None:
@@ -327,6 +344,27 @@ def _add_scaled(w: dict, c: GaussianRational, v: dict) -> None:
                 w[k] = y
             else:
                 del w[k]
+
+
+def table_product(table, x: Vector, y: Vector) -> Vector:
+    """sum x_i y_j table[i][j] for dense x and y, where ``table[i][j]`` is
+    the sparse vector of the product of basis elements e_i and e_j in an
+    algebra of dimension ``len(table)``."""
+    out = [ZERO] * len(table)
+    for i, xi in enumerate(x):
+        if xi:
+            row = table[i]
+            for j, yj in enumerate(y):
+                if yj:
+                    c = xi * yj
+                    for k, v in row[j].items():
+                        out[k] = out[k] + c * v
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Echelon bases
+# ---------------------------------------------------------------------------
 
 
 def _sparse(v, ambient: int) -> dict:
@@ -395,7 +433,7 @@ class Subspace:
         at every other pivot."""
         basis = self.basis
         for p in [k for k in w if k in basis]:
-            _add_scaled(w, -w[p], basis[p])
+            add_scaled(w, -w[p], basis[p])
 
     def insert(self, v) -> tuple["Subspace", bool]:
         """Echelonized span of this basis plus ``v``; flag reports growth."""
@@ -416,7 +454,7 @@ class Subspace:
             c = r.get(p)
             if c is not None:
                 r = dict(r)
-                _add_scaled(r, -c, w)
+                add_scaled(r, -c, w)
             basis[q] = r
         basis.setdefault(p, w)
         return Subspace(self.ambient, basis), True
@@ -613,7 +651,7 @@ def center_of(space: Subspace) -> Subspace:
         for lam in _null_space(images, d * d).basis.values():
             x: dict = {}
             for s, c in lam.items():
-                _add_scaled(x, c, cand[s])
+                add_scaled(x, c, cand[s])
             new_cand.append(x)
         cand = new_cand
     return Subspace.span(cand, ambient=space.ambient)

@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 
 from .errors import DimensionError, ParseError, ValidationError
 from .jordan import CubicJordan
-from .linalg import Matrix, Subspace, comm, comm_minus, lie_generators, matrices_of, rank
+from .linalg import (
+    Matrix, Subspace, add_scaled, combination, comm, comm_minus, lie_generators, matrices_of, rank,
+)
 from .scalars import GaussianRational, HALF, ONE, ZERO, qi
 
 __all__ = [
@@ -69,56 +71,27 @@ class SymplecticTripleSystem:
 
     def form(self, x, y) -> GaussianRational:
         """The skew bilinear form (x, y)."""
-        acc = ZERO
-        om = self.omega
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = om.data.get(i)
-            if not row:
-                continue
-            for j, o in row.items():
-                yj = y[j]
-                if yj:
-                    acc = acc + xi * o * yj
-        return acc
+        return self.omega.bilinear(x, y)
 
     def basis_triple(self, i: int, j: int, k: int) -> dict:
         return self.cols.get((i, j, k), _EMPTY)
 
     def triple_product(self, x, y, z):
+        """[x, y, z] = d_{x,y}(z), with d_{x,y} = sum x_i y_j d_{e_i, e_j}."""
         if len(x) != self.dim or len(y) != self.dim or len(z) != self.dim:
             raise DimensionError("triple_product arity/length mismatch")
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c2 = xi * yj
-                for k, zk in enumerate(z):
-                    if not zk:
-                        continue
-                    col = self.cols.get((i, j, k))
-                    if not col:
-                        continue
-                    c3 = c2 * zk
-                    for l, v in col.items():
-                        out[l] = out[l] + c3 * v
-        return tuple(out)
+        d_xy = combination((
+            (xi * yj, self.dmat(i, j))
+            for i, xi in enumerate(x) if xi for j, yj in enumerate(y) if yj
+        ), self.dim)
+        return d_xy.apply(z)
 
     def dmat(self, i: int, j: int) -> Matrix:
         """The operator d_{e_i, e_j} = [e_i, e_j, .] as a matrix."""
         m = self._dmats.get((i, j))
         if m is None:
-            data: dict = {}
-            for k in range(self.dim):
-                col = self.cols.get((i, j, k))
-                if col:
-                    for l, v in col.items():
-                        data.setdefault(l, {})[k] = v
-            m = Matrix(self.dim, self.dim, data)
+            cols = ((k, self.cols.get((i, j, k))) for k in range(self.dim))
+            m = Matrix(self.dim, self.dim, {k: col for k, col in cols if col}).transpose()
             self._dmats[(i, j)] = m
         return m
 
@@ -151,16 +124,20 @@ _EMPTY: dict = {}
 
 
 def _add_entry(cols: dict, i: int, j: int, k: int, l: int, v) -> None:
-    if not v:
-        return
-    col = cols.setdefault((i, j, k), {})
-    s = col.get(l, ZERO) + v
-    if s:
-        col[l] = s
-    else:
-        del col[l]
+    """[e_i, e_j, e_k] += v e_l in the sparse tensor ``cols``."""
+    if v:
+        col = cols.setdefault((i, j, k), {})
+        add_scaled(col, v, {l: ONE})
         if not col:
             del cols[(i, j, k)]
+
+
+_EPS2 = Matrix.from_rows([[0, 1], [-1, 0]])  # <e_a, e_b>
+
+
+def _gamma_mat(a: int, b: int) -> Matrix:
+    """gamma_{e_a, e_b} = <e_a,.>e_b + <e_b,.>e_a as a 2x2 matrix."""
+    return Matrix(2, 2, {b: _EPS2.data[a]}) + Matrix(2, 2, {a: _EPS2.data[b]})
 
 
 # ---------------------------------------------------------------------------
@@ -196,26 +173,6 @@ def build_symplectic_type(n: int) -> SymplecticTripleSystem:
     return SymplecticTripleSystem(dim, omega, cols, f"symplectic(n={n})")
 
 
-_GAMMA2 = {
-    # gamma_{e_a, e_b}(e_c) over the 2-dim symplectic space, <e_1, e_2> = 1
-    (0, 0, 0): {},
-    (0, 0, 1): {0: qi(2)},
-    (0, 1, 0): {0: qi(-1)},
-    (0, 1, 1): {1: ONE},
-    (1, 1, 0): {1: qi(-2)},
-    (1, 1, 1): {},
-}
-
-
-def _gamma2(a: int, b: int, c: int) -> dict:
-    if a > b:
-        a, b = b, a
-    return _GAMMA2[(a, b, c)]
-
-
-_EPS2 = ((0, 1), (-1, 0))  # <e_a, e_b>
-
-
 def build_orthogonal_type(w: int) -> SymplecticTripleSystem:
     """T = V (x) W with the identity form on W; dim 2w, w >= 3."""
     if w < 3:
@@ -229,6 +186,8 @@ def build_orthogonal_type(w: int) -> SymplecticTripleSystem:
     for p in range(w):
         omega.set_entry(idx(0, p), idx(1, p), HALF)
         omega.set_entry(idx(1, p), idx(0, p), -HALF)
+    # gamma[a][b][c] = gamma_{e_a, e_b}(e_c), sparse over V
+    gamma = [[_gamma_mat(a, b).transpose().data for b in range(2)] for a in range(2)]
     cols: dict = {}
     for a in range(2):
         for p in range(w):
@@ -236,20 +195,20 @@ def build_orthogonal_type(w: int) -> SymplecticTripleSystem:
             for b in range(2):
                 for q in range(w):
                     j = idx(b, q)
-                    eps = _EPS2[a][b]
+                    eps = _EPS2[a, b]
                     for c in range(2):
                         for r in range(w):
                             k = idx(c, r)
                             # (1/2) gamma_{a,b}(c) (x) b(p,q) r-slot
                             if p == q:
-                                for vc, coeff in _gamma2(a, b, c).items():
+                                for vc, coeff in gamma[a][b].get(c, _EMPTY).items():
                                     _add_entry(cols, i, j, k, idx(vc, r), HALF * coeff)
                             if eps:
                                 # <a,b> c (x) (b(p,r) q - b(q,r) p)
                                 if p == r:
-                                    _add_entry(cols, i, j, k, idx(c, q), qi(eps))
+                                    _add_entry(cols, i, j, k, idx(c, q), eps)
                                 if q == r:
-                                    _add_entry(cols, i, j, k, idx(c, p), qi(-eps))
+                                    _add_entry(cols, i, j, k, idx(c, p), -eps)
     return SymplecticTripleSystem(dim, omega, cols, f"orthogonal(w={w})")
 
 
@@ -302,15 +261,14 @@ def build_exceptional_type(jordan: CubicJordan) -> SymplecticTripleSystem:
 
     The cross product x here must be the full adjoint linearization
     (``linearized_cross``, with a x a twice the adjoint); the half-normalized
-    cross makes the derivation identity fail, and for the scalar algebra it
-    degenerates T_J into the special-type system.  The axiom checker is the
+    cross makes the derivation identity fail.  The axiom checker is the
     arbiter: this normalization is the one that passes it.
 
     A basis element lies in exactly one slot, so on a basis triple each term
-    above is a single lookup in tables of e_p x e_q, (e_p x e_q) x e_r and
-    t(e_p x e_q, e_r), picked by the slot kinds; tau maps basis elements to
-    basis elements, so the tau-components are the same lookups at the
-    swapped indices.
+    above is a single lookup in tables of e_p x e_q (twice J's
+    ``cross_table``), (e_p x e_q) x e_r and t(e_p x e_q, e_r), picked by the
+    slot kinds; tau maps basis elements to basis elements, so the
+    tau-components are the same lookups at the swapped indices.
     """
     dj = jordan.dim
     dim = 2 + 2 * dj
@@ -350,13 +308,10 @@ def _exc_components(J: CubicJordan):
     """(g, c) of ``build_exceptional_type`` on basis triples, as a function
     of the basis indices (i, j, k); c is a sorted sparse {J-index: value}."""
     dj = J.dim
-    e = [J.basis_element(p) for p in range(dj)]
     tf = J.trace_form
     two, m1, m2, m3 = (qi(n) for n in (2, -1, -2, -3))
-    x = [
-        [{l: v for l, v in enumerate(J.linearized_cross(e[p], e[q])) if v} for q in range(dj)]
-        for p in range(dj)
-    ]
+    # x[p][q] = e_p x e_q, the linearized cross product
+    x = [[{l: v + v for l, v in u.items()} for u in row] for row in J.cross_table]
     x2 = [[_combine((two, u)) for u in row] for row in x]
     # xx[p][q][r] = -2 (e_p x e_q) x e_r,  tx[p][q][r] = -2 t(e_p x e_q, e_r)
     xx = [
@@ -387,10 +342,10 @@ def _exc_components(J: CubicJordan):
         ("a", "a", "b"): lambda p, q, r: (ZERO, xx[p][q][r]),
         # (a, b, a) and (b, a, a) meet three terms of c
         ("a", "b", "a"): lambda p, q, r: (
-            ZERO, _add_at(xx[p][r][q], (r, tf[p][q]), (p, two * tf[q][r]))
+            ZERO, _combine((ONE, xx[p][r][q]), (tf[p][q], {r: ONE}), (two * tf[q][r], {p: ONE}))
         ),
         ("b", "a", "a"): lambda p, q, r: (
-            ZERO, _add_at(xx[q][r][p], (r, tf[p][q]), (q, two * tf[p][r]))
+            ZERO, _combine((ONE, xx[q][r][p]), (tf[p][q], {r: ONE}), (two * tf[p][r], {q: ONE}))
         ),
     }
     kinds = ["al", "be"] + ["a"] * dj + ["b"] * dj
@@ -409,17 +364,9 @@ def _combine(*terms) -> dict:
     index and without zeros."""
     out: dict = {}
     for s, u in terms:
-        for l, v in u.items():
-            out[l] = out.get(l, ZERO) + s * v
-    return {l: out[l] for l in sorted(out) if out[l]}
-
-
-def _add_at(u: dict, *terms) -> dict:
-    """u plus v e_l for each term (l, v), sorted by index and without zeros."""
-    out = dict(u)
-    for l, v in terms:
-        out[l] = out.get(l, ZERO) + v
-    return {l: out[l] for l in sorted(out) if out[l]}
+        if s:
+            add_scaled(out, s, u)
+    return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -605,13 +552,8 @@ def is_simple(T: SymplecticTripleSystem) -> bool:
 
 def scalar_to_json(x: GaussianRational):
     if x.is_real:
-        f = x.re
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    re_f, im_f = x.re, x.im
-    fmt = lambda f: (
-        str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    )
-    return {"re": fmt(re_f), "im": fmt(im_f)}
+        return str(x)
+    return {"re": str(qi(x.re)), "im": str(qi(x.im))}
 
 
 def scalar_from_json(obj, where: str) -> GaussianRational:

@@ -227,13 +227,9 @@ def test_scalar_curvature_formula(family, param, connection_cache):
     assert scalar_curvature_formula(1, 2, eye) == 0  # the distinguished point at n = 1
 
 
-def test_table_report_all_pass(model_cache):
+def test_table_report_all_pass():
     cases = [("symplectic", 1), ("special", 1)]
-    cache = {
-        ("symplectic", 1): model_cache("symplectic", 1),
-        ("special", 1): model_cache("special", 1),
-    }
-    rows = table_report(cases, model_cache=cache, compute_centers=True)
+    rows = table_report(cases, compute_centers=True)
     for row in rows:
         assert row.passed
         assert row.centers["distinguished"] == (1 if row.family == "special" else 0)

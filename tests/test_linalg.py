@@ -8,6 +8,7 @@ from symtriple.errors import DimensionError
 from symtriple.linalg import (
     Matrix,
     Subspace,
+    add_scaled,
     bracket_closure,
     center_of,
     combination,
@@ -16,6 +17,7 @@ from symtriple.linalg import (
     kernel,
     matrices_of,
     rank,
+    table_product,
     trace_product,
     vec,
 )
@@ -48,8 +50,21 @@ def test_matrix_algebra():
     assert trace_product(a, b) == (a @ b).trace()
     assert a.apply(vec([1, 0])) == vec([1, 3])
     assert Matrix.from_flat(a.flatten(), 2, 2) == a
+    assert (a + b) - b == a and (a - a).is_zero()
+    assert a.bilinear(vec([1, 2]), vec([0, 1])) == qi(10)
     with pytest.raises(DimensionError):
         a @ Matrix.identity(3)
+    with pytest.raises(DimensionError):
+        a.bilinear(vec([1, 2, 3]), vec([0, 1]))
+
+
+def test_sparse_kernel():
+    w = {0: ONE, 2: qi(3)}
+    add_scaled(w, qi(-3), {2: ONE, 5: qi(2)})
+    assert w == {0: ONE, 5: qi(-6)}  # the cancelled entry is dropped
+    # the dual numbers: e_0 the unit, e_1 e_1 = 0
+    table = (({0: ONE}, {1: ONE}), ({1: ONE}, {}))
+    assert table_product(table, vec([2, 1]), vec([3, 5])) == vec([6, 13])
 
 
 def test_insert_examples():
