@@ -47,10 +47,12 @@ def _add_case_args(p: argparse.ArgumentParser, with_connection: bool = True) -> 
             default="levi-civita",
             choices=("levi-civita", "distinguished", "canonical", "zero", "family"),
         )
-        p.add_argument("--a", default="0",
-                       help="coefficient of the vertical torsion block (family connection)")
-        p.add_argument("--b-matrix", dest="b_matrix", default="0,0,0;0,0,0;0,0,0",
-                       help="3x3 coefficient matrix, rows ';'-separated (family connection)")
+        p.add_argument("--a",
+                       help="coefficient of the vertical torsion block "
+                            "(family connection only; default 0)")
+        p.add_argument("--b-matrix", dest="b_matrix",
+                       help="3x3 coefficient matrix, rows ';'-separated "
+                            "(family connection only; default 0)")
 
 
 def _resolve_param(args) -> object:
@@ -121,20 +123,34 @@ class _Math(Exception):
     pass
 
 
-def _connection(args, model) -> Connection:
-    if args.connection == "family":
-        try:
-            a = GaussianRational.parse(args.a)
-            rows = [
-                [GaussianRational.parse(c) for c in row.split(",")]
-                for row in args.b_matrix.split(";")
-            ]
-        except ValueError as exc:
-            raise _Usage(f"bad family coefficient: {exc}") from None
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise _Usage("--b-matrix must be three ';'-separated rows of three entries")
-        return Connection(model, alpha_family(model, a, rows))
-    return connection_by_name(model, args.connection)
+def _family_coefficients(args):
+    """(a, B) for --connection family, None for a named connection; a
+    coefficient given to a named connection is refused, not ignored."""
+    if args.connection != "family":
+        for flag, value in (("--a", args.a), ("--b-matrix", args.b_matrix)):
+            if value is not None:
+                raise _Usage(f"{flag} applies only to --connection family")
+        return None
+    try:
+        a = GaussianRational.parse("0" if args.a is None else args.a)
+        b_matrix = "0,0,0;0,0,0;0,0,0" if args.b_matrix is None else args.b_matrix
+        rows = [[GaussianRational.parse(c) for c in row.split(",")] for row in b_matrix.split(";")]
+    except ValueError as exc:
+        raise _Usage(f"bad family coefficient: {exc}") from None
+    if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        raise _Usage("--b-matrix must be three ';'-separated rows of three entries")
+    return a, rows
+
+
+def _load_connection(args):
+    """The triple system and connection of a case spec; the connection flags
+    are checked before anything is built."""
+    coefficients = _family_coefficients(args)
+    triple = _load_case(args)
+    model = build_model(triple)
+    if coefficients is None:
+        return triple, connection_by_name(model, args.connection)
+    return triple, Connection(model, alpha_family(model, *coefficients))
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +196,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_holonomy(args) -> int:
-    triple = _load_case(args)
-    model = build_model(triple)
-    conn = _connection(args, model)
+    triple, conn = _load_connection(args)
+    model = conn.model
     res = holonomy_algebra(conn, compute_center=not args.no_center)
     expected = None
     if args.family != "file" and args.connection in ("distinguished", "canonical"):
@@ -217,9 +232,8 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    triple = _load_case(args)
-    model = build_model(triple)
-    conn = _connection(args, model)
+    triple, conn = _load_connection(args)
+    model = conn.model
     md = model.m_dim
     i, j = args.i, args.j
     if not (0 <= i < md and 0 <= j < md):
@@ -241,9 +255,8 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_ricci(args) -> int:
-    triple = _load_case(args)
-    model = build_model(triple)
-    conn = _connection(args, model)
+    triple, conn = _load_connection(args)
+    model = conn.model
     data = ricci(conn)
     fmt = lambda c: "not proportional" if c is None else str(c)
     if args.json:

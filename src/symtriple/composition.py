@@ -22,7 +22,7 @@ files and everywhere downstream):
 from __future__ import annotations
 
 from .errors import DimensionError, ValidationError
-from .linalg import Matrix, table_product
+from .linalg import Matrix, dot, table_product
 from .scalars import GaussianRational, HALF, ONE, ZERO
 
 __all__ = ["CompositionAlgebra", "build_composition", "unit_multiple", "KINDS"]
@@ -59,11 +59,7 @@ class CompositionAlgebra:
 
     def trace(self, x) -> GaussianRational:
         self._check(x)
-        t = ZERO
-        for xi, ti in zip(x, self.trace_coeffs):
-            if xi and ti:
-                t = t + xi * ti
-        return t
+        return dot(x, self.trace_coeffs)
 
     def norm_b(self, x, y) -> GaussianRational:
         """Symmetric bilinear norm form; norm_b(x, x) is the quadratic norm."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .composition import CompositionAlgebra, unit_multiple
 from .errors import DimensionError, ValidationError
-from .linalg import table_product
+from .linalg import Matrix, dot, table_product
 from .scalars import GaussianRational, HALF, ONE, ZERO, qi
 
 __all__ = ["CubicJordan", "build_jordan"]
@@ -39,6 +39,7 @@ class CubicJordan:
         "cross_table",
         "dot_table",
         "trace_lin",
+        "_trace_gram",
     )
 
     def __init__(self, kind, algebra, dim, unit, trace_form, cross_table, dot_table, trace_lin):
@@ -50,6 +51,7 @@ class CubicJordan:
         self.cross_table = cross_table  # e_i x e_j, sparse
         self.dot_table = dot_table  # symmetrized product e_i . e_j, sparse
         self.trace_lin = trace_lin  # tr(e_i)
+        self._trace_gram = Matrix.from_rows(trace_form)
 
     def _check(self, a):
         if len(a) != self.dim:
@@ -58,15 +60,7 @@ class CubicJordan:
     def t(self, a, b) -> GaussianRational:
         self._check(a)
         self._check(b)
-        acc = ZERO
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            row = self.trace_form[i]
-            for j, bj in enumerate(b):
-                if bj and row[j]:
-                    acc = acc + ai * bj * row[j]
-        return acc
+        return self._trace_gram.bilinear(a, b)
 
     def cross(self, a, b):
         self._check(a)
@@ -89,11 +83,7 @@ class CubicJordan:
 
     def trace_of(self, a) -> GaussianRational:
         self._check(a)
-        acc = ZERO
-        for ai, ti in zip(a, self.trace_lin):
-            if ai and ti:
-                acc = acc + ai * ti
-        return acc
+        return dot(a, self.trace_lin)
 
     def norm(self, a) -> GaussianRational:
         """Cubic norm, read off from (a x a) . a = n(a) * unit."""
@@ -140,33 +130,18 @@ class _Herm:
                 raise ValidationError("matrix is not hermitian")
         return tuple(coords)
 
-    def matmul(self, a, b):
-        c = self.c
-        out = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                acc = (ZERO,) * c.dim
-                for k in range(3):
-                    acc = tuple(
-                        x + y for x, y in zip(acc, c.multiply(a[i][k], b[k][j]))
-                    )
-                out[i][j] = acc
-        return out
-
     def sym(self, a, b):
         """(ab + ba) as a matrix."""
-        ab = self.matmul(a, b)
-        ba = self.matmul(b, a)
-        return [
-            [tuple(x + y for x, y in zip(ab[i][j], ba[i][j])) for j in range(3)]
-            for i in range(3)
-        ]
+        mul = self.c.multiply
+
+        def entry(i, j):
+            terms = [mul(x[i][k], y[k][j]) for x, y in ((a, b), (b, a)) for k in range(3)]
+            return tuple(sum(xs, ZERO) for xs in zip(*terms))
+
+        return [[entry(i, j) for j in range(3)] for i in range(3)]
 
     def mat_trace(self, m) -> GaussianRational:
-        acc = ZERO
-        for i in range(3):
-            acc = acc + unit_multiple(m[i][i], self.c.unit)
-        return acc
+        return sum((unit_multiple(m[i][i], self.c.unit) for i in range(3)), ZERO)
 
 
 def build_jordan(kind: str, algebra: CompositionAlgebra | None = None) -> CubicJordan:

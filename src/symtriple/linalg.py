@@ -10,6 +10,10 @@ a table of such vectors on dense elements.  Elimination has one routine,
 normalized to 1 and eliminated from every other row, so two equal subspaces
 always carry identical rows.  Rank, kernel, inverse and center are all
 computed by it.
+
+Every accumulator here, from ``add_scaled`` and the matrix products to
+``apply``, ``bilinear``, ``dot`` and ``trace_product``, sums y + c*x through
+the fused ``GaussianRational.add_mul``.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "table_product",
     "comm_minus",
     "combination",
+    "dot",
     "rank",
     "kernel",
     "inverse",
@@ -178,7 +183,7 @@ class Matrix:
             for j, x in row.items():
                 vj = v[j]
                 if vj:
-                    acc = acc + x * vj
+                    acc = acc.add_mul(x, vj)
             out[i] = acc
         return tuple(out)
 
@@ -193,7 +198,7 @@ class Matrix:
                 for j, v in row.items():
                     yj = y[j]
                     if yj:
-                        acc = acc + xi * v * yj
+                        acc = acc.add_mul(xi * v, yj)
         return acc
 
     def transpose(self) -> "Matrix":
@@ -276,7 +281,7 @@ def _accumulate(acc: dict, i: int, c: GaussianRational, row: dict) -> None:
         return
     for j, y in row.items():
         z = out.get(j)
-        out[j] = c * y if z is None else z + c * y
+        out[j] = c * y if z is None else z.add_mul(c, y)
 
 
 def _add_product(acc: dict, a: Matrix, b: Matrix, subtract: bool) -> None:
@@ -320,7 +325,18 @@ def trace_product(a: Matrix, b: Matrix) -> GaussianRational:
         for j, x in row.items():
             y = bdata.get(j, _EMPTY).get(i)
             if y is not None:
-                t = t + x * y
+                t = t.add_mul(x, y)
+    return t
+
+
+def dot(x: Vector, y: Vector) -> GaussianRational:
+    """sum x_i y_i for dense vectors of one length."""
+    if len(x) != len(y):
+        raise DimensionError("dot product length mismatch")
+    t = ZERO
+    for xi, yi in zip(x, y):
+        if xi and yi:
+            t = t.add_mul(xi, yi)
     return t
 
 
@@ -339,7 +355,7 @@ def add_scaled(w: dict, c: GaussianRational, v: dict) -> None:
         if y is None:
             w[k] = c * x
         else:
-            y = y + c * x
+            y = y.add_mul(c, x)
             if y:
                 w[k] = y
             else:
@@ -358,7 +374,7 @@ def table_product(table, x: Vector, y: Vector) -> Vector:
                 if yj:
                     c = xi * yj
                     for k, v in row[j].items():
-                        out[k] = out[k] + c * v
+                        out[k] = out[k].add_mul(c, v)
     return tuple(out)
 
 

@@ -4,6 +4,13 @@
 number ``(a + b*i)/d`` with arbitrary-precision integer ``a``, ``b`` and
 ``d > 0``, kept reduced so that ``gcd(a, b, d) == 1``.  Every operation is
 exact; there is deliberately no float interop.
+
+Accumulations go through one fused operation, ``y.add_mul(c, x)`` for
+y + c*x, which builds one result with one reduction: numerators over an
+equal denominator are added directly, and Gaussian-integer operands
+(``d == 1``) skip the gcd altogether, as do ``+``, ``-`` and ``*`` of two
+Gaussian integers.  Values already in canonical form are made by ``_new``
+without passing through ``__init__``.
 """
 
 from __future__ import annotations
@@ -30,15 +37,16 @@ class GaussianRational:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: int = 0, b: int = 0, d: int = 1):
-        if d == 0:
-            raise ZeroDivisionError("zero denominator")
-        if d < 0:
-            a, b, d = -a, -b, -d
-        g = _gcd(_gcd(a, b), d)
-        if g > 1:
-            a //= g
-            b //= g
-            d //= g
+        if d != 1:
+            if d == 0:
+                raise ZeroDivisionError("zero denominator")
+            if d < 0:
+                a, b, d = -a, -b, -d
+            g = _gcd(a, b, d)
+            if g > 1:
+                a //= g
+                b //= g
+                d //= g
         self.a = a
         self.b = b
         self.d = d
@@ -93,7 +101,7 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         if not self.b:
             return self
-        return GaussianRational(self.a, -self.b, self.d)
+        return _new(self.a, -self.b, self.d)
 
     @property
     def is_real(self) -> bool:
@@ -110,6 +118,8 @@ class GaussianRational:
             return s
         if not (s.a or s.b):
             return o
+        if s.d == 1 == o.d:
+            return _new(s.a + o.a, s.b + o.b, 1)
         return GaussianRational(s.a * o.d + o.a * s.d, s.b * o.d + o.b * s.d, s.d * o.d)
 
     __radd__ = __add__
@@ -121,6 +131,8 @@ class GaussianRational:
                 return o
         if not (o.a or o.b):
             return s
+        if s.d == 1 == o.d:
+            return _new(s.a - o.a, s.b - o.b, 1)
         return GaussianRational(s.a * o.d - o.a * s.d, s.b * o.d - o.b * s.d, s.d * o.d)
 
     def __rsub__(s, o):
@@ -129,7 +141,7 @@ class GaussianRational:
     def __neg__(s):
         if not (s.a or s.b):
             return s
-        return GaussianRational(-s.a, -s.b, s.d)
+        return _new(-s.a, -s.b, s.d)
 
     def __mul__(s, o):
         if not isinstance(o, GaussianRational):
@@ -139,12 +151,39 @@ class GaussianRational:
         if not (s.a or s.b) or not (o.a or o.b):
             return ZERO
         if s.b or o.b:
-            return GaussianRational(
-                s.a * o.a - s.b * o.b, s.a * o.b + s.b * o.a, s.d * o.d
-            )
-        return GaussianRational(s.a * o.a, 0, s.d * o.d)
+            a, b = s.a * o.a - s.b * o.b, s.a * o.b + s.b * o.a
+        else:
+            a, b = s.a * o.a, 0
+        if s.d == 1 == o.d:
+            return _new(a, b, 1)
+        return GaussianRational(a, b, s.d * o.d)
 
     __rmul__ = __mul__
+
+    def add_mul(y, c: "GaussianRational", x: "GaussianRational") -> "GaussianRational":
+        """y + c * x for a GaussianRational y, built with one reduction."""
+        try:
+            ca, cb, xa, xb = c.a, c.b, x.a, x.b
+        except AttributeError:  # an int or Fraction operand
+            return y + c * x
+        if cb or xb:
+            pa, pb = ca * xa - cb * xb, ca * xb + cb * xa
+        else:
+            pa, pb = ca * xa, 0
+        if not (pa or pb):
+            return y
+        pd = c.d * x.d
+        yd = y.d
+        if yd == pd:
+            a, b, d = y.a + pa, y.b + pb, yd
+            if d == 1:
+                return _new(a, b, 1)
+        else:
+            a, b, d = y.a * pd + pa * yd, y.b * pd + pb * yd, yd * pd
+        g = _gcd(a, b, d)
+        if g > 1:
+            return _new(a // g, b // g, d // g)
+        return _new(a, b, d)
 
     def inverse(s) -> "GaussianRational":
         n = s.a * s.a + s.b * s.b
@@ -216,6 +255,18 @@ class GaussianRational:
 
     def __repr__(s):
         return f"qi('{s}')"
+
+
+_object_new = object.__new__
+
+
+def _new(a: int, b: int, d: int) -> GaussianRational:
+    """The GaussianRational (a + b*i)/d for a, b, d already in canonical form."""
+    q = _object_new(GaussianRational)
+    q.a = a
+    q.b = b
+    q.d = d
+    return q
 
 
 def _hash_fraction(num: int, den: int) -> int:

@@ -189,6 +189,24 @@ def test_family_zero_denominator_is_usage_error(capsys, coefficient):
     assert len(err.splitlines()) == 1 and "1/0" in err
 
 
+@pytest.mark.parametrize("argv", (
+    ("ricci", "--family", "symplectic", "--n", "1", "--a", "1/2x"),
+    ("ricci", "--family", "symplectic", "--n", "1", "--connection", "canonical", "--a", "1"),
+    ("holonomy", "--family", "symplectic", "--n", "1",
+     "--connection", "distinguished", "--b-matrix", "1,2"),
+    ("curvature", "--family", "symplectic", "--n", "1", "-i", "0", "-j", "1",
+     "--b-matrix", "0,0,0;0,0,0;0,0,0"),
+    # checked before the case is built or gated
+    ("holonomy", "--family", "exceptional", "--J", "octonion",
+     "--connection", "distinguished", "--a", "1"),
+))
+def test_family_coefficient_without_family_connection_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    flag = "--a" if "--a" in argv else "--b-matrix"
+    assert len(err.splitlines()) == 1 and f"{flag} applies only to --connection family" in err
+
+
 def test_curvature_output_exact(capsys):
     code, out, _ = run(
         capsys,

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, strategies as st
 
 from symtriple.scalars import GaussianRational, HALF, I, ONE, ZERO, qi
 
@@ -12,6 +13,21 @@ small_rationals = st.builds(
     st.integers(min_value=1, max_value=12),
 )
 scalars = st.builds(GaussianRational.from_fractions, small_rationals, small_rationals)
+small_ints = st.integers(min_value=-30, max_value=30)
+# Gaussian integers, values over a few shared denominators, and general
+# values, so that every branch of the integral and fused fast paths is hit
+mixed_scalars = st.one_of(
+    st.builds(GaussianRational, small_ints, small_ints),
+    st.builds(GaussianRational, small_ints, small_ints, st.sampled_from((2, 3, 4, 6))),
+    scalars,
+)
+
+
+def assert_canonical(q):
+    assert type(q) is GaussianRational
+    assert q.d >= 1 and gcd(q.a, q.b, q.d) == 1
+    if not (q.a or q.b):
+        assert (q.a, q.b, q.d) == (0, 0, 1)
 
 
 def test_canonical_form():
@@ -88,3 +104,41 @@ def test_field_laws(x, y, z):
 @given(scalars)
 def test_string_round_trip(x):
     assert qi(str(x)) == x
+
+
+@st.composite
+def add_mul_operands(draw):
+    """(y, c, x); half the time y lies over the denominator of c * x, so that
+    y.add_mul(c, x) takes its equal-denominator branch."""
+    c, x = draw(mixed_scalars), draw(mixed_scalars)
+    if draw(st.booleans()):
+        d = c.d * x.d
+        y = GaussianRational(1 + d * draw(small_ints), draw(small_ints), d)
+    else:
+        y = draw(mixed_scalars)
+    return y, c, x
+
+
+@given(add_mul_operands())
+def test_fast_paths_are_canonical(operands):
+    y, c, x = operands
+    if y.d != c.d * x.d:
+        event("add_mul: unlike denominators")
+    else:
+        event(f"add_mul: equal denominators {'1' if y.d == 1 else '> 1'}")
+    event(f"+ and *: {'integral' if y.d == 1 == c.d else 'fractional'}")
+    fused = y.add_mul(c, x)
+    assert fused == y + c * x
+    re = y.re + c.re * x.re - c.im * x.im
+    im = y.im + c.re * x.im + c.im * x.re
+    assert (fused.re, fused.im) == (re, im)
+    for q in (fused, y + c, y - c, y * c, -y, y.conjugate(), y + y, y - y):
+        assert_canonical(q)
+
+
+def test_add_mul_takes_int_and_fraction_operands():
+    assert qi("1/2").add_mul(2, qi(3)) == qi("13/2")
+    assert ONE.add_mul(qi("i"), Fraction(1, 3)) == qi("1+1/3i")
+    assert ZERO.add_mul(ZERO, I) is ZERO
+    with pytest.raises(TypeError):
+        ONE.add_mul(ONE, 0.5)
