@@ -182,9 +182,14 @@ def alpha_zero(model: HomogeneousModel) -> NomizuMap:
 def torsion_operator(model: HomogeneousModel, alpha: NomizuMap, i: int, j: int):
     """T(e_i, e_j) = alpha(e_i,e_j) - alpha(e_j,e_i) - [e_i,e_j]_m."""
     md = model.m_dim
-    t = {l: alpha.ops[i][l, j] - alpha.ops[j][l, i] for l in range(md)}
-    add_scaled(t, -ONE, model.m_bracket_m(i, j))
-    return tuple(t.get(l, ZERO) for l in range(md))
+    out = [ZERO] * md
+    for l in range(md):
+        v = alpha.ops[i][l, j] - alpha.ops[j][l, i]
+        if v:
+            out[l] = v
+    for l, v in model.m_bracket_m(i, j).items():
+        out[l] = out[l] - v
+    return tuple(out)
 
 
 def is_metric(model: HomogeneousModel, alpha: NomizuMap) -> bool:

@@ -130,18 +130,33 @@ class _Herm:
                 raise ValidationError("matrix is not hermitian")
         return tuple(coords)
 
+    def matmul(self, a, b):
+        c = self.c
+        out = [[None] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(3):
+                acc = (ZERO,) * c.dim
+                for k in range(3):
+                    acc = tuple(
+                        x + y for x, y in zip(acc, c.multiply(a[i][k], b[k][j]))
+                    )
+                out[i][j] = acc
+        return out
+
     def sym(self, a, b):
         """(ab + ba) as a matrix."""
-        mul = self.c.multiply
-
-        def entry(i, j):
-            terms = [mul(x[i][k], y[k][j]) for x, y in ((a, b), (b, a)) for k in range(3)]
-            return tuple(sum(xs, ZERO) for xs in zip(*terms))
-
-        return [[entry(i, j) for j in range(3)] for i in range(3)]
+        ab = self.matmul(a, b)
+        ba = self.matmul(b, a)
+        return [
+            [tuple(x + y for x, y in zip(ab[i][j], ba[i][j])) for j in range(3)]
+            for i in range(3)
+        ]
 
     def mat_trace(self, m) -> GaussianRational:
-        return sum((unit_multiple(m[i][i], self.c.unit) for i in range(3)), ZERO)
+        acc = ZERO
+        for i in range(3):
+            acc = acc + unit_multiple(m[i][i], self.c.unit)
+        return acc
 
 
 def build_jordan(kind: str, algebra: CompositionAlgebra | None = None) -> CubicJordan:

@@ -8,9 +8,9 @@ exact; there is deliberately no float interop.
 Accumulations go through one fused operation, ``y.add_mul(c, x)`` for
 y + c*x, which builds one result with one reduction: numerators over an
 equal denominator are added directly, and Gaussian-integer operands
-(``d == 1``) skip the gcd altogether, as do ``+``, ``-`` and ``*`` of two
-Gaussian integers.  Values already in canonical form are made by ``_new``
-without passing through ``__init__``.
+(``d == 1``) skip the gcd altogether, as does ``*`` of two Gaussian
+integers.  Values already in canonical form are made by ``_new`` without
+passing through ``__init__``.
 """
 
 from __future__ import annotations
@@ -37,16 +37,15 @@ class GaussianRational:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: int = 0, b: int = 0, d: int = 1):
-        if d != 1:
-            if d == 0:
-                raise ZeroDivisionError("zero denominator")
-            if d < 0:
-                a, b, d = -a, -b, -d
-            g = _gcd(a, b, d)
-            if g > 1:
-                a //= g
-                b //= g
-                d //= g
+        if d == 0:
+            raise ZeroDivisionError("zero denominator")
+        if d < 0:
+            a, b, d = -a, -b, -d
+        g = _gcd(a, b, d)
+        if g > 1:
+            a //= g
+            b //= g
+            d //= g
         self.a = a
         self.b = b
         self.d = d
@@ -118,8 +117,6 @@ class GaussianRational:
             return s
         if not (s.a or s.b):
             return o
-        if s.d == 1 == o.d:
-            return _new(s.a + o.a, s.b + o.b, 1)
         return GaussianRational(s.a * o.d + o.a * s.d, s.b * o.d + o.b * s.d, s.d * o.d)
 
     __radd__ = __add__
@@ -131,8 +128,6 @@ class GaussianRational:
                 return o
         if not (o.a or o.b):
             return s
-        if s.d == 1 == o.d:
-            return _new(s.a - o.a, s.b - o.b, 1)
         return GaussianRational(s.a * o.d - o.a * s.d, s.b * o.d - o.b * s.d, s.d * o.d)
 
     def __rsub__(s, o):

@@ -81,6 +81,10 @@ def test_unknown_types_are_rejected():
     for bad in (0.5, None, 1j):
         with pytest.raises(TypeError):
             qi(bad)
+    # the constructor keeps the integer invariant, also over denominator 1
+    for bad in (0.5, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            GaussianRational(bad)
     # the operators still defer, so Python raises TypeError for them too
     with pytest.raises(TypeError):
         ONE + 0.5
@@ -126,7 +130,7 @@ def test_fast_paths_are_canonical(operands):
         event("add_mul: unlike denominators")
     else:
         event(f"add_mul: equal denominators {'1' if y.d == 1 else '> 1'}")
-    event(f"+ and *: {'integral' if y.d == 1 == c.d else 'fractional'}")
+    event(f"*: {'integral' if y.d == 1 == c.d else 'fractional'}")
     fused = y.add_mul(c, x)
     assert fused == y + c * x
     re = y.re + c.re * x.re - c.im * x.im
