@@ -55,23 +55,22 @@ def _add_case_args(p: argparse.ArgumentParser, with_connection: bool = True) -> 
                             "(family connection only; default 0)")
 
 
+_FAMILY_FLAG = {"symplectic": "n", "orthogonal": "w", "special": "w",
+                "exceptional": "J", "file": "path"}
+
+
 def _resolve_param(args) -> object:
+    """The family's parameter; a case flag of another family is refused,
+    not ignored."""
     fam = args.family
-    if fam == "symplectic":
-        if args.n is None:
-            raise _Usage("--n is required for the symplectic family")
-        return args.n
-    if fam in ("orthogonal", "special"):
-        if args.w is None:
-            raise _Usage(f"--w is required for the {fam} family")
-        return args.w
-    if fam == "exceptional":
-        if args.J is None:
-            raise _Usage("--J is required for the exceptional family")
-        return args.J
-    if args.path is None:
-        raise _Usage("--path is required for --family file")
-    return args.path
+    used = _FAMILY_FLAG[fam]
+    for flag in ("n", "w", "J", "path"):
+        if flag != used and getattr(args, flag) is not None:
+            raise _Usage(f"--{flag} does not apply to --family {fam}")
+    param = getattr(args, used)
+    if param is None:
+        raise _Usage(f"--{used} is required for --family {fam}")
+    return param
 
 
 class _Usage(Exception):

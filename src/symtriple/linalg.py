@@ -6,10 +6,10 @@ composition algebras to g(T), and all elimination work on one vector type,
 the sparse vector ``{index: nonzero GaussianRational}`` of a ``Matrix.data``
 row: ``add_scaled`` is its one in-place axpy and ``table_product`` evaluates
 a table of such vectors on dense elements.  Elimination has one routine,
-``Subspace.insert``: a canonical reduced-row-echelon basis, with pivots
-normalized to 1 and eliminated from every other row, so two equal subspaces
-always carry identical rows.  Rank, kernel, inverse and center are all
-computed by it.
+``Subspace.insert``, which extends a canonical reduced-row-echelon basis in
+place: pivots are normalized to 1 and eliminated from every other row, so two
+equal subspaces always carry identical rows.  Rank, kernel, inverse, closure
+and center are all computed by it.
 
 Every accumulator here, from ``add_scaled`` and the matrix products to
 ``apply``, ``bilinear``, ``dot`` and ``trace_product``, sums y + c*x through
@@ -404,13 +404,15 @@ def _sparse(v, ambient: int) -> dict:
 
 
 class Subspace:
-    """A linear subspace held as a canonical reduced-row-echelon basis.
+    """A linear subspace held as a canonical reduced-row-echelon basis,
+    which ``insert`` extends in place.
 
-    ``basis`` maps each pivot to its row, in increasing pivot order.  A row
-    is a sparse vector ``{index: nonzero GaussianRational}`` whose least
-    index is its pivot, with value 1, and which is zero at every other
-    pivot; so two equal subspaces always carry identical bases.  Vectors
-    may be passed sparse or as dense sequences of length ``ambient``.
+    ``basis`` maps each pivot to its row, in insertion order; ``pivots``,
+    ``rows`` and ``coords_of`` read it in increasing pivot order.  A row is
+    a sparse vector ``{index: nonzero GaussianRational}`` whose least index
+    is its pivot, with value 1, and which is zero at every other pivot; so
+    two equal subspaces always carry identical rows.  Vectors may be passed
+    sparse or as dense sequences of length ``ambient``.
     """
 
     __slots__ = ("ambient", "basis")
@@ -428,7 +430,7 @@ class Subspace:
             ambient = len(vectors[0])
         s = Subspace(ambient)
         for v in vectors:
-            s, _ = s.insert(v)
+            s.insert(v)
         return s
 
     @property
@@ -437,11 +439,11 @@ class Subspace:
 
     @property
     def pivots(self) -> tuple:
-        return tuple(self.basis)
+        return tuple(sorted(self.basis))
 
     @property
     def rows(self) -> tuple:
-        return tuple(self.basis.values())
+        return tuple(self.basis[p] for p in self.pivots)
 
     def _reduce(self, w: dict) -> None:
         """In place, eliminate every pivot coordinate from ``w``.  One pass
@@ -452,7 +454,9 @@ class Subspace:
             add_scaled(w, -w[p], basis[p])
 
     def insert(self, v) -> tuple["Subspace", bool]:
-        """Echelonized span of this basis plus ``v``; flag reports growth."""
+        """In place, extend the basis to span ``v`` too; the flag reports
+        growth.  The pair ``(self, grew)`` is what the benchmark's tracer
+        reads (``perfbench/tracing.py`` counts growth from item 1)."""
         w = _sparse(v, self.ambient)
         self._reduce(w)
         if not w:
@@ -462,18 +466,13 @@ class Subspace:
         if c != ONE:
             inv = c.inverse()
             w = {k: inv * x for k, x in w.items()}
-        # Eliminate the new pivot from the other rows, keeping pivot order.
-        basis = {}
-        for q, r in self.basis.items():
-            if p < q and p not in basis:
-                basis[p] = w
+        basis = self.basis
+        for r in basis.values():
             c = r.get(p)
             if c is not None:
-                r = dict(r)
                 add_scaled(r, -c, w)
-            basis[q] = r
-        basis.setdefault(p, w)
-        return Subspace(self.ambient, basis), True
+        basis[p] = w
+        return self, True
 
     def contains(self, v) -> bool:
         w = _sparse(v, self.ambient)
@@ -483,7 +482,7 @@ class Subspace:
     def coords_of(self, v) -> tuple | None:
         """Coordinates of ``v`` in this basis, or None if outside the span."""
         w = _sparse(v, self.ambient)
-        coords = tuple(w.get(p, ZERO) for p in self.basis)
+        coords = tuple(w.get(p, ZERO) for p in self.pivots)
         self._reduce(w)
         if w:
             return None
@@ -492,10 +491,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise DimensionError("ambient mismatch")
-        s = self
-        for r in other.basis.values():
-            s, _ = s.insert(r)
-        return s
+        return Subspace.span([*self.rows, *other.rows], self.ambient)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -514,7 +510,7 @@ def _augmented(vectors: Sequence[dict], offset: int) -> Subspace:
     vectors v_s indexed below ``offset``."""
     s = Subspace(offset + len(vectors))
     for i, v in enumerate(vectors):
-        s, _ = s.insert({**v, offset + i: ONE})
+        s.insert({**v, offset + i: ONE})
     return s
 
 
@@ -554,7 +550,7 @@ def inverse(m: Matrix) -> Matrix:
     if any(p >= d for p in s.basis):
         raise ValidationError("matrix is singular")
     return Matrix(d, d, {
-        p: {k - d: x for k, x in r.items() if k >= d} for p, r in s.basis.items()
+        p: {k - d: x for k, x in r.items() if k >= d} for p, r in sorted(s.basis.items())
     })
 
 
@@ -565,19 +561,18 @@ def inverse(m: Matrix) -> Matrix:
 
 def close_under(space: Subspace, vectors: Iterable, images,
                 stop_dim: int | None = None) -> Subspace:
-    """Extend ``space`` by ``vectors`` until it contains ``images(x)``, an
-    iterable of vectors linear in x, for each x in it: the closure of a span
-    under a set of linear maps.  Each vector that grows the space is queued,
-    and the last queued is taken first.  ``stop_dim`` may be set when the
-    caller knows a subspace of that dimension which contains the result;
-    reaching it proves the two equal.
+    """Extend ``space`` in place by ``vectors`` until it contains
+    ``images(x)``, an iterable of vectors linear in x, for each x in it: the
+    closure of a span under a set of linear maps.  Each vector that grows
+    the space is queued, and the last queued is taken first.  ``stop_dim``
+    may be set when the caller knows a subspace of that dimension which
+    contains the result; reaching it proves the two equal.
     """
     work: list = []
     pending = iter(vectors)
     while True:
         for y in pending:
-            space, grew = space.insert(y)
-            if grew:
+            if space.insert(y)[1]:
                 work.append(y)
             if stop_dim is not None and space.dim >= stop_dim:
                 return space
@@ -603,7 +598,7 @@ def lie_generators(candidates: Sequence[dict], act, ambient: int, weights: Seque
             gens.append(k)
             mus = [candidates[s] for s in gens]
             # the closure so far is already invariant under the earlier gens
-            closure = close_under(
+            close_under(
                 closure, [v, *(act(v, w) for w in closure.rows)],
                 lambda x: (act(mu, x) for mu in mus), ambient,
             )
@@ -654,7 +649,7 @@ def center_of(space: Subspace) -> Subspace:
     """
     mats = matrices_of(space)
     if not mats:
-        return space
+        return Subspace(space.ambient)
     d = mats[0].rows
     cand = list(space.rows)  # flattened candidate matrices
     for bj in mats:
@@ -664,7 +659,7 @@ def center_of(space: Subspace) -> Subspace:
         if not any(images):
             continue
         new_cand = []
-        for lam in _null_space(images, d * d).basis.values():
+        for lam in _null_space(images, d * d).rows:
             x: dict = {}
             for s, c in lam.items():
                 add_scaled(x, c, cand[s])

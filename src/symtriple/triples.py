@@ -633,6 +633,7 @@ def load_sts(path) -> SymplecticTripleSystem:
     if not isinstance(triple, list):
         raise ParseError("triple: expected a list of [i,j,k,l,coeff] entries")
     cols: dict = {}
+    first_pos: dict = {}
     for pos, entry in enumerate(triple):
         where = f"triple[{pos}]"
         if not isinstance(entry, list) or len(entry) != 5:
@@ -641,6 +642,9 @@ def load_sts(path) -> SymplecticTripleSystem:
         for name, idx in zip("ijkl", (i, j, k, l)):
             if type(idx) is not int or not 0 <= idx < dim:
                 raise ParseError(f"{where}: index {name}={idx!r} out of range 0..{dim-1}")
+        first = first_pos.setdefault((i, j, k, l), pos)
+        if first != pos:
+            raise ParseError(f"triple[{first}] and {where}: repeated entry [{i},{j},{k},{l}]")
         v = scalar_from_json(entry[4], where)
         _add_entry(cols, i, j, k, l, v)
 

@@ -207,6 +207,20 @@ def test_family_coefficient_without_family_connection_is_usage_error(capsys, arg
     assert len(err.splitlines()) == 1 and f"{flag} applies only to --connection family" in err
 
 
+@pytest.mark.parametrize("case, extra", (
+    (("special", "--w", "1"), ("--n", "7")),
+    (("exceptional", "--J", "scalar"), ("--w", "1")),
+    (("special", "--w", "1"), ("--J", "octonion")),
+    (("symplectic", "--n", "1"), ("--path", "/nonexistent")),
+))
+def test_case_flag_of_another_family_is_usage_error(capsys, case, extra):
+    code, out, err = run(
+        capsys, "holonomy", "--family", *case, *extra, "--connection", "canonical",
+    )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and f"{extra[0]} does not apply to --family" in err
+
+
 def test_curvature_output_exact(capsys):
     code, out, _ = run(
         capsys,

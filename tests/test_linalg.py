@@ -81,6 +81,35 @@ def test_insert_examples():
         s.insert({3: qi(1)})
 
 
+def test_insert_extends_in_place_in_pivot_order():
+    s = Subspace.span([[0, 1, 1], [0, 0, 1]], 3)
+    assert s.rows == ({1: ONE}, {2: ONE})
+    # the new pivot 0 lies below every stored pivot
+    out, grew = s.insert(vec([1, 1, 0]))
+    assert out is s and grew
+    assert s.pivots == (0, 1, 2)
+    assert s.rows == ({0: ONE}, {1: ONE}, {2: ONE})
+    assert s.coords_of(vec([3, 5, 7])) == vec([3, 5, 7])
+    out, grew = s.insert(vec([1, 2, 3]))
+    assert out is s and not grew and s.dim == 3
+
+    s = Subspace.span([[0, 1, 2, 0]], 4)
+    s.insert(vec([1, 1, 0, 1]))
+    assert s.pivots == (0, 1)
+    assert s.rows == ({0: ONE, 2: qi(-2), 3: ONE}, {1: ONE, 2: qi(2)})
+    assert s.coords_of(vec([2, 3, 2, 2])) == vec([2, 3])
+    assert hash(s) == hash(Subspace.span([[1, 0, -2, 1], [0, 1, 2, 0]], 4))
+
+
+def test_sum_leaves_its_operands_unchanged():
+    a = Subspace.span([[0, 1, 0]], 3)
+    b = Subspace.span([[1, 0, 0], [0, 1, 1]], 3)
+    total = a.sum(b)
+    assert total.dim == 3 and total is not a and total is not b
+    assert a.rows == ({1: ONE},) and a.dim == 1
+    assert b.rows == ({0: ONE}, {1: ONE, 2: ONE}) and b.dim == 2
+
+
 def test_float_entries_are_rejected():
     with pytest.raises(TypeError):
         vec([0.5])

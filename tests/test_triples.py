@@ -351,6 +351,24 @@ def test_load_rejects_bad_scalar(tmp_path):
     assert "triple[0]" in str(err.value)
 
 
+def test_load_rejects_repeated_entry(tmp_path):
+    import json
+
+    t = build_symplectic_type(1)
+    path = tmp_path / "dup.sts.json"
+    save_sts(t, path)
+    doc = json.loads(path.read_text())
+    doc["triple"].append(doc["triple"][0])  # would otherwise sum to twice the value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as err:
+        load_sts(path)
+    i, j, k, l = doc["triple"][0][:4]
+    last = len(doc["triple"]) - 1
+    assert str(err.value) == (
+        f"triple[0] and triple[{last}]: repeated entry [{i},{j},{k},{l}]"
+    )
+
+
 def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.sts.json"
     path.write_text("{not json")
