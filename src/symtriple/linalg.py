@@ -2,14 +2,19 @@
 
 Matrices store only nonzero entries (row-major dicts) but behave as dense
 exact matrices.  Every structure-constant table of the package, from the
-composition algebras to g(T), and all elimination work on one vector type,
-the sparse vector ``{index: nonzero GaussianRational}`` of a ``Matrix.data``
-row: ``add_scaled`` is its one in-place axpy and ``table_product`` evaluates
-a table of such vectors on dense elements.  Elimination has one routine,
+composition algebras to g(T), works on one vector type, the sparse vector
+``{index: nonzero GaussianRational}`` of a ``Matrix.data`` row, and
+elimination takes and gives such vectors: ``add_scaled`` is its one in-place
+axpy and ``table_product`` evaluates a table of such vectors on dense
+elements.  Elimination has one routine,
 ``Subspace.insert``, which extends a canonical reduced-row-echelon basis in
 place: pivots are normalized to 1 and eliminated from every other row, so two
 equal subspaces always carry identical rows.  Rank, kernel, inverse, closure
-and center are all computed by it.
+and center are all computed by it.  Inside ``Subspace`` a row is Gaussian-
+integer numerators over one shared denominator, eliminated fraction-free on
+plain ints with one gcd per normalized row, and a column index finds the rows
+a new pivot must be cleared from; ``GaussianRational`` values are built only
+where rows leave it.
 
 Every accumulator here, from ``add_scaled`` and the matrix products to
 ``apply``, ``bilinear``, ``dot`` and ``trace_product``, sums y + c*x through
@@ -18,7 +23,8 @@ the fused ``GaussianRational.add_mul``.
 
 from __future__ import annotations
 
-from math import isqrt
+from itertools import chain
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ValidationError
@@ -383,9 +389,11 @@ def table_product(table, x: Vector, y: Vector) -> Vector:
 # ---------------------------------------------------------------------------
 
 
-def _sparse(v, ambient: int) -> dict:
-    """A fresh sparse copy of ``v``, given sparse or as a dense sequence of
-    length ``ambient``, with entries in Q(i) and zeros dropped."""
+def _numerators(v, ambient: int) -> tuple[dict, int]:
+    """The Gaussian-integer numerators ``{index: (re, im)}`` of the nonzero
+    entries of ``v`` over their least common denominator L, and L.  ``v``
+    is sparse or a dense sequence of length ``ambient``, with entries in
+    Q(i)."""
     if isinstance(v, dict):
         if v and (min(v) < 0 or max(v) >= ambient):
             raise DimensionError(f"vector index outside ambient {ambient}")
@@ -395,31 +403,94 @@ def _sparse(v, ambient: int) -> dict:
             raise DimensionError(f"vector length {len(v)} != ambient {ambient}")
         items = enumerate(v)
     w = {}
+    den = 1
     for k, x in items:
         if type(x) is not GaussianRational:
             x = qi(x)
-        if x:
+        if x.a or x.b:
             w[k] = x
-    return w
+            d = x.d
+            if d != 1 and den % d:
+                den = den // gcd(den, d) * d
+    if den == 1:
+        return {k: (x.a, x.b) for k, x in w.items()}, 1
+    return {k: (x.a * (den // x.d), x.b * (den // x.d)) for k, x in w.items()}, den
+
+
+def _sub_multiple(w: dict, a: int, b: int, tail: dict, cols: dict | None = None,
+                  r: int = 0) -> None:
+    """In place, w -= (a + bi) * tail on Gaussian-integer rows, dropping the
+    entries that cancel.  With ``cols``, w is the tail of the row of pivot r
+    and the column index ``cols`` follows each column w gains or loses."""
+    get = w.get
+    for k, (x, y) in tail.items():
+        if b:
+            pr, pi = a * x - b * y, a * y + b * x
+        else:
+            pr, pi = a * x, a * y
+        z = get(k)
+        if z is None:
+            w[k] = (-pr, -pi)
+            if cols is not None:
+                cols[k].add(r)
+        else:
+            zr, zi = z
+            zr -= pr
+            zi -= pi
+            if zr or zi:
+                w[k] = (zr, zi)
+            else:
+                del w[k]
+                if cols is not None:
+                    cols[k].remove(r)
+
+
+def _lowest_terms(den: int, tail: dict) -> int:
+    """Divide ``den`` and the numerators of ``tail`` (in place) by their gcd,
+    one C-level ``math.gcd`` over the row; return the new denominator."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(tail.values()))
+        if g != 1:
+            for k, (x, y) in tail.items():
+                tail[k] = (x // g, y // g)
+            return den // g
+    return den
+
+
+def _row_vector(p: int, den: int, tail: dict) -> dict:
+    """The canonical row of pivot p as a sparse vector of GaussianRational."""
+    row = {p: ONE}
+    for k, (x, y) in tail.items():
+        row[k] = GaussianRational(x, y, den)
+    return row
 
 
 class Subspace:
     """A linear subspace held as a canonical reduced-row-echelon basis,
     which ``insert`` extends in place.
 
-    ``basis`` maps each pivot to its row, in insertion order; ``pivots``,
-    ``rows`` and ``coords_of`` read it in increasing pivot order.  A row is
-    a sparse vector ``{index: nonzero GaussianRational}`` whose least index
-    is its pivot, with value 1, and which is zero at every other pivot; so
-    two equal subspaces always carry identical rows.  Vectors may be passed
-    sparse or as dense sequences of length ``ambient``.
+    The canonical row of pivot p is 1 at p, zero at every other pivot and
+    zero below p, so two equal subspaces always carry identical rows.  It is
+    stored on plain ints as a pair ``(D, tail)``: ``tail`` maps each other
+    index where the row is nonzero to the Gaussian-integer numerator
+    ``(re, im)`` of its entry over the one positive denominator D, which is
+    also the numerator of the pivot, and D and all numerators have gcd 1.
+    The pair is as unique as the row.  A column index maps each non-pivot
+    column to the pivots of the rows that hold it, so a new pivot is
+    eliminated from exactly those rows.
+
+    ``pivots``, ``rows`` and ``coords_of`` read the rows in increasing
+    pivot order; ``rows`` gives each as a sparse vector ``{index: nonzero
+    GaussianRational}``.  Rows enter only through ``insert``.  Vectors may
+    be passed sparse or as dense sequences of length ``ambient``.
     """
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "_rows", "_cols")
 
-    def __init__(self, ambient: int, basis: dict | None = None):
+    def __init__(self, ambient: int):
         self.ambient = ambient
-        self.basis = basis if basis is not None else {}
+        self._rows: dict = {}  # pivot -> (D, tail), in insertion order
+        self._cols: dict = {}  # non-pivot column -> pivots whose tail holds it
 
     @staticmethod
     def span(vectors: Iterable, ambient: int | None = None) -> "Subspace":
@@ -435,54 +506,87 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     @property
     def pivots(self) -> tuple:
-        return tuple(sorted(self.basis))
+        return tuple(sorted(self._rows))
 
     @property
     def rows(self) -> tuple:
-        return tuple(self.basis[p] for p in self.pivots)
+        rows = self._rows
+        return tuple(_row_vector(p, *rows[p]) for p in self.pivots)
 
     def _reduce(self, w: dict) -> None:
-        """In place, eliminate every pivot coordinate from ``w``.  One pass
-        over the pivots present in ``w`` suffices, since each row is zero
-        at every other pivot."""
-        basis = self.basis
-        for p in [k for k in w if k in basis]:
-            add_scaled(w, -w[p], basis[p])
+        """In place, eliminate every pivot coordinate from the Gaussian-
+        integer vector ``w``, up to a nonzero integer factor.  Each row is
+        zero at every other pivot, so the coefficient of the row of pivot p
+        is w's own entry w_p: w becomes L w - sum_p (L w_p / D_p) tail_p,
+        with the least L that makes every coefficient integral."""
+        rows = self._rows
+        hits = [p for p in w if p in rows]
+        scale = 1
+        for p in hits:
+            den = rows[p][0]
+            if den != 1:
+                den //= gcd(den, *w[p])
+                if scale % den:
+                    scale = scale // gcd(scale, den) * den
+        if scale != 1:
+            for k, (x, y) in w.items():
+                w[k] = (x * scale, y * scale)
+        for p in hits:
+            den, tail = rows[p]
+            a, b = w.pop(p)
+            _sub_multiple(w, a // den, b // den, tail)
 
     def insert(self, v) -> tuple["Subspace", bool]:
         """In place, extend the basis to span ``v`` too; the flag reports
         growth.  The pair ``(self, grew)`` is what the benchmark's tracer
         reads (``perfbench/tracing.py`` counts growth from item 1)."""
-        w = _sparse(v, self.ambient)
+        w, _ = _numerators(v, self.ambient)
         self._reduce(w)
         if not w:
             return self, False
-        p = min(w)
-        c = w[p]
-        if c != ONE:
-            inv = c.inverse()
-            w = {k: inv * x for k, x in w.items()}
-        basis = self.basis
-        for r in basis.values():
-            c = r.get(p)
-            if c is not None:
-                add_scaled(r, -c, w)
-        basis[p] = w
+        q = min(w)
+        a, b = w.pop(q)
+        if b:  # times the conjugate, the pivot a^2 + b^2 is real
+            w = {k: (x * a + y * b, y * a - x * b) for k, (x, y) in w.items()}
+            den = a * a + b * b
+        elif a < 0:
+            w = {k: (-x, -y) for k, (x, y) in w.items()}
+            den = -a
+        else:
+            den = a
+        den = _lowest_terms(den, w)
+        rows, cols = self._rows, self._cols
+        for k in w:
+            cols.setdefault(k, set()).add(q)
+        # back-eliminate q: row r becomes (D/g) row_r - (c/g) w, c its entry at q
+        for r in cols.pop(q, ()):
+            rden, tail = rows[r]
+            a, b = tail.pop(q)
+            g = gcd(den, a, b)
+            s = den // g
+            if s != 1:
+                for k, (x, y) in tail.items():
+                    tail[k] = (x * s, y * s)
+            _sub_multiple(tail, a // g, b // g, w, cols, r)
+            rows[r] = (_lowest_terms(rden * s, tail), tail)
+        rows[q] = (den, w)
         return self, True
 
     def contains(self, v) -> bool:
-        w = _sparse(v, self.ambient)
+        w, _ = _numerators(v, self.ambient)
         self._reduce(w)
         return not w
 
     def coords_of(self, v) -> tuple | None:
         """Coordinates of ``v`` in this basis, or None if outside the span."""
-        w = _sparse(v, self.ambient)
-        coords = tuple(w.get(p, ZERO) for p in self.pivots)
+        w, den = _numerators(v, self.ambient)
+        coords = tuple(
+            GaussianRational(*w[p], den) if p in w else ZERO for p in self.pivots
+        )
         self._reduce(w)
         if w:
             return None
@@ -496,7 +600,7 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
+        return self.ambient == other.ambient and self._rows == other._rows
 
     def __hash__(self):
         return hash((self.ambient, self.pivots))
@@ -516,13 +620,16 @@ def _augmented(vectors: Sequence[dict], offset: int) -> Subspace:
 
 def _null_space(vectors: Sequence[dict], offset: int) -> Subspace:
     """All coefficient rows c with sum c_s v_s = 0: the rows of the echelon
-    form of [V | I] whose pivots lie in the identity block."""
-    s = _augmented(vectors, offset)
-    return Subspace(len(vectors), {
-        p - offset: {k - offset: x for k, x in r.items()}
-        for p, r in s.basis.items()
-        if p >= offset
-    })
+    form of [V | I] whose pivots lie in the identity block, shifted onto it."""
+    null = Subspace(len(vectors))
+    rows, cols = null._rows, null._cols
+    for p, (den, tail) in _augmented(vectors, offset)._rows.items():
+        if p >= offset:
+            tail = {k - offset: x for k, x in tail.items()}
+            rows[p - offset] = (den, tail)
+            for k in tail:
+                cols.setdefault(k, set()).add(p - offset)
+    return null
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +654,12 @@ def inverse(m: Matrix) -> Matrix:
         raise DimensionError("only square matrices invert")
     d = m.rows
     s = _augmented([m.data.get(i, _EMPTY) for i in range(d)], d)
-    if any(p >= d for p in s.basis):
+    if any(p >= d for p in s._rows):
         raise ValidationError("matrix is singular")
+    # every column below d is a pivot, so each tail lies in the identity block
     return Matrix(d, d, {
-        p: {k - d: x for k, x in r.items() if k >= d} for p, r in sorted(s.basis.items())
+        p: {k - d: GaussianRational(x, y, den) for k, (x, y) in tail.items()}
+        for p, (den, tail) in sorted(s._rows.items())
     })
 
 
@@ -651,18 +760,19 @@ def center_of(space: Subspace) -> Subspace:
     if not mats:
         return Subspace(space.ambient)
     d = mats[0].rows
-    cand = list(space.rows)  # flattened candidate matrices
+    cand = [m.flatten() for m in mats]  # flattened candidate matrices
     for bj in mats:
         if not cand:
             break
         images = [comm(Matrix.from_flat(x, d, d), bj).flatten() for x in cand]
         if not any(images):
             continue
+        # each null-space row is 1 at its pivot p and (re + im i)/D elsewhere
         new_cand = []
-        for lam in _null_space(images, d * d).rows:
-            x: dict = {}
-            for s, c in lam.items():
-                add_scaled(x, c, cand[s])
+        for p, (den, tail) in sorted(_null_space(images, d * d)._rows.items()):
+            x = dict(cand[p])
+            for s, (re, im) in tail.items():
+                add_scaled(x, GaussianRational(re, im, den), cand[s])
             new_cand.append(x)
         cand = new_cand
     return Subspace.span(cand, ambient=space.ambient)

@@ -101,6 +101,16 @@ def test_insert_extends_in_place_in_pivot_order():
     assert hash(s) == hash(Subspace.span([[1, 0, -2, 1], [0, 1, 2, 0]], 4))
 
 
+def test_rows_enter_only_through_insert():
+    # the constructor takes no rows: a row stored unchecked, such as the
+    # non-canonical {0: 2}, would reject [1, 0, 0] and give it no coordinates
+    with pytest.raises(TypeError):
+        Subspace(3, {0: {0: qi(2)}})
+    s = Subspace.span([[2, 0, 0]], 3)
+    assert s.rows == ({0: ONE},)
+    assert s.contains(vec([1, 0, 0])) and s.coords_of(vec([1, 0, 0])) == vec([1])
+
+
 def test_sum_leaves_its_operands_unchanged():
     a = Subspace.span([[0, 1, 0]], 3)
     b = Subspace.span([[1, 0, 0], [0, 1, 1]], 3)
@@ -211,7 +221,7 @@ def test_canonical_form_on_sparse_input(vectors, combos):
     for p, row in zip(s.pivots, s.rows):
         assert min(row) == p and row[p] == ONE
         assert all(row.values())  # no stored zeros
-        assert all(p not in other for q, other in s.basis.items() if q != p)
+        assert all(p not in other for q, other in zip(s.pivots, s.rows) if q != p)
     # every input and every linear combination of inputs lies in the span
     in_span = list(vectors)
     for coeffs in combos:
