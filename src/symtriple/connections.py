@@ -119,19 +119,17 @@ def alpha_rs(model: HomogeneousModel, r: int, s: int) -> NomizuMap:
     ri = r - 1
     phi_s = model.phi(s)
     w_s = model.metric.gram @ phi_s  # w_s[i, j] = g(e_i, phi_s e_j)
+    # entries added to the eps block, each at a place where it is zero
+    extra = [{} for _ in range(md)]
+    for i, j, v in w_s.entries():
+        if i >= 3 and j >= 3:  # columns over odd Y: Phi_s(e_i, Y) xi_r
+            extra[i].setdefault(ri, {})[j] = v
+    for l, i, v in phi_s.entries():
+        if i >= 3:  # column xi_r: phi_s(e_i), and its alternating counterpart
+            extra[i].setdefault(l, {})[ri] = v
+            extra[ri].setdefault(l, {})[i] = -v
     ops = _block_ops(model, (-HALF if r == s else ZERO, ZERO))
-    for i in range(3, md):
-        # columns over odd Y: Phi_s(e_i, Y) xi_r
-        row = w_s.data.get(i, {})
-        for j, v in row.items():
-            if j >= 3:
-                ops[i].set_entry(ri, j, v)
-        # column xi_r: phi_s(e_i)
-        for l in range(md):
-            v = phi_s[l, i]
-            if v:
-                ops[i].set_entry(l, ri, v)
-                ops[ri].set_entry(l, i, -v)  # alternating counterpart
+    ops = [op + Matrix(md, md, e) if e else op for op, e in zip(ops, extra)]
     return NomizuMap(ops, f"alpha_{r}{s}")
 
 
@@ -181,15 +179,10 @@ def alpha_zero(model: HomogeneousModel) -> NomizuMap:
 
 def torsion_operator(model: HomogeneousModel, alpha: NomizuMap, i: int, j: int):
     """T(e_i, e_j) = alpha(e_i,e_j) - alpha(e_j,e_i) - [e_i,e_j]_m."""
-    md = model.m_dim
-    out = [ZERO] * md
-    for l in range(md):
-        v = alpha.ops[i][l, j] - alpha.ops[j][l, i]
-        if v:
-            out[l] = v
-    for l, v in model.m_bracket_m(i, j).items():
-        out[l] = out[l] - v
-    return tuple(out)
+    t = alpha.ops[i].transpose().row(j)
+    add_scaled(t, -ONE, alpha.ops[j].transpose().row(i))
+    add_scaled(t, -ONE, model.m_bracket_m(i, j))
+    return tuple(t.get(l, ZERO) for l in range(model.m_dim))
 
 
 def is_metric(model: HomogeneousModel, alpha: NomizuMap) -> bool:
@@ -211,10 +204,10 @@ def is_skew_torsion(model: HomogeneousModel, alpha: NomizuMap) -> bool:
     if not is_metric(model, alpha):
         return False
     base = alpha_levi_civita(model)
-    cols = {}  # (i, j) -> D(e_i, e_j), sparse and nonzero
+    cols: dict = {}  # (i, j) -> D(e_i, e_j), sparse and nonzero
     for i, (a_i, g_i) in enumerate(zip(alpha.ops, base.ops)):
-        for j, col in (a_i - g_i).transpose().data.items():
-            cols[(i, j)] = col
+        for j, l, x in (a_i - g_i).transpose().entries():
+            cols.setdefault((i, j), {})[l] = x
     return all(
         cols.get((j, i)) == {l: -x for l, x in col.items()}
         for (i, j), col in cols.items()
@@ -256,9 +249,9 @@ def admissibility_failures(model: HomogeneousModel, alpha: NomizuMap) -> list:
     list; empty when every h-basis element acts as a derivation."""
     for t in range(model.h_dim):
         d = model.ad_m_inder(t)
-        cols = d.transpose().data  # cols[i] = d(e_i)
+        cols = d.transpose()  # cols.row(i) = d(e_i)
         for i in range(model.m_dim):
-            terms = [(v, alpha.ops[l]) for l, v in cols.get(i, {}).items()]
+            terms = [(v, alpha.ops[l]) for l, v in cols.row(i).items()]
             if not comm_minus(d, alpha.ops[i], terms).is_zero():
                 return [(t, i)]
     return []

@@ -71,6 +71,11 @@ def _sl2_to_xi(m: Matrix):
     return (c1, c2, c3)
 
 
+def _scalars(v: dict) -> dict:
+    """A sparse vector with every Gaussian-integer pair made a scalar."""
+    return {k: GaussianRational(*x) if type(x) is tuple else x for k, x in v.items()}
+
+
 class GradedLieAlgebra:
     """Structure constants of g(T) with the fixed basis layout."""
 
@@ -99,7 +104,9 @@ class GradedLieAlgebra:
         return {l: -v for l, v in entry.items()}
 
     def bracket(self, x: dict, y: dict) -> dict:
-        """[x, y] of sparse coordinate vectors ``{index: nonzero coefficient}``."""
+        """[x, y] of sparse coordinate vectors ``{index: nonzero coefficient}``,
+        with coefficients in Q(i) or Gaussian-integer pairs (re, im)."""
+        x, y = _scalars(x), _scalars(y)
         out: dict = {}
         for i, xi in x.items():
             for j, yj in y.items():
@@ -176,10 +183,11 @@ def build_enveloping(T: SymplecticTripleSystem, inder: InnerDerivationSpace | No
                 ])
     # h-odd:  [d, e_a (x) t_k] = e_a (x) d(t_k), over the nonzero columns of d
     for r in range(h):
-        cols = inder.mats[r].transpose().data
+        cols = inder.mats[r].transpose()
+        ks = [(k, cols.row(k)) for k in cols.num]
         for a in range(2):
             odd = 3 + h + a * t_dim
-            for k, col in cols.items():
+            for k, col in ks:
                 put(3 + r, odd + k, [(odd + l, v) for l, v in col.items()])
     # odd-odd:  [e_a (x) x, e_b (x) y] = (x,y) gamma_{a,b} + <a,b> d_{x,y}
     gamma_coords = {
@@ -289,16 +297,15 @@ def verify_jacobi(L: GradedLieAlgebra, mode: str = "fast") -> JacobiReport:
 
 def killing_form(L: GradedLieAlgebra) -> Matrix:
     """kappa(x, y) = trace(ad x . ad y), exact, from the trace definition."""
-    kappa = Matrix(L.dim, L.dim)
+    data: dict = {}
     ads = [L.ad(i) for i in range(L.dim)]
     for i in range(L.dim):
         for j in range(i, L.dim):
             v = trace_product(ads[i], ads[j])
             if v:
-                kappa.set_entry(i, j, v)
-                if i != j:
-                    kappa.set_entry(j, i, v)
-    return kappa
+                data.setdefault(i, {})[j] = v
+                data.setdefault(j, {})[i] = v
+    return Matrix(L.dim, L.dim, data)
 
 
 class InvariantMetric:
@@ -331,18 +338,19 @@ def metric_g(L: GradedLieAlgebra, split: ReductiveSplit, kappa: Matrix | None = 
     m_dim = len(m_idx)
     denom_v = qi(-4 * (n + 2)).inverse()
     denom_o = qi(-8 * (n + 2)).inverse()
-    gram = Matrix(m_dim, m_dim)
-    for p, i in enumerate(m_idx):
-        for q, j in enumerate(m_idx):
-            k = kappa[i, j]
-            if not k:
-                continue
-            vertical_i, vertical_j = p < 3, q < 3
-            if vertical_i != vertical_j:
-                raise ConstructionError(
-                    "Killing form does not vanish on the mixed sp(V) x odd block"
-                )
-            gram.set_entry(p, q, k * (denom_v if vertical_i else denom_o))
+    position = {i: p for p, i in enumerate(m_idx)}
+    data: dict = {}
+    for i, j, k in kappa.entries():
+        p, q = position.get(i), position.get(j)
+        if p is None or q is None:
+            continue
+        vertical_i, vertical_j = p < 3, q < 3
+        if vertical_i != vertical_j:
+            raise ConstructionError(
+                "Killing form does not vanish on the mixed sp(V) x odd block"
+            )
+        data.setdefault(p, {})[q] = k * (denom_v if vertical_i else denom_o)
+    gram = Matrix(m_dim, m_dim, data)
     for i in range(3):
         for j in range(3):
             expect = ONE if i == j else ZERO
@@ -463,12 +471,13 @@ class HomogeneousModel:
         m = self._ads.get(k)
         if m is None:
             where = self._where
-            data: dict = {}
-            for l, row in self.algebra.ad(k).data.items():
+            ad = self.algebra.ad(k)
+            num: dict = {}
+            for l, row in ad.num.items():
                 part, pos = where[l]
                 if part == 0:
-                    data[pos] = {where[j][1]: v for j, v in row.items()}
-            m = Matrix(self.m_dim, self.m_dim, data)
+                    num[pos] = {where[j][1]: z for j, z in row.items()}
+            m = Matrix.from_numerators(self.m_dim, self.m_dim, num, ad.den)
             self._ads[k] = m
         return m
 

@@ -16,12 +16,13 @@ serves as a certified early-exit bound for the closure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .connections import Connection, connection_by_name
 from .enveloping import build_model
 from .errors import ValidationError
-from .linalg import Matrix, Subspace, add_scaled, bracket_closure, center_of
-from .scalars import GaussianRational, ONE, ZERO, qi
+from .linalg import Matrix, Subspace, add_numerators, bracket_closure, center_of, trace_product
+from .scalars import GaussianRational, ZERO, qi
 from . import families
 
 __all__ = [
@@ -49,11 +50,6 @@ class HolonomyResult:
     contains_so: bool
     so_dim: int
     metric: bool
-
-    def ensure_center(self) -> int:
-        if self.center_dim is None:
-            self.center_dim = center_of(self.algebra).dim
-        return self.center_dim
 
 
 def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyResult:
@@ -150,20 +146,22 @@ def ricci(conn: Connection) -> RicciData:
     """Ric(X, Y) = trace(Z -> R(Z, X) Y), plus block comparison against g."""
     model = conn.model
     md = model.m_dim
-    rows: dict = {}
-    for (i, j), r in conn.curvature_pairs():
+    pairs = list(conn.curvature_pairs())
+    den = lcm(*(r.den for _, r in pairs))
+    num: dict = {k: {} for k in range(md)}
+    for (i, j), r in pairs:
         # contributes R(e_i, e_j)[i, k] to Ric[j, k] and -R[j, k] to Ric[i, k]
-        add_scaled(rows.setdefault(j, {}), ONE, r.data.get(i, {}))
-        add_scaled(rows.setdefault(i, {}), -ONE, r.data.get(j, {}))
-    ric = Matrix(md, md, {i: row for i, row in rows.items() if row})
+        s = den // r.den
+        add_numerators(num[j], s, 0, r.num.get(i, {}))
+        add_numerators(num[i], -s, 0, r.num.get(j, {}))
+    ric = Matrix.from_numerators(md, md, num, den)
     gram = model.metric.gram
     vertical = _block_constant(ric, gram, range(0, 3))
     horizontal = _block_constant(ric, gram, range(3, md))
     mixed_zero = all(
         not ric[i, j] and not ric[j, i] for i in range(3) for j in range(3, md)
     )
-    ginv = model.metric.inverse()
-    scal = (ginv @ ric).trace()
+    scal = trace_product(model.metric.inverse(), ric)
     return RicciData(ric, vertical, horizontal, mixed_zero, scal)
 
 

@@ -1,39 +1,47 @@
 """Exact dense-semantics linear algebra over the Gaussian rationals.
 
-Matrices store only nonzero entries (row-major dicts) but behave as dense
-exact matrices.  Every structure-constant table of the package, from the
-composition algebras to g(T), works on one vector type, the sparse vector
-``{index: nonzero GaussianRational}`` of a ``Matrix.data`` row, and
-elimination takes and gives such vectors: ``add_scaled`` is its one in-place
-axpy and ``table_product`` evaluates a table of such vectors on dense
-elements.  Elimination has one routine,
-``Subspace.insert``, which extends a canonical reduced-row-echelon basis in
-place: pivots are normalized to 1 and eliminated from every other row, so two
-equal subspaces always carry identical rows.  Rank, kernel, inverse, closure
-and center are all computed by it.  Inside ``Subspace`` a row is Gaussian-
-integer numerators over one shared denominator, eliminated fraction-free on
-plain ints with one gcd per normalized row, and a column index finds the rows
-a new pivot must be cleared from; ``GaussianRational`` values are built only
-where rows leave it.
+A ``Matrix`` is Gaussian-integer numerator rows ``{i: {j: (re, im)}}`` over
+one positive denominator, in canonical form, the representation of FLINT's
+``fmpq_mat``.  Its products, ``@``, ``comm_minus``, ``combination`` and
+``trace_product``, scale every part to one common denominator, sum on plain
+ints and reduce each result once, with one gcd over the matrix.
+``GaussianRational`` values are built only at the edge: by ``__getitem__``,
+``row`` and ``entries``, and by ``apply`` and ``bilinear``, which take dense
+``GaussianRational`` vectors and read only the entries each row holds.
+``flatten`` and ``from_flat`` only remap indices: the flattening is a
+sparse Gaussian-integer vector, the matrix times its denominator.
 
-Every accumulator here, from ``add_scaled`` and the matrix products to
-``apply``, ``bilinear``, ``dot`` and ``trace_product``, sums y + c*x through
-the fused ``GaussianRational.add_mul``.
+Elimination has one routine, ``Subspace.insert``, which extends a canonical
+reduced-row-echelon basis in place: pivots are normalized to 1 and
+eliminated from every other row, so two equal subspaces always carry
+identical rows.  Rank, kernel, inverse, closure and center are all computed
+by it.  A ``Subspace`` row is a ``Matrix`` row too, Gaussian-integer
+numerators over one denominator, eliminated fraction-free with one gcd per
+normalized row, and a column index finds the rows a new pivot must be
+cleared from.  ``insert`` takes such integer vectors as they are, since a
+span does not change under scaling, so closures and centers stay on ints.
+
+The structure-constant tables of the package, from the composition algebras
+to g(T), are sparse vectors ``{index: nonzero GaussianRational}``:
+``add_scaled`` is their in-place axpy and ``table_product`` evaluates a
+table on dense elements, both summing y + c*x through the fused
+``GaussianRational.add_mul``.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ValidationError
-from .scalars import GaussianRational, ONE, ZERO, qi
+from .scalars import GaussianRational, ONE, ZERO, _new, qi
 
 __all__ = [
     "Matrix",
     "Subspace",
     "add_scaled",
+    "add_numerators",
     "table_product",
     "comm_minus",
     "combination",
@@ -56,86 +64,139 @@ def vec(values: Iterable) -> Vector:
 
 
 class Matrix:
-    """Exact rows x cols matrix; equality is entrywise."""
+    """Exact rows x cols matrix over Q(i): Gaussian-integer numerator rows
+    over one positive denominator.
 
-    __slots__ = ("rows", "cols", "data")
+    ``num`` maps each row index to a sparse row ``{j: (re, im)}`` of nonzero
+    Gaussian-integer numerators, and the entry at (i, j) is
+    (re + im i) / ``den``.  The form is canonical: den >= 1, den and all
+    numerators have gcd 1, and den = 1 for the zero matrix, so equality is
+    entrywise.  The constructor takes entries ``{i: {j: scalar}}``;
+    ``__getitem__``, ``row`` and ``entries`` give ``GaussianRational``.
+    """
 
-    def __init__(self, rows: int, cols: int, data: dict | None = None):
+    __slots__ = ("rows", "cols", "den", "num")
+
+    def __init__(self, rows: int, cols: int, entries: dict | None = None):
         self.rows = rows
         self.cols = cols
-        # data: {row_index: {col_index: nonzero GaussianRational}}
-        self.data = data if data is not None else {}
+        den = 1
+        vals: dict = {}
+        for i, row in (entries or _EMPTY).items():
+            r = {}
+            for j, x in row.items():
+                if type(x) is not GaussianRational:
+                    x = qi(x)
+                if x.a or x.b:
+                    r[j] = x
+                    if den % x.d:
+                        den = den // gcd(den, x.d) * x.d
+            if r:
+                vals[i] = r
+        # each entry is in lowest terms, so den = lcm of theirs is canonical
+        self.den = den
+        small = _SMALL.get
+        num = self.num = {}
+        for i, r in vals.items():
+            num[i] = row = {}
+            for j, x in r.items():
+                z = (x.a * (den // x.d), x.b * (den // x.d))
+                row[j] = small(z, z)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols)
-
-    @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, {i: {i: ONE} for i in range(n)})
+        return _matrix(n, n, 1, {i: {i: (1, 0)} for i in range(n)})
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
         nr = len(rows)
         nc = len(rows[0]) if nr else 0
-        data: dict = {}
-        for i, row in enumerate(rows):
-            if len(row) != nc:
-                raise DimensionError("ragged rows")
-            r = {}
-            for j, x in enumerate(row):
-                x = qi(x)
-                if x:
-                    r[j] = x
-            if r:
-                data[i] = r
-        return Matrix(nr, nc, data)
+        if any(len(row) != nc for row in rows):
+            raise DimensionError("ragged rows")
+        return Matrix(nr, nc, {i: dict(enumerate(row)) for i, row in enumerate(rows)})
 
     @staticmethod
-    def from_flat(v: dict, rows: int, cols: int) -> "Matrix":
-        """The matrix whose row-major flattening is the sparse vector ``v``."""
+    def from_numerators(rows: int, cols: int, num: dict, den: int = 1) -> "Matrix":
+        """The matrix ``num / den`` in canonical form, for a positive
+        ``den`` and Gaussian-integer rows ``{i: {j: (re, im)}}`` that may
+        hold zeros.  Rows of ``num`` without zeros are taken over, not
+        copied."""
+        nonzero = {}
+        for i, row in num.items():
+            if _ZZ in row.values():
+                row = {j: z for j, z in row.items() if z != _ZZ}
+            if row:
+                nonzero[i] = row
+        num = nonzero
+        if den != 1:
+            if not num:
+                den = 1
+            else:
+                g = gcd(den, *chain.from_iterable(chain.from_iterable(
+                    row.values() for row in num.values())))
+                if g != 1:
+                    den //= g
+                    num = {
+                        i: {j: (x // g, y // g) for j, (x, y) in row.items()}
+                        for i, row in num.items()
+                    }
+        return _matrix(rows, cols, den, num)
+
+    @staticmethod
+    def from_flat(v: dict, rows: int, cols: int, den: int = 1) -> "Matrix":
+        """The matrix ``w / den`` whose row-major flattening ``w`` is the
+        sparse Gaussian-integer vector ``v`` (``flatten``'s inverse)."""
         if v and (min(v) < 0 or max(v) >= rows * cols):
             raise DimensionError(f"flat index outside {rows}x{cols}")
-        data: dict = {}
-        for p, x in v.items():
+        num: dict = {}
+        for p, z in v.items():
             i, j = divmod(p, cols)
-            data.setdefault(i, {})[j] = x
-        return Matrix(rows, cols, data)
+            row = num.get(i)
+            if row is None:
+                num[i] = {j: z}
+            else:
+                row[j] = z
+        return Matrix.from_numerators(rows, cols, num, den)
 
     # -- access -----------------------------------------------------------
 
     def __getitem__(self, key) -> GaussianRational:
         i, j = key
-        return self.data.get(i, _EMPTY).get(j, ZERO)
+        z = self.num.get(i, _EMPTY).get(j)
+        return ZERO if z is None else GaussianRational(z[0], z[1], self.den)
+
+    def row(self, i: int) -> dict:
+        """Row i as a sparse vector ``{j: nonzero GaussianRational}``."""
+        den = self.den
+        return {j: GaussianRational(x, y, den) for j, (x, y) in self.num.get(i, _EMPTY).items()}
 
     def set_entry(self, i: int, j: int, x) -> None:
+        """Set entry (i, j) in place."""
         x = qi(x)
-        row = self.data.get(i)
-        if x:
-            if row is None:
-                self.data[i] = {j: x}
-            else:
-                row[j] = x
-        elif row is not None:
-            row.pop(j, None)
-            if not row:
-                del self.data[i]
+        den, num = lcm(self.den, x.d), self.num
+        if den != self.den:
+            s = den // self.den
+            for row in num.values():
+                for k, (a, b) in row.items():
+                    row[k] = (a * s, b * s)
+        s = den // x.d
+        num.setdefault(i, {})[j] = (x.a * s, x.b * s)
+        m = Matrix.from_numerators(self.rows, self.cols, num, den)
+        self.den, self.num = m.den, m.num
 
     def entries(self):
-        for i, row in self.data.items():
-            for j, x in row.items():
-                yield i, j, x
-
-    def to_lists(self) -> list:
-        return [[self[i, j] for j in range(self.cols)] for i in range(self.rows)]
+        den = self.den
+        for i, row in self.num.items():
+            for j, (x, y) in row.items():
+                yield i, j, GaussianRational(x, y, den)
 
     def is_zero(self) -> bool:
-        return not self.data
+        return not self.num
 
     def nnz(self) -> int:
-        return sum(len(r) for r in self.data.values())
+        return sum(len(r) for r in self.num.values())
 
     # -- algebra ------------------------------------------------------------
 
@@ -145,52 +206,31 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        data = {i: dict(r) for i, r in self.data.items()}
-        for i, row in other.data.items():
-            r = data.setdefault(i, {})
-            add_scaled(r, ONE, row)
-            if not r:
-                del data[i]
-        return Matrix(self.rows, self.cols, data)
+        return _assemble(self.rows, self.cols, (), ((ONE, self), (ONE, other)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        self._check_same_shape(other)
+        return _assemble(self.rows, self.cols, (), ((ONE, self), (-ONE, other)))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(
-            self.rows,
-            self.cols,
-            {i: {j: -x for j, x in r.items()} for i, r in self.data.items()},
-        )
+        return _matrix(self.rows, self.cols, self.den, {
+            i: {j: (-x, -y) for j, (x, y) in r.items()} for i, r in self.num.items()
+        })
 
     def scale(self, c) -> "Matrix":
-        c = qi(c)
-        if not c:
-            return Matrix(self.rows, self.cols)
-        return Matrix(
-            self.rows,
-            self.cols,
-            {i: {j: c * x for j, x in r.items()} for i, r in self.data.items()},
-        )
+        return _assemble(self.rows, self.cols, (), ((c, self),))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionError("matmul shape mismatch")
-        acc: dict = {}
-        _add_product(acc, self, other, False)
-        return _collect(self.rows, other.cols, acc)
+        return _assemble(self.rows, other.cols, ((1, self, other),), ())
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise DimensionError("matrix-vector length mismatch")
         out = [ZERO] * self.rows
-        for i, row in self.data.items():
-            acc = ZERO
-            for j, x in row.items():
-                vj = v[j]
-                if vj:
-                    acc = acc.add_mul(x, vj)
-            out[i] = acc
+        for i, row in self.num.items():
+            out[i] = _dot_numerators(row, v, self.den)
         return tuple(out)
 
     def bilinear(self, x: Vector, y: Vector) -> GaussianRational:
@@ -198,36 +238,38 @@ class Matrix:
         if len(x) != self.rows or len(y) != self.cols:
             raise DimensionError("bilinear form argument length mismatch")
         acc = ZERO
-        for i, row in self.data.items():
-            xi = x[i]
+        for i, xi in enumerate(x):
             if xi:
-                for j, v in row.items():
-                    yj = y[j]
-                    if yj:
-                        acc = acc.add_mul(xi * v, yj)
+                row = self.num.get(i)
+                if row:
+                    acc = acc.add_mul(xi, _dot_numerators(row, y, self.den))
         return acc
 
     def transpose(self) -> "Matrix":
-        data: dict = {}
-        for i, row in self.data.items():
-            for j, x in row.items():
-                data.setdefault(j, {})[i] = x
-        return Matrix(self.cols, self.rows, data)
+        num: dict = {}
+        for i, row in self.num.items():
+            for j, z in row.items():
+                r = num.get(j)
+                if r is None:
+                    num[j] = {i: z}
+                else:
+                    r[i] = z
+        return _matrix(self.cols, self.rows, self.den, num)
 
     def trace(self) -> GaussianRational:
-        t = ZERO
-        for i, row in self.data.items():
-            x = row.get(i)
-            if x is not None:
-                t = t + x
-        return t
+        re = im = 0
+        for i, row in self.num.items():
+            z = row.get(i)
+            if z is not None:
+                re += z[0]
+                im += z[1]
+        return GaussianRational(re, im, self.den)
 
     def flatten(self) -> dict:
-        """Row-major flattening as a sparse vector."""
+        """The row-major flattening of the numerators, a sparse Gaussian-
+        integer vector: the matrix times ``den``."""
         nc = self.cols
-        return {
-            i * nc + j: x for i, row in self.data.items() for j, x in row.items()
-        }
+        return {i * nc + j: z for i, row in self.num.items() for j, z in row.items()}
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -235,19 +277,44 @@ class Matrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash(
-            (self.rows, self.cols, tuple(sorted((i, j, x) for i, j, x in self.entries())))
-        )
+        return hash((self.rows, self.cols, self.den, frozenset(
+            (i, j, z) for i, row in self.num.items() for j, z in row.items()
+        )))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
 _EMPTY: dict = {}
+_ZZ = (0, 0)
+# one shared object per small numerator, for the matrices built from entries
+_SMALL = {(a, b): (a, b) for a in range(-4, 5) for b in range(-4, 5)}
+_object_new = object.__new__
+
+
+def _dot_numerators(row: dict, v: Vector, den: int) -> GaussianRational:
+    """sum_j row[j] v_j / den for a numerator row and a dense vector v."""
+    acc = ZERO
+    for j, (x, y) in row.items():
+        vj = v[j]
+        if vj:
+            acc = acc.add_mul(vj, _new(x, y, 1))
+    return acc * _new(1, 0, den) if den != 1 and acc else acc
+
+
+def _matrix(rows: int, cols: int, den: int, num: dict) -> Matrix:
+    """The Matrix ``num / den`` for a pair already in canonical form."""
+    m = _object_new(Matrix)
+    m.rows = rows
+    m.cols = cols
+    m.den = den
+    m.num = num
+    return m
 
 
 def comm(a: Matrix, b: Matrix) -> Matrix:
@@ -265,74 +332,113 @@ def comm_minus(a: Matrix, b: Matrix, terms: Iterable) -> Matrix:
     n = a.rows
     if not (a.cols == b.rows == b.cols == n):
         raise DimensionError("comm_minus needs square matrices of one size")
-    acc: dict = {}
-    _add_product(acc, a, b, False)
-    _add_product(acc, b, a, True)
-    _add_terms(acc, n, ((-qi(c), m) for c, m in terms))
-    return _collect(n, n, acc)
+    return _assemble(n, n, ((1, a, b), (-1, b, a)), terms, -1)
 
 
 def combination(terms: Iterable, n: int) -> Matrix:
     """sum c M over the pairs (c, M) of n x n matrices in ``terms``."""
-    acc: dict = {}
-    _add_terms(acc, n, terms)
-    return _collect(n, n, acc)
+    return _assemble(n, n, (), terms)
 
 
-def _accumulate(acc: dict, i: int, c: GaussianRational, row: dict) -> None:
-    """In place, row i of ``acc`` += c * row, keeping entries that cancel."""
-    out = acc.get(i)
-    if out is None:
-        acc[i] = {j: c * y for j, y in row.items()}
-        return
-    for j, y in row.items():
-        z = out.get(j)
-        out[j] = c * y if z is None else z.add_mul(c, y)
+def _assemble(rows: int, cols: int, products, terms, sign: int = 1) -> Matrix:
+    """sum s a b + sum c M over the triples (s, a, b), s = 1 or -1, of
+    ``products`` and the pairs (c, M) of ``terms``, all rows x cols.
 
-
-def _add_product(acc: dict, a: Matrix, b: Matrix, subtract: bool) -> None:
-    """In place, acc += ab, or acc -= ab when ``subtract`` is set."""
-    bdata = b.data
-    for i, row in a.data.items():
-        for k, x in row.items():
-            brow = bdata.get(k)
-            if brow is not None:
-                _accumulate(acc, i, -x if subtract else x, brow)
-
-
-def _add_terms(acc: dict, n: int, terms) -> None:
-    """In place, acc += c M for each pair (c, M) of n x n ``terms``."""
+    Every part is scaled to the least common denominator L of the parts
+    and summed on plain ints into one accumulator, which is brought to
+    canonical form once, with one gcd against L.  ``sign`` multiplies
+    every term."""
+    den = 1
+    for _, a, b in products:
+        d = a.den * b.den
+        if den % d:
+            den = den // gcd(den, d) * d
+    scaled = []
     for c, m in terms:
-        if m.rows != n or m.cols != n:
-            raise DimensionError(f"term of shape {m.rows}x{m.cols}, expected {n}x{n}")
-        c = qi(c)
-        if c:
-            for i, row in m.data.items():
-                _accumulate(acc, i, c, row)
+        if m.rows != rows or m.cols != cols:
+            raise DimensionError(
+                f"term of shape {m.rows}x{m.cols}, expected {rows}x{cols}"
+            )
+        if type(c) is not GaussianRational:
+            c = qi(c)
+        if c.a or c.b:
+            scaled.append((c, m))
+            d = c.d * m.den
+            if den % d:
+                den = den // gcd(den, d) * d
+    acc: dict = {}
+    for s, a, b in products:
+        _add_product(acc, a.num, b.num, s * (den // (a.den * b.den)))
+    for c, m in scaled:
+        s = sign * (den // (c.d * m.den))
+        cr, ci = c.a * s, c.b * s
+        for i, row in m.num.items():
+            out = acc.get(i)
+            if out is None:
+                acc[i] = _times(cr, ci, row)
+            else:
+                add_numerators(out, cr, ci, row)
+    return Matrix.from_numerators(rows, cols, acc, den)
 
 
-def _collect(rows: int, cols: int, acc: dict) -> Matrix:
-    """The matrix of an accumulator, without the entries that cancelled."""
-    data = {}
-    for i, row in acc.items():
-        row = {j: x for j, x in row.items() if x}
-        if row:
-            data[i] = row
-    return Matrix(rows, cols, data)
+def add_numerators(out: dict, cr: int, ci: int, row: dict) -> None:
+    """In place, out += (cr + ci i) * row on sparse Gaussian-integer
+    vectors ``{j: (re, im)}``.  Entries that cancel stay as (0, 0), which
+    ``Matrix.from_numerators`` drops."""
+    get = out.get
+    if ci:
+        for j, (x, y) in row.items():
+            zr, zi = get(j, _ZZ)
+            out[j] = (zr + cr * x - ci * y, zi + cr * y + ci * x)
+    else:
+        for j, (x, y) in row.items():
+            zr, zi = get(j, _ZZ)
+            out[j] = (zr + cr * x, zi + cr * y)
+
+
+def _times(cr: int, ci: int, row: dict) -> dict:
+    """(cr + ci i) * row for a sparse Gaussian-integer vector row."""
+    if ci:
+        return {j: (cr * x - ci * y, cr * y + ci * x) for j, (x, y) in row.items()}
+    return {j: (cr * x, cr * y) for j, (x, y) in row.items()}
+
+
+def _add_product(acc: dict, a: dict, b: dict, s: int) -> None:
+    """In place, acc += s a b for the numerator rows a, b and an int s."""
+    if not b:
+        return
+    bget = b.get
+    for i, row in a.items():
+        out = None
+        for k, (cr, ci) in row.items():
+            brow = bget(k)
+            if brow is None:
+                continue
+            if s != 1:
+                cr *= s
+                ci *= s
+            if out is None:
+                out = acc.get(i)
+                if out is None:
+                    acc[i] = out = _times(cr, ci, brow)
+                    continue
+            add_numerators(out, cr, ci, brow)
 
 
 def trace_product(a: Matrix, b: Matrix) -> GaussianRational:
     """trace(a @ b) without forming the product."""
     if a.cols != b.rows or b.cols != a.rows:
         raise DimensionError("trace_product shape mismatch")
-    t = ZERO
-    bdata = b.data
-    for i, row in a.data.items():
-        for j, x in row.items():
-            y = bdata.get(j, _EMPTY).get(i)
-            if y is not None:
-                t = t.add_mul(x, y)
-    return t
+    re = im = 0
+    bnum = b.num
+    for i, row in a.num.items():
+        for j, (x, y) in row.items():
+            z = bnum.get(j, _EMPTY).get(i)
+            if z is not None:
+                p, q = z
+                re += x * p - y * q
+                im += x * q + y * p
+    return GaussianRational(re, im, a.den * b.den)
 
 
 def dot(x: Vector, y: Vector) -> GaussianRational:
@@ -393,10 +499,15 @@ def _numerators(v, ambient: int) -> tuple[dict, int]:
     """The Gaussian-integer numerators ``{index: (re, im)}`` of the nonzero
     entries of ``v`` over their least common denominator L, and L.  ``v``
     is sparse or a dense sequence of length ``ambient``, with entries in
-    Q(i)."""
+    Q(i), or already a sparse vector of Gaussian-integer numerators,
+    which is copied without its zeros, with L = 1."""
     if isinstance(v, dict):
         if v and (min(v) < 0 or max(v) >= ambient):
             raise DimensionError(f"vector index outside ambient {ambient}")
+        if v and type(next(iter(v.values()))) is tuple:
+            if _ZZ in v.values():
+                return {k: z for k, z in v.items() if z != _ZZ}, 1
+            return dict(v), 1
         items = v.items()
     else:
         if len(v) != ambient:
@@ -482,7 +593,10 @@ class Subspace:
     ``pivots``, ``rows`` and ``coords_of`` read the rows in increasing
     pivot order; ``rows`` gives each as a sparse vector ``{index: nonzero
     GaussianRational}``.  Rows enter only through ``insert``.  Vectors may
-    be passed sparse or as dense sequences of length ``ambient``.
+    be passed sparse or as dense sequences of length ``ambient``, or as
+    sparse vectors of Gaussian-integer numerators ``{index: (re, im)}``
+    such as ``Matrix.flatten`` gives: a span does not change under
+    scaling, so these need no denominator.
     """
 
     __slots__ = ("ambient", "_rows", "_cols")
@@ -516,6 +630,11 @@ class Subspace:
     def rows(self) -> tuple:
         rows = self._rows
         return tuple(_row_vector(p, *rows[p]) for p in self.pivots)
+
+    def _vectors(self) -> list:
+        """The rows as Gaussian-integer vectors, each D times its row."""
+        rows = self._rows
+        return [{p: (rows[p][0], 0), **rows[p][1]} for p in self.pivots]
 
     def _reduce(self, w: dict) -> None:
         """In place, eliminate every pivot coordinate from the Gaussian-
@@ -595,7 +714,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise DimensionError("ambient mismatch")
-        return Subspace.span([*self.rows, *other.rows], self.ambient)
+        return Subspace.span([*self._vectors(), *other._vectors()], self.ambient)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -614,7 +733,7 @@ def _augmented(vectors: Sequence[dict], offset: int) -> Subspace:
     vectors v_s indexed below ``offset``."""
     s = Subspace(offset + len(vectors))
     for i, v in enumerate(vectors):
-        s.insert({**v, offset + i: ONE})
+        s.insert({**v, offset + i: (1, 0)})
     return s
 
 
@@ -639,12 +758,12 @@ def _null_space(vectors: Sequence[dict], offset: int) -> Subspace:
 
 def rank(m: Matrix) -> int:
     """Row rank over Q(i), exact."""
-    return Subspace.span(m.data.values(), ambient=m.cols).dim
+    return Subspace.span(m.num.values(), ambient=m.cols).dim
 
 
 def kernel(m: Matrix) -> Subspace:
     """Subspace of all v with m @ v = 0."""
-    cols = m.transpose().data
+    cols = m.transpose().num
     return _null_space([cols.get(j, _EMPTY) for j in range(m.cols)], m.rows)
 
 
@@ -653,14 +772,17 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise DimensionError("only square matrices invert")
     d = m.rows
-    s = _augmented([m.data.get(i, _EMPTY) for i in range(d)], d)
+    s = _augmented([m.num.get(i, _EMPTY) for i in range(d)], d)
     if any(p >= d for p in s._rows):
         raise ValidationError("matrix is singular")
-    # every column below d is a pivot, so each tail lies in the identity block
-    return Matrix(d, d, {
-        p: {k - d: GaussianRational(x, y, den) for k, (x, y) in tail.items()}
-        for p, (den, tail) in sorted(s._rows.items())
-    })
+    # every column below d is a pivot, so each tail lies in the identity
+    # block and the tails form (D m)^-1, with D = m.den; m^-1 = D (D m)^-1
+    den = lcm(*(rden for rden, _ in s._rows.values()))
+    num = {}
+    for p, (rden, tail) in sorted(s._rows.items()):
+        c = m.den * (den // rden)
+        num[p] = {k - d: (x * c, y * c) for k, (x, y) in tail.items()}
+    return Matrix.from_numerators(d, d, num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +815,8 @@ def close_under(space: Subspace, vectors: Iterable, images,
 def lie_generators(candidates: Sequence[dict], act, ambient: int, weights: Sequence) -> list:
     """Indices S of the sparse ``candidates`` such that the closure of
     span{c_s : s in S} under act(c_s, .), s in S, contains every candidate.
+    ``act`` is linear in its second argument, and is also handed the rows
+    of the closure as Gaussian-integer vectors ``{index: (re, im)}``.
 
     The walk takes candidates in order of (weights[k], k) and puts one in S
     only when it is not yet in the closure of the earlier ones, which it
@@ -708,7 +832,7 @@ def lie_generators(candidates: Sequence[dict], act, ambient: int, weights: Seque
             mus = [candidates[s] for s in gens]
             # the closure so far is already invariant under the earlier gens
             close_under(
-                closure, [v, *(act(v, w) for w in closure.rows)],
+                closure, [v, *(act(v, w) for w in closure._vectors())],
                 lambda x: (act(mu, x) for mu in mus), ambient,
             )
     return gens
@@ -730,9 +854,9 @@ def bracket_closure(
     sizes |= {m.rows for m in multipliers} | {m.cols for m in multipliers}
     if len(sizes) > 1:
         raise DimensionError("bracket_closure inputs must share one square size")
+    d = sizes.pop() if sizes else 0
     if not gens:
-        return Subspace(0)
-    d = gens[0].rows
+        return Subspace(d * d)
 
     def images(x: dict):
         x = Matrix.from_flat(x, d, d)
@@ -741,12 +865,18 @@ def bracket_closure(
     return close_under(Subspace(d * d), [g.flatten() for g in gens], images, stop_dim)
 
 
-def matrices_of(space: Subspace) -> list[Matrix]:
-    """Reinterpret the rows of a subspace of flattened d x d matrices."""
+def _side(space: Subspace) -> int:
+    """d for a subspace of flattened d x d matrices."""
     d = isqrt(space.ambient)
     if d * d != space.ambient:
         raise DimensionError("ambient dimension is not a perfect square")
-    return [Matrix.from_flat(r, d, d) for r in space.rows]
+    return d
+
+
+def matrices_of(space: Subspace) -> list[Matrix]:
+    """Reinterpret the rows of a subspace of flattened d x d matrices."""
+    d = _side(space)
+    return [Matrix.from_flat(v, d, d, v[p][0]) for p, v in zip(space.pivots, space._vectors())]
 
 
 def center_of(space: Subspace) -> Subspace:
@@ -756,23 +886,29 @@ def center_of(space: Subspace) -> Subspace:
     c -> [sum c_i X_i, B_j] over the current candidates X_i; the candidate
     space shrinks quickly, which keeps large inputs tractable.
     """
-    mats = matrices_of(space)
-    if not mats:
-        return Subspace(space.ambient)
-    d = mats[0].rows
-    cand = [m.flatten() for m in mats]  # flattened candidate matrices
+    d = _side(space)
+    # the rows scaled to Gaussian integers: the same span and the same
+    # constraints, and every commutator below is exact on plain ints
+    cand = space._vectors()  # flattened candidate matrices
+    mats = [Matrix.from_flat(x, d, d) for x in cand]
     for bj in mats:
         if not cand:
             break
         images = [comm(Matrix.from_flat(x, d, d), bj).flatten() for x in cand]
         if not any(images):
             continue
-        # each null-space row is 1 at its pivot p and (re + im i)/D elsewhere
+        # each null-space row, times its D, is D at its pivot p and re + im i
+        # at each other s
         new_cand = []
         for p, (den, tail) in sorted(_null_space(images, d * d)._rows.items()):
-            x = dict(cand[p])
+            x: dict = {}
+            add_numerators(x, den, 0, cand[p])
             for s, (re, im) in tail.items():
-                add_scaled(x, GaussianRational(re, im, den), cand[s])
+                add_numerators(x, re, im, cand[s])
+            x = {k: z for k, z in x.items() if z != _ZZ}
+            g = gcd(*chain.from_iterable(x.values()))
+            if g != 1:
+                x = {k: (re // g, im // g) for k, (re, im) in x.items()}
             new_cand.append(x)
         cand = new_cand
     return Subspace.span(cand, ambient=space.ambient)

@@ -1,9 +1,11 @@
 """Exact Gaussian-rational arithmetic.
 
-``GaussianRational`` is the only scalar type used by the package: a complex
-number ``(a + b*i)/d`` with arbitrary-precision integer ``a``, ``b`` and
-``d > 0``, kept reduced so that ``gcd(a, b, d) == 1``.  Every operation is
-exact; there is deliberately no float interop.
+``GaussianRational`` is the scalar type of the package: a complex number
+``(a + b*i)/d`` with arbitrary-precision integer ``a``, ``b`` and ``d > 0``,
+kept reduced so that ``gcd(a, b, d) == 1``.  Every operation is exact;
+there is deliberately no float interop.  Matrices and echelon rows keep
+Gaussian-integer numerators over one denominator instead (``linalg``) and
+give ``GaussianRational`` values at their edge.
 
 Accumulations go through one fused operation, ``y.add_mul(c, x)`` for
 y + c*x, which builds one result with one reduction: numerators over an

@@ -137,7 +137,7 @@ _EPS2 = Matrix.from_rows([[0, 1], [-1, 0]])  # <e_a, e_b>
 
 def _gamma_mat(a: int, b: int) -> Matrix:
     """gamma_{e_a, e_b} = <e_a,.>e_b + <e_b,.>e_a as a 2x2 matrix."""
-    return Matrix(2, 2, {b: _EPS2.data[a]}) + Matrix(2, 2, {a: _EPS2.data[b]})
+    return Matrix(2, 2, {b: _EPS2.row(a)}) + Matrix(2, 2, {a: _EPS2.row(b)})
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +150,15 @@ def build_symplectic_type(n: int) -> SymplecticTripleSystem:
     if n < 1:
         raise ValidationError("symplectic type needs n >= 1")
     dim = 2 * n
-    omega = Matrix(dim, dim)
+    om = [[ZERO] * dim for _ in range(dim)]
     for i in range(n):
-        omega.set_entry(i, n + i, ONE)
-        omega.set_entry(n + i, i, -ONE)
+        om[i][n + i] = ONE
+        om[n + i][i] = -ONE
+    omega = Matrix.from_rows(om)
     cols: dict = {}
     for i in range(dim):
         for k in range(dim):
-            o_ik = omega[i, k]
+            o_ik = om[i][k]
             if not o_ik:
                 continue
             for j in range(dim):
@@ -165,7 +166,7 @@ def build_symplectic_type(n: int) -> SymplecticTripleSystem:
                 _add_entry(cols, i, j, k, j, o_ik)
     for j in range(dim):  # (e_j, e_k) e_i contribution
         for k in range(dim):
-            o_jk = omega[j, k]
+            o_jk = om[j][k]
             if not o_jk:
                 continue
             for i in range(dim):
@@ -182,12 +183,12 @@ def build_orthogonal_type(w: int) -> SymplecticTripleSystem:
     def idx(a: int, p: int) -> int:
         return a * w + p
 
-    omega = Matrix(dim, dim)
-    for p in range(w):
-        omega.set_entry(idx(0, p), idx(1, p), HALF)
-        omega.set_entry(idx(1, p), idx(0, p), -HALF)
-    # gamma[a][b][c] = gamma_{e_a, e_b}(e_c), sparse over V
-    gamma = [[_gamma_mat(a, b).transpose().data for b in range(2)] for a in range(2)]
+    omega = Matrix(dim, dim, {
+        **{idx(0, p): {idx(1, p): HALF} for p in range(w)},
+        **{idx(1, p): {idx(0, p): -HALF} for p in range(w)},
+    })
+    # gamma[a][b].row(c) = gamma_{e_a, e_b}(e_c), sparse over V
+    gamma = [[_gamma_mat(a, b).transpose() for b in range(2)] for a in range(2)]
     cols: dict = {}
     for a in range(2):
         for p in range(w):
@@ -201,7 +202,7 @@ def build_orthogonal_type(w: int) -> SymplecticTripleSystem:
                             k = idx(c, r)
                             # (1/2) gamma_{a,b}(c) (x) b(p,q) r-slot
                             if p == q:
-                                for vc, coeff in gamma[a][b].get(c, _EMPTY).items():
+                                for vc, coeff in gamma[a][b].row(c).items():
                                     _add_entry(cols, i, j, k, idx(vc, r), HALF * coeff)
                             if eps:
                                 # <a,b> c (x) (b(p,r) q - b(q,r) p)
@@ -217,10 +218,10 @@ def build_special_type(w: int) -> SymplecticTripleSystem:
     if w < 1:
         raise ValidationError("special type needs w >= 1")
     dim = 2 * w
-    omega = Matrix(dim, dim)
-    for p in range(w):
-        omega.set_entry(w + p, p, ONE)
-        omega.set_entry(p, w + p, -ONE)
+    omega = Matrix(dim, dim, {
+        **{w + p: {p: ONE} for p in range(w)},
+        **{p: {w + p: -ONE} for p in range(w)},
+    })
     cols: dict = {}
     two = qi(2)
     for p in range(w):  # x_p
@@ -274,15 +275,14 @@ def build_exceptional_type(jordan: CubicJordan) -> SymplecticTripleSystem:
     dim = 2 + 2 * dj
     tform = jordan.trace_form
 
-    omega = Matrix(dim, dim)
-    omega.set_entry(0, 1, ONE)
-    omega.set_entry(1, 0, -ONE)
+    om: dict = {0: {1: ONE}, 1: {0: -ONE}}
     for p in range(dj):
         for q in range(dj):
             t_pq = tform[p][q]
             if t_pq:
-                omega.set_entry(2 + p, 2 + dj + q, -t_pq)
-                omega.set_entry(2 + dj + p, 2 + q, t_pq)
+                om.setdefault(2 + p, {})[2 + dj + q] = -t_pq
+                om.setdefault(2 + dj + p, {})[2 + q] = t_pq
+    omega = Matrix(dim, dim, om)
 
     gamma_c = _exc_components(jordan)
     tau = [1, 0] + list(range(2 + dj, dim)) + list(range(2, 2 + dj))
@@ -448,6 +448,9 @@ def verify_axioms(T: SymplecticTripleSystem, mode: str = "fast") -> AxiomReport:
     report = AxiomReport(T.label, T.dim)
     d = T.dim
     om = T.omega
+    form = [[ZERO] * d for _ in range(d)]  # (e_i, e_j), read densely by (2)
+    for i, j, v in om.entries():
+        form[i][j] = v
     bt = T.basis_triple
     dmat = T.dmat
 
@@ -466,7 +469,7 @@ def verify_axioms(T: SymplecticTripleSystem, mode: str = "fast") -> AxiomReport:
     run(2, "identity (2) residue nonzero", (
         ((i, j, k), not _combine(
             (ONE, bt(i, j, k)), (-ONE, bt(i, k, j)),
-            (-om[i, k], {j: ONE}), (om[i, j], {k: ONE}), (-2 * om[j, k], {i: ONE}),
+            (-form[i][k], {j: ONE}), (form[i][j], {k: ONE}), (-2 * form[j][k], {i: ONE}),
         ))
         for i in range(d) for j in range(d) for k in range(d)
     ))
@@ -522,7 +525,11 @@ class InnerDerivationSpace:
         return self.space.dim
 
     def coords_of(self, mat: Matrix):
-        return self.space.coords_of(mat.flatten())
+        coords = self.space.coords_of(mat.flatten())  # of mat times mat.den
+        if coords is None or mat.den == 1:
+            return coords
+        inv = GaussianRational(1, 0, mat.den)
+        return tuple(c * inv for c in coords)
 
     def __repr__(self):
         return f"InnerDerivationSpace(dim={self.dim})"
@@ -622,12 +629,12 @@ def load_sts(path) -> SymplecticTripleSystem:
     omega_rows = doc.get("omega")
     if not isinstance(omega_rows, list) or len(omega_rows) != dim:
         raise ParseError(f"omega: expected {dim} rows")
-    omega = Matrix(dim, dim)
+    cells = []
     for i, row in enumerate(omega_rows):
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"omega[{i}]: expected {dim} entries")
-        for j, cell in enumerate(row):
-            omega.set_entry(i, j, scalar_from_json(cell, f"omega[{i}][{j}]"))
+        cells.append([scalar_from_json(cell, f"omega[{i}][{j}]") for j, cell in enumerate(row)])
+    omega = Matrix.from_rows(cells)
 
     triple = doc.get("triple")
     if not isinstance(triple, list):

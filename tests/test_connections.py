@@ -126,9 +126,8 @@ def add_col(mat, j, entries):
 def reference_phi(model, i):
     """phi_i: ad(xi_i)|_m with its vertical columns halved."""
     data = {}
-    for l, row in model.ad_m_xi(i).data.items():
-        for j, v in row.items():
-            data.setdefault(l, {})[j] = v * HALF if j < 3 else v
+    for l, j, v in model.ad_m_xi(i).entries():
+        data.setdefault(l, {})[j] = v * HALF if j < 3 else v
     return Matrix(model.m_dim, model.m_dim, data)
 
 
@@ -170,7 +169,7 @@ def reference_alpha_rs(model, r, s):
         for (i, j, k), sgn in EPS3.items():
             ops[i].set_entry(k, j, qi(-sgn))
     for i in range(3, md):
-        for j, v in w_s.data.get(i, {}).items():
+        for j, v in w_s.row(i).items():
             if j >= 3:
                 ops[i].set_entry(r - 1, j, v)
         for l in range(md):
@@ -278,8 +277,7 @@ def test_skew_torsion_on_maps_that_fail_it(family, param, model_cache):
     def replaced(k, op, label):
         return NomizuMap([op if i == k else x for i, x in enumerate(lc)], label)
 
-    bumped = Matrix(md, md, {i: dict(r) for i, r in lc[4].data.items()})
-    bumped.set_entry(1, 2, bumped[1, 2] + 1)
+    bumped = lc[4] + Matrix(md, md, {1: {2: 1}})
     ad = model.ad_m_inder(0)
     rr = alpha_rs(model, 2, 2).ops
     cases = [
@@ -435,12 +433,9 @@ def skew_closed_form(model, i, j, canonical):
             if canonical:
                 out = out + ad.scale(qi(2) * v1)
             else:
-                for (rr, row) in ad.data.items():
-                    if rr < 3:
-                        continue
-                    for cc, vv in row.items():
-                        if cc >= 3:
-                            out.set_entry(rr, cc, out[rr, cc] + qi(2) * v1 * vv)
+                for rr, cc, vv in ad.entries():
+                    if rr >= 3 and cc >= 3:
+                        out.set_entry(rr, cc, out[rr, cc] + qi(2) * v1 * vv)
         return out
     if (i >= 3) != (j >= 3):
         return out  # R(odd, vertical) = 0

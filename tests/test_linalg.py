@@ -29,13 +29,13 @@ E21 = Matrix.from_rows([[0, 0], [1, 0]])
 
 def test_rank_examples():
     assert rank(Matrix.identity(3)) == 3
-    assert rank(Matrix.zero(3, 3)) == 0
+    assert rank(Matrix(3, 3)) == 0
     assert rank(Matrix.from_rows([[1, 2], [2, 4]])) == 1
 
 
 def test_kernel_examples():
     assert kernel(Matrix.identity(3)).dim == 0
-    k = kernel(Matrix.zero(2, 3))
+    k = kernel(Matrix(2, 3))
     assert k.dim == 3
     k = kernel(Matrix.from_rows([[1, 1]]))
     assert k.dim == 1 and k.rows[0] == {0: qi(1), 1: qi(-1)}
@@ -44,7 +44,7 @@ def test_kernel_examples():
 def test_matrix_algebra():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     b = Matrix.from_rows([[0, 1], [1, 0]])
-    assert (a @ b).to_lists() == Matrix.from_rows([[2, 1], [4, 3]]).to_lists()
+    assert a @ b == Matrix.from_rows([[2, 1], [4, 3]])
     assert a.transpose()[0, 1] == qi(3)
     assert a.trace() == qi(5)
     assert trace_product(a, b) == (a @ b).trace()
@@ -111,6 +111,15 @@ def test_rows_enter_only_through_insert():
     assert s.contains(vec([1, 0, 0])) and s.coords_of(vec([1, 0, 0])) == vec([1])
 
 
+def test_insert_takes_gaussian_integer_vectors():
+    # numerators span what their vector spans, whatever its denominator;
+    # a stored zero is not a pivot
+    a = Subspace.span([{0: (2, 0), 1: (0, 4)}, {1: (3, 3), 2: (0, 0)}], 3)
+    b = Subspace.span([{0: qi(1), 1: qi("2i")}, {1: qi("1/3+1/3i")}], 3)
+    assert a == b and a.pivots == (0, 1)
+    assert a.coords_of({0: (3, 0), 1: (0, 6)}) == (qi(3), qi("6i"))
+
+
 def test_sum_leaves_its_operands_unchanged():
     a = Subspace.span([[0, 1, 0]], 3)
     b = Subspace.span([[1, 0, 0], [0, 1, 1]], 3)
@@ -142,6 +151,14 @@ def test_coords_of():
 
 def test_closure_nilpotent_generator():
     assert bracket_closure([E12], [E12]).dim == 1
+
+
+def test_closure_of_no_generators_lives_in_gl_d():
+    # d comes from the multipliers when there are no generators
+    empty = bracket_closure([], [E12])
+    assert (empty.ambient, empty.dim) == (4, 0)
+    assert empty.sum(bracket_closure([E12], [])).dim == 1
+    assert bracket_closure([], []).ambient == 0
 
 
 def test_closure_generates_sl2():
@@ -192,7 +209,7 @@ def test_rank_nullity(rows, cols, seed):
     k = kernel(m)
     assert rank(m) + k.dim == cols
     for v in k.rows:
-        assert (m @ Matrix.from_flat(v, cols, 1)).is_zero()
+        assert not any(m.apply(tuple(v.get(j, qi(0)) for j in range(cols))))
 
 
 @settings(max_examples=40)

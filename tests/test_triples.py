@@ -224,8 +224,8 @@ def _direct_sum(a: SymplecticTripleSystem, b: SymplecticTripleSystem):
     between the summands."""
     d = a.dim
     omega = Matrix(a.dim + b.dim, a.dim + b.dim, {
-        **a.omega.data,
-        **{d + i: {d + j: x for j, x in row.items()} for i, row in b.omega.data.items()},
+        **{i: a.omega.row(i) for i in range(d)},
+        **{d + i: {d + j: x for j, x in b.omega.row(i).items()} for i in range(b.dim)},
     })
     cols = {key: dict(col) for key, col in a.cols.items()}
     for (i, j, k), col in b.cols.items():
