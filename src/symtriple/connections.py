@@ -186,10 +186,15 @@ def torsion_operator(model: HomogeneousModel, alpha: NomizuMap, i: int, j: int):
 
 
 def is_metric(model: HomogeneousModel, alpha: NomizuMap) -> bool:
-    """alpha(X, .) in so(m, g) for every X."""
+    """alpha(X, .) in so(m, g) for every X.
+
+    g is symmetric, so a^T g + g a = (g a)^T + g a, and a lies in so(m, g)
+    exactly when g a is skew: one product per operator.
+    """
     g = model.metric.gram
     for a_i in alpha.ops:
-        if not (a_i.transpose() @ g + g @ a_i).is_zero():
+        ga = g @ a_i
+        if ga.transpose() != -ga:
             return False
     return True
 

@@ -22,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, ValidationError
-from .linalg import Matrix, add_scaled, comm, comm_minus, inverse, lie_generators, trace_product
+from .linalg import (
+    Matrix, add_numerators, add_scaled, comm, comm_minus, inverse, lie_generators, trace_product,
+)
 from .scalars import GaussianRational, HALF, I, ONE, ZERO, qi
 from .triples import (
     _EPS2,
@@ -71,11 +73,6 @@ def _sl2_to_xi(m: Matrix):
     return (c1, c2, c3)
 
 
-def _scalars(v: dict) -> dict:
-    """A sparse vector with every Gaussian-integer pair made a scalar."""
-    return {k: GaussianRational(*x) if type(x) is tuple else x for k, x in v.items()}
-
-
 class GradedLieAlgebra:
     """Structure constants of g(T) with the fixed basis layout."""
 
@@ -104,9 +101,8 @@ class GradedLieAlgebra:
         return {l: -v for l, v in entry.items()}
 
     def bracket(self, x: dict, y: dict) -> dict:
-        """[x, y] of sparse coordinate vectors ``{index: nonzero coefficient}``,
-        with coefficients in Q(i) or Gaussian-integer pairs (re, im)."""
-        x, y = _scalars(x), _scalars(y)
+        """[x, y] of sparse coordinate vectors ``{index: nonzero scalar}``,
+        with scalars in Q(i)."""
         out: dict = {}
         for i, xi in x.items():
             for j, yj in y.items():
@@ -276,8 +272,23 @@ def verify_jacobi(L: GradedLieAlgebra, mode: str = "fast") -> JacobiReport:
     """
     if mode not in ("fast", "audit"):
         raise ValueError("mode must be 'fast' or 'audit'")
+    cols: dict = {}
+
+    def act(k: int, w: dict) -> dict:
+        """ad_k w times the denominator of ad_k: the columns of ad_k summed
+        on plain ints."""
+        col = cols.get(k)
+        if col is None:
+            col = cols[k] = L.ad(k).transpose().num
+        out: dict = {}
+        for j, (re, im) in w.items():
+            c = col.get(j)
+            if c:
+                add_numerators(out, re, im, c)
+        return out
+
     gens = lie_generators(
-        [{i: ONE} for i in range(L.dim)], L.bracket, L.dim,
+        [{i: (1, 0)} for i in range(L.dim)], act, L.dim,
         [L.ad(i).nnz() for i in range(L.dim)],
     )
     if all(

@@ -9,7 +9,8 @@ ints and reduce each result once, with one gcd over the matrix.
 ``row`` and ``entries``, and by ``apply`` and ``bilinear``, which take dense
 ``GaussianRational`` vectors and read only the entries each row holds.
 ``flatten`` and ``from_flat`` only remap indices: the flattening is a
-sparse Gaussian-integer vector, the matrix times its denominator.
+sparse Gaussian-integer vector, the matrix times its denominator.  A
+``Matrix`` is not changed once built.
 
 Elimination has one routine, ``Subspace.insert``, which extends a canonical
 reduced-row-echelon basis in place: pivots are normalized to 1 and
@@ -24,8 +25,7 @@ span does not change under scaling, so closures and centers stay on ints.
 The structure-constant tables of the package, from the composition algebras
 to g(T), are sparse vectors ``{index: nonzero GaussianRational}``:
 ``add_scaled`` is their in-place axpy and ``table_product`` evaluates a
-table on dense elements, both summing y + c*x through the fused
-``GaussianRational.add_mul``.
+table on dense elements, both with the plain ``GaussianRational`` operators.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ValidationError
-from .scalars import GaussianRational, ONE, ZERO, _new, qi
+from .scalars import GaussianRational, ONE, ZERO, qi
 
 __all__ = [
     "Matrix",
@@ -172,20 +172,6 @@ class Matrix:
         den = self.den
         return {j: GaussianRational(x, y, den) for j, (x, y) in self.num.get(i, _EMPTY).items()}
 
-    def set_entry(self, i: int, j: int, x) -> None:
-        """Set entry (i, j) in place."""
-        x = qi(x)
-        den, num = lcm(self.den, x.d), self.num
-        if den != self.den:
-            s = den // self.den
-            for row in num.values():
-                for k, (a, b) in row.items():
-                    row[k] = (a * s, b * s)
-        s = den // x.d
-        num.setdefault(i, {})[j] = (x.a * s, x.b * s)
-        m = Matrix.from_numerators(self.rows, self.cols, num, den)
-        self.den, self.num = m.den, m.num
-
     def entries(self):
         den = self.den
         for i, row in self.num.items():
@@ -217,9 +203,6 @@ class Matrix:
             i: {j: (-x, -y) for j, (x, y) in r.items()} for i, r in self.num.items()
         })
 
-    def scale(self, c) -> "Matrix":
-        return _assemble(self.rows, self.cols, (), ((c, self),))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionError("matmul shape mismatch")
@@ -242,7 +225,7 @@ class Matrix:
             if xi:
                 row = self.num.get(i)
                 if row:
-                    acc = acc.add_mul(xi, _dot_numerators(row, y, self.den))
+                    acc += xi * _dot_numerators(row, y, self.den)
         return acc
 
     def transpose(self) -> "Matrix":
@@ -303,8 +286,8 @@ def _dot_numerators(row: dict, v: Vector, den: int) -> GaussianRational:
     for j, (x, y) in row.items():
         vj = v[j]
         if vj:
-            acc = acc.add_mul(vj, _new(x, y, 1))
-    return acc * _new(1, 0, den) if den != 1 and acc else acc
+            acc += vj * GaussianRational(x, y)
+    return acc / den
 
 
 def _matrix(rows: int, cols: int, den: int, num: dict) -> Matrix:
@@ -448,7 +431,7 @@ def dot(x: Vector, y: Vector) -> GaussianRational:
     t = ZERO
     for xi, yi in zip(x, y):
         if xi and yi:
-            t = t.add_mul(xi, yi)
+            t += xi * yi
     return t
 
 
@@ -467,7 +450,7 @@ def add_scaled(w: dict, c: GaussianRational, v: dict) -> None:
         if y is None:
             w[k] = c * x
         else:
-            y = y.add_mul(c, x)
+            y += c * x
             if y:
                 w[k] = y
             else:
@@ -486,7 +469,7 @@ def table_product(table, x: Vector, y: Vector) -> Vector:
                 if yj:
                     c = xi * yj
                     for k, v in row[j].items():
-                        out[k] = out[k].add_mul(c, v)
+                        out[k] += c * v
     return tuple(out)
 
 
@@ -813,10 +796,12 @@ def close_under(space: Subspace, vectors: Iterable, images,
 
 
 def lie_generators(candidates: Sequence[dict], act, ambient: int, weights: Sequence) -> list:
-    """Indices S of the sparse ``candidates`` such that the closure of
-    span{c_s : s in S} under act(c_s, .), s in S, contains every candidate.
-    ``act`` is linear in its second argument, and is also handed the rows
-    of the closure as Gaussian-integer vectors ``{index: (re, im)}``.
+    """Indices S of the ``candidates`` such that the closure of
+    span{c_s : s in S} under act(s, .), s in S, contains every candidate.
+    The candidates, and every vector ``act(k, w)`` is handed or returns, are
+    sparse Gaussian-integer vectors ``{index: (re, im)}``.  ``act(k, w)`` is
+    linear in w up to a nonzero scalar factor, such as a denominator, since
+    a span does not change under scaling.
 
     The walk takes candidates in order of (weights[k], k) and puts one in S
     only when it is not yet in the closure of the earlier ones, which it
@@ -829,11 +814,10 @@ def lie_generators(candidates: Sequence[dict], act, ambient: int, weights: Seque
         v = candidates[k]
         if not closure.contains(v):
             gens.append(k)
-            mus = [candidates[s] for s in gens]
             # the closure so far is already invariant under the earlier gens
             close_under(
-                closure, [v, *(act(v, w) for w in closure._vectors())],
-                lambda x: (act(mu, x) for mu in mus), ambient,
+                closure, [v, *(act(k, w) for w in closure._vectors())],
+                lambda x: (act(s, x) for s in gens), ambient,
             )
     return gens
 

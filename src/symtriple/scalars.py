@@ -3,16 +3,13 @@
 ``GaussianRational`` is the scalar type of the package: a complex number
 ``(a + b*i)/d`` with arbitrary-precision integer ``a``, ``b`` and ``d > 0``,
 kept reduced so that ``gcd(a, b, d) == 1``.  Every operation is exact;
-there is deliberately no float interop.  Matrices and echelon rows keep
-Gaussian-integer numerators over one denominator instead (``linalg``) and
-give ``GaussianRational`` values at their edge.
+there is deliberately no float interop.
 
-Accumulations go through one fused operation, ``y.add_mul(c, x)`` for
-y + c*x, which builds one result with one reduction: numerators over an
-equal denominator are added directly, and Gaussian-integer operands
-(``d == 1``) skip the gcd altogether, as does ``*`` of two Gaussian
-integers.  Values already in canonical form are made by ``_new`` without
-passing through ``__init__``.
+It is the value type at the edges of the package: parsing, single matrix
+entries, coordinates and the dense element products of the composition and
+Jordan algebras.  Matrix products and elimination run on Gaussian-integer
+numerators over one denominator instead (``linalg``), which build a
+``GaussianRational`` only when an entry is read.
 """
 
 from __future__ import annotations
@@ -148,39 +145,12 @@ class GaussianRational:
         if not (s.a or s.b) or not (o.a or o.b):
             return ZERO
         if s.b or o.b:
-            a, b = s.a * o.a - s.b * o.b, s.a * o.b + s.b * o.a
-        else:
-            a, b = s.a * o.a, 0
-        if s.d == 1 == o.d:
-            return _new(a, b, 1)
-        return GaussianRational(a, b, s.d * o.d)
+            return GaussianRational(
+                s.a * o.a - s.b * o.b, s.a * o.b + s.b * o.a, s.d * o.d
+            )
+        return GaussianRational(s.a * o.a, 0, s.d * o.d)
 
     __rmul__ = __mul__
-
-    def add_mul(y, c: "GaussianRational", x: "GaussianRational") -> "GaussianRational":
-        """y + c * x for a GaussianRational y, built with one reduction."""
-        try:
-            ca, cb, xa, xb = c.a, c.b, x.a, x.b
-        except AttributeError:  # an int or Fraction operand
-            return y + c * x
-        if cb or xb:
-            pa, pb = ca * xa - cb * xb, ca * xb + cb * xa
-        else:
-            pa, pb = ca * xa, 0
-        if not (pa or pb):
-            return y
-        pd = c.d * x.d
-        yd = y.d
-        if yd == pd:
-            a, b, d = y.a + pa, y.b + pb, yd
-            if d == 1:
-                return _new(a, b, 1)
-        else:
-            a, b, d = y.a * pd + pa * yd, y.b * pd + pb * yd, yd * pd
-        g = _gcd(a, b, d)
-        if g > 1:
-            return _new(a // g, b // g, d // g)
-        return _new(a, b, d)
 
     def inverse(s) -> "GaussianRational":
         n = s.a * s.a + s.b * s.b

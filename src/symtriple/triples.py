@@ -484,10 +484,11 @@ def verify_axioms(T: SymplecticTripleSystem, mode: str = "fast") -> AxiomReport:
             *((v, dmat(l, p)) for p, v in bt(i, j, m).items()),
         ]).is_zero()
 
-    def bracket(x: dict, y: dict) -> dict:
-        return comm(Matrix.from_flat(x, d, d), Matrix.from_flat(y, d, d)).flatten()
-
     nonzero = [(i, j) for (i, j) in pairs if not dmat(i, j).is_zero()]
+
+    def bracket(k: int, w: dict) -> dict:
+        return comm(dmat(*nonzero[k]), Matrix.from_flat(w, d, d)).flatten()
+
     flat = [dmat(*p).flatten() for p in nonzero]
     gens = lie_generators(flat, bracket, d * d, [len(v) for v in flat])
     if all(derivation(*nonzero[s], l, m) for s in gens for (l, m) in pairs):

@@ -10,7 +10,7 @@ from symtriple.enveloping import (
     xi_matrices,
 )
 from symtriple.errors import ValidationError
-from symtriple.linalg import Matrix, bracket_closure, comm, lie_generators, rank
+from symtriple.linalg import Matrix, bracket_closure, combination, comm, lie_generators, rank
 from symtriple.scalars import HALF, I, ONE, ZERO, qi
 from symtriple.triples import SymplecticTripleSystem, build_symplectic_type, inder_basis
 
@@ -49,7 +49,7 @@ def test_xi_bracket_relations(model_cache):
     assert L.bracket_basis(2, 0) == {1: qi(2)}
     # 2x2 matrix commutators agree
     x1, x2, x3 = xi_matrices()
-    assert comm(x1, x2) == x3.scale(qi(2))
+    assert comm(x1, x2) == x3 + x3
 
 
 def test_inder_acts_on_odd(model_cache):
@@ -174,21 +174,51 @@ def test_sparse_bracket(model_cache):
 
 
 def _algebra_generators(L):
-    """The basis indices whose unit vectors ``verify_jacobi`` checks."""
+    """The basis indices whose unit vectors ``verify_jacobi`` checks: its
+    ``lie_generators`` call, with ad_k w computed as a matrix product."""
     return lie_generators(
-        [{i: ONE} for i in range(L.dim)], L.bracket, L.dim,
+        [{i: (1, 0)} for i in range(L.dim)],
+        lambda k, w: (L.ad(k) @ Matrix.from_flat(w, L.dim, 1)).flatten(), L.dim,
         [L.ad(i).nnz() for i in range(L.dim)],
     )
 
 
-def test_generators_fill_algebra(model_cache):
-    L = model_cache("exceptional", "unarion").algebra
+# (generators, dim g(T)): how many basis elements ``verify_jacobi``
+# evaluates the identity for, of the basis of g(T)
+ALGEBRA_GENERATORS = {
+    ("symplectic", 1): (5, 10),
+    ("symplectic", 2): (8, 21),
+    ("special", 1): (5, 8),
+    ("special", 2): (8, 15),
+    ("orthogonal", 3): (7, 21),
+    ("orthogonal", 4): (7, 28),
+    ("exceptional", "scalar"): (5, 14),
+    ("exceptional", "unarion"): (10, 52),
+}
+
+
+def _assert_generators_fill(L, n_gens, dim):
     gens = _algebra_generators(L)
-    assert len(gens) == 10  # of 52
+    assert (len(gens), L.dim) == (n_gens, dim)
     ads = [L.ad(s) for s in gens]
     closure = bracket_closure(ads, ads)
     assert all(closure.contains(L.ad(i).flatten()) for i in range(L.dim))
+
+
+def test_generators_fill_algebra(model_cache):
+    assert set(LIGHT_CASES) < set(ALGEBRA_GENERATORS)
+    for (family, param), (n_gens, dim) in ALGEBRA_GENERATORS.items():
+        _assert_generators_fill(model_cache(family, param).algebra, n_gens, dim)
     assert _algebra_generators(GradedLieAlgebra(4, 1, 0, 2, {})) == [0, 1, 2, 3]
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("family,param,n_gens,dim", [
+    ("exceptional", "binarion", 12, 78),
+    ("exceptional", "quaternion", 14, 133),
+])
+def test_generators_fill_heavy_algebra(family, param, n_gens, dim, model_cache):
+    _assert_generators_fill(model_cache(family, param).algebra, n_gens, dim)
 
 
 # (generators, dim inder(T)): how many nonzero d_ij ``verify_axioms``
@@ -206,13 +236,14 @@ INDER_GENERATORS = [
 
 @pytest.mark.parametrize("family,param,n_gens,h_dim", INDER_GENERATORS)
 def test_inder_generators(family, param, n_gens, h_dim, triple_cache):
+    """The ``lie_generators`` call of ``verify_axioms`` for identity (3)."""
     t = triple_cache(family, param)
     d = t.dim
     dmats = [t.dmat(i, j) for i in range(d) for j in range(i, d)]
     dmats = [m for m in dmats if not m.is_zero()]
     gens = lie_generators(
         [m.flatten() for m in dmats],
-        lambda mu, x: comm(Matrix.from_flat(mu, d, d), Matrix.from_flat(x, d, d)).flatten(),
+        lambda k, w: comm(dmats[k], Matrix.from_flat(w, d, d)).flatten(),
         d * d,
         [m.nnz() for m in dmats],
     )
@@ -230,9 +261,7 @@ def _reference_jacobi(L, mode):
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             checked += 1
-            rhs = Matrix(L.dim, L.dim)
-            for l, v in L.bracket_basis(i, j).items():
-                rhs = rhs + L.ad(l).scale(v)
+            rhs = combination([(v, L.ad(l)) for l, v in L.bracket_basis(i, j).items()], L.dim)
             if comm(L.ad(i), L.ad(j)) != rhs:
                 witnesses.append((i, j))
                 if len(witnesses) == limit:

@@ -274,8 +274,9 @@ def test_comm_minus_matches_matrix_arithmetic(a, b, terms):
     want = a @ b - b @ a
     total = Matrix(3, 3)
     for c, m in terms:
-        want = want - m.scale(c)
-        total = total + m.scale(c)
+        cm = Matrix(3, 3, {i: {j: c * x for j, x in m.row(i).items()} for i in m.num})
+        want = want - cm
+        total = total + cm
     got = comm_minus(a, b, terms)
     assert got == want and all(x for _, _, x in got.entries())
     assert comm(a, b) == a @ b - b @ a

@@ -158,7 +158,7 @@ def test_scaled_numerators_reduce(m, k):
     assert scaled == m and hash(scaled) == hash(m)
     if m.den > 1 and gcd(m.den, k) > 1:
         event("a scalar multiple shares a factor with den")
-    assert assert_canonical(m.scale(k)) == combination([(1, m)] * k, m.rows)
+    assert assert_canonical(combination([(k, m)], m.rows)) == combination([(1, m)] * k, m.rows)
     bumped = m + Matrix(m.rows, m.cols, {0: {0: GaussianRational(1, 0, 12)}})
     assert bumped != m and dense(bumped)[0][0] == _add(dense(m)[0][0], (Fraction(1, 12), 0))
     assert assert_canonical(m - m) == Matrix(m.rows, m.cols) and (m - m).den == 1

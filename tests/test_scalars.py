@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import event, given, strategies as st
+from hypothesis import given, strategies as st
 
 from symtriple.scalars import GaussianRational, HALF, I, ONE, ZERO, qi
 
@@ -15,7 +15,7 @@ small_rationals = st.builds(
 scalars = st.builds(GaussianRational.from_fractions, small_rationals, small_rationals)
 small_ints = st.integers(min_value=-30, max_value=30)
 # Gaussian integers, values over a few shared denominators, and general
-# values, so that every branch of the integral and fused fast paths is hit
+# values, so that sums and products that reduce are drawn often
 mixed_scalars = st.one_of(
     st.builds(GaussianRational, small_ints, small_ints),
     st.builds(GaussianRational, small_ints, small_ints, st.sampled_from((2, 3, 4, 6))),
@@ -110,39 +110,35 @@ def test_string_round_trip(x):
     assert qi(str(x)) == x
 
 
-@st.composite
-def add_mul_operands(draw):
-    """(y, c, x); half the time y lies over the denominator of c * x, so that
-    y.add_mul(c, x) takes its equal-denominator branch."""
-    c, x = draw(mixed_scalars), draw(mixed_scalars)
-    if draw(st.booleans()):
-        d = c.d * x.d
-        y = GaussianRational(1 + d * draw(small_ints), draw(small_ints), d)
-    else:
-        y = draw(mixed_scalars)
-    return y, c, x
+def _parts(q):
+    """(re, im) of a GaussianRational, int or Fraction, as Fractions."""
+    if isinstance(q, GaussianRational):
+        return q.re, q.im
+    return Fraction(q), Fraction(0)
 
 
-@given(add_mul_operands())
-def test_fast_paths_are_canonical(operands):
-    y, c, x = operands
-    if y.d != c.d * x.d:
-        event("add_mul: unlike denominators")
-    else:
-        event(f"add_mul: equal denominators {'1' if y.d == 1 else '> 1'}")
-    event(f"*: {'integral' if y.d == 1 == c.d else 'fractional'}")
-    fused = y.add_mul(c, x)
-    assert fused == y + c * x
-    re = y.re + c.re * x.re - c.im * x.im
-    im = y.im + c.re * x.im + c.im * x.re
-    assert (fused.re, fused.im) == (re, im)
-    for q in (fused, y + c, y - c, y * c, -y, y.conjugate(), y + y, y - y):
-        assert_canonical(q)
-
-
-def test_add_mul_takes_int_and_fraction_operands():
-    assert qi("1/2").add_mul(2, qi(3)) == qi("13/2")
-    assert ONE.add_mul(qi("i"), Fraction(1, 3)) == qi("1+1/3i")
-    assert ZERO.add_mul(ZERO, I) is ZERO
-    with pytest.raises(TypeError):
-        ONE.add_mul(ONE, 0.5)
+@given(mixed_scalars, st.one_of(mixed_scalars, small_ints, small_rationals))
+def test_operators_are_canonical(x, y):
+    """+, -, *, /, negation and conjugate give the exact value in canonical
+    form, also with an int or Fraction on either side."""
+    (xr, xi), (yr, yi) = _parts(x), _parts(y)
+    want = [
+        (x + y, (xr + yr, xi + yi)),
+        (y + x, (xr + yr, xi + yi)),
+        (x - y, (xr - yr, xi - yi)),
+        (y - x, (yr - xr, yi - xi)),
+        (x * y, (xr * yr - xi * yi, xr * yi + xi * yr)),
+        (y * x, (xr * yr - xi * yi, xr * yi + xi * yr)),
+        (-x, (-xr, -xi)),
+        (x.conjugate(), (xr, -xi)),
+        (x - x, (0, 0)),
+    ]
+    if y:
+        n = yr * yr + yi * yi
+        want.append((x / y, ((xr * yr + xi * yi) / n, (xi * yr - xr * yi) / n)))
+    if x:
+        n = xr * xr + xi * xi
+        want.append((y / x, ((yr * xr + yi * xi) / n, (yi * xr - yr * xi) / n)))
+    for got, parts in want:
+        assert_canonical(got)
+        assert _parts(got) == parts

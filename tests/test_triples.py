@@ -7,7 +7,7 @@ import pytest
 from symtriple import triples
 from symtriple.enveloping import build_enveloping
 from symtriple.errors import ParseError, ValidationError
-from symtriple.linalg import Matrix, vec
+from symtriple.linalg import Matrix, combination, vec
 from symtriple.scalars import ONE, qi
 from symtriple.triples import (
     SymplecticTripleSystem,
@@ -184,11 +184,10 @@ def _reference_identity3(t: SymplecticTripleSystem, mode: str):
     for i, j in pairs:
         for l, m in pairs:
             a, b = t.dmat(i, j), t.dmat(l, m)
-            rhs = Matrix(d, d)
-            for p, v in t.basis_triple(i, j, l).items():
-                rhs = rhs + t.dmat(p, m).scale(v)
-            for p, v in t.basis_triple(i, j, m).items():
-                rhs = rhs + t.dmat(l, p).scale(v)
+            rhs = combination([
+                *((v, t.dmat(p, m)) for p, v in t.basis_triple(i, j, l).items()),
+                *((v, t.dmat(l, p)) for p, v in t.basis_triple(i, j, m).items()),
+            ], d)
             checked += 1
             if a @ b - b @ a != rhs:
                 failed.append((i, j, l, m))
