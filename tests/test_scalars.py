@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, strategies as st
 
 from symtriple.scalars import GaussianRational, HALF, I, ONE, ZERO, qi
 
@@ -108,6 +108,45 @@ def test_field_laws(x, y, z):
 @given(scalars)
 def test_string_round_trip(x):
     assert qi(str(x)) == x
+
+
+@st.composite
+def sum_of_product_operands(draw):
+    """(y, c, x); half the time y lies over the denominator of c * x, so that
+    y + c * x sums over equal denominators."""
+    c, x = draw(mixed_scalars), draw(mixed_scalars)
+    if draw(st.booleans()):
+        d = c.d * x.d
+        y = GaussianRational(1 + d * draw(small_ints), draw(small_ints), d)
+    else:
+        y = draw(mixed_scalars)
+    return y, c, x
+
+
+@given(sum_of_product_operands())
+def test_fast_paths_are_canonical(operands):
+    y, c, x = operands
+    prod = c * x
+    if y.d != prod.d:
+        event("+: unlike denominators")
+    else:
+        event(f"+: equal denominators {'1' if y.d == 1 else '> 1'}")
+    got = y + prod
+    re = y.re + c.re * x.re - c.im * x.im
+    im = y.im + c.re * x.im + c.im * x.re
+    assert (got.re, got.im) == (re, im)
+    for q in (got, prod, y + c, y - c, y * c, -y, y.conjugate(), y + y, y - y):
+        assert_canonical(q)
+
+
+def test_add_mul_takes_int_and_fraction_operands():
+    assert qi("1/2") + 2 * qi(3) == qi("13/2")
+    assert qi("1/2") + qi(3) * 2 == qi("13/2")
+    assert ONE + qi("i") * Fraction(1, 3) == qi("1+1/3i")
+    assert ONE + Fraction(1, 3) * qi("i") == qi("1+1/3i")
+    assert ZERO + ZERO * I == ZERO
+    with pytest.raises(TypeError):
+        ONE + ONE * 0.5
 
 
 def _parts(q):
