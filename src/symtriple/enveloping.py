@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import ConstructionError, ValidationError
 from .linalg import (
-    Matrix, add_numerators, add_scaled, comm, comm_minus, inverse, lie_generators, trace_product,
+    Matrix, add_numerators, comm, comm_minus, inverse, lie_generators, trace_product,
 )
 from .scalars import GaussianRational, HALF, I, ONE, ZERO, qi
 from .triples import (
@@ -99,15 +99,6 @@ class GradedLieAlgebra:
         if not entry:
             return {}
         return {l: -v for l, v in entry.items()}
-
-    def bracket(self, x: dict, y: dict) -> dict:
-        """[x, y] of sparse coordinate vectors ``{index: nonzero scalar}``,
-        with scalars in Q(i)."""
-        out: dict = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                add_scaled(out, xi * yj, self.bracket_basis(i, j))
-        return out
 
     def ad(self, i: int) -> Matrix:
         if self._ads is None:

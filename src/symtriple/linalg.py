@@ -19,8 +19,10 @@ identical rows.  Rank, kernel, inverse, closure and center are all computed
 by it.  A ``Subspace`` row is a ``Matrix`` row too, Gaussian-integer
 numerators over one denominator, eliminated fraction-free with one gcd per
 normalized row, and a column index finds the rows a new pivot must be
-cleared from.  ``insert`` takes such integer vectors as they are, since a
-span does not change under scaling, so closures and centers stay on ints.
+cleared from.  ``Subspace`` takes one vector format, such an integer vector
+``{index: (re, im)}`` as ``Matrix.flatten`` gives: a span does not change
+under scaling, so closures and centers stay on ints.  Scalars become
+numerators in ``Matrix.__init__``.
 
 The structure-constant tables of the package, from the composition algebras
 to g(T), are sparse vectors ``{index: nonzero GaussianRational}``:
@@ -123,6 +125,8 @@ class Matrix:
         ``den`` and Gaussian-integer rows ``{i: {j: (re, im)}}`` that may
         hold zeros.  Rows of ``num`` without zeros are taken over, not
         copied."""
+        if den < 1:
+            raise ValueError(f"denominator {den} is not positive")
         nonzero = {}
         for i, row in num.items():
             if _ZZ in row.values():
@@ -478,37 +482,15 @@ def table_product(table, x: Vector, y: Vector) -> Vector:
 # ---------------------------------------------------------------------------
 
 
-def _numerators(v, ambient: int) -> tuple[dict, int]:
-    """The Gaussian-integer numerators ``{index: (re, im)}`` of the nonzero
-    entries of ``v`` over their least common denominator L, and L.  ``v``
-    is sparse or a dense sequence of length ``ambient``, with entries in
-    Q(i), or already a sparse vector of Gaussian-integer numerators,
-    which is copied without its zeros, with L = 1."""
-    if isinstance(v, dict):
-        if v and (min(v) < 0 or max(v) >= ambient):
-            raise DimensionError(f"vector index outside ambient {ambient}")
-        if v and type(next(iter(v.values()))) is tuple:
-            if _ZZ in v.values():
-                return {k: z for k, z in v.items() if z != _ZZ}, 1
-            return dict(v), 1
-        items = v.items()
-    else:
-        if len(v) != ambient:
-            raise DimensionError(f"vector length {len(v)} != ambient {ambient}")
-        items = enumerate(v)
-    w = {}
-    den = 1
-    for k, x in items:
-        if type(x) is not GaussianRational:
-            x = qi(x)
-        if x.a or x.b:
-            w[k] = x
-            d = x.d
-            if d != 1 and den % d:
-                den = den // gcd(den, d) * d
-    if den == 1:
-        return {k: (x.a, x.b) for k, x in w.items()}, 1
-    return {k: (x.a * (den // x.d), x.b * (den // x.d)) for k, x in w.items()}, den
+def _numerators(v: dict, ambient: int) -> dict:
+    """A copy of the sparse Gaussian-integer vector ``v``, ``{index: (re,
+    im)}``, without its zeros.  Anything but a dict of pairs raises before
+    a row is stored, and so does an index outside ``ambient``."""
+    if not isinstance(v, dict):
+        raise TypeError(f"expected a sparse vector {{index: (re, im)}}, got {type(v).__name__}")
+    if v and (min(v) < 0 or max(v) >= ambient):
+        raise DimensionError(f"vector index outside ambient {ambient}")
+    return {k: (a, b) for k, (a, b) in v.items() if a or b}
 
 
 def _sub_multiple(w: dict, a: int, b: int, tail: dict, cols: dict | None = None,
@@ -575,11 +557,10 @@ class Subspace:
 
     ``pivots``, ``rows`` and ``coords_of`` read the rows in increasing
     pivot order; ``rows`` gives each as a sparse vector ``{index: nonzero
-    GaussianRational}``.  Rows enter only through ``insert``.  Vectors may
-    be passed sparse or as dense sequences of length ``ambient``, or as
-    sparse vectors of Gaussian-integer numerators ``{index: (re, im)}``
-    such as ``Matrix.flatten`` gives: a span does not change under
-    scaling, so these need no denominator.
+    GaussianRational}``.  Rows enter only through ``insert``.  Every vector
+    passed in is a sparse Gaussian-integer vector ``{index: (re, im)}``,
+    such as ``Matrix.flatten`` gives: a span does not change under scaling,
+    so it needs no denominator.
     """
 
     __slots__ = ("ambient", "_rows", "_cols")
@@ -590,12 +571,7 @@ class Subspace:
         self._cols: dict = {}  # non-pivot column -> pivots whose tail holds it
 
     @staticmethod
-    def span(vectors: Iterable, ambient: int | None = None) -> "Subspace":
-        vectors = list(vectors)
-        if ambient is None:
-            if not vectors or isinstance(vectors[0], dict):
-                raise DimensionError("ambient dimension required for this span")
-            ambient = len(vectors[0])
+    def span(vectors: Iterable, ambient: int) -> "Subspace":
         s = Subspace(ambient)
         for v in vectors:
             s.insert(v)
@@ -642,11 +618,11 @@ class Subspace:
             a, b = w.pop(p)
             _sub_multiple(w, a // den, b // den, tail)
 
-    def insert(self, v) -> tuple["Subspace", bool]:
+    def insert(self, v: dict) -> tuple["Subspace", bool]:
         """In place, extend the basis to span ``v`` too; the flag reports
         growth.  The pair ``(self, grew)`` is what the benchmark's tracer
         reads (``perfbench/tracing.py`` counts growth from item 1)."""
-        w, _ = _numerators(v, self.ambient)
+        w = _numerators(v, self.ambient)
         self._reduce(w)
         if not w:
             return self, False
@@ -678,16 +654,18 @@ class Subspace:
         rows[q] = (den, w)
         return self, True
 
-    def contains(self, v) -> bool:
-        w, _ = _numerators(v, self.ambient)
+    def contains(self, v: dict) -> bool:
+        w = _numerators(v, self.ambient)
         self._reduce(w)
         return not w
 
-    def coords_of(self, v) -> tuple | None:
-        """Coordinates of ``v`` in this basis, or None if outside the span."""
-        w, den = _numerators(v, self.ambient)
+    def coords_of(self, v: dict) -> tuple | None:
+        """Coordinates of ``v`` in this basis, or None if outside the span:
+        each row is 1 at its pivot and 0 at the others, so they are the
+        entries of ``v`` at the pivots."""
+        w = _numerators(v, self.ambient)
         coords = tuple(
-            GaussianRational(*w[p], den) if p in w else ZERO for p in self.pivots
+            GaussianRational(*w[p]) if p in w else ZERO for p in self.pivots
         )
         self._reduce(w)
         if w:

@@ -1,4 +1,5 @@
 import os
+from math import lcm
 
 import pytest
 
@@ -33,6 +34,15 @@ AXIOM_CASES = (
 )
 
 HEAVY_ENABLED = os.environ.get("SYMTRIPLE_HEAVY") == "1"
+
+
+def cleared(v) -> tuple[dict, int]:
+    """A Gaussian-rational vector, dense or sparse ``{index: scalar}``, with
+    its denominators cleared: the sparse Gaussian-integer vector L v that
+    ``Subspace`` takes, with L the least common denominator, and L."""
+    items = [(k, x) for k, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x]
+    den = lcm(*(x.d for _, x in items))
+    return {k: (x.a * (den // x.d), x.b * (den // x.d)) for k, x in items}, den
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from symtriple.enveloping import (
 )
 from symtriple.errors import ValidationError
 from symtriple.linalg import Matrix, bracket_closure, combination, comm, lie_generators, rank
-from symtriple.scalars import HALF, I, ONE, ZERO, qi
+from symtriple.scalars import HALF, ONE, ZERO, qi
 from symtriple.triples import SymplecticTripleSystem, build_symplectic_type, inder_basis
 
 from conftest import LIGHT_CASES
@@ -157,20 +157,6 @@ def test_jacobi_abelian_passes():
 def test_jacobi_rejects_unknown_mode(model_cache):
     with pytest.raises(ValueError):
         verify_jacobi(model_cache("symplectic", 1).algebra, mode="thorough")
-
-
-def test_sparse_bracket(model_cache):
-    L = model_cache("symplectic", 1).algebra
-    assert L.bracket({0: ONE}, {1: ONE}) == {2: qi(2)}
-    x, y = {0: ONE, 4: qi(2)}, {1: qi(3), 7: I}
-    want = {}
-    for i, a in x.items():
-        for j, b in y.items():
-            for l, v in L.bracket_basis(i, j).items():
-                want[l] = want.get(l, ZERO) + a * b * v
-    assert L.bracket(x, y) == {l: v for l, v in want.items() if v}
-    assert L.bracket(y, x) == {l: -v for l, v in L.bracket(x, y).items()}
-    assert L.bracket(x, x) == {}
 
 
 def _algebra_generators(L):

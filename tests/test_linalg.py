@@ -23,8 +23,16 @@ from symtriple.linalg import (
 )
 from symtriple.scalars import ONE, GaussianRational, qi
 
+from conftest import cleared
+
 E12 = Matrix.from_rows([[0, 1], [0, 0]])
 E21 = Matrix.from_rows([[0, 0], [1, 0]])
+
+
+def ints(*values) -> dict:
+    """The sparse Gaussian-integer vector ``{index: (re, im)}`` that
+    ``Subspace`` takes, of a dense list of ints."""
+    return {k: (x, 0) for k, x in enumerate(values) if x}
 
 
 def test_rank_examples():
@@ -58,6 +66,18 @@ def test_matrix_algebra():
         a.bilinear(vec([1, 2, 3]), vec([0, 1]))
 
 
+def test_denominator_must_be_positive():
+    # den -2 would read as -1/2 yet compare unequal to the canonical -1/2,
+    # and den 0 would raise only when an entry is read
+    for den in (-2, 0):
+        with pytest.raises(ValueError):
+            Matrix.from_numerators(1, 1, {0: {0: (1, 0)}}, den)
+        with pytest.raises(ValueError):
+            Matrix.from_flat({0: (1, 0)}, 1, 1, den)
+    half = Matrix.from_numerators(1, 1, {0: {0: (-1, 0)}}, 2)
+    assert half == Matrix.from_rows([[qi("-1/2")]]) and half.den == 2
+
+
 def test_sparse_kernel():
     w = {0: ONE, 2: qi(3)}
     add_scaled(w, qi(-3), {2: ONE, 5: qi(2)})
@@ -68,37 +88,37 @@ def test_sparse_kernel():
 
 
 def test_insert_examples():
-    s = Subspace.span([[1, 0, 0]], 3)
-    s2, grew = s.insert(vec([1, 0, 0]))
+    s = Subspace.span([ints(1, 0, 0)], 3)
+    s2, grew = s.insert(ints(1, 0, 0))
     assert not grew and s2 == s
-    s3, grew = s.insert(vec([0, 1, 0]))
+    s3, grew = s.insert(ints(0, 1, 0))
     assert grew and s3.dim == 2
-    z, grew = Subspace(2).insert(vec([0, 0]))
+    z, grew = Subspace(2).insert({0: (0, 0), 1: (0, 0)})
     assert not grew and z.dim == 0
     with pytest.raises(DimensionError):
-        s.insert(vec([1, 0]))
+        s.insert({-1: (1, 0)})
     with pytest.raises(DimensionError):
-        s.insert({3: qi(1)})
+        s.insert({3: (1, 0)})
 
 
 def test_insert_extends_in_place_in_pivot_order():
-    s = Subspace.span([[0, 1, 1], [0, 0, 1]], 3)
+    s = Subspace.span([ints(0, 1, 1), ints(0, 0, 1)], 3)
     assert s.rows == ({1: ONE}, {2: ONE})
     # the new pivot 0 lies below every stored pivot
-    out, grew = s.insert(vec([1, 1, 0]))
+    out, grew = s.insert(ints(1, 1, 0))
     assert out is s and grew
     assert s.pivots == (0, 1, 2)
     assert s.rows == ({0: ONE}, {1: ONE}, {2: ONE})
-    assert s.coords_of(vec([3, 5, 7])) == vec([3, 5, 7])
-    out, grew = s.insert(vec([1, 2, 3]))
+    assert s.coords_of(ints(3, 5, 7)) == vec([3, 5, 7])
+    out, grew = s.insert(ints(1, 2, 3))
     assert out is s and not grew and s.dim == 3
 
-    s = Subspace.span([[0, 1, 2, 0]], 4)
-    s.insert(vec([1, 1, 0, 1]))
+    s = Subspace.span([ints(0, 1, 2, 0)], 4)
+    s.insert(ints(1, 1, 0, 1))
     assert s.pivots == (0, 1)
     assert s.rows == ({0: ONE, 2: qi(-2), 3: ONE}, {1: ONE, 2: qi(2)})
-    assert s.coords_of(vec([2, 3, 2, 2])) == vec([2, 3])
-    assert hash(s) == hash(Subspace.span([[1, 0, -2, 1], [0, 1, 2, 0]], 4))
+    assert s.coords_of(ints(2, 3, 2, 2)) == vec([2, 3])
+    assert hash(s) == hash(Subspace.span([ints(1, 0, -2, 1), ints(0, 1, 2, 0)], 4))
 
 
 def test_rows_enter_only_through_insert():
@@ -106,23 +126,46 @@ def test_rows_enter_only_through_insert():
     # non-canonical {0: 2}, would reject [1, 0, 0] and give it no coordinates
     with pytest.raises(TypeError):
         Subspace(3, {0: {0: qi(2)}})
-    s = Subspace.span([[2, 0, 0]], 3)
+    s = Subspace.span([ints(2, 0, 0)], 3)
     assert s.rows == ({0: ONE},)
-    assert s.contains(vec([1, 0, 0])) and s.coords_of(vec([1, 0, 0])) == vec([1])
+    assert s.contains(ints(1, 0, 0)) and s.coords_of(ints(1, 0, 0)) == vec([1])
 
 
 def test_insert_takes_gaussian_integer_vectors():
-    # numerators span what their vector spans, whatever its denominator;
+    # a vector spans what any nonzero Gaussian-integer multiple of it spans;
     # a stored zero is not a pivot
     a = Subspace.span([{0: (2, 0), 1: (0, 4)}, {1: (3, 3), 2: (0, 0)}], 3)
-    b = Subspace.span([{0: qi(1), 1: qi("2i")}, {1: qi("1/3+1/3i")}], 3)
+    b = Subspace.span([{0: (0, 1), 1: (-2, 0)}, {1: (1, 1)}], 3)
     assert a == b and a.pivots == (0, 1)
+    assert a.rows == ({0: ONE}, {1: ONE})
     assert a.coords_of({0: (3, 0), 1: (0, 6)}) == (qi(3), qi("6i"))
 
 
+@pytest.mark.parametrize(
+    "v, error",
+    [
+        ([0, 1, 0], TypeError),
+        ({1: (1, 0), 2: qi(2)}, TypeError),
+        ({1: qi(2), 2: (1, 0)}, TypeError),
+        ({1: (1, 0, 0)}, ValueError),
+        ({1: (1, 0), 3: (1, 0)}, DimensionError),
+    ],
+    ids=["list", "pair-then-scalar", "scalar-then-pair", "3-tuple", "index-out-of-range"],
+)
+def test_malformed_vectors_are_refused(v, error):
+    # Subspace takes only sparse Gaussian-integer vectors {index: (re, im)};
+    # anything else raises before a row is stored
+    s = Subspace.span([ints(1, 0, 0)], 3)
+    rows = s.rows
+    for call in (s.insert, s.contains, s.coords_of):
+        with pytest.raises(error):
+            call(v)
+        assert (s.dim, s.pivots, s.rows) == (1, (0,), rows)
+
+
 def test_sum_leaves_its_operands_unchanged():
-    a = Subspace.span([[0, 1, 0]], 3)
-    b = Subspace.span([[1, 0, 0], [0, 1, 1]], 3)
+    a = Subspace.span([ints(0, 1, 0)], 3)
+    b = Subspace.span([ints(1, 0, 0), ints(0, 1, 1)], 3)
     total = a.sum(b)
     assert total.dim == 3 and total is not a and total is not b
     assert a.rows == ({1: ONE},) and a.dim == 1
@@ -133,20 +176,22 @@ def test_float_entries_are_rejected():
     with pytest.raises(TypeError):
         vec([0.5])
     with pytest.raises(TypeError):
-        Subspace.span([[0.5, 1]])
+        Matrix.from_rows([[0.5, 1]])
+    with pytest.raises(TypeError):
+        Subspace.span([{0: 0.5, 1: (1, 0)}], 2)
 
 
 def test_span_is_order_independent():
-    vs = [[1, 2, 3], [0, 1, 1], [2, 5, 7], [1, 0, 0]]
+    vs = [ints(1, 2, 3), ints(0, 1, 1), ints(2, 5, 7), ints(1, 0, 0)]
     spans = {Subspace.span(p, 3) for p in itertools.permutations(vs)}
     assert len(spans) == 1
 
 
 def test_coords_of():
-    s = Subspace.span([[1, 0, 2], [0, 1, 3]], 3)
-    c = s.coords_of(vec([2, 5, 19]))
+    s = Subspace.span([ints(1, 0, 2), ints(0, 1, 3)], 3)
+    c = s.coords_of(ints(2, 5, 19))
     assert c == vec([2, 5])
-    assert s.coords_of(vec([0, 0, 1])) is None
+    assert s.coords_of(ints(0, 0, 1)) is None
 
 
 def test_closure_nilpotent_generator():
@@ -215,9 +260,10 @@ def test_rank_nullity(rows, cols, seed):
 @settings(max_examples=40)
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=1, max_size=5))
 def test_insert_idempotent(vectors):
+    vectors = [ints(*v) for v in vectors]
     s = Subspace.span(vectors, 3)
     for v in vectors:
-        s2, grew = s.insert(vec(v))
+        s2, grew = s.insert(v)
         assert not grew and s2 == s
 
 
@@ -233,7 +279,9 @@ _sparse_vectors = st.dictionaries(st.integers(0, 7), _entries, max_size=5)
     st.lists(st.lists(_entries, min_size=6, max_size=6), max_size=3),
 )
 def test_canonical_form_on_sparse_input(vectors, combos):
-    s = Subspace.span(vectors, ambient=8)
+    # a span does not change under scaling: insert each vector with its
+    # denominators cleared
+    s = Subspace.span((cleared(v)[0] for v in vectors), ambient=8)
     assert list(s.pivots) == sorted(s.pivots) and s.dim <= len(vectors)
     for p, row in zip(s.pivots, s.rows):
         assert min(row) == p and row[p] == ONE
@@ -248,12 +296,13 @@ def test_canonical_form_on_sparse_input(vectors, combos):
                 v[k] = v.get(k, qi(0)) + c * x
         in_span.append(v)
     for v in in_span:
-        coords = s.coords_of(v)
-        assert coords is not None and s.contains(v)
+        w, den = cleared(v)
+        coords = s.coords_of(w)
+        assert coords is not None and s.contains(w)
         rebuilt = {}
         for c, row in zip(coords, s.rows):
             for k, x in row.items():
-                rebuilt[k] = rebuilt.get(k, qi(0)) + c * x
+                rebuilt[k] = rebuilt.get(k, qi(0)) + c * x / den
         assert {k: x for k, x in rebuilt.items() if x} == {k: x for k, x in v.items() if x}
 
 

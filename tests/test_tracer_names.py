@@ -31,7 +31,7 @@ def test_traced_names_resolve():
 def test_insert_returns_the_growth_flag_the_tracer_reads():
     # the traced insert counts growth from item [1] of the returned pair
     s = Subspace(2)
-    out = s.insert([1, 0])
+    out = s.insert({0: (1, 0)})
     assert len(out) == 2 and out[1] is True
-    out = s.insert([2, 0])
+    out = s.insert({0: (2, 0)})
     assert len(out) == 2 and out[1] is False
