@@ -37,8 +37,6 @@ from .connections import (
     alpha_distinguished,
     alpha_family,
     alpha_levi_civita,
-    alpha_o,
-    alpha_rs,
     connection_by_name,
     curvature,
     curvature_of,

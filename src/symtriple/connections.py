@@ -2,10 +2,10 @@
 
 A connection is encoded by its Nomizu map alpha: m x m -> m, stored as the
 list of left-multiplication operators ``ops[i] = alpha(e_i, .)``.  The
-library provides the Levi-Civita map, the two torsion building blocks, the
-affine family alpha_g + a*alpha_o + sum b_rs alpha_rs covering the metric
-skew-torsion connections, and the distinguished / canonical members, plus
-torsion, metric and skew-torsion predicates, and curvature operators
+library provides the Levi-Civita map, the affine family alpha_g + a*alpha_o
++ sum b_rs alpha_rs covering the metric skew-torsion connections, and its
+distinguished / canonical members, plus torsion, metric and skew-torsion
+predicates, and curvature operators
 
     R(X, Y) = [alpha_X, alpha_Y] - alpha_{[X,Y]_m} - ad([X,Y]_h).
 
@@ -14,14 +14,13 @@ c [e_i, e_j]_m, with c read off the blocks of e_i (row) and e_j (column),
 m = vertical (xi_1, xi_2, xi_3) (+) odd part.  Each operator alpha(e_i, .)
 is ``HomogeneousModel.bracket_op(i, vertical, odd)`` with
 
-    map                    vertical e_i    odd e_i
-    levi-civita            (1/2, 0)        (1, 1/2)
-    alpha_o                (1/2, 0)        0
-    distinguished          (0, -1)         0
-    canonical              (-1, -1)        0
-    eps block of alpha_rr  (-1/2, 0)       0
+    map                    vertical e_i             odd e_i
+    levi-civita            (1/2, 0)                 (1, 1/2)
+    family (a, B)          ((1 + a - tr B)/2, 0)    (1, 1/2)
+    distinguished          (0, -1)                  0
+    canonical              (-1, -1)                 0
 
-alpha_rs adds its Phi_s and phi_s entries to that eps block (r = s only).
+The family adds, for each r, the Phi and phi entries of sum_s B_rs phi_s.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ __all__ = [
     "NomizuMap",
     "Connection",
     "alpha_levi_civita",
-    "alpha_o",
-    "alpha_rs",
     "alpha_family",
     "alpha_distinguished",
     "alpha_canonical",
@@ -101,53 +98,37 @@ def alpha_levi_civita(model: HomogeneousModel) -> NomizuMap:
     return NomizuMap(_block_ops(model, (HALF, ZERO), (ONE, HALF)), "levi-civita")
 
 
-def alpha_o(model: HomogeneousModel) -> NomizuMap:
-    """alpha_o(xi_i, xi_j) = eps_ijk xi_k = [xi_i, xi_j] / 2; zero whenever
-    an argument is odd."""
-    return NomizuMap(_block_ops(model, (HALF, ZERO)), "alpha_o")
-
-
-def alpha_rs(model: HomogeneousModel, r: int, s: int) -> NomizuMap:
-    """The torsion block alpha_rs (r, s in 1..3):
-
-    alpha_rs(X, Y) = Phi_s(X, Y) xi_r, alpha_rs(X, xi_j) = delta_rj phi_s(X),
-    alpha_rs(xi_i, xi_j) = -delta_rs eps_ijk xi_k, extended alternating.
-    """
-    if not (1 <= r <= 3 and 1 <= s <= 3):
-        raise DimensionError("alpha_rs indices must lie in 1..3")
-    md = model.m_dim
-    ri = r - 1
-    phi_s = model.phi(s)
-    w_s = model.metric.gram @ phi_s  # w_s[i, j] = g(e_i, phi_s e_j)
-    # entries added to the eps block, each at a place where it is zero
-    extra = [{} for _ in range(md)]
-    for i, j, v in w_s.entries():
-        if i >= 3 and j >= 3:  # columns over odd Y: Phi_s(e_i, Y) xi_r
-            extra[i].setdefault(ri, {})[j] = v
-    for l, i, v in phi_s.entries():
-        if i >= 3:  # column xi_r: phi_s(e_i), and its alternating counterpart
-            extra[i].setdefault(l, {})[ri] = v
-            extra[ri].setdefault(l, {})[i] = -v
-    ops = _block_ops(model, (-HALF if r == s else ZERO, ZERO))
-    ops = [op + Matrix(md, md, e) if e else op for op, e in zip(ops, extra)]
-    return NomizuMap(ops, f"alpha_{r}{s}")
-
-
 def alpha_family(model: HomogeneousModel, a, b_matrix) -> NomizuMap:
-    """alpha_g + a * alpha_o + sum_rs b[r][s] * alpha_rs."""
+    """alpha_g + a * alpha_o + sum_rs b[r][s] * alpha_rs, the metric
+    skew-torsion family, where
+
+        alpha_o(xi_i, xi_j) = eps_ijk xi_k, zero whenever an argument is odd;
+        alpha_rs(X, Y) = Phi_s(X, Y) xi_r, alpha_rs(X, xi_j) = delta_rj phi_s(X),
+        alpha_rs(xi_i, xi_j) = -delta_rs eps_ijk xi_k, extended alternating.
+
+    On the blocks of the bracket the sum is one bracket multiple; then, for
+    each r, the Phi and phi entries of phi = sum_s b[r][s] phi_s are added.
+    """
     a = qi(a)
     rows = [[qi(x) for x in row] for row in b_matrix]
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise DimensionError("b_matrix must be 3x3")
-    parts = [(ONE, alpha_levi_civita(model))]
-    if a:
-        parts.append((a, alpha_o(model)))
-    parts += [
-        (c, alpha_rs(model, r + 1, s + 1))
-        for r, row in enumerate(rows) for s, c in enumerate(row) if c
-    ]
     md = model.m_dim
-    ops = [combination(((c, p.ops[i]) for c, p in parts), md) for i in range(md)]
+    trace = rows[0][0] + rows[1][1] + rows[2][2]
+    ops = _block_ops(model, ((ONE + a - trace) * HALF, ZERO), (ONE, HALF))
+    # entries added to the bracket part, at places no other r touches
+    extra = [{} for _ in range(md)]
+    for r, row in enumerate(rows):
+        phi = combination(((c, model.phi(s + 1)) for s, c in enumerate(row)), md)
+        w = model.metric.gram @ phi  # w[i, j] = g(e_i, phi e_j)
+        for i, j, v in w.entries():
+            if i >= 3 and j >= 3:  # columns over odd Y: Phi(e_i, Y) xi_r
+                extra[i].setdefault(r, {})[j] = v
+        for l, i, v in phi.entries():
+            if i >= 3:  # column xi_r: phi(e_i), and its alternating counterpart
+                extra[i].setdefault(l, {})[r] = v
+                extra[r].setdefault(l, {})[i] = -v
+    ops = [op + Matrix(md, md, e) if e else op for op, e in zip(ops, extra)]
     label = f"family(a={a}, B={[[str(x) for x in row] for row in rows]})"
     return NomizuMap(ops, label, params=(a, tuple(tuple(r) for r in rows)))
 

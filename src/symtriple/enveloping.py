@@ -126,13 +126,12 @@ class ReductiveSplit:
         return len(self.m_indices)
 
 
-def build_enveloping(T: SymplecticTripleSystem, inder: InnerDerivationSpace | None = None):
-    """Assemble g(T) and its reductive split from a simple triple system."""
+def build_enveloping(T: SymplecticTripleSystem, inder: InnerDerivationSpace):
+    """Assemble g(T) and its reductive split from a simple triple system
+    and its inder(T)."""
     if T.dim % 2:
         raise ValidationError("triple systems of odd dimension are out of scope")
     n = T.dim // 2
-    if inder is None:
-        inder = inder_basis(T)
     h = inder.dim
     t_dim = T.dim
     dim = 3 + h + 2 * t_dim
@@ -330,11 +329,10 @@ class InvariantMetric:
         return self._inverse
 
 
-def metric_g(L: GradedLieAlgebra, split: ReductiveSplit, kappa: Matrix | None = None) -> InvariantMetric:
-    """Metric gram matrix: -kappa/(4(n+2)) on sp(V), -kappa/(8(n+2)) on the
-    odd block, zero mixed; validated against the structural expectations."""
-    if kappa is None:
-        kappa = killing_form(L)
+def metric_g(L: GradedLieAlgebra, split: ReductiveSplit, kappa: Matrix) -> InvariantMetric:
+    """Metric gram matrix from the Killing form kappa of L: -kappa/(4(n+2))
+    on sp(V), -kappa/(8(n+2)) on the odd block, zero mixed; validated
+    against the structural expectations."""
     n = L.n
     m_idx = split.m_indices
     m_dim = len(m_idx)
@@ -500,10 +498,10 @@ class HomogeneousModel:
 
             phi_i                  bracket_op(i - 1, 1/2, 1)
             levi-civita            (1/2, 0) for vertical e_i, (1, 1/2) for odd
-            alpha_o                (1/2, 0) for vertical e_i, zero for odd
+            family (a, B)          ((1 + a - tr B)/2, 0) for vertical e_i,
+                                   (1, 1/2) for odd, before its phi entries
             distinguished          (0, -1)  for vertical e_i, zero for odd
             canonical              (-1, -1) for vertical e_i, zero for odd
-            eps block of alpha_rr  (-1/2, 0) for vertical e_i, zero for odd
         """
         vertical, odd = qi(vertical), qi(odd)
         data: dict = {}

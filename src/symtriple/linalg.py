@@ -484,13 +484,15 @@ def table_product(table, x: Vector, y: Vector) -> Vector:
 
 def _numerators(v: dict, ambient: int) -> dict:
     """A copy of the sparse Gaussian-integer vector ``v``, ``{index: (re,
-    im)}``, without its zeros.  Anything but a dict of pairs raises before
-    a row is stored, and so does an index outside ``ambient``."""
+    im)}``, without its zeros.  Anything but a dict of int pairs raises
+    before a row is stored, and so does an index outside ``ambient``."""
     if not isinstance(v, dict):
         raise TypeError(f"expected a sparse vector {{index: (re, im)}}, got {type(v).__name__}")
     if v and (min(v) < 0 or max(v) >= ambient):
         raise DimensionError(f"vector index outside ambient {ambient}")
-    return {k: (a, b) for k, (a, b) in v.items() if a or b}
+    w = {k: (a, b) for k, (a, b) in v.items() if a or b}
+    gcd(*chain.from_iterable(w.values()))  # TypeError for a non-int numerator
+    return w
 
 
 def _sub_multiple(w: dict, a: int, b: int, tail: dict, cols: dict | None = None,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import DimensionError, ParseError, ValidationError
 from .jordan import CubicJordan
@@ -269,7 +270,7 @@ def build_exceptional_type(jordan: CubicJordan) -> SymplecticTripleSystem:
     above is a single lookup in tables of e_p x e_q (twice J's
     ``cross_table``), (e_p x e_q) x e_r and t(e_p x e_q, e_r), picked by the
     slot kinds; tau maps basis elements to basis elements, so the
-    tau-components are the same lookups at the swapped indices.
+    tau-components of a basis triple are the (g, c) of its tau image.
     """
     dj = jordan.dim
     dim = 2 + 2 * dj
@@ -284,29 +285,27 @@ def build_exceptional_type(jordan: CubicJordan) -> SymplecticTripleSystem:
                 om.setdefault(2 + dj + p, {})[2 + q] = t_pq
     omega = Matrix(dim, dim, om)
 
-    gamma_c = _exc_components(jordan)
+    # (g, c) of a basis triple fills its slots (alpha, a); negated, they are
+    # the (beta, b) slots of its tau image
     tau = [1, 0] + list(range(2 + dj, dim)) + list(range(2, 2 + dj))
     cols: dict = {}
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                g, c = gamma_c(i, j, k)
-                gt, ct = gamma_c(tau[i], tau[j], tau[k])
-                if not (g or c or gt or ct):
-                    continue
-                col = {0: g} if g else {}
-                if gt:
-                    col[1] = -gt
-                col.update((2 + l, v) for l, v in c.items())
-                col.update((2 + dj + l, -v) for l, v in ct.items())
-                cols[(i, j, k)] = col
+    for (i, j, k), g, c in _exc_components(jordan):
+        col = cols.setdefault((i, j, k), {})
+        if g:
+            col[0] = g
+        col.update((2 + l, v) for l, v in c.items())
+        col = cols.setdefault((tau[i], tau[j], tau[k]), {})
+        if g:
+            col[1] = -g
+        col.update((2 + dj + l, -v) for l, v in c.items())
+    cols = {key: dict(sorted(cols[key].items())) for key in sorted(cols)}
     kind = "scalar" if jordan.kind == "scalar" else f"H3({jordan.algebra.kind})"
     return SymplecticTripleSystem(dim, omega, cols, f"exceptional(J={kind})")
 
 
 def _exc_components(J: CubicJordan):
-    """(g, c) of ``build_exceptional_type`` on basis triples, as a function
-    of the basis indices (i, j, k); c is a sorted sparse {J-index: value}."""
+    """The basis triples (i, j, k) of ``build_exceptional_type`` where g or
+    c is nonzero, with (g, c); c is a sorted sparse {J-index: value}."""
     dj = J.dim
     tf = J.trace_form
     two, m1, m2, m3 = (qi(n) for n in (2, -1, -2, -3))
@@ -348,15 +347,14 @@ def _exc_components(J: CubicJordan):
             ZERO, _combine((ONE, xx[q][r][p]), (tf[p][q], {r: ONE}), (two * tf[p][r], {q: ONE}))
         ),
     }
-    kinds = ["al", "be"] + ["a"] * dj + ["b"] * dj
-    pos = [0, 0] + list(range(dj)) * 2
-    none = (ZERO, _EMPTY)
-
-    def gamma_c(i: int, j: int, k: int):
-        rule = rules.get((kinds[i], kinds[j], kinds[k]))
-        return rule(pos[i], pos[j], pos[k]) if rule else none
-
-    return gamma_c
+    # the basis elements of each slot kind, as (basis index, J-index)
+    slots = {"al": [(0, 0)], "be": [(1, 0)],
+             "a": [(2 + p, p) for p in range(dj)], "b": [(2 + dj + p, p) for p in range(dj)]}
+    for (k1, k2, k3), rule in rules.items():
+        for (i, p), (j, q), (k, r) in product(slots[k1], slots[k2], slots[k3]):
+            g, c = rule(p, q, r)
+            if g or c:
+                yield (i, j, k), g, c
 
 
 def _combine(*terms) -> dict:

@@ -9,8 +9,6 @@ from symtriple.connections import (
     alpha_distinguished,
     alpha_family,
     alpha_levi_civita,
-    alpha_o,
-    alpha_rs,
     connection_by_name,
     is_metric,
     is_skew_torsion,
@@ -30,6 +28,18 @@ ZERO3 = [[0] * 3 for _ in range(3)]
 
 def basis_vec(md, i):
     return tuple(ONE if j == i else ZERO for j in range(md))
+
+
+def unit3(r, s):
+    """E_rs for r, s in 1..3."""
+    return [[1 if (p, q) == (r, s) else 0 for q in (1, 2, 3)] for p in (1, 2, 3)]
+
+
+def torsion_part(model, a, b_matrix):
+    """alpha_family(a, B) - alpha_g; alpha_o is (1, 0), alpha_rs is (0, E_rs)."""
+    family = alpha_family(model, a, b_matrix)
+    lc = alpha_levi_civita(model)
+    return NomizuMap([x - y for x, y in zip(family.ops, lc.ops)], family.label)
 
 
 def gamma_on(a, c, b):
@@ -66,7 +76,7 @@ def test_levi_civita_values(model_cache):
 
 def test_alpha_o_values(model_cache):
     model = model_cache("symplectic", 1)
-    ao = alpha_o(model)
+    ao = torsion_part(model, 1, ZERO3)
     md = model.m_dim
     xi = [model.xi_vector(i) for i in (1, 2, 3)]
     assert ao.value(xi[0], xi[1]) == xi[2]
@@ -80,11 +90,11 @@ def test_alpha_rs_values(model_cache):
     md = model.m_dim
     xi = [model.xi_vector(i) for i in (1, 2, 3)]
     x = basis_vec(md, 3)
-    a11 = alpha_rs(model, 1, 1)
+    a11 = torsion_part(model, 0, unit3(1, 1))
     assert a11.value(x, xi[0]) == model.phi(1).apply(x)
     assert a11.value(xi[0], x) == tuple(-c for c in model.phi(1).apply(x))
     assert a11.value(xi[0], xi[1]) == tuple(-c for c in xi[2])
-    a12 = alpha_rs(model, 1, 2)
+    a12 = torsion_part(model, 0, unit3(1, 2))
     assert a12.value(xi[0], xi[1]) == (ZERO,) * md  # r != s kills the vertical part
     assert a12.value(x, xi[0]) == model.phi(2).apply(x)
     assert a12.value(x, xi[1]) == (ZERO,) * md
@@ -222,11 +232,45 @@ def test_skew_value_tables(family, param, model_cache):
     for i in (1, 2, 3):
         assert model.phi(i) == reference_phi(model, i)
     assert list(alpha_levi_civita(model).ops) == reference_levi_civita(model)
-    assert list(alpha_o(model).ops) == reference_alpha_o(model)
+    assert list(torsion_part(model, 1, ZERO3).ops) == reference_alpha_o(model)
     for r, s in itertools.product((1, 2, 3), repeat=2):
-        assert list(alpha_rs(model, r, s).ops) == reference_alpha_rs(model, r, s)
+        got = torsion_part(model, 0, unit3(r, s)).ops
+        assert list(got) == reference_alpha_rs(model, r, s)
     assert list(dist.ops) == reference_skew(model, canonical=False)
     assert list(can.ops) == reference_skew(model, canonical=True)
+
+
+def reference_family(model, a, b_matrix, lc, ao, ars):
+    """alpha_g + a alpha_o + sum_rs B_rs alpha_rs from the reference maps."""
+    md = model.m_dim
+    terms = [(ONE, lc), (qi(a), ao)]
+    terms += [
+        (qi(c), ars[(r + 1, s + 1)])
+        for r, row in enumerate(b_matrix) for s, c in enumerate(row)
+    ]
+    return [combination([(c, ops[i]) for c, ops in terms], md) for i in range(md)]
+
+
+@pytest.mark.parametrize("family,param", LIGHT_CASES)
+def test_family_matches_reference_combination(family, param, model_cache):
+    import random
+
+    model = model_cache(family, param)
+    lc = reference_levi_civita(model)
+    ao = reference_alpha_o(model)
+    ars = {rs: reference_alpha_rs(model, *rs) for rs in itertools.product((1, 2, 3), repeat=2)}
+    members = [(1, ZERO3)]
+    members += [(0, unit3(r, s)) for r, s in itertools.product((1, 2, 3), repeat=2)]
+    rng = random.Random(19)
+    values = ["0", "1", "-2", "1/2", "-3/4", "i", "2-1/3i"]
+    for _ in range(3):
+        members.append((
+            qi(rng.choice(values)),
+            [[qi(rng.choice(values)) for _ in range(3)] for _ in range(3)],
+        ))
+    for a, b_matrix in members:
+        got = alpha_family(model, a, b_matrix).ops
+        assert list(got) == reference_family(model, a, b_matrix, lc, ao, ars), (a, b_matrix)
 
 
 def test_torsion_values(model_cache):
@@ -289,7 +333,7 @@ def test_skew_torsion_on_maps_that_fail_it(family, param, model_cache):
 
     bumped = lc[4] + Matrix(md, md, {1: {2: 1}})
     ad = model.ad_m_inder(0)
-    rr = alpha_rs(model, 2, 2).ops
+    rr = torsion_part(model, 0, unit3(2, 2)).ops
     cases = [
         # metric, since ad h acts by isometries, but D(e_4, .) = 2 ad != -D(., e_4)
         (replaced(4, lc[4] + ad + ad, "lc + 2 ad"), True, False),
@@ -332,7 +376,7 @@ def test_wedge_normalization_cross_check(model_cache):
     for r in range(1, 4):
         eta_r = model.metric.eta(r - 1)
         for s in range(1, 4):
-            ars = alpha_rs(model, r, s)
+            ars = torsion_part(model, 0, unit3(r, s))
             phi_s = model.phi(s)
 
             def phi2(u, w):
@@ -346,7 +390,7 @@ def test_wedge_normalization_cross_check(model_cache):
                     + eta_r[k] * phi2(basis[i], basis[j])
                 )
                 assert lhs == rhs
-    ao = alpha_o(model)
+    ao = torsion_part(model, 1, ZERO3)
     etas = [model.metric.eta(r) for r in range(3)]
     for i, j, k in itertools.product(range(md), repeat=3):
         rows = [[etas[r][idx] for idx in (i, j, k)] for r in range(3)]

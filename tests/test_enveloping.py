@@ -411,7 +411,7 @@ def test_odd_dimension_rejected():
     t = build_symplectic_type(1)
     odd = SymplecticTripleSystem(1, Matrix(1, 1), {}, "odd")
     with pytest.raises(ValidationError):
-        build_enveloping(odd)
+        build_enveloping(odd, inder_basis(odd))
 
 
 def test_split_is_reductive(model_cache):

@@ -149,8 +149,11 @@ def test_insert_takes_gaussian_integer_vectors():
         ({1: qi(2), 2: (1, 0)}, TypeError),
         ({1: (1, 0, 0)}, ValueError),
         ({1: (1, 0), 3: (1, 0)}, DimensionError),
+        ({1: (1.0, 0)}, TypeError),
+        ({1: (1, 0), 2: (0.5, 0)}, TypeError),
     ],
-    ids=["list", "pair-then-scalar", "scalar-then-pair", "3-tuple", "index-out-of-range"],
+    ids=["list", "pair-then-scalar", "scalar-then-pair", "3-tuple", "index-out-of-range",
+         "float-pivot", "float-tail"],
 )
 def test_malformed_vectors_are_refused(v, error):
     # Subspace takes only sparse Gaussian-integer vectors {index: (re, im)};
