@@ -163,13 +163,14 @@ def cmd_verify(args) -> int:
     report = verify_axioms(triple, mode=mode)
     ok = report.passed
     simple = None
-    jacobi_ok = None
+    jacobi_ok = jacobi_pairs = None
     if ok:
         simple = is_simple(triple)
         if simple:
             try:
                 model = build_model(triple)
-                jacobi_ok = verify_jacobi(model.algebra, mode=mode).passed
+                jacobi = verify_jacobi(model.algebra, mode=mode)
+                jacobi_ok, jacobi_pairs = jacobi.passed, jacobi.checked_pairs
             except ConstructionError as exc:
                 jacobi_ok = False
                 print(f"enveloping construction failed: {exc}", file=sys.stderr)
@@ -181,6 +182,8 @@ def cmd_verify(args) -> int:
             "axioms_pass": ok,
             "simple": simple,
             "jacobi_pass": jacobi_ok,
+            "checked": report.checked,
+            "jacobi_pairs": jacobi_pairs,
             "failures": [
                 {"axiom": f.axiom, "witness": list(f.witness), "detail": f.detail}
                 for f in report.failures

@@ -22,9 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, ValidationError
-from .linalg import (
-    Matrix, add_numerators, comm, comm_minus, inverse, lie_generators, trace_product,
-)
+from .linalg import Matrix, add_numerators, comm, comm_minus, inverse, lie_generators
 from .scalars import GaussianRational, HALF, I, ONE, ZERO, qi
 from .triples import (
     _EPS2,
@@ -297,16 +295,24 @@ def verify_jacobi(L: GradedLieAlgebra, mode: str = "fast") -> JacobiReport:
 
 
 def killing_form(L: GradedLieAlgebra) -> Matrix:
-    """kappa(x, y) = trace(ad x . ad y), exact, from the trace definition."""
-    data: dict = {}
-    ads = [L.ad(i) for i in range(L.dim)]
+    """kappa_ij = trace(ad_i ad_j), exact for any table (no grading is assumed),
+    as one sparse join: ad_i[k, l] ad_j[l, k] over the numerators indexed by
+    position, summed on Gaussian integers, reduced once over ad_i.den * ad_j.den."""
+    at: dict = {}  # (k, l) -> {i: numerator of ad_i at (k, l)}
     for i in range(L.dim):
-        for j in range(i, L.dim):
-            v = trace_product(ads[i], ads[j])
-            if v:
-                data.setdefault(i, {})[j] = v
-                data.setdefault(j, {})[i] = v
-    return Matrix(L.dim, L.dim, data)
+        for k, row in L.ad(i).num.items():
+            for l, z in row.items():
+                at.setdefault((k, l), {})[i] = z
+    acc: dict = {}
+    for (k, l), left in at.items():
+        right = at.get((l, k))
+        if right:
+            for i, (x, y) in left.items():
+                add_numerators(acc.setdefault(i, {}), x, y, right)
+    return Matrix(L.dim, L.dim, {
+        i: {j: GaussianRational(re, im, L.ad(i).den * L.ad(j).den) for j, (re, im) in row.items()}
+        for i, row in acc.items()
+    })
 
 
 class InvariantMetric:

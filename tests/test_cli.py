@@ -21,6 +21,16 @@ def test_verify_pass(capsys):
     assert "RESULT: PASS" in out
 
 
+def test_verify_json_counts(capsys):
+    # identity (n) -> basis tuples certified, and the Jacobi pairs certified
+    code, out, _ = run(capsys, "verify", "--family", "symplectic", "--n", "2", "--json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["jacobi_pass"] is True
+    assert record["checked"] == {"1": 24, "2": 64, "3": 100, "4": 10}
+    assert record["jacobi_pairs"] == 210
+
+
 def test_verify_bad_parameter(capsys):
     code, _, err = run(capsys, "verify", "--family", "orthogonal", "--w", "2")
     assert code == 2

@@ -10,8 +10,10 @@ from symtriple.enveloping import (
     xi_matrices,
 )
 from symtriple.errors import ValidationError
-from symtriple.linalg import Matrix, bracket_closure, combination, comm, lie_generators, rank
-from symtriple.scalars import HALF, ONE, ZERO, qi
+from symtriple.linalg import (
+    Matrix, bracket_closure, combination, comm, lie_generators, rank, trace_product,
+)
+from symtriple.scalars import HALF, ONE, ZERO, GaussianRational, qi
 from symtriple.triples import SymplecticTripleSystem, build_symplectic_type, inder_basis
 
 from conftest import LIGHT_CASES
@@ -332,6 +334,43 @@ def test_killing_nondegenerate_and_graded(family, param, model_cache):
             assert kap[3 + r, j] == ZERO
         for j in range(3):
             assert kap[3 + r, j] == ZERO
+
+
+def _assert_killing_matches_trace_products(L):
+    """killing_form(L) entry by entry against trace(ad_i ad_j) per pair."""
+    kap = killing_form(L)
+    for i in range(L.dim):
+        for j in range(L.dim):
+            assert kap[i, j] == trace_product(L.ad(i), L.ad(j)), (i, j)
+    return kap
+
+
+@pytest.mark.parametrize("family,param", LIGHT_CASES)
+def test_killing_form_matches_trace_products(family, param, model_cache):
+    _assert_killing_matches_trace_products(model_cache(family, param).algebra)
+
+
+def test_killing_form_assumes_no_grading():
+    # gl(2) (+) gl(1) in the basis E11/2, i E12, E22, E21/3, E11 + E33:
+    # imaginary constants, denominators 2 and 3, and in the layout of
+    # dim 5 (h_dim 0, t_dim 1) indices 3 and 4 are "odd", yet kappa pairs
+    # them with the "even" indices 0..2
+    table = {
+        (0, 1): {1: HALF},
+        (0, 3): {3: -HALF},
+        (1, 2): {1: ONE},
+        (1, 3): {0: GaussianRational(0, 2, 3), 2: GaussianRational(0, -1, 3)},
+        (1, 4): {1: -ONE},
+        (2, 3): {3: ONE},
+        (3, 4): {3: ONE},
+    }
+    L = GradedLieAlgebra(5, 0, 0, 1, table)
+    assert verify_jacobi(L, mode="audit").passed
+    kap = _assert_killing_matches_trace_products(L)
+    # kappa(X, Y) = 4 tr XY - 2 tr X tr Y on gl(2)
+    assert kap[1, 3] == GaussianRational(0, 4, 3)
+    assert kap[2, 4] == qi(-2)
+    assert kap[0, 0] == HALF
 
 
 def test_killing_ad_invariance(model_cache):

@@ -218,6 +218,65 @@ def test_derivation_witnesses_match_reference(mode, triple_cache):
     assert [f.witness for f in report.failures if f.axiom == 3] == failed
 
 
+def _reference_identity2(t: SymplecticTripleSystem, mode: str):
+    """Identity (2) residue by residue over all d^3 basis tuples, in order,
+    with dense vectors: (tuples checked, failing witnesses)."""
+    d = t.dim
+    cap = 1 if mode == "fast" else triples.AXIOM_FAILURE_CAP
+    unit = [tuple(qi(int(a == b)) for b in range(d)) for a in range(d)]
+    checked, failed = 0, []
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                x, y, z = unit[i], unit[j], unit[k]
+                lhs = [a - b for a, b in zip(t.triple_product(x, y, z), t.triple_product(x, z, y))]
+                xz, xy, yz = t.form(x, z), t.form(x, y), t.form(y, z)
+                rhs = [xz * yc - xy * zc + 2 * yz * xc for xc, yc, zc in zip(x, y, z)]
+                checked += 1
+                if lhs != rhs:
+                    failed.append((i, j, k))
+                    if len(failed) == cap:
+                        return checked, failed
+    return checked, failed
+
+
+def _with_omega(t: SymplecticTripleSystem, bumps) -> SymplecticTripleSystem:
+    """t with 1 added to omega at each (i, j) of ``bumps``; built directly,
+    since ``load_sts`` refuses a form that is not skew."""
+    rows = [[t.omega[i, j] for j in range(t.dim)] for i in range(t.dim)]
+    for i, j in bumps:
+        rows[i][j] = rows[i][j] + ONE
+    return SymplecticTripleSystem(t.dim, Matrix.from_rows(rows), t.cols, t.label + "+omega")
+
+
+def _with_triple(t: SymplecticTripleSystem, key, l) -> SymplecticTripleSystem:
+    """t with 1 added to the e_l coefficient of [e_i, e_j, e_k], key = (i, j, k)."""
+    cols = {k: dict(v) for k, v in t.cols.items()}
+    col = cols.setdefault(key, {})
+    col[l] = col.get(l, qi(0)) + ONE
+    return SymplecticTripleSystem(t.dim, t.omega, cols, t.label + "+triple")
+
+
+@pytest.mark.parametrize("mode", ["fast", "audit"])
+def test_identity2_witnesses_match_reference(mode, triple_cache):
+    t = triple_cache("special", 2)
+    # with omega skew R(x, z, y) = -R(x, y, z), so a bump of [e_0, e_3, e_1]
+    # fails at (0, 1, 3) first and then at (0, 3, 1), a tuple with k < j
+    # that a pass over k > j alone never evaluates
+    for bad in (
+        _with_omega(t, [(0, 1), (1, 0)]),  # symmetric off-diagonal part
+        _with_omega(t, [(1, 1)]),  # nonzero diagonal
+        _with_triple(t, (0, 3, 1), 2),
+    ):
+        report = verify_axioms(bad, mode=mode)
+        checked, failed = _reference_identity2(bad, mode)
+        assert failed
+        assert report.checked[2] == checked
+        assert [f.witness for f in report.failures if f.axiom == 2] == failed
+        if mode == "audit":
+            assert any(k < j for _, j, k in failed)
+
+
 def _direct_sum(a: SymplecticTripleSystem, b: SymplecticTripleSystem):
     """a (+) b: block-diagonal form, b's basis after a's, and no product
     between the summands."""
