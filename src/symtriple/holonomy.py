@@ -9,8 +9,11 @@ with m_0 the span of the curvature operators R(e_i, e_j).  That sum is the
 smallest subspace of gl(m) containing every R(e_i, e_j) and invariant under
 [alpha(e_i, .), .]; it is already a Lie algebra, so no mutual commutators
 are taken.
-For a metric connection it sits inside so(m, g), whose dimension therefore
-serves as a certified early-exit bound for the closure.
+For a metric connection it sits inside so(m, g), whose dimension m(m-1)/2
+is the number of R(e_i, e_j) with i < j: if ``linalg.independent_mod_p``
+proves them independent, they span so(m, g), which is built from the metric.
+Otherwise (a dependent R(e_i, e_j), or an unlucky prime) the closure runs,
+with dim so(m, g) as its certified early-exit bound.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from dataclasses import dataclass
 from math import lcm
 
 from .connections import Connection, connection_by_name
-from .enveloping import build_model
+from .enveloping import HomogeneousModel, build_model
 from .errors import ValidationError
-from .linalg import Matrix, Subspace, add_numerators, bracket_closure, center_of, trace_product
+from .linalg import (Matrix, Subspace, add_numerators, bracket_closure, center_of,
+                     independent_mod_p, trace_product)
 from .scalars import GaussianRational, ZERO, qi
 from . import families
 
@@ -29,6 +33,7 @@ __all__ = [
     "HolonomyResult",
     "RicciData",
     "holonomy_algebra",
+    "so_algebra",
     "expected_skew_holonomy_space",
     "holonomy_identity_check",
     "HolonomyStructure",
@@ -54,22 +59,21 @@ class HolonomyResult:
 
 def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyResult:
     """The holonomy algebra of ``conn`` by Kostant's formula: the span of
-    the curvature operators, closed under [alpha(e_i, .), .]."""
+    the curvature operators, closed under [alpha(e_i, .), .], unless it is
+    certified to be so(m, g)."""
     model = conn.model
     md = model.m_dim
-    gens = []
-    for _, r in conn.curvature_pairs():
-        if not r.is_zero():
-            gens.append(r)
-    multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
     metric = conn.is_metric()
     so_dim = model.so_dim()
-    if not gens:
-        algebra = Subspace(md * md)
-    else:
+    if metric and independent_mod_p(r.flatten() for _, r in conn.curvature_pairs()):
+        algebra = so_algebra(model)
+    elif gens := [r for _, r in conn.curvature_pairs() if not r.is_zero()]:
+        multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
         algebra = bracket_closure(
             gens, multipliers, stop_dim=so_dim if metric else None
         )
+    else:
+        algebra = Subspace(md * md)
     center = center_of(algebra).dim if compute_center else None
     return HolonomyResult(
         label=conn.label,
@@ -80,6 +84,15 @@ def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyR
         so_dim=so_dim,
         metric=metric,
     )
+
+
+def so_algebra(model: HomogeneousModel) -> Subspace:
+    """so(m, g) as a new Subspace: the span of g(e_a, .)e_b - g(e_b, .)e_a, a < b."""
+    md, g = model.m_dim, model.metric.gram.num  # g is nondegenerate: no zero row
+    return Subspace.span(({
+        **{b * md + j: z for j, z in g[a].items()},
+        **{a * md + j: (-x, -y) for j, (x, y) in g[b].items()},
+    } for a in range(md) for b in range(a + 1, md)), ambient=md * md)
 
 
 def expected_skew_holonomy_space(conn: Connection) -> Subspace:

@@ -22,7 +22,8 @@ normalized row, and a column index finds the rows a new pivot must be
 cleared from.  ``Subspace`` takes one vector format, such an integer vector
 ``{index: (re, im)}`` as ``Matrix.flatten`` gives: a span does not change
 under scaling, so closures and centers stay on ints.  Scalars become
-numerators in ``Matrix.__init__``.
+numerators in ``Matrix.__init__``.  ``independent_mod_p`` eliminates mod a
+prime only to prove vectors independent, and gives no rows.
 
 The structure-constant tables of the package, from the composition algebras
 to g(T), are sparse vectors ``{index: nonzero GaussianRational}``:
@@ -32,6 +33,7 @@ table on dense elements, both with the plain ``GaussianRational`` operators.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
@@ -51,6 +53,7 @@ __all__ = [
     "rank",
     "kernel",
     "inverse",
+    "independent_mod_p",
     "bracket_closure",
     "close_under",
     "lie_generators",
@@ -689,6 +692,40 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
+
+
+# P = 2^30 - 35, a prime = 1 mod 4, and s with s^2 = -1 mod P: a + bi -> a + bs
+# is a ring homomorphism Z[i] -> F_P
+MODULUS = (1073741789, 140687844)
+
+
+def independent_mod_p(vectors: Iterable) -> bool:
+    """True only if the sparse Gaussian-integer vectors are independent over
+    Q(i): forward elimination finds their images in F_P^n independent, so a
+    maximal minor is nonzero mod P and hence in Z[i].  False, at the first
+    dependency or zero vector mod P, proves nothing.  No rows are kept."""
+    p, s = MODULUS
+    rows: dict = {}  # pivot -> the row past its pivot, where it is 1
+    for v in vectors:
+        w = {k: x for k, (a, b) in v.items() if (x := (a + b * s) % p)}
+        # rows reach only past their pivots, so clear pivots in increasing order
+        todo = [k for k in w if k in rows]
+        heapify(todo)
+        while todo:
+            q = heappop(todo)
+            c = w.pop(q)
+            if c:
+                for k, x in rows[q].items():
+                    if k not in w and k in rows:
+                        heappush(todo, k)
+                    w[k] = (w.get(k, 0) - c * x) % p
+        w = {k: x for k, x in w.items() if x}
+        if not w:
+            return False
+        q = min(w)
+        inv = pow(w.pop(q), -1, p)
+        rows[q] = {k: x * inv % p for k, x in w.items()}
+    return True
 
 
 def _augmented(vectors: Sequence[dict], offset: int) -> Subspace:

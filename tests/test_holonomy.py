@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from symtriple import holonomy, linalg
 from symtriple.connections import Connection, alpha_family, connection_by_name
+from symtriple.enveloping import metric_skew_operator
 from symtriple.families import (
     expected_hol_levi_civita,
     expected_hol_skew,
@@ -15,10 +17,13 @@ from symtriple.holonomy import (
     ricci,
     scalar_curvature,
     scalar_curvature_formula,
+    so_algebra,
     table_report,
 )
-from symtriple.linalg import Subspace, center_of, comm, matrices_of
-from symtriple.scalars import qi
+from symtriple.linalg import (
+    Matrix, Subspace, bracket_closure, center_of, comm, independent_mod_p, matrices_of,
+)
+from symtriple.scalars import ONE, ZERO, qi
 
 from conftest import LIGHT_CASES
 
@@ -137,6 +142,70 @@ def test_kostant_closure_matches_full_lie_closure(family, param, connection_cach
         assert holonomy_algebra(conn, compute_center=False).algebra == want, conn.label
 
 
+def _seeded_members(model, seed):
+    rng = random.Random(seed)
+    for _ in range(2):
+        a = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        b = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)]
+             for _ in range(3)]
+        yield Connection(model, alpha_family(model, a, b))
+
+
+@pytest.mark.parametrize("family,param", LIGHT_CASES)
+def test_closure_fallback_gives_the_certified_rows(family, param, connection_cache,
+                                                   monkeypatch):
+    # when the modular certificate declines, or runs modulo 5 (2^2 = -1), the
+    # closure gives the same canonical rows as the full Lie closure
+    model = connection_cache(family, param, "levi-civita").model
+    conns = [connection_cache(family, param, "levi-civita"), *_seeded_members(model, 5)]
+    wants = []
+    for conn in conns:
+        gens = [r for _, r in conn.curvature_pairs() if not r.is_zero()]
+        multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
+        wants.append(full_lie_closure(gens, multipliers, model.so_dim()))
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "MODULUS", (5, 2))
+        for conn, want in zip(conns, wants):
+            assert holonomy_algebra(conn, compute_center=False).algebra == want
+    with monkeypatch.context() as patch:
+        patch.setattr(holonomy, "independent_mod_p", lambda vectors: False)
+        for conn, want in zip(conns, wants):
+            assert holonomy_algebra(conn, compute_center=False).algebra == want
+
+
+@pytest.mark.parametrize("family,param", LIGHT_CASES)
+def test_so_algebra_is_spanned_by_metric_skew_operators(family, param, model_cache):
+    model = model_cache(family, param)
+    md = model.m_dim
+    axes = [tuple(ONE if k == a else ZERO for k in range(md)) for a in range(md)]
+    want = Subspace.span((
+        metric_skew_operator(model.metric, axes[a], axes[b]).flatten()
+        for a in range(md) for b in range(a + 1, md)
+    ), ambient=md * md)
+    first, second = so_algebra(model), so_algebra(model)
+    assert first.rows == second.rows == want.rows
+    assert first.dim == model.so_dim()
+    # a fresh basis on every call: growing one leaves the other as it was
+    assert first is not second
+    assert first.insert(Matrix.identity(md).flatten())[1]
+    assert first.dim == model.so_dim() + 1
+    assert second.rows == want.rows
+
+
+@pytest.mark.heavy
+def test_heavy_e6_certificate_matches_closure(model_cache):
+    # the certified so(43, g) is the closure's so(43, g), row for row
+    model = model_cache("exceptional", "binarion")
+    b = [[1, 2, 0], [0, -1, 1], [3, 0, 5]]
+    for conn in (Connection(model, alpha_family(model, 0, [[0] * 3] * 3)),
+                 Connection(model, alpha_family(model, Fraction(1, 2), b))):
+        gens = [r for _, r in conn.curvature_pairs() if not r.is_zero()]
+        multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
+        want = bracket_closure(gens, multipliers, model.so_dim())
+        res = holonomy_algebra(conn, compute_center=False)
+        assert res.algebra.rows == want.rows and res.dim == 903
+
+
 @pytest.mark.parametrize("family,param,span_dim", [
     ("symplectic", 1, 18),
     ("special", 1, 18),
@@ -152,6 +221,7 @@ def test_holonomy_grows_through_multipliers(family, param, span_dim, model_cache
     gens = [r for _, r in conn.curvature_pairs() if not r.is_zero()]
     span = Subspace.span([r.flatten() for r in gens], ambient=model.m_dim ** 2)
     assert span.dim == span_dim
+    assert not independent_mod_p(r.flatten() for _, r in conn.curvature_pairs())
     res = holonomy_algebra(conn, compute_center=False)
     assert res.dim > span.dim
     assert res.dim == res.so_dim == model.so_dim()

@@ -1,11 +1,13 @@
 import itertools
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from symtriple.errors import DimensionError
 from symtriple.linalg import (
+    MODULUS,
     Matrix,
     Subspace,
     add_scaled,
@@ -14,6 +16,7 @@ from symtriple.linalg import (
     combination,
     comm,
     comm_minus,
+    independent_mod_p,
     kernel,
     matrices_of,
     rank,
@@ -339,3 +342,37 @@ def test_comm_minus_matches_matrix_arithmetic(a, b, terms):
         comm_minus(a, b, [(1, Matrix(2, 2))])
     with pytest.raises(DimensionError):
         comm_minus(a, Matrix(2, 2), ())
+
+
+def test_modulus_constants():
+    # a prime P = 1 mod 4 and a square root s of -1 mod P
+    p, s = MODULUS
+    assert all(p % d for d in range(2, isqrt(p) + 1))
+    assert p % 4 == 1
+    assert (s * s + 1) % p == 0
+
+
+def test_independent_mod_p_examples():
+    assert independent_mod_p([])
+    assert independent_mod_p([ints(1, 2, 0), ints(0, 1, 3), ints(5, 0, 0)])
+    # (i, 2) and (1, 2i): determinant -4
+    assert independent_mod_p([{0: (0, 1), 1: (2, 0)}, {0: (1, 0), 1: (0, 2)}])
+    assert independent_mod_p([{3: (0, -7)}, {3: (1, 1), 5: (0, 2)}])
+    assert not independent_mod_p([ints(1, 2, 0), ints(0, 1, 3), ints(2, 5, 3)])
+    # (1, -2i) = -i (i, 2): dependent over Q(i) only
+    assert not independent_mod_p([{0: (0, 1), 1: (2, 0)}, {0: (1, 0), 1: (0, -2)}])
+    assert not independent_mod_p([ints(1, 0), {}])
+    assert not independent_mod_p([ints(1, 0), {1: (0, 0)}])
+
+
+_gaussian_ints = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 3), _gaussian_ints, max_size=4), max_size=5))
+def test_independent_mod_p_agrees_with_span(vectors):
+    # True proves full rank.  Here the converse holds too: by Hadamard's
+    # bound a minor of at most four vectors with |re|, |im| <= 2 has norm at
+    # most 32^4 = 2^20 < P, and a + bi with a + bs = 0 mod P has norm
+    # a^2 + b^2 = b^2 (s^2 + 1) = 0 mod P
+    span = Subspace.span(vectors, ambient=4)
+    assert independent_mod_p(vectors) == (span.dim == len(vectors))
