@@ -25,10 +25,12 @@ The family adds, for each r, the Phi and phi entries of sum_s B_rs phi_s.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .enveloping import HomogeneousModel
 from .errors import ConstructionError, DimensionError
-from .linalg import Matrix, add_scaled, combination, comm_minus
-from .scalars import HALF, ONE, ZERO, qi
+from .linalg import Matrix, add_numerators, combination, comm_minus, numerators
+from .scalars import HALF, ONE, ZERO, GaussianRational, qi
 
 __all__ = [
     "NomizuMap",
@@ -160,10 +162,13 @@ def alpha_zero(model: HomogeneousModel) -> NomizuMap:
 
 def torsion_operator(model: HomogeneousModel, alpha: NomizuMap, i: int, j: int):
     """T(e_i, e_j) = alpha(e_i,e_j) - alpha(e_j,e_i) - [e_i,e_j]_m."""
-    t = alpha.ops[i].transpose().row(j)
-    add_scaled(t, -ONE, alpha.ops[j].transpose().row(i))
-    add_scaled(t, -ONE, model.m_bracket_m(i, j))
-    return tuple(t.get(l, ZERO) for l in range(model.m_dim))
+    a, b, L = alpha.ops[i], alpha.ops[j], model.algebra
+    den = lcm(a.den, b.den, L.den)
+    t: dict = {}
+    add_numerators(t, den // a.den, 0, {l: row[j] for l, row in a.num.items() if j in row})
+    add_numerators(t, -(den // b.den), 0, {l: row[i] for l, row in b.num.items() if i in row})
+    add_numerators(t, -(den // L.den), 0, model.m_bracket_m(i, j))
+    return tuple(GaussianRational(*t.get(l, (0, 0)), den) for l in range(model.m_dim))
 
 
 def is_metric(model: HomogeneousModel, alpha: NomizuMap) -> bool:
@@ -203,9 +208,9 @@ def is_skew_torsion(model: HomogeneousModel, alpha: NomizuMap) -> bool:
 def curvature(model: HomogeneousModel, alpha: NomizuMap, i: int, j: int) -> Matrix:
     """The curvature operator R(e_i, e_j) on the m basis."""
     return comm_minus(alpha.ops[i], alpha.ops[j], [
-        *((v, alpha.ops[k]) for k, v in model.m_bracket_m(i, j).items()),
-        *((v, model.ad_m_inder(t)) for t, v in model.m_bracket_h(i, j).items()),
-    ])
+        *((z, alpha.ops[k]) for k, z in model.m_bracket_m(i, j).items()),
+        *((z, model.ad_m_inder(t)) for t, z in model.m_bracket_h(i, j).items()),
+    ], model.algebra.den)
 
 
 def curvature_of(model: HomogeneousModel, alpha: NomizuMap, x, y) -> Matrix:
@@ -214,31 +219,38 @@ def curvature_of(model: HomogeneousModel, alpha: NomizuMap, x, y) -> Matrix:
     md = model.m_dim
     if len(x) != md or len(y) != md:
         raise DimensionError("curvature arguments must live on the m basis")
-    # [X, Y]_m and [X, Y]_h, sparse
+    # [X, Y]_m and [X, Y]_h, sparse, over dx dy times the table's denominator
+    (xs, dx), (ys, dy) = (numerators({0: dict(enumerate(v))}) for v in (x, y))
     xy_m: dict = {}
     xy_h: dict = {}
-    for i, xi in enumerate(x):
-        for j, yj in enumerate(y):
-            if xi and yj:
-                c = xi * yj
-                add_scaled(xy_m, c, model.m_bracket_m(i, j))
-                add_scaled(xy_h, c, model.m_bracket_h(i, j))
+    for i, (a, b) in xs.get(0, {}).items():
+        for j, (c, d) in ys.get(0, {}).items():
+            cr, ci = a * c - b * d, a * d + b * c
+            add_numerators(xy_m, cr, ci, model.m_bracket_m(i, j))
+            add_numerators(xy_h, cr, ci, model.m_bracket_h(i, j))
     return comm_minus(alpha.op_of(x), alpha.op_of(y), [
-        *((v, alpha.ops[k]) for k, v in xy_m.items()),
-        *((v, model.ad_m_inder(t)) for t, v in xy_h.items()),
-    ])
+        *((z, alpha.ops[k]) for k, z in xy_m.items()),
+        *((z, model.ad_m_inder(t)) for t, z in xy_h.items()),
+    ], dx * dy * model.algebra.den)
 
 
 def admissibility_failures(model: HomogeneousModel, alpha: NomizuMap) -> list:
     """The first pair (h-index, m-index) at which h fails to act as a
     derivation of alpha, [ad d, alpha_X] = alpha_{dX}, as a one-element
-    list; empty when every h-basis element acts as a derivation."""
+    list; empty when every h-basis element acts as a derivation.
+
+    All h_dim * m_dim residues are evaluated.  The d acting as derivations
+    of alpha form a Lie algebra, but Lie generators of h found through g(T)'s
+    bracket (30 of 133 on e8) certify the rest only if ad_m: h -> gl(m) is a
+    Lie homomorphism, which is the Jacobi identity of g(T), and this check
+    guards models whose T was never verified.  Generators of ad_m(h) taken
+    inside gl(m) are sound, but measured slower than this loop."""
     for t in range(model.h_dim):
         d = model.ad_m_inder(t)
-        cols = d.transpose()  # cols.row(i) = d(e_i)
+        cols = d.transpose().num  # cols[i] = d(e_i), over d.den
         for i in range(model.m_dim):
-            terms = [(v, alpha.ops[l]) for l, v in cols.row(i).items()]
-            if not comm_minus(d, alpha.ops[i], terms).is_zero():
+            terms = [(z, alpha.ops[l]) for l, z in cols.get(i, {}).items()]
+            if not comm_minus(d, alpha.ops[i], terms, d.den).is_zero():
                 return [(t, i)]
     return []
 

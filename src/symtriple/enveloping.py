@@ -20,12 +20,15 @@ the block rescaling of the Killing form kappa:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import ConstructionError, ValidationError
-from .linalg import Matrix, add_numerators, comm, comm_minus, inverse, lie_generators
-from .scalars import GaussianRational, HALF, I, ONE, ZERO, qi
+from .linalg import (
+    Matrix, add_numerators, canonical, comm, comm_minus, inverse, lie_generators, numerators,
+)
+from .scalars import HALF, I, ONE, ZERO, qi
 from .triples import (
-    _EPS2,
+    _EMPTY,
     InnerDerivationSpace,
     SymplecticTripleSystem,
     _gamma_mat,
@@ -60,52 +63,48 @@ def xi_matrices():
     return _XI
 
 
-def _sl2_to_xi(m: Matrix):
-    """Coordinates of a traceless 2x2 matrix in the (xi_1, xi_2, xi_3) basis."""
+def _sl2_to_xi(m: Matrix) -> tuple[dict, int]:
+    """(numerators, den) of a traceless 2x2 matrix in the xi_1, xi_2, xi_3 basis."""
     p, q, r = m[0, 0], m[0, 1], m[1, 0]
     if m[1, 1] != -p:
         raise ValidationError("matrix is not traceless")
-    c1 = -I * p
-    c2 = (r - q) * HALF
-    c3 = I * (q + r) * HALF
-    return (c1, c2, c3)
+    num, den = numerators({0: {0: -I * p, 1: (r - q) * HALF, 2: I * (q + r) * HALF}})
+    return num.get(0, {}), den
 
 
 class GradedLieAlgebra:
-    """Structure constants of g(T) with the fixed basis layout."""
+    """Structure constants of g(T) with the fixed basis layout:
+    ``table[(i, j)]``, i < j, is [e_i, e_j] as sparse Gaussian-integer
+    numerators ``{l: (re, im)}`` over the one positive denominator ``den``."""
 
-    __slots__ = ("dim", "n", "h_dim", "t_dim", "table", "_ads")
+    __slots__ = ("dim", "n", "h_dim", "t_dim", "table", "den", "_ads")
 
-    def __init__(self, dim, n, h_dim, t_dim, table):
+    def __init__(self, dim, n, h_dim, t_dim, table, den=1):
         self.dim = dim
         self.n = n
         self.h_dim = h_dim
         self.t_dim = t_dim
-        # table[(i, j)] for i < j: sparse {l: coefficient} of [e_i, e_j]
         self.table = table
-        self._ads: list | None = None
+        self.den = den
+        self._ads: dict = {}
 
     def odd_index(self, a: int, k: int) -> int:
         return 3 + self.h_dim + a * self.t_dim + k
 
     def bracket_basis(self, i: int, j: int) -> dict:
-        if i == j:
-            return {}
-        if i < j:
-            return self.table.get((i, j), {})
-        entry = self.table.get((j, i))
-        if not entry:
-            return {}
-        return {l: -v for l, v in entry.items()}
+        """[e_i, e_j] as numerators over ``den``."""
+        if i <= j:
+            return self.table.get((i, j), _EMPTY)
+        return {l: (-x, -y) for l, (x, y) in self.table.get((j, i), _EMPTY).items()}
 
     def ad(self, i: int) -> Matrix:
-        if self._ads is None:
-            self._ads = [None] * self.dim
-        m = self._ads[i]
+        m = self._ads.get(i)
         if m is None:
-            cols = ((j, self.bracket_basis(i, j)) for j in range(self.dim))
-            m = Matrix(self.dim, self.dim, {j: col for j, col in cols if col}).transpose()
-            self._ads[i] = m
+            num: dict = {}
+            for j in range(self.dim):
+                for l, z in self.bracket_basis(i, j).items():
+                    num.setdefault(l, {})[j] = z
+            m = self._ads[i] = Matrix.from_numerators(self.dim, self.dim, num, self.den)
         return m
 
     def __repr__(self):
@@ -133,80 +132,72 @@ def build_enveloping(T: SymplecticTripleSystem, inder: InnerDerivationSpace):
     h = inder.dim
     t_dim = T.dim
     dim = 3 + h + 2 * t_dim
-    table: dict = {}
+    parts: list = []
 
-    def put(i, j, entries):
-        """Set [e_i, e_j], i < j, from (index, coefficient) pairs on distinct
-        indices; each pair (i, j) is put at most once."""
-        entry = {l: v for l, v in entries if v}
+    def odd(a, k):  # the index of e_a (x) t_k
+        return 3 + h + a * t_dim + k
+
+    def put(i, j, entry, den):
+        """Add numerators over ``den`` of [e_i, e_j], i < j, on indices of their own."""
         if entry:
-            table[(i, j)] = entry
+            parts.append(((i, j), den, entry))
 
     # vertical-vertical
     for i in range(3):
         for j in range(i + 1, 3):
-            put(i, j, enumerate(_sl2_to_xi(comm(_XI[i], _XI[j]))))
+            put(i, j, *_sl2_to_xi(comm(_XI[i], _XI[j])))
     # h-h
     for r in range(h):
         for s in range(r + 1, h):
-            coords = inder.coords_of(comm(inder.mats[r], inder.mats[s]))
+            br = comm(inder.mats[r], inder.mats[s])
+            coords = inder.coords_of(br)
             if coords is None:
                 raise ConstructionError(
                     f"inner derivations not closed under brackets at ({r},{s})"
                 )
-            put(3 + r, 3 + s, ((3 + t, v) for t, v in enumerate(coords)))
+            put(3 + r, 3 + s, {3 + t: z for t, z in coords.items()}, br.den)
     # vertical-odd:  [xi, e_a (x) t_k] = xi(e_a) (x) t_k
     for i in range(3):
-        for a in range(2):
-            col = [(_XI[i][0, a]), (_XI[i][1, a])]
+        xi = _XI[i].transpose().num  # xi[a] = xi(e_a)
+        for a, col in xi.items():
             for k in range(t_dim):
-                j = 3 + h + a * t_dim + k
-                put(i, j, [
-                    (3 + h + 0 * t_dim + k, col[0]),
-                    (3 + h + 1 * t_dim + k, col[1]),
-                ])
+                put(i, odd(a, k), {odd(b, k): z for b, z in col.items()}, _XI[i].den)
     # h-odd:  [d, e_a (x) t_k] = e_a (x) d(t_k), over the nonzero columns of d
     for r in range(h):
-        cols = inder.mats[r].transpose()
-        ks = [(k, cols.row(k)) for k in cols.num]
+        d = inder.mats[r]
         for a in range(2):
-            odd = 3 + h + a * t_dim
-            for k, col in ks:
-                put(3 + r, odd + k, [(odd + l, v) for l, v in col.items()])
-    # odd-odd:  [e_a (x) x, e_b (x) y] = (x,y) gamma_{a,b} + <a,b> d_{x,y}
-    gamma_coords = {
-        (a, b): _sl2_to_xi(_gamma_mat(a, b)) for a in range(2) for b in range(2)
-    }
-    dcoord_cache: dict = {}
+            for k, col in d.transpose().num.items():
+                put(3 + r, odd(a, k), {odd(a, l): z for l, z in col.items()}, d.den)
+    # odd-odd:  [e_a (x) x, e_b (x) y] = (x,y) gamma_{a,b} + <a,b> d_{x,y}, a <= b
+    for a, b in ((0, 0), (0, 1), (1, 1)):
+        coords, den = _sl2_to_xi(_gamma_mat(a, b))
+        for k, row in T.omega.num.items():
+            for l, z in row.items():
+                if odd(a, k) < odd(b, l):
+                    entry: dict = {}
+                    add_numerators(entry, *z, coords)
+                    put(odd(a, k), odd(b, l), entry, T.omega.den * den)
+    for k in range(t_dim):  # <e_1, e_2> = 1, and d_{x,y} = d_{y,x}
+        for l in range(k, t_dim):
+            dmat = T.dmat(k, l)
+            coords = inder.coords_of(dmat)
+            if coords is None:
+                raise ConstructionError(f"d_({(k, l)}) escapes the inner derivation span")
+            entry = {3 + t: z for t, z in coords.items()}
+            put(odd(0, k), odd(1, l), entry, dmat.den)
+            if l != k:
+                put(odd(0, l), odd(1, k), entry, dmat.den)
 
-    def d_coords(k, l):
-        key = (k, l) if k <= l else (l, k)
-        c = dcoord_cache.get(key)
-        if c is None:
-            c = inder.coords_of(T.dmat(*key))
-            if c is None:
-                raise ConstructionError(f"d_({key}) escapes the inner derivation span")
-            dcoord_cache[key] = c
-        return c
+    # one denominator for the whole table
+    den = lcm(*{d for _, d, _ in parts})
+    table: dict = {}
+    for key, d, entry in parts:
+        s = den // d
+        if s != 1:
+            entry = {l: (x * s, y * s) for l, (x, y) in entry.items()}
+        table.setdefault(key, {}).update(entry)
 
-    for a in range(2):
-        for k in range(t_dim):
-            i = 3 + h + a * t_dim + k
-            for b in range(a, 2):
-                for l in range(t_dim):
-                    j = 3 + h + b * t_dim + l
-                    if j <= i:
-                        continue
-                    entries = []
-                    om = T.omega[k, l]
-                    if om:
-                        entries += ((idx, om * v) for idx, v in enumerate(gamma_coords[(a, b)]))
-                    eps = _EPS2[a, b]
-                    if eps:
-                        entries += ((3 + t, eps * v) for t, v in enumerate(d_coords(k, l)))
-                    put(i, j, entries)
-
-    algebra = GradedLieAlgebra(dim, n, h, t_dim, table)
+    algebra = GradedLieAlgebra(dim, n, h, t_dim, *canonical(table, den))
     split = ReductiveSplit(
         h_indices=tuple(range(3, 3 + h)),
         m_indices=tuple(range(0, 3)) + tuple(range(3 + h, dim)),
@@ -241,7 +232,7 @@ JACOBI_FAILURE_CAP = 50  # witnesses an audit keeps
 def _ad_is_hom(L: GradedLieAlgebra, i: int, j: int) -> bool:
     """[ad_i, ad_j] = ad_[e_i, e_j], as one commutator residue."""
     return comm_minus(
-        L.ad(i), L.ad(j), [(v, L.ad(l)) for l, v in L.bracket_basis(i, j).items()]
+        L.ad(i), L.ad(j), [(z, L.ad(l)) for l, z in L.bracket_basis(i, j).items()], L.den
     ).is_zero()
 
 
@@ -260,19 +251,12 @@ def verify_jacobi(L: GradedLieAlgebra, mode: str = "fast") -> JacobiReport:
     """
     if mode not in ("fast", "audit"):
         raise ValueError("mode must be 'fast' or 'audit'")
-    cols: dict = {}
 
     def act(k: int, w: dict) -> dict:
-        """ad_k w times the denominator of ad_k: the columns of ad_k summed
-        on plain ints."""
-        col = cols.get(k)
-        if col is None:
-            col = cols[k] = L.ad(k).transpose().num
+        """ad_k w times L.den: the brackets [e_k, e_j] summed on plain ints."""
         out: dict = {}
         for j, (re, im) in w.items():
-            c = col.get(j)
-            if c:
-                add_numerators(out, re, im, c)
+            add_numerators(out, re, im, L.bracket_basis(k, j))
         return out
 
     gens = lie_generators(
@@ -296,23 +280,20 @@ def verify_jacobi(L: GradedLieAlgebra, mode: str = "fast") -> JacobiReport:
 
 def killing_form(L: GradedLieAlgebra) -> Matrix:
     """kappa_ij = trace(ad_i ad_j), exact for any table (no grading is assumed),
-    as one sparse join: ad_i[k, l] ad_j[l, k] over the numerators indexed by
-    position, summed on Gaussian integers, reduced once over ad_i.den * ad_j.den."""
+    as one sparse join: ad_i[k, l] ad_j[l, k] over the table's numerators
+    indexed by position, summed on Gaussian integers over L.den^2."""
     at: dict = {}  # (k, l) -> {i: numerator of ad_i at (k, l)}
-    for i in range(L.dim):
-        for k, row in L.ad(i).num.items():
-            for l, z in row.items():
-                at.setdefault((k, l), {})[i] = z
+    for (i, j), col in L.table.items():
+        for k, (x, y) in col.items():
+            at.setdefault((k, j), {})[i] = (x, y)  # [e_i, e_j]
+            at.setdefault((k, i), {})[j] = (-x, -y)  # [e_j, e_i]
     acc: dict = {}
     for (k, l), left in at.items():
         right = at.get((l, k))
         if right:
             for i, (x, y) in left.items():
                 add_numerators(acc.setdefault(i, {}), x, y, right)
-    return Matrix(L.dim, L.dim, {
-        i: {j: GaussianRational(re, im, L.ad(i).den * L.ad(j).den) for j, (re, im) in row.items()}
-        for i, row in acc.items()
-    })
+    return Matrix.from_numerators(L.dim, L.dim, acc, L.den * L.den)
 
 
 class InvariantMetric:
@@ -386,6 +367,13 @@ def _axis(n: int, i: int):
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
+def _xi_position(i: int) -> int:
+    """The m-basis position of xi_i, for i in 1..3."""
+    if i not in (1, 2, 3):
+        raise ValidationError(f"xi index {i!r} is not 1, 2 or 3")
+    return i - 1
+
+
 class HomogeneousModel:
     """Everything downstream code needs about one homogeneous space: the
     triple system, g(T), the split, the metric, and the Sasaki operators.
@@ -440,35 +428,32 @@ class HomogeneousModel:
 
     def xi_vector(self, i: int):
         """xi_i as an m-coordinate vector (i in 1..3)."""
-        return _axis(self.m_dim, i - 1)
+        return _axis(self.m_dim, _xi_position(i))
 
     def m_to_g(self, p: int) -> int:
         return self.split.m_indices[p]
 
-    # -- bracket projections on the m basis -------------------------------
+    # -- bracket projections on the m basis, over ``algebra.den`` ---------
 
     def m_bracket_m(self, p: int, q: int) -> dict:
         """m-part of [e_p, e_q] for m-basis indices, as sparse m-coords."""
-        if p > q:
-            return {l: -v for l, v in self.m_bracket_m(q, p).items()}
-        return self._split_bracket(p, q)[0]
+        return self._split_bracket(p, q, 0)
 
     def m_bracket_h(self, p: int, q: int) -> dict:
         """h-part of [e_p, e_q], as sparse coords over the inder basis."""
-        if p > q:
-            return {l: -v for l, v in self.m_bracket_h(q, p).items()}
-        return self._split_bracket(p, q)[1]
+        return self._split_bracket(p, q, 1)
 
-    def _split_bracket(self, p: int, q: int) -> tuple:
-        """(m-part, h-part) of [e_p, e_q] for p <= q."""
+    def _split_bracket(self, p: int, q: int, part: int) -> dict:
+        """The m-part (0) or h-part (1) of [e_p, e_q]; both are kept for p <= q."""
+        if p > q:
+            return {l: (-x, -y) for l, (x, y) in self._split_bracket(q, p, part).items()}
         parts = self._parts.get((p, q))
         if parts is None:
-            parts = ({}, {})
-            for l, v in self.algebra.bracket_basis(self.m_to_g(p), self.m_to_g(q)).items():
-                part, pos = self._where[l]
-                parts[part][pos] = v
-            self._parts[(p, q)] = parts
-        return parts
+            parts = self._parts[(p, q)] = ({}, {})
+            for l, z in self.algebra.bracket_basis(self.m_to_g(p), self.m_to_g(q)).items():
+                where, pos = self._where[l]
+                parts[where][pos] = z
+        return parts[part]
 
     # -- distinguished operators on m --------------------------------------
 
@@ -493,7 +478,7 @@ class HomogeneousModel:
 
     def ad_m_xi(self, i: int) -> Matrix:
         """ad(xi_i) restricted to m (i in 1..3)."""
-        return self._ad_m(self.m_to_g(i - 1))
+        return self._ad_m(self.m_to_g(_xi_position(i)))
 
     def bracket_op(self, i: int, vertical, odd) -> Matrix:
         """The operator e_j -> c_j [e_i, e_j]_m on m, with c_j = ``vertical``
@@ -509,18 +494,20 @@ class HomogeneousModel:
             distinguished          (0, -1)  for vertical e_i, zero for odd
             canonical              (-1, -1) for vertical e_i, zero for odd
         """
-        vertical, odd = qi(vertical), qi(odd)
-        data: dict = {}
+        coeffs, den = numerators({0: {0: vertical, 1: odd}})
+        vertical, odd = (coeffs.get(0, _EMPTY).get(b) for b in (0, 1))
+        num: dict = {}
         for j in range(self.m_dim):
             c = vertical if j < 3 else odd
             if c:
-                for l, v in self.m_bracket_m(i, j).items():
-                    data.setdefault(l, {})[j] = c * v
-        return Matrix(self.m_dim, self.m_dim, data)
+                cr, ci = c
+                for l, (x, y) in self.m_bracket_m(i, j).items():
+                    num.setdefault(l, {})[j] = (cr * x - ci * y, cr * y + ci * x)
+        return Matrix.from_numerators(self.m_dim, self.m_dim, num, den * self.algebra.den)
 
     def phi(self, i: int) -> Matrix:
         """The Sasaki endomorphism phi_i on m (i in 1..3)."""
-        return self.phis[i - 1]
+        return self.phis[_xi_position(i)]
 
     def __repr__(self):
         return (

@@ -10,7 +10,10 @@ ints and reduce each result once, with one gcd over the matrix.
 ``GaussianRational`` vectors and read only the entries each row holds.
 ``flatten`` and ``from_flat`` only remap indices: the flattening is a
 sparse Gaussian-integer vector, the matrix times its denominator.  A
-``Matrix`` is not changed once built.
+``Matrix`` is not changed once built.  The structure-constant tables from
+the triple system upward are held the same way, sparse Gaussian-integer
+columns over one denominator per table: ``numerators`` and ``canonical``
+bring a table to that form, and ``add_numerators`` sums on it.
 
 Elimination has one routine, ``Subspace.insert``, which extends a canonical
 reduced-row-echelon basis in place: pivots are normalized to 1 and
@@ -21,14 +24,9 @@ numerators over one denominator, eliminated fraction-free with one gcd per
 normalized row, and a column index finds the rows a new pivot must be
 cleared from.  ``Subspace`` takes one vector format, such an integer vector
 ``{index: (re, im)}`` as ``Matrix.flatten`` gives: a span does not change
-under scaling, so closures and centers stay on ints.  Scalars become
-numerators in ``Matrix.__init__``.  ``independent_mod_p`` eliminates mod a
+under scaling, so closures and centers stay on ints, and ``coords_of``
+gives integer coordinates too.  ``independent_mod_p`` eliminates mod a
 prime only to prove vectors independent, and gives no rows.
-
-The structure-constant tables of the package, from the composition algebras
-to g(T), are sparse vectors ``{index: nonzero GaussianRational}``:
-``add_scaled`` is their in-place axpy and ``table_product`` evaluates a
-table on dense elements, both with the plain ``GaussianRational`` operators.
 """
 
 from __future__ import annotations
@@ -44,7 +42,8 @@ from .scalars import GaussianRational, ONE, ZERO, qi
 __all__ = [
     "Matrix",
     "Subspace",
-    "add_scaled",
+    "numerators",
+    "canonical",
     "add_numerators",
     "table_product",
     "comm_minus",
@@ -85,28 +84,7 @@ class Matrix:
     def __init__(self, rows: int, cols: int, entries: dict | None = None):
         self.rows = rows
         self.cols = cols
-        den = 1
-        vals: dict = {}
-        for i, row in (entries or _EMPTY).items():
-            r = {}
-            for j, x in row.items():
-                if type(x) is not GaussianRational:
-                    x = qi(x)
-                if x.a or x.b:
-                    r[j] = x
-                    if den % x.d:
-                        den = den // gcd(den, x.d) * x.d
-            if r:
-                vals[i] = r
-        # each entry is in lowest terms, so den = lcm of theirs is canonical
-        self.den = den
-        small = _SMALL.get
-        num = self.num = {}
-        for i, r in vals.items():
-            num[i] = row = {}
-            for j, x in r.items():
-                z = (x.a * (den // x.d), x.b * (den // x.d))
-                row[j] = small(z, z)
+        self.num, self.den = numerators(entries or _EMPTY)
 
     # -- constructors ---------------------------------------------------
 
@@ -128,27 +106,7 @@ class Matrix:
         ``den`` and Gaussian-integer rows ``{i: {j: (re, im)}}`` that may
         hold zeros.  Rows of ``num`` without zeros are taken over, not
         copied."""
-        if den < 1:
-            raise ValueError(f"denominator {den} is not positive")
-        nonzero = {}
-        for i, row in num.items():
-            if _ZZ in row.values():
-                row = {j: z for j, z in row.items() if z != _ZZ}
-            if row:
-                nonzero[i] = row
-        num = nonzero
-        if den != 1:
-            if not num:
-                den = 1
-            else:
-                g = gcd(den, *chain.from_iterable(chain.from_iterable(
-                    row.values() for row in num.values())))
-                if g != 1:
-                    den //= g
-                    num = {
-                        i: {j: (x // g, y // g) for j, (x, y) in row.items()}
-                        for i, row in num.items()
-                    }
+        num, den = canonical(num, den)
         return _matrix(rows, cols, den, num)
 
     @staticmethod
@@ -199,11 +157,11 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return _assemble(self.rows, self.cols, (), ((ONE, self), (ONE, other)))
+        return _assemble(self.rows, self.cols, (), (((1, 0), self), ((1, 0), other)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return _assemble(self.rows, self.cols, (), ((ONE, self), (-ONE, other)))
+        return _assemble(self.rows, self.cols, (), (((1, 0), self), ((-1, 0), other)))
 
     def __neg__(self) -> "Matrix":
         return _matrix(self.rows, self.cols, self.den, {
@@ -287,6 +245,53 @@ _SMALL = {(a, b): (a, b) for a in range(-4, 5) for b in range(-4, 5)}
 _object_new = object.__new__
 
 
+def numerators(entries: dict) -> tuple[dict, int]:
+    """(num, den) with num / den the sparse scalar table ``{key: {l:
+    scalar}}``, in the canonical form of ``canonical``."""
+    vals = {i: [(j, x if type(x) is GaussianRational else qi(x)) for j, x in row.items()]
+            for i, row in entries.items()}
+    # each entry is in lowest terms, so the lcm of theirs is canonical
+    den = lcm(*{x.d for row in vals.values() for _, x in row})
+    small = _SMALL.get
+    num = {}
+    for i, row in vals.items():
+        r = {j: small(z, z) for j, x in row
+             if (z := (x.a * (den // x.d), x.b * (den // x.d))) != _ZZ}
+        if r:
+            num[i] = r
+    return num, den
+
+
+def canonical(num: dict, den: int) -> tuple[dict, int]:
+    """The table ``num / den`` of sparse Gaussian-integer rows ``{key: {l:
+    (re, im)}}``, which may hold zeros, in canonical form: no zero entry or
+    empty row, den >= 1, gcd(den, all numerators) = 1, and den = 1 for the
+    empty table.  Rows without zeros are taken over, not copied."""
+    if den < 1:
+        raise ValueError(f"denominator {den} is not positive")
+    nonzero = {}
+    for i, row in num.items():
+        if _ZZ in row.values():
+            row = {j: z for j, z in row.items() if z != _ZZ}
+        if row:
+            nonzero[i] = row
+    num = nonzero
+    if den != 1:
+        if not num:
+            den = 1
+        else:
+            g = gcd(den, *chain.from_iterable(chain.from_iterable(
+                row.values() for row in num.values())))
+            if g != 1:
+                den //= g
+                small = _SMALL.get
+                num = {
+                    i: {j: small(z, z) for j, (x, y) in row.items() for z in ((x // g, y // g),)}
+                    for i, row in num.items()
+                }
+    return num, den
+
+
 def _dot_numerators(row: dict, v: Vector, den: int) -> GaussianRational:
     """sum_j row[j] v_j / den for a numerator row and a dense vector v."""
     acc = ZERO
@@ -312,8 +317,10 @@ def comm(a: Matrix, b: Matrix) -> Matrix:
     return comm_minus(a, b, ())
 
 
-def comm_minus(a: Matrix, b: Matrix, terms: Iterable) -> Matrix:
-    """[a, b] - sum c M over the pairs (c, M) in ``terms``.
+def comm_minus(a: Matrix, b: Matrix, terms: Iterable, den: int = 1) -> Matrix:
+    """[a, b] - (1/den) sum c M over the pairs (c, M) in ``terms``, with c
+    a Gaussian integer ``(re, im)``, such as an entry of a structure-
+    constant table over its denominator ``den``.
 
     Every derivation and curvature identity of the package has this form.
     Both products and every term are summed into one sparse accumulator,
@@ -322,46 +329,49 @@ def comm_minus(a: Matrix, b: Matrix, terms: Iterable) -> Matrix:
     n = a.rows
     if not (a.cols == b.rows == b.cols == n):
         raise DimensionError("comm_minus needs square matrices of one size")
-    return _assemble(n, n, ((1, a, b), (-1, b, a)), terms, -1)
+    return _assemble(n, n, ((1, a, b), (-1, b, a)), terms, den, -1)
 
 
 def combination(terms: Iterable, n: int) -> Matrix:
-    """sum c M over the pairs (c, M) of n x n matrices in ``terms``."""
-    return _assemble(n, n, (), terms)
+    """sum c M over the pairs (c, M) of a scalar c and an n x n matrix M."""
+    terms = [(qi(c), m) for c, m in terms]
+    den = lcm(*(c.d for c, _ in terms))
+    return _assemble(n, n, (), [
+        ((c.a * (den // c.d), c.b * (den // c.d)), m) for c, m in terms
+    ], den)
 
 
-def _assemble(rows: int, cols: int, products, terms, sign: int = 1) -> Matrix:
-    """sum s a b + sum c M over the triples (s, a, b), s = 1 or -1, of
-    ``products`` and the pairs (c, M) of ``terms``, all rows x cols.
+def _assemble(rows: int, cols: int, products, terms, tden: int = 1, sign: int = 1) -> Matrix:
+    """sum s a b + (sign/tden) sum c M over the triples (s, a, b), s = 1 or
+    -1, of ``products`` and the pairs (c, M) of ``terms``, c a Gaussian
+    integer ``(re, im)``, all rows x cols.
 
     Every part is scaled to the least common denominator L of the parts
     and summed on plain ints into one accumulator, which is brought to
-    canonical form once, with one gcd against L.  ``sign`` multiplies
-    every term."""
+    canonical form once, with one gcd against L."""
     den = 1
     for _, a, b in products:
         d = a.den * b.den
         if den % d:
             den = den // gcd(den, d) * d
     scaled = []
-    for c, m in terms:
+    for (cr, ci), m in terms:
         if m.rows != rows or m.cols != cols:
             raise DimensionError(
                 f"term of shape {m.rows}x{m.cols}, expected {rows}x{cols}"
             )
-        if type(c) is not GaussianRational:
-            c = qi(c)
-        if c.a or c.b:
-            scaled.append((c, m))
-            d = c.d * m.den
+        if cr or ci:
+            g = gcd(tden, cr, ci)  # the coefficient in lowest terms
+            d = tden // g * m.den
+            scaled.append((cr // g, ci // g, d, m))
             if den % d:
                 den = den // gcd(den, d) * d
     acc: dict = {}
     for s, a, b in products:
         _add_product(acc, a.num, b.num, s * (den // (a.den * b.den)))
-    for c, m in scaled:
-        s = sign * (den // (c.d * m.den))
-        cr, ci = c.a * s, c.b * s
+    for cr, ci, d, m in scaled:
+        s = sign * (den // d)
+        cr, ci = cr * s, ci * s
         for i, row in m.num.items():
             out = acc.get(i)
             if out is None:
@@ -440,28 +450,6 @@ def dot(x: Vector, y: Vector) -> GaussianRational:
         if xi and yi:
             t += xi * yi
     return t
-
-
-# ---------------------------------------------------------------------------
-# Sparse vectors and structure-constant tables
-# ---------------------------------------------------------------------------
-
-
-def add_scaled(w: dict, c: GaussianRational, v: dict) -> None:
-    """In place, w += c * v on sparse vectors, dropping entries that cancel.
-
-    ``c`` must be nonzero: an index new to ``w`` takes c * v[k] unchecked.
-    """
-    for k, x in v.items():
-        y = w.get(k)
-        if y is None:
-            w[k] = c * x
-        else:
-            y += c * x
-            if y:
-                w[k] = y
-            else:
-                del w[k]
 
 
 def table_product(table, x: Vector, y: Vector) -> Vector:
@@ -664,14 +652,13 @@ class Subspace:
         self._reduce(w)
         return not w
 
-    def coords_of(self, v: dict) -> tuple | None:
-        """Coordinates of ``v`` in this basis, or None if outside the span:
-        each row is 1 at its pivot and 0 at the others, so they are the
-        entries of ``v`` at the pivots."""
+    def coords_of(self, v: dict) -> dict | None:
+        """Coordinates of ``v`` in this basis, in increasing pivot order, as
+        a sparse Gaussian-integer vector ``{position: (re, im)}``, or None
+        if outside the span: each row is 1 at its pivot and 0 at the others,
+        so they are the entries of ``v`` at the pivots."""
         w = _numerators(v, self.ambient)
-        coords = tuple(
-            GaussianRational(*w[p]) if p in w else ZERO for p in self.pivots
-        )
+        coords = {r: w[p] for r, p in enumerate(self.pivots) if p in w}
         self._reduce(w)
         if w:
             return None

@@ -5,11 +5,11 @@
 kept reduced so that ``gcd(a, b, d) == 1``.  Every operation is exact;
 there is deliberately no float interop.
 
-It is the value type at the edges of the package: parsing, single matrix
-entries, coordinates and the dense element products of the composition and
-Jordan algebras.  Matrix products and elimination run on Gaussian-integer
-numerators over one denominator instead (``linalg``), which build a
-``GaussianRational`` only when an entry is read.
+It is the value type at the edges of the package: parsing, single entries
+read off a table, and the dense element products of the composition and
+Jordan algebras.  Matrix products, elimination and the structure-constant
+tables from T upward hold Gaussian-integer numerators over one denominator
+instead (``linalg``), which build a ``GaussianRational`` only when read.
 """
 
 from __future__ import annotations

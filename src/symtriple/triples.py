@@ -31,9 +31,10 @@ from itertools import product
 from .errors import DimensionError, ParseError, ValidationError
 from .jordan import CubicJordan
 from .linalg import (
-    Matrix, Subspace, add_scaled, combination, comm, comm_minus, lie_generators, matrices_of, rank,
+    Matrix, Subspace, add_numerators, canonical, combination, comm, comm_minus, lie_generators,
+    matrices_of, numerators, rank,
 )
-from .scalars import GaussianRational, HALF, ONE, ZERO, qi
+from .scalars import GaussianRational, HALF, ONE, qi
 
 __all__ = [
     "SymplecticTripleSystem",
@@ -56,26 +57,37 @@ __all__ = [
 
 
 class SymplecticTripleSystem:
-    """Finite-dimensional triple system held as exact structure constants."""
+    """Finite-dimensional triple system held as exact structure constants:
+    ``num[(i, j, k)]`` is [e_i, e_j, e_k] as numerators ``{l: (re, im)}``
+    over ``den``, in the canonical form of ``Matrix``.  The constructor takes
+    scalar columns ``{(i, j, k): {l: scalar}}``, as ``Matrix`` takes scalar
+    entries, and ``entries`` gives them back."""
 
-    __slots__ = ("dim", "omega", "cols", "label", "_dmats")
+    __slots__ = ("dim", "omega", "num", "den", "label", "_dmats")
 
     def __init__(self, dim: int, omega: Matrix, cols: dict, label: str):
         if omega.rows != dim or omega.cols != dim:
             raise DimensionError("omega shape mismatch")
         self.dim = dim
         self.omega = omega
-        # cols[(i, j, k)] = sparse {l: coefficient} for [e_i, e_j, e_k]
-        self.cols = cols
+        self.num, self.den = numerators(cols)
         self.label = label
         self._dmats: dict = {}
+
+    @staticmethod
+    def from_numerators(dim: int, omega: Matrix, num: dict, den: int, label: str):
+        """The system with columns ``num / den``, which may hold zeros."""
+        t = SymplecticTripleSystem(dim, omega, _EMPTY, label)
+        t.num, t.den = canonical(num, den)
+        return t
 
     def form(self, x, y) -> GaussianRational:
         """The skew bilinear form (x, y)."""
         return self.omega.bilinear(x, y)
 
     def basis_triple(self, i: int, j: int, k: int) -> dict:
-        return self.cols.get((i, j, k), _EMPTY)
+        """[e_i, e_j, e_k] as numerators over ``den``."""
+        return self.num.get((i, j, k), _EMPTY)
 
     def triple_product(self, x, y, z):
         """[x, y, z] = d_{x,y}(z), with d_{x,y} = sum x_i y_j d_{e_i, e_j}."""
@@ -91,17 +103,20 @@ class SymplecticTripleSystem:
         """The operator d_{e_i, e_j} = [e_i, e_j, .] as a matrix."""
         m = self._dmats.get((i, j))
         if m is None:
-            cols = ((k, self.cols.get((i, j, k))) for k in range(self.dim))
-            m = Matrix(self.dim, self.dim, {k: col for k, col in cols if col}).transpose()
-            self._dmats[(i, j)] = m
+            rows: dict = {}
+            for k in range(self.dim):
+                for l, z in self.num.get((i, j, k), _EMPTY).items():
+                    rows.setdefault(l, {})[k] = z
+            m = self._dmats[(i, j)] = Matrix.from_numerators(self.dim, self.dim, rows, self.den)
         return m
 
     def entries(self):
         """Sparse tensor entries as (i, j, k, l, coefficient), sorted."""
-        out = []
-        for (i, j, k), col in self.cols.items():
-            for l, v in col.items():
-                out.append((i, j, k, l, v))
+        den = self.den
+        out = [
+            (i, j, k, l, GaussianRational(x, y, den))
+            for (i, j, k), col in self.num.items() for l, (x, y) in col.items()
+        ]
         out.sort(key=lambda e: e[:4])
         return out
 
@@ -111,7 +126,8 @@ class SymplecticTripleSystem:
         return (
             self.dim == other.dim
             and self.omega == other.omega
-            and self.cols == other.cols
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
@@ -122,15 +138,14 @@ class SymplecticTripleSystem:
 
 
 _EMPTY: dict = {}
+_ZZ = (0, 0)
 
 
-def _add_entry(cols: dict, i: int, j: int, k: int, l: int, v) -> None:
-    """[e_i, e_j, e_k] += v e_l in the sparse tensor ``cols``."""
-    if v:
-        col = cols.setdefault((i, j, k), {})
-        add_scaled(col, v, {l: ONE})
-        if not col:
-            del cols[(i, j, k)]
+def _add_entry(num: dict, i: int, j: int, k: int, l: int, x: int) -> None:
+    """[e_i, e_j, e_k] += x e_l in the numerator table ``num``, x an int."""
+    col = num.setdefault((i, j, k), {})
+    re, im = col.get(l, (0, 0))
+    col[l] = (re + x, im)
 
 
 _EPS2 = Matrix.from_rows([[0, 1], [-1, 0]])  # <e_a, e_b>
@@ -151,28 +166,18 @@ def build_symplectic_type(n: int) -> SymplecticTripleSystem:
     if n < 1:
         raise ValidationError("symplectic type needs n >= 1")
     dim = 2 * n
-    om = [[ZERO] * dim for _ in range(dim)]
+    om = [[0] * dim for _ in range(dim)]
     for i in range(n):
-        om[i][n + i] = ONE
-        om[n + i][i] = -ONE
+        om[i][n + i] = 1
+        om[n + i][i] = -1
     omega = Matrix.from_rows(om)
-    cols: dict = {}
-    for i in range(dim):
-        for k in range(dim):
-            o_ik = om[i][k]
-            if not o_ik:
-                continue
-            for j in range(dim):
-                # (e_i, e_k) e_j contribution
-                _add_entry(cols, i, j, k, j, o_ik)
-    for j in range(dim):  # (e_j, e_k) e_i contribution
-        for k in range(dim):
-            o_jk = om[j][k]
-            if not o_jk:
-                continue
-            for i in range(dim):
-                _add_entry(cols, i, j, k, i, o_jk)
-    return SymplecticTripleSystem(dim, omega, cols, f"symplectic(n={n})")
+    num: dict = {}
+    for i, j, k in product(range(dim), repeat=3):
+        # (e_i, e_k) e_j + (e_j, e_k) e_i
+        for l, x in ((j, om[i][k]), (i, om[j][k])):
+            if x:
+                _add_entry(num, i, j, k, l, x)
+    return SymplecticTripleSystem.from_numerators(dim, omega, num, 1, f"symplectic(n={n})")
 
 
 def build_orthogonal_type(w: int) -> SymplecticTripleSystem:
@@ -188,30 +193,21 @@ def build_orthogonal_type(w: int) -> SymplecticTripleSystem:
         **{idx(0, p): {idx(1, p): HALF} for p in range(w)},
         **{idx(1, p): {idx(0, p): -HALF} for p in range(w)},
     })
-    # gamma[a][b].row(c) = gamma_{e_a, e_b}(e_c), sparse over V
-    gamma = [[_gamma_mat(a, b).transpose() for b in range(2)] for a in range(2)]
-    cols: dict = {}
-    for a in range(2):
-        for p in range(w):
-            i = idx(a, p)
-            for b in range(2):
-                for q in range(w):
-                    j = idx(b, q)
-                    eps = _EPS2[a, b]
-                    for c in range(2):
-                        for r in range(w):
-                            k = idx(c, r)
-                            # (1/2) gamma_{a,b}(c) (x) b(p,q) r-slot
-                            if p == q:
-                                for vc, coeff in gamma[a][b].row(c).items():
-                                    _add_entry(cols, i, j, k, idx(vc, r), HALF * coeff)
-                            if eps:
-                                # <a,b> c (x) (b(p,r) q - b(q,r) p)
-                                if p == r:
-                                    _add_entry(cols, i, j, k, idx(c, q), eps)
-                                if q == r:
-                                    _add_entry(cols, i, j, k, idx(c, p), -eps)
-    return SymplecticTripleSystem(dim, omega, cols, f"orthogonal(w={w})")
+    # gamma[a][b][c] = gamma_{e_a, e_b}(e_c), sparse over V with integer entries
+    gamma = [[_gamma_mat(a, b).transpose().num for b in range(2)] for a in range(2)]
+    num: dict = {}  # twice the structure constants
+    for (a, p), (b, q), (c, r) in product(product(range(2), range(w)), repeat=3):
+        key = (idx(a, p), idx(b, q), idx(c, r))
+        if p == q:  # (1/2) gamma_{a,b}(c) (x) b(p,q) r-slot
+            for vc, (coeff, _) in gamma[a][b].get(c, {}).items():
+                _add_entry(num, *key, idx(vc, r), coeff)
+        eps = b - a  # <e_a, e_b>
+        if eps:  # <a,b> c (x) (b(p,r) q - b(q,r) p)
+            if p == r:
+                _add_entry(num, *key, idx(c, q), 2 * eps)
+            if q == r:
+                _add_entry(num, *key, idx(c, p), -2 * eps)
+    return SymplecticTripleSystem.from_numerators(dim, omega, num, 2, f"orthogonal(w={w})")
 
 
 def build_special_type(w: int) -> SymplecticTripleSystem:
@@ -223,26 +219,16 @@ def build_special_type(w: int) -> SymplecticTripleSystem:
         **{w + p: {p: ONE} for p in range(w)},
         **{p: {w + p: -ONE} for p in range(w)},
     })
-    cols: dict = {}
-    two = qi(2)
-    for p in range(w):  # x_p
-        for q in range(w):  # f_q
-            i, j = p, w + q
-            for r in range(w):  # third = x_r
-                if q == p:
-                    _add_entry(cols, i, j, r, r, ONE)
-                    _add_entry(cols, j, i, r, r, ONE)
-                if q == r:
-                    _add_entry(cols, i, j, r, p, two)
-                    _add_entry(cols, j, i, r, p, two)
-            for r in range(w):  # third = f_r
-                if q == p:
-                    _add_entry(cols, i, j, w + r, w + r, -ONE)
-                    _add_entry(cols, j, i, w + r, w + r, -ONE)
-                if r == p:
-                    _add_entry(cols, i, j, w + r, w + q, -two)
-                    _add_entry(cols, j, i, w + r, w + q, -two)
-    return SymplecticTripleSystem(dim, omega, cols, f"special(w={w})")
+    num: dict = {}
+    for p, q, r in product(range(w), repeat=3):
+        # [x_p, f_q, x_r] and [x_p, f_q, f_r], and the same with x_p, f_q swapped
+        terms = ((r, r, int(q == p)), (r, p, 2 * (q == r)),
+                 (w + r, w + r, -(q == p)), (w + r, w + q, -2 * (r == p)))
+        for i, j in ((p, w + q), (w + q, p)):
+            for k, l, x in terms:
+                if x:
+                    _add_entry(num, i, j, k, l, x)
+    return SymplecticTripleSystem.from_numerators(dim, omega, num, 1, f"special(w={w})")
 
 
 def build_exceptional_type(jordan: CubicJordan) -> SymplecticTripleSystem:
@@ -288,83 +274,97 @@ def build_exceptional_type(jordan: CubicJordan) -> SymplecticTripleSystem:
     # (g, c) of a basis triple fills its slots (alpha, a); negated, they are
     # the (beta, b) slots of its tau image
     tau = [1, 0] + list(range(2 + dj, dim)) + list(range(2, 2 + dj))
-    cols: dict = {}
-    for (i, j, k), g, c in _exc_components(jordan):
-        col = cols.setdefault((i, j, k), {})
-        if g:
+    den, components = _exc_components(jordan)
+    num: dict = {}
+    for (i, j, k), g, c in components:
+        col = num.setdefault((i, j, k), {})
+        if g != _ZZ:
             col[0] = g
-        col.update((2 + l, v) for l, v in c.items())
-        col = cols.setdefault((tau[i], tau[j], tau[k]), {})
-        if g:
-            col[1] = -g
-        col.update((2 + dj + l, -v) for l, v in c.items())
-    cols = {key: dict(sorted(cols[key].items())) for key in sorted(cols)}
+        col.update((2 + l, z) for l, z in c.items())
+        col = num.setdefault((tau[i], tau[j], tau[k]), {})
+        if g != _ZZ:
+            col[1] = (-g[0], -g[1])
+        col.update((2 + dj + l, (-x, -y)) for l, (x, y) in c.items())
     kind = "scalar" if jordan.kind == "scalar" else f"H3({jordan.algebra.kind})"
-    return SymplecticTripleSystem(dim, omega, cols, f"exceptional(J={kind})")
+    return SymplecticTripleSystem.from_numerators(dim, omega, num, den, f"exceptional(J={kind})")
 
 
 def _exc_components(J: CubicJordan):
-    """The basis triples (i, j, k) of ``build_exceptional_type`` where g or
-    c is nonzero, with (g, c); c is a sorted sparse {J-index: value}."""
+    """(den, components): the basis triples (i, j, k) of
+    ``build_exceptional_type`` where g or c is nonzero, with (g, c) as
+    Gaussian-integer numerators over den; c is a sparse {J-index: (re, im)}.
+
+    J's trace form and linearized cross product become numerators over one
+    d here: t(e_p, e_q) = tf[p][q] / d and e_p x e_q = x[p][q] / d.  g and c
+    have degree at most 2 in them, so den = d^2."""
     dj = J.dim
-    tf = J.trace_form
-    two, m1, m2, m3 = (qi(n) for n in (2, -1, -2, -3))
-    # x[p][q] = e_p x e_q, the linearized cross product
-    x = [[{l: v + v for l, v in u.items()} for u in row] for row in J.cross_table]
-    x2 = [[_combine((two, u)) for u in row] for row in x]
-    # xx[p][q][r] = -2 (e_p x e_q) x e_r,  tx[p][q][r] = -2 t(e_p x e_q, e_r)
-    xx = [
-        [[_combine(*((m2 * ul, x[l][r]) for l, ul in u.items())) for r in range(dj)] for u in row]
-        for row in x
-    ]
-    tx = [
-        [[sum((m2 * ul * tf[l][r] for l, ul in u.items()), ZERO) for r in range(dj)] for u in row]
-        for row in x
-    ]
+    tab, d = numerators({
+        **{p: dict(enumerate(row)) for p, row in enumerate(J.trace_form)},
+        **{(p, q): {l: v + v for l, v in u.items()}
+           for p, row in enumerate(J.cross_table) for q, u in enumerate(row)},
+    })
+    tf = [tab.get(p, _EMPTY) for p in range(dj)]
+    x = [[tab.get((p, q), _EMPTY) for q in range(dj)] for p in range(dj)]
+    # over d^2: t[p][q] = t(e_p, e_q), t2 = 2 t, x2[p][q] = 2 e_p x e_q,
+    # xx[p][q][r] = -2 (e_p x e_q) x e_r and tx[p][q][r] = -2 t(e_p x e_q, e_r)
+    t = [[(a * d, b * d) for a, b in (tf[p].get(q, _ZZ) for q in range(dj))] for p in range(dj)]
+    t2 = [[(2 * a, 2 * b) for a, b in row] for row in t]
+    x2 = [[{l: (2 * d * a, 2 * d * b) for l, (a, b) in u.items()} for u in row] for row in x]
+    x_col = [[x[l][r] for l in range(dj)] for r in range(dj)]
+    xx = [[[_lin(u, x_col[r], -2) for r in range(dj)] for u in row] for row in x]
+    tx = [[_lin(u, tf, -2) for u in row] for row in x]
+    g3, c1, c2 = (-3 * d * d, 0), (-d * d, 0), (-2 * d * d, 0)
     # the nonzero terms of g or c for each slot-kind triple of (x1, x2, x3);
     # a kind triple not listed gives (0, 0)
     rules = {
-        ("al", "be", "al"): lambda p, q, r: (m3, _EMPTY),
-        ("be", "al", "al"): lambda p, q, r: (m3, _EMPTY),
-        ("a", "b", "al"): lambda p, q, r: (tf[p][q], _EMPTY),
-        ("b", "a", "al"): lambda p, q, r: (tf[p][q], _EMPTY),
-        ("al", "b", "a"): lambda p, q, r: (two * tf[q][r], _EMPTY),
-        ("b", "al", "a"): lambda p, q, r: (two * tf[p][r], _EMPTY),
-        ("a", "a", "a"): lambda p, q, r: (tx[p][q][r], _EMPTY),
-        ("al", "be", "a"): lambda p, q, r: (ZERO, {r: m1}),
-        ("be", "al", "a"): lambda p, q, r: (ZERO, {r: m1}),
-        ("a", "be", "al"): lambda p, q, r: (ZERO, {p: m2}),
-        ("be", "a", "al"): lambda p, q, r: (ZERO, {q: m2}),
-        ("al", "b", "b"): lambda p, q, r: (ZERO, x2[q][r]),
-        ("b", "al", "b"): lambda p, q, r: (ZERO, x2[p][r]),
-        ("b", "b", "al"): lambda p, q, r: (ZERO, x2[p][q]),
-        ("a", "a", "b"): lambda p, q, r: (ZERO, xx[p][q][r]),
+        ("al", "be", "al"): lambda p, q, r: (g3, _EMPTY),
+        ("be", "al", "al"): lambda p, q, r: (g3, _EMPTY),
+        ("a", "b", "al"): lambda p, q, r: (t[p][q], _EMPTY),
+        ("b", "a", "al"): lambda p, q, r: (t[p][q], _EMPTY),
+        ("al", "b", "a"): lambda p, q, r: (t2[q][r], _EMPTY),
+        ("b", "al", "a"): lambda p, q, r: (t2[p][r], _EMPTY),
+        ("a", "a", "a"): lambda p, q, r: (tx[p][q].get(r, _ZZ), _EMPTY),
+        ("al", "be", "a"): lambda p, q, r: (_ZZ, {r: c1}),
+        ("be", "al", "a"): lambda p, q, r: (_ZZ, {r: c1}),
+        ("a", "be", "al"): lambda p, q, r: (_ZZ, {p: c2}),
+        ("be", "a", "al"): lambda p, q, r: (_ZZ, {q: c2}),
+        ("al", "b", "b"): lambda p, q, r: (_ZZ, x2[q][r]),
+        ("b", "al", "b"): lambda p, q, r: (_ZZ, x2[p][r]),
+        ("b", "b", "al"): lambda p, q, r: (_ZZ, x2[p][q]),
+        ("a", "a", "b"): lambda p, q, r: (_ZZ, xx[p][q][r]),
         # (a, b, a) and (b, a, a) meet three terms of c
-        ("a", "b", "a"): lambda p, q, r: (
-            ZERO, _combine((ONE, xx[p][r][q]), (tf[p][q], {r: ONE}), (two * tf[q][r], {p: ONE}))
-        ),
-        ("b", "a", "a"): lambda p, q, r: (
-            ZERO, _combine((ONE, xx[q][r][p]), (tf[p][q], {r: ONE}), (two * tf[p][r], {q: ONE}))
-        ),
+        ("a", "b", "a"): lambda p, q, r: (_ZZ, _plus(xx[p][r][q], (r, t[p][q]), (p, t2[q][r]))),
+        ("b", "a", "a"): lambda p, q, r: (_ZZ, _plus(xx[q][r][p], (r, t[p][q]), (q, t2[p][r]))),
     }
     # the basis elements of each slot kind, as (basis index, J-index)
     slots = {"al": [(0, 0)], "be": [(1, 0)],
              "a": [(2 + p, p) for p in range(dj)], "b": [(2 + dj + p, p) for p in range(dj)]}
-    for (k1, k2, k3), rule in rules.items():
-        for (i, p), (j, q), (k, r) in product(slots[k1], slots[k2], slots[k3]):
-            g, c = rule(p, q, r)
-            if g or c:
-                yield (i, j, k), g, c
+
+    def components():
+        for (k1, k2, k3), rule in rules.items():
+            for (i, p), (j, q), (k, r) in product(slots[k1], slots[k2], slots[k3]):
+                g, c = rule(p, q, r)
+                if g != _ZZ or c:
+                    yield (i, j, k), g, c
+
+    return d * d, components()
 
 
-def _combine(*terms) -> dict:
-    """The sum of s * u over terms (s, u) of sparse vectors u, sorted by
-    index and without zeros."""
+def _lin(u: dict, rows, s: int) -> dict:
+    """s sum_l u[l] rows[l] on sparse Gaussian-integer vectors, without zeros."""
     out: dict = {}
-    for s, u in terms:
-        if s:
-            add_scaled(out, s, u)
-    return dict(sorted(out.items()))
+    for l, (a, b) in u.items():
+        add_numerators(out, s * a, s * b, rows[l])
+    return {k: z for k, z in out.items() if z != _ZZ}
+
+
+def _plus(v: dict, *terms) -> dict:
+    """v + sum z e_l over the pairs (l, z) of ``terms``, without zeros."""
+    out = dict(v)
+    for l, (a, b) in terms:
+        re, im = out.get(l, _ZZ)
+        out[l] = (re + a, im + b)
+    return {k: z for k, z in out.items() if z != _ZZ}
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +448,8 @@ def verify_axioms(T: SymplecticTripleSystem, mode: str = "fast") -> AxiomReport:
     report = AxiomReport(T.label, T.dim)
     d = T.dim
     om = T.omega
-    form = [[ZERO] * d for _ in range(d)]  # (e_i, e_j), read densely by (2)
-    for i, j, v in om.entries():
-        form[i][j] = v
+    # (e_i, e_j) = form[i][j] / om.den, read densely by (2)
+    form = [[om.num.get(i, _EMPTY).get(j, _ZZ) for j in range(d)] for i in range(d)]
     bt = T.basis_triple
     dmat = T.dmat
 
@@ -465,15 +464,19 @@ def verify_axioms(T: SymplecticTripleSystem, mode: str = "fast") -> AxiomReport:
         for i in range(d) for j in range(i + 1, d) for k in range(d)
     ))
 
-    # (2) [x,y,z] - [x,z,y] = (x,z)y - (x,y)z + 2(y,z)x
+    # (2) [x,y,z] - [x,z,y] = (x,z)y - (x,y)z + 2(y,z)x, times both denominators
     def residue2_zero(i: int, j: int, k: int) -> bool:
         a, b = bt(i, j, k), bt(i, k, j)
-        return (a == b and not (form[i][k] or form[i][j] or form[j][k])) or not _combine(
-            (ONE, a), (-ONE, b),
-            (-form[i][k], {j: ONE}), (form[i][j], {k: ONE}), (-2 * form[j][k], {i: ONE}),
-        )
+        if a == b and form[i][k] == form[i][j] == form[j][k] == _ZZ:
+            return True
+        r: dict = {}
+        add_numerators(r, om.den, 0, a)
+        add_numerators(r, -om.den, 0, b)
+        return not _plus(r, *((l, (c * x, c * y)) for l, c, (x, y) in (
+            (j, -T.den, form[i][k]), (k, T.den, form[i][j]), (i, -2 * T.den, form[j][k]),
+        )))
 
-    if all(form[i][j] == -form[j][i] for i in range(d) for j in range(i, d)) and all(
+    if om.transpose() == -om and all(
         residue2_zero(i, j, k) for i in range(d) for j in range(d) for k in range(j + 1, d)
     ):
         report.checked[2] = d ** 3
@@ -489,9 +492,9 @@ def verify_axioms(T: SymplecticTripleSystem, mode: str = "fast") -> AxiomReport:
 
     def derivation(i: int, j: int, l: int, m: int) -> bool:
         return comm_minus(dmat(i, j), dmat(l, m), [
-            *((v, dmat(p, m)) for p, v in bt(i, j, l).items()),
-            *((v, dmat(l, p)) for p, v in bt(i, j, m).items()),
-        ]).is_zero()
+            *((z, dmat(p, m)) for p, z in bt(i, j, l).items()),
+            *((z, dmat(l, p)) for p, z in bt(i, j, m).items()),
+        ], T.den).is_zero()
 
     nonzero = [(i, j) for (i, j) in pairs if not dmat(i, j).is_zero()]
 
@@ -534,12 +537,10 @@ class InnerDerivationSpace:
     def dim(self) -> int:
         return self.space.dim
 
-    def coords_of(self, mat: Matrix):
-        coords = self.space.coords_of(mat.flatten())  # of mat times mat.den
-        if coords is None or mat.den == 1:
-            return coords
-        inv = GaussianRational(1, 0, mat.den)
-        return tuple(c * inv for c in coords)
+    def coords_of(self, mat: Matrix) -> dict | None:
+        """Coordinates of ``mat`` in the basis ``mats``, numerators ``{r: (re,
+        im)}`` over ``mat.den``, or None outside the span."""
+        return self.space.coords_of(mat.flatten())
 
     def __repr__(self):
         return f"InnerDerivationSpace(dim={self.dim})"
@@ -559,7 +560,7 @@ def is_simple(T: SymplecticTripleSystem) -> bool:
         raise ValidationError("simplicity criterion excludes dim 1")
     if rank(T.omega) != T.dim:
         return False
-    return any(col for col in T.cols.values())
+    return bool(T.num)
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +663,7 @@ def load_sts(path) -> SymplecticTripleSystem:
         first = first_pos.setdefault((i, j, k, l), pos)
         if first != pos:
             raise ParseError(f"triple[{first}] and {where}: repeated entry [{i},{j},{k},{l}]")
-        v = scalar_from_json(entry[4], where)
-        _add_entry(cols, i, j, k, l, v)
+        cols.setdefault((i, j, k), {})[l] = scalar_from_json(entry[4], where)
 
     if omega.transpose() != -omega:
         raise ValidationError("omega is not skew-symmetric")

@@ -18,12 +18,22 @@ from symtriple.errors import DimensionError
 from symtriple.linalg import Matrix, combination
 from symtriple.scalars import HALF, ONE, ZERO, qi
 
-from conftest import LIGHT_CASES
+from conftest import LIGHT_CASES, scalars
 
 EPS2 = ((0, 1), (-1, 0))  # <e_a, e_b> on the auxiliary plane
 
 IDENTITY3 = [[1 if r == s else 0 for s in range(3)] for r in range(3)]
 ZERO3 = [[0] * 3 for _ in range(3)]
+
+
+def _mbm(model, p, q):
+    """[e_p, e_q]_m as scalars."""
+    return scalars(model.m_bracket_m(p, q), model.algebra.den)
+
+
+def _bt(model, i, j, k):
+    """[e_i, e_j, e_k] in T as scalars."""
+    return scalars(model.triple.basis_triple(i, j, k), model.triple.den)
 
 
 def basis_vec(md, i):
@@ -158,7 +168,7 @@ def reference_levi_civita(model):
     ops = zero_ops(md)
     for i in range(md):
         for j in range(md):
-            mbm = model.m_bracket_m(i, j)
+            mbm = _mbm(model, i, j)
             if i < 3 and j < 3:
                 add_col(ops[i], j, ((l, v * HALF) for l, v in mbm.items()))
             elif i < 3:
@@ -213,7 +223,7 @@ def reference_skew(model, canonical):
                     add_entry(ops[i], l, j, -phi[l, j])
         if canonical:
             for j in range(3):
-                for l, v in model.m_bracket_m(i, j).items():
+                for l, v in _mbm(model, i, j).items():
                     add_entry(ops[i], l, j, -v)
     return to_matrices(md, ops)
 
@@ -420,8 +430,8 @@ def lc_closed_form(model, i, j):
     out = {}
     if i < 3 and j < 3:
         for k in range(3):
-            for l1, v1 in model.m_bracket_m(i, j).items():
-                for l2, v2 in model.m_bracket_m(l1, k).items():
+            for l1, v1 in _mbm(model, i, j).items():
+                for l2, v2 in _mbm(model, l1, k).items():
                     add_entry(out, l2, k, -qi("1/4") * v1 * v2)
         return Matrix(md, md, out)
     if i >= 3 and j < 3:
@@ -459,7 +469,7 @@ def lc_closed_form(model, i, j):
                     if g[vslot]:
                         add_entry(out, _odd(model, vslot, k), col, -HALF * v2 * g[vslot])
             if eps_ab:
-                for t, v in model.triple.basis_triple(k, l, m).items():
+                for t, v in _bt(model, k, l, m).items():
                     add_entry(out, _odd(model, c, t), col, -eps_ab * v)
     return Matrix(md, md, out)
 
@@ -477,7 +487,7 @@ def skew_closed_form(model, i, j, canonical):
     om = model.triple.omega
     out = {}
     if i < 3 and j < 3:
-        for l1, v1 in model.m_bracket_m(i, j).items():
+        for l1, v1 in _mbm(model, i, j).items():
             ad = model.ad_m_xi(l1 + 1)
             if canonical:
                 add_matrix(out, qi(2) * v1, ad)
@@ -510,14 +520,13 @@ def skew_closed_form(model, i, j, canonical):
     eps = qi(EPS2[a][b])
     if eps:
         if canonical:
-            coords = model.inder.coords_of(model.triple.dmat(k, l))
-            for r, cv in enumerate(coords):
-                if cv:
-                    add_matrix(out, -eps * cv, model.ad_m_inder(r))
+            d = model.triple.dmat(k, l)
+            for r, cv in scalars(model.inder.coords_of(d), d.den).items():
+                add_matrix(out, -eps * cv, model.ad_m_inder(r))
         else:
             for c in range(2):
                 for m in range(td):
-                    for t, tv in model.triple.basis_triple(k, l, m).items():
+                    for t, tv in _bt(model, k, l, m).items():
                         add_entry(out, _odd(model, c, t), _odd(model, c, m), -eps * tv)
     return Matrix(md, md, out)
 
@@ -525,7 +534,8 @@ def skew_closed_form(model, i, j, canonical):
 def _gamma_xi_coords(a, b):
     from symtriple.enveloping import _gamma_mat, _sl2_to_xi
 
-    return _sl2_to_xi(_gamma_mat(a, b))
+    coords = scalars(*_sl2_to_xi(_gamma_mat(a, b)))
+    return tuple(coords.get(k, ZERO) for k in range(3))
 
 
 @pytest.mark.parametrize("family,param", LIGHT_CASES)
@@ -609,7 +619,7 @@ def _lts_product(model, i, j, k):
                 out[_odd(model, vslot, z)] = out[_odd(model, vslot, z)] + v * g[vslot]
     eps = qi(EPS2[a][b])
     if eps:
-        for t, tv in model.triple.basis_triple(x, y, z).items():
+        for t, tv in _bt(model, x, y, z).items():
             out[_odd(model, c, t)] = out[_odd(model, c, t)] + eps * tv
     return tuple(out)
 

@@ -11,12 +11,12 @@ from symtriple.enveloping import (
 )
 from symtriple.errors import ValidationError
 from symtriple.linalg import (
-    Matrix, bracket_closure, combination, comm, lie_generators, rank, trace_product,
+    Matrix, bracket_closure, combination, comm, lie_generators, numerators, rank, trace_product,
 )
 from symtriple.scalars import HALF, ONE, ZERO, GaussianRational, qi
 from symtriple.triples import SymplecticTripleSystem, build_symplectic_type, inder_basis
 
-from conftest import LIGHT_CASES
+from conftest import LIGHT_CASES, scalar_table, scalars
 
 ENVELOPING_DIMS = {
     ("symplectic", 1): 10,  # sp(4)
@@ -46,9 +46,9 @@ def test_jacobi(family, param, model_cache):
 
 def test_xi_bracket_relations(model_cache):
     L = model_cache("symplectic", 1).algebra
-    assert L.bracket_basis(0, 1) == {2: qi(2)}  # [xi1, xi2] = 2 xi3
-    assert L.bracket_basis(1, 2) == {0: qi(2)}
-    assert L.bracket_basis(2, 0) == {1: qi(2)}
+    assert scalars(L.bracket_basis(0, 1), L.den) == {2: qi(2)}  # [xi1, xi2] = 2 xi3
+    assert scalars(L.bracket_basis(1, 2), L.den) == {0: qi(2)}
+    assert scalars(L.bracket_basis(2, 0), L.den) == {1: qi(2)}
     # 2x2 matrix commutators agree
     x1, x2, x3 = xi_matrices()
     assert comm(x1, x2) == x3 + x3
@@ -63,7 +63,7 @@ def test_inder_acts_on_odd(model_cache):
         dmat = model.inder.mats[r]
         for a in range(2):
             for k in range(td):
-                got = L.bracket_basis(3 + r, L.odd_index(a, k))
+                got = scalars(L.bracket_basis(3 + r, L.odd_index(a, k)), L.den)
                 want = {
                     L.odd_index(a, l): dmat[l, k]
                     for l in range(td)
@@ -80,9 +80,8 @@ def test_odd_odd_bracket(model_cache):
     for k in range(L.t_dim):
         for l in range(L.t_dim):
             hpart = model.m_bracket_h(3 + k, 3 + L.t_dim + l)
-            coords = model.inder.coords_of(t.dmat(k, l))
-            want = {r: v for r, v in enumerate(coords) if v}
-            assert hpart == want
+            d = t.dmat(k, l)
+            assert scalars(hpart, L.den) == scalars(model.inder.coords_of(d), d.den)
 
 
 def _direct_ad_m_inder(model, r):
@@ -107,7 +106,7 @@ def _direct_ad_m_xi(model, i):
     xi = xi_matrices()[i - 1]
     data = {}
     for j in range(3):
-        for l, v in L.bracket_basis(i - 1, j).items():
+        for l, v in scalars(L.bracket_basis(i - 1, j), L.den).items():
             data.setdefault(l, {})[j] = v
     for a in range(2):
         for b in range(2):
@@ -144,9 +143,9 @@ def test_model_operators_match_direct_construction(family, param, model_cache):
 
 def test_jacobi_detects_mutation(model_cache):
     L0 = model_cache("symplectic", 1).algebra
-    table = {k: dict(v) for k, v in L0.table.items()}
+    table = scalar_table(L0)
     table[(0, 1)] = {2: qi(-2)}  # flip one sign
-    bad = GradedLieAlgebra(L0.dim, L0.n, L0.h_dim, L0.t_dim, table)
+    bad = GradedLieAlgebra(L0.dim, L0.n, L0.h_dim, L0.t_dim, *numerators(table))
     report = verify_jacobi(bad)
     assert not report.passed and report.failures[0].witness
 
@@ -249,7 +248,9 @@ def _reference_jacobi(L, mode):
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             checked += 1
-            rhs = combination([(v, L.ad(l)) for l, v in L.bracket_basis(i, j).items()], L.dim)
+            rhs = combination(
+                [(v, L.ad(l)) for l, v in scalars(L.bracket_basis(i, j), L.den).items()], L.dim
+            )
             if comm(L.ad(i), L.ad(j)) != rhs:
                 witnesses.append((i, j))
                 if len(witnesses) == limit:
@@ -289,12 +290,12 @@ def test_jacobi_generators_match_reference(mode, model_cache):
     # two of the sl(4) bumps pass every generator-by-generator pair and
     # fail only at a generator against a non-generator
     for L0, tables in (
-        (sp4, [*_bumped_tables(sp4.table), *_completed_tables(sp4.table, sp4.dim)]),
-        (sl4, list(_bumped_tables(sl4.table))),
+        (sp4, [*_bumped_tables(scalar_table(sp4)), *_completed_tables(scalar_table(sp4), sp4.dim)]),
+        (sl4, list(_bumped_tables(scalar_table(sl4)))),
     ):
         failing = 0
         for table in tables:
-            L = GradedLieAlgebra(L0.dim, L0.n, L0.h_dim, L0.t_dim, table)
+            L = GradedLieAlgebra(L0.dim, L0.n, L0.h_dim, L0.t_dim, *numerators(table))
             report = verify_jacobi(L, mode=mode)
             checked, witnesses = _reference_jacobi(L, mode)
             assert (report.checked_pairs, [f.witness for f in report.failures]) == (
@@ -364,7 +365,7 @@ def test_killing_form_assumes_no_grading():
         (2, 3): {3: ONE},
         (3, 4): {3: ONE},
     }
-    L = GradedLieAlgebra(5, 0, 0, 1, table)
+    L = GradedLieAlgebra(5, 0, 0, 1, *numerators(table))
     assert verify_jacobi(L, mode="audit").passed
     kap = _assert_killing_matches_trace_products(L)
     # kappa(X, Y) = 4 tr XY - 2 tr X tr Y on gl(2)
@@ -382,11 +383,11 @@ def test_killing_ad_invariance(model_cache):
         for j in range(d):
             for k in range(d):
                 left = sum(
-                    (v * kap[l, k] for l, v in L.bracket_basis(i, j).items()),
+                    (v * kap[l, k] for l, v in scalars(L.bracket_basis(i, j), L.den).items()),
                     ZERO,
                 )
                 right = sum(
-                    (v * kap[j, l] for l, v in L.bracket_basis(i, k).items()),
+                    (v * kap[j, l] for l, v in scalars(L.bracket_basis(i, k), L.den).items()),
                     ZERO,
                 )
                 assert left + right == ZERO
@@ -416,6 +417,15 @@ def test_metric_inverse(model_cache):
     model = model_cache("orthogonal", 3)
     ginv = model.metric.inverse()
     assert ginv @ model.metric.gram == Matrix.identity(model.m_dim)
+
+
+@pytest.mark.parametrize("i", [0, 4, -1])
+def test_xi_index_outside_one_to_three_is_refused(i, model_cache):
+    # only xi_1, xi_2, xi_3 exist; no index is read as a position of m
+    model = model_cache("symplectic", 1)
+    for call in (model.xi_vector, model.ad_m_xi, model.phi):
+        with pytest.raises(ValidationError):
+            call(i)
 
 
 def test_phi_relations(model_cache):

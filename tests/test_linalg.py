@@ -10,7 +10,7 @@ from symtriple.linalg import (
     MODULUS,
     Matrix,
     Subspace,
-    add_scaled,
+    add_numerators,
     bracket_closure,
     center_of,
     combination,
@@ -26,7 +26,7 @@ from symtriple.linalg import (
 )
 from symtriple.scalars import ONE, GaussianRational, qi
 
-from conftest import cleared
+from conftest import cleared, integer_terms
 
 E12 = Matrix.from_rows([[0, 1], [0, 0]])
 E21 = Matrix.from_rows([[0, 0], [1, 0]])
@@ -82,9 +82,9 @@ def test_denominator_must_be_positive():
 
 
 def test_sparse_kernel():
-    w = {0: ONE, 2: qi(3)}
-    add_scaled(w, qi(-3), {2: ONE, 5: qi(2)})
-    assert w == {0: ONE, 5: qi(-6)}  # the cancelled entry is dropped
+    w = {0: (1, 0), 2: (3, 0)}
+    add_numerators(w, -3, 0, {2: (1, 0), 5: (2, 0)})
+    assert w == {0: (1, 0), 2: (0, 0), 5: (-6, 0)}  # the cancelled entry stays as (0, 0)
     # the dual numbers: e_0 the unit, e_1 e_1 = 0
     table = (({0: ONE}, {1: ONE}), ({1: ONE}, {}))
     assert table_product(table, vec([2, 1]), vec([3, 5])) == vec([6, 13])
@@ -112,7 +112,7 @@ def test_insert_extends_in_place_in_pivot_order():
     assert out is s and grew
     assert s.pivots == (0, 1, 2)
     assert s.rows == ({0: ONE}, {1: ONE}, {2: ONE})
-    assert s.coords_of(ints(3, 5, 7)) == vec([3, 5, 7])
+    assert s.coords_of(ints(3, 5, 7)) == ints(3, 5, 7)
     out, grew = s.insert(ints(1, 2, 3))
     assert out is s and not grew and s.dim == 3
 
@@ -120,7 +120,7 @@ def test_insert_extends_in_place_in_pivot_order():
     s.insert(ints(1, 1, 0, 1))
     assert s.pivots == (0, 1)
     assert s.rows == ({0: ONE, 2: qi(-2), 3: ONE}, {1: ONE, 2: qi(2)})
-    assert s.coords_of(ints(2, 3, 2, 2)) == vec([2, 3])
+    assert s.coords_of(ints(2, 3, 2, 2)) == ints(2, 3)
     assert hash(s) == hash(Subspace.span([ints(1, 0, -2, 1), ints(0, 1, 2, 0)], 4))
 
 
@@ -131,7 +131,7 @@ def test_rows_enter_only_through_insert():
         Subspace(3, {0: {0: qi(2)}})
     s = Subspace.span([ints(2, 0, 0)], 3)
     assert s.rows == ({0: ONE},)
-    assert s.contains(ints(1, 0, 0)) and s.coords_of(ints(1, 0, 0)) == vec([1])
+    assert s.contains(ints(1, 0, 0)) and s.coords_of(ints(1, 0, 0)) == ints(1)
 
 
 def test_insert_takes_gaussian_integer_vectors():
@@ -141,7 +141,7 @@ def test_insert_takes_gaussian_integer_vectors():
     b = Subspace.span([{0: (0, 1), 1: (-2, 0)}, {1: (1, 1)}], 3)
     assert a == b and a.pivots == (0, 1)
     assert a.rows == ({0: ONE}, {1: ONE})
-    assert a.coords_of({0: (3, 0), 1: (0, 6)}) == (qi(3), qi("6i"))
+    assert a.coords_of({0: (3, 0), 1: (0, 6)}) == {0: (3, 0), 1: (0, 6)}
 
 
 @pytest.mark.parametrize(
@@ -196,7 +196,7 @@ def test_span_is_order_independent():
 def test_coords_of():
     s = Subspace.span([ints(1, 0, 2), ints(0, 1, 3)], 3)
     c = s.coords_of(ints(2, 5, 19))
-    assert c == vec([2, 5])
+    assert c == ints(2, 5)
     assert s.coords_of(ints(0, 0, 1)) is None
 
 
@@ -306,8 +306,10 @@ def test_canonical_form_on_sparse_input(vectors, combos):
         coords = s.coords_of(w)
         assert coords is not None and s.contains(w)
         rebuilt = {}
-        for c, row in zip(coords, s.rows):
-            for k, x in row.items():
+        rows = s.rows
+        for r, (re, im) in coords.items():
+            c = GaussianRational(re, im)
+            for k, x in rows[r].items():
                 rebuilt[k] = rebuilt.get(k, qi(0)) + c * x / den
         assert {k: x for k, x in rebuilt.items() if x} == {k: x for k, x in v.items() if x}
 
@@ -332,14 +334,14 @@ def test_comm_minus_matches_matrix_arithmetic(a, b, terms):
         cm = Matrix(3, 3, {i: {j: c * x for j, x in m.row(i).items()} for i in m.num})
         want = want - cm
         total = total + cm
-    got = comm_minus(a, b, terms)
+    got = comm_minus(a, b, *integer_terms(terms))
     assert got == want and all(x for _, _, x in got.entries())
     assert comm(a, b) == a @ b - b @ a
     assert combination(terms, 3) == total
     # [a, b] minus itself cancels to the zero matrix
-    assert comm_minus(a, b, [(1, a @ b), (-1, b @ a)]).is_zero()
+    assert comm_minus(a, b, [((1, 0), a @ b), ((-1, 0), b @ a)]).is_zero()
     with pytest.raises(DimensionError):
-        comm_minus(a, b, [(1, Matrix(2, 2))])
+        comm_minus(a, b, [((1, 0), Matrix(2, 2))])
     with pytest.raises(DimensionError):
         comm_minus(a, Matrix(2, 2), ())
 

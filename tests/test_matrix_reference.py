@@ -22,6 +22,8 @@ from symtriple.errors import ValidationError
 from symtriple.linalg import Matrix, combination, comm_minus, inverse, trace_product
 from symtriple.scalars import GaussianRational, ZERO
 
+from conftest import integer_terms
+
 Z = (Fraction(0), Fraction(0))
 
 
@@ -136,7 +138,7 @@ def test_products_match_reference(case):
     for c, m in terms:
         want_comb = ref_axpy(want_comb, _pair(c), dense(m))
         want_comm = ref_axpy(want_comm, _pair(-c), dense(m))
-    got = assert_canonical(comm_minus(a, b, terms))
+    got = assert_canonical(comm_minus(a, b, *integer_terms(terms)))
     assert dense(got) == want_comm
     assert dense(assert_canonical(combination(terms, a.rows))) == want_comb
     if got.is_zero():

@@ -17,7 +17,7 @@ from symtriple.composition import KINDS, build_composition
 from symtriple.families import ALL_LIGHT_TABLE_CASES
 from symtriple.jordan import build_jordan
 
-from conftest import LIGHT_CASES
+from conftest import LIGHT_CASES, scalar_table
 
 
 def _digest(obj) -> str:
@@ -57,7 +57,7 @@ def _triple_record(T):
 
 
 def _model_record(model):
-    table = model.algebra.table
+    table = scalar_table(model.algebra)
     return {
         "table": [
             [i, j, l, str(v)] for (i, j) in sorted(table) for l, v in sorted(table[(i, j)].items())

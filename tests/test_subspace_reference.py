@@ -119,7 +119,9 @@ def assert_matches(s: Subspace, ref: Reference, probes: list) -> None:
         got = s.coords_of(w)
         assert (got is None) == (want is None)
         if got is not None:
-            assert tuple(_pair(x / den) for x in got) == want
+            assert tuple(
+                _pair(GaussianRational(*got.get(r, (0, 0)), den)) for r in range(s.dim)
+            ) == want
 
 
 _entries = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 4))

@@ -7,6 +7,7 @@ import pytest
 from symtriple import triples
 from symtriple.enveloping import build_enveloping
 from symtriple.errors import ParseError, ValidationError
+from symtriple.families import ALL_LIGHT_TABLE_CASES
 from symtriple.linalg import Matrix, combination, vec
 from symtriple.scalars import ONE, qi
 from symtriple.triples import (
@@ -22,7 +23,7 @@ from symtriple.triples import (
     verify_axioms,
 )
 
-from conftest import AXIOM_CASES
+from conftest import AXIOM_CASES, scalar_cols, scalars
 
 INDER_DIMS = {
     ("symplectic", 1): 3,  # sp(2)
@@ -152,7 +153,7 @@ def test_heavy_exceptional_axioms(kind, triple_cache):
 
 
 def _mutated(t: SymplecticTripleSystem) -> SymplecticTripleSystem:
-    cols = {k: dict(v) for k, v in t.cols.items()}
+    cols = scalar_cols(t)
     (i, j, k), col = next(iter(sorted(cols.items())))
     l = next(iter(sorted(col)))
     col[l] = col[l] + ONE
@@ -185,8 +186,8 @@ def _reference_identity3(t: SymplecticTripleSystem, mode: str):
         for l, m in pairs:
             a, b = t.dmat(i, j), t.dmat(l, m)
             rhs = combination([
-                *((v, t.dmat(p, m)) for p, v in t.basis_triple(i, j, l).items()),
-                *((v, t.dmat(l, p)) for p, v in t.basis_triple(i, j, m).items()),
+                *((v, t.dmat(p, m)) for p, v in scalars(t.basis_triple(i, j, l), t.den).items()),
+                *((v, t.dmat(l, p)) for p, v in scalars(t.basis_triple(i, j, m), t.den).items()),
             ], d)
             checked += 1
             if a @ b - b @ a != rhs:
@@ -201,7 +202,7 @@ def test_derivation_witnesses_match_reference(mode, triple_cache):
     # the same epsilon in [e_i,e_j,e_k] and [e_j,e_i,e_k]: (1) still holds,
     # so identity (3) runs over i <= j, and it fails
     t = triple_cache("special", 2)
-    cols = {key: dict(col) for key, col in t.cols.items()}
+    cols = scalar_cols(t)
     i, j, k = min(key for key in cols if key[0] < key[1])
     l = min(cols[(i, j, k)])
     for key in ((i, j, k), (j, i, k)):
@@ -246,12 +247,12 @@ def _with_omega(t: SymplecticTripleSystem, bumps) -> SymplecticTripleSystem:
     rows = [[t.omega[i, j] for j in range(t.dim)] for i in range(t.dim)]
     for i, j in bumps:
         rows[i][j] = rows[i][j] + ONE
-    return SymplecticTripleSystem(t.dim, Matrix.from_rows(rows), t.cols, t.label + "+omega")
+    return SymplecticTripleSystem(t.dim, Matrix.from_rows(rows), scalar_cols(t), t.label + "+omega")
 
 
 def _with_triple(t: SymplecticTripleSystem, key, l) -> SymplecticTripleSystem:
     """t with 1 added to the e_l coefficient of [e_i, e_j, e_k], key = (i, j, k)."""
-    cols = {k: dict(v) for k, v in t.cols.items()}
+    cols = scalar_cols(t)
     col = cols.setdefault(key, {})
     col[l] = col.get(l, qi(0)) + ONE
     return SymplecticTripleSystem(t.dim, t.omega, cols, t.label + "+triple")
@@ -285,8 +286,8 @@ def _direct_sum(a: SymplecticTripleSystem, b: SymplecticTripleSystem):
         **{i: a.omega.row(i) for i in range(d)},
         **{d + i: {d + j: x for j, x in b.omega.row(i).items()} for i in range(b.dim)},
     })
-    cols = {key: dict(col) for key, col in a.cols.items()}
-    for (i, j, k), col in b.cols.items():
+    cols = scalar_cols(a)
+    for (i, j, k), col in scalar_cols(b).items():
         cols[(d + i, d + j, d + k)] = {d + l: x for l, x in col.items()}
     return SymplecticTripleSystem(a.dim + b.dim, omega, cols, f"{a.label}+{b.label}")
 
@@ -306,7 +307,7 @@ def test_derivation_generators_cover_summands(mode):
     for i, j in ((2, 3),):
         for k in (2, 3):
             for l in range(d):
-                cols = {key: dict(col) for key, col in good.cols.items()}
+                cols = scalar_cols(good)
                 for key in ((i, j, k), (j, i, k)):
                     col = cols.setdefault(key, {})
                     col[l] = col.get(l, qi(0)) + ONE
@@ -333,7 +334,7 @@ def test_simplicity_criterion():
     good = build_symplectic_type(2)
     assert is_simple(good)
     degenerate = SymplecticTripleSystem(
-        good.dim, Matrix(good.dim, good.dim), good.cols, "degenerate"
+        good.dim, Matrix(good.dim, good.dim), scalar_cols(good), "degenerate"
     )
     assert not is_simple(degenerate)
     one_dim = SymplecticTripleSystem(1, Matrix(1, 1), {}, "dim1")
@@ -358,17 +359,46 @@ def test_save_load_round_trip(tmp_path, triple_cache):
         assert back.label == t.label
 
 
-def test_round_trip_with_complex_entries(tmp_path):
+def _handmade():
+    """A 2-dimensional system with complex and fractional entries."""
     omega = Matrix.from_rows([["0", "i"], ["-i", "0"]])
-    t = SymplecticTripleSystem(
-        2, omega, {(0, 0, 1): {0: qi("1/2-3i")}}, "handmade"
-    )
+    return SymplecticTripleSystem(2, omega, {(0, 0, 1): {0: qi("1/2-3i")}}, "handmade")
+
+
+def test_round_trip_with_complex_entries(tmp_path):
+    t = _handmade()
     path = tmp_path / "complex.sts.json"
     save_sts(t, path)
     back = load_sts(path)
     assert back == t
     raw = path.read_text()
     assert '"re"' in raw and '"im"' in raw  # complex entries use the object form
+
+
+# sha256 of the bytes ``save_sts`` writes: a change to the file format shows
+# here even when ``load_sts`` is changed to match it
+SAVED_DIGESTS = {
+    ("symplectic", 1): "f5c090ec0c4756c43b337f1d81e2524513b72fe2da0dff5a5a83e6be323a438e",
+    ("symplectic", 2): "5807c67ee0179c0b8dbeac094d5ca9d412faf8e12058dc0d020ed9e15e415b0a",
+    ("special", 1): "6363516956d517493e40c2aab4cf7faaa0cc465e1408d92d898d3a032c55aeab",
+    ("special", 2): "7b26bc0d576f6867f99ee6ba9ddcbb95c9eb6b502c7745ad3f8753ebfe95a1a8",
+    ("orthogonal", 3): "708aaf17521955f937868387a5045d2e89964a1ba6b510527eb9c9991c4fc4f0",
+    ("orthogonal", 4): "d81f97c7a5eccfa199a7910091dbc3d0abc77365d4de8a55dfb74f99b9030946",
+    ("exceptional", "scalar"): "e28541631c2704d14e4e7e73352b99101c31b35b5e481d0e90d37a46f808d277",
+    ("symplectic", 3): "419564aa9fb4dcc03653ceb19bcb04281941d8751b3d67ce46856ef3a7dcef1d",
+    ("special", 3): "b05a44d3ff00130e6fd4bbe9866b6755bfdf6b0b94099118d9111757177d36ce",
+    ("orthogonal", 5): "09ebece9ff6bec80b2cc8d4508cce66c89600ebeaebd9f75eb09d07f44d0c279",
+    ("exceptional", "unarion"): "d30e681154d784ed8565e0fcdb313b96f45d62b90b7b772f72b0af107771ae1d",
+    "handmade": "c8122555e0cdeb736fff8471eb295d36d4db6c1ec4a7b3c8fbeef08ca37776b5",
+}
+
+
+@pytest.mark.parametrize("case", [*ALL_LIGHT_TABLE_CASES, "handmade"])
+def test_saved_file_digest(case, tmp_path, triple_cache):
+    t = _handmade() if case == "handmade" else triple_cache(*case)
+    path = tmp_path / "saved.sts.json"
+    save_sts(t, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_DIGESTS[case]
 
 
 def test_load_rejects_non_skew(tmp_path):
@@ -480,8 +510,8 @@ def _check_load(path):
     except (ParseError, ValidationError):
         return
     assert type(t.dim) is int
-    for key, col in t.cols.items():
-        assert all(type(x) is int for x in key + tuple(col))
+    for i, j, k, l, _ in t.entries():
+        assert all(type(x) is int for x in (i, j, k, l))
 
 
 _json_leaf = st.one_of(

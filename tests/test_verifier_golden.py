@@ -13,10 +13,11 @@ import pytest
 from symtriple import enveloping, triples
 from symtriple.connections import NomizuMap, admissibility_failures, alpha_levi_civita
 from symtriple.enveloping import GradedLieAlgebra, verify_jacobi
-from symtriple.linalg import Matrix
+from symtriple.linalg import Matrix, numerators
 from symtriple.scalars import ONE, qi
 from symtriple.triples import check_witnesses, verify_axioms
 
+from conftest import scalar_table
 from test_triples import _mutated
 
 
@@ -62,9 +63,9 @@ JACOBI_DIGESTS = {
 def _sign_flipped_sp4(model_cache):
     # the sign-flipped sp(4) table of test_jacobi_detects_mutation
     L0 = model_cache("symplectic", 1).algebra
-    table = {k: dict(v) for k, v in L0.table.items()}
+    table = scalar_table(L0)
     table[(0, 1)] = {2: qi(-2)}
-    return GradedLieAlgebra(L0.dim, L0.n, L0.h_dim, L0.t_dim, table)
+    return GradedLieAlgebra(L0.dim, L0.n, L0.h_dim, L0.t_dim, *numerators(table))
 
 
 @pytest.mark.parametrize("mode", sorted(JACOBI_DIGESTS))
