@@ -29,7 +29,8 @@ from math import lcm
 
 from .enveloping import HomogeneousModel
 from .errors import ConstructionError, DimensionError
-from .linalg import Matrix, add_numerators, combination, comm_minus, numerators
+from .linalg import (Matrix, add_numerators, combination, comm_minus, comm_minus_numerators,
+                     numerators)
 from .scalars import HALF, ONE, ZERO, GaussianRational, qi
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "is_metric",
     "is_skew_torsion",
     "curvature",
+    "curvature_numerators",
     "curvature_of",
     "admissibility_failures",
     "connection_by_name",
@@ -205,12 +207,29 @@ def is_skew_torsion(model: HomogeneousModel, alpha: NomizuMap) -> bool:
     )
 
 
-def curvature(model: HomogeneousModel, alpha: NomizuMap, i: int, j: int) -> Matrix:
-    """The curvature operator R(e_i, e_j) on the m basis."""
-    return comm_minus(alpha.ops[i], alpha.ops[j], [
-        *((z, alpha.ops[k]) for k, z in model.m_bracket_m(i, j).items()),
-        *((z, model.ad_m_inder(t)) for t, z in model.m_bracket_h(i, j).items()),
-    ], model.algebra.den)
+def _curvature_with(comm, name: str, doc: str):
+    """R(e_i, e_j) = [alpha_i, alpha_j] - alpha_{[e_i, e_j]_m} - ad_m([e_i,
+    e_j]_h) on the m basis, summed by ``comm``: ``comm_minus`` gives the
+    operator and ``comm_minus_numerators`` its unreduced numerators.  Both
+    forms read this one term list, with no extra call per operator."""
+
+    def at(model: HomogeneousModel, alpha: NomizuMap, i: int, j: int):
+        return comm(alpha.ops[i], alpha.ops[j], [
+            *((z, alpha.ops[k]) for k, z in model.m_bracket_m(i, j).items()),
+            *((z, model.ad_m_inder(t)) for t, z in model.m_bracket_h(i, j).items()),
+        ], model.algebra.den)
+
+    at.__name__ = at.__qualname__ = name
+    at.__doc__ = doc
+    return at
+
+
+curvature = _curvature_with(
+    comm_minus, "curvature", "The curvature operator R(e_i, e_j) on the m basis, a ``Matrix``.")
+curvature_numerators = _curvature_with(
+    comm_minus_numerators, "curvature_numerators",
+    "R(e_i, e_j) as ``comm_minus_numerators`` gives it: numerator rows, which\n"
+    "may hold zeros, over a denominator they may share a factor with.")
 
 
 def curvature_of(model: HomogeneousModel, alpha: NomizuMap, x, y) -> Matrix:

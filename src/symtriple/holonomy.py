@@ -12,18 +12,27 @@ are taken.
 For a metric connection it sits inside so(m, g), whose dimension m(m-1)/2
 is the number of R(e_i, e_j) with i < j: if ``linalg.independent_mod_p``
 proves them independent, they span so(m, g), which is built from the metric.
-Otherwise (a dependent R(e_i, e_j), or an unlucky prime) the closure runs,
-with dim so(m, g) as its certified early-exit bound.
+The certificate reads each R(e_i, e_j) as the unreduced numerators that
+``connections.curvature_numerators`` gives, through the upper triangle of
+g R(e_i, e_j), so a certified connection builds no curvature ``Matrix``.
+Otherwise (a dependent R(e_i, e_j), or an unlucky prime) the closure runs
+on the curvature operators, with dim so(m, g) as its certified early-exit
+bound.
+
+``ricci`` contracts Ric[j, k] = sum_i R(e_i, e_j)[i, k] straight from the
+Nomizu map, about m vector-operator products instead of the m(m-1)
+operator products of the curvature operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import lcm
 
-from .connections import Connection, connection_by_name
+from .connections import Connection, connection_by_name, curvature_numerators
 from .enveloping import HomogeneousModel, build_model
-from .errors import ValidationError
+from .errors import DimensionError, ValidationError
 from .linalg import (Matrix, Subspace, add_numerators, bracket_closure, center_of,
                      independent_mod_p, trace_product)
 from .scalars import GaussianRational, ZERO, qi
@@ -60,14 +69,20 @@ class HolonomyResult:
 def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyResult:
     """The holonomy algebra of ``conn`` by Kostant's formula: the span of
     the curvature operators, closed under [alpha(e_i, .), .], unless it is
-    certified to be so(m, g)."""
+    certified to be so(m, g).
+
+    The certificate rests on one premise: every ad_m(d), d in h, is g-skew
+    (g is ad(h)-invariant), so that for a metric alpha each R(e_i, e_j)
+    lies in so(m, g).  It then reads only the upper triangle of g R(e_i, e_j),
+    which is skew there and so determines R(e_i, e_j)."""
     model = conn.model
     md = model.m_dim
     metric = conn.is_metric()
     so_dim = model.so_dim()
-    if metric and independent_mod_p(r.flatten() for _, r in conn.curvature_pairs()):
+    read: list = []  # numerators of the first R(e_i, e_j) the certificate read
+    if metric and independent_mod_p(_skew_coordinates(conn, read)):
         algebra = so_algebra(model)
-    elif gens := [r for _, r in conn.curvature_pairs() if not r.is_zero()]:
+    elif gens := [r for r in _curvature_operators(conn, read) if not r.is_zero()]:
         multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
         algebra = bracket_closure(
             gens, multipliers, stop_dim=so_dim if metric else None
@@ -84,6 +99,46 @@ def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyR
         so_dim=so_dim,
         metric=metric,
     )
+
+
+def _curvature_operators(conn: Connection, read: list) -> list:
+    """R(e_i, e_j) for i < j in order, the first ones reduced from the
+    numerators in ``read`` rather than computed again: the distinguished
+    and canonical certificates fail after three."""
+    md = conn.model.m_dim
+    pairs = ((i, j) for i in range(md) for j in range(i + 1, md))
+    return [*(Matrix.from_numerators(md, md, num, den) for num, den in read),
+            *(conn.curvature(i, j) for i, j in islice(pairs, len(read), None))]
+
+
+def _skew_coordinates(conn: Connection, read: list):
+    """For each i < j, lazily, the entries (g N)[a, c], a < c, keyed
+    a * m + c, of the unreduced numerators N of R(e_i, e_j), a Gaussian-
+    integer multiple of R(e_i, e_j).  This is a linear image of R, so
+    vectors found independent here are independent as operators.
+
+    The numerators of the first m operators go to ``read``; holding all
+    m(m-1)/2 would keep them alive through a certificate that succeeds."""
+    model, alpha = conn.model, conn.alpha
+    md = model.m_dim
+    g = model.metric.gram.num
+    for i in range(md):
+        for j in range(i + 1, md):
+            num, den = curvature_numerators(model, alpha, i, j)
+            if len(read) < md:
+                read.append((num, den))
+            v: dict = {}
+            get = v.get
+            for a, grow in g.items():
+                for b, (gx, gy) in grow.items():
+                    row = num.get(b)
+                    if row:
+                        base = a * md
+                        for c, (x, y) in row.items():
+                            if c > a:
+                                zr, zi = get(base + c, (0, 0))
+                                v[base + c] = (zr + gx * x - gy * y, zi + gx * y + gy * x)
+            yield v
 
 
 def so_algebra(model: HomogeneousModel) -> Subspace:
@@ -156,17 +211,54 @@ class RicciData:
 
 
 def ricci(conn: Connection) -> RicciData:
-    """Ric(X, Y) = trace(Z -> R(Z, X) Y), plus block comparison against g."""
+    """Ric(X, Y) = trace(Z -> R(Z, X) Y), plus block comparison against g.
+
+    Ric[j, k] = sum_i R(e_i, e_j)[i, k] is contracted straight from alpha,
+    with no curvature operator built.  With A_i = alpha(e_i, .) and
+    R(e_i, e_j) = [A_i, A_j] - A_{[e_i, e_j]_m} - ad_m([e_i, e_j]_h):
+
+        sum_i (A_i A_j)[i, .] = v A_j,  v_t = sum_i A_i[i, t], formed once;
+        sum_i (A_j A_i)[i, .] = sum of A_j[i, t] A_i[t, .] over A_j's entries;
+
+    and each bracket term reads row i of one A_l or ad_m(d_u).
+    """
     model = conn.model
     md = model.m_dim
-    pairs = list(conn.curvature_pairs())
-    den = lcm(*(r.den for _, r in pairs))
-    num: dict = {k: {} for k in range(md)}
-    for (i, j), r in pairs:
-        # contributes R(e_i, e_j)[i, k] to Ric[j, k] and -R[j, k] to Ric[i, k]
-        s = den // r.den
-        add_numerators(num[j], s, 0, r.num.get(i, {}))
-        add_numerators(num[i], -s, 0, r.num.get(j, {}))
+    ops = conn.alpha.ops
+    inder = [model.ad_m_inder(u) for u in range(model.h_dim)]
+    lden = model.algebra.den
+    da = lcm(*(op.den for op in ops))
+    den = lcm(da * da, lden * da, lden * lcm(*(d.den for d in inder)))
+    v: dict = {}  # over da
+    for i, op in enumerate(ops):
+        add_numerators(v, da // op.den, 0, op.num.get(i, {}))
+    num: dict = {}
+    for j, aj in enumerate(ops):
+        out = num[j] = {}
+        rows = aj.num
+        s = den // (da * aj.den)
+        for t, (x, y) in v.items():
+            if t in rows:
+                add_numerators(out, s * x, s * y, rows[t])
+        for i, row in rows.items():
+            ai = ops[i]
+            s = -(den // (aj.den * ai.den))
+            for t, (x, y) in row.items():
+                if t in ai.num:
+                    add_numerators(out, s * x, s * y, ai.num[t])
+    # [e_p, e_q] enters Ric[q] through i = p, and Ric[p] through i = q with
+    # the opposite sign
+    for p in range(md):
+        for q in range(p + 1, md):
+            for parts, mats in ((model.m_bracket_m(p, q), ops),
+                                (model.m_bracket_h(p, q), inder)):
+                for l, (x, y) in parts.items():
+                    mat = mats[l].num
+                    s = den // (lden * mats[l].den)
+                    if p in mat:
+                        add_numerators(num[q], -s * x, -s * y, mat[p])
+                    if q in mat:
+                        add_numerators(num[p], s * x, s * y, mat[q])
     ric = Matrix.from_numerators(md, md, num, den)
     gram = model.metric.gram
     vertical = _block_constant(ric, gram, range(0, 3))
@@ -213,6 +305,8 @@ def scalar_curvature_formula(n: int, a, b_matrix) -> GaussianRational:
     """
     a = qi(a)
     rows = [[qi(x) for x in row] for row in b_matrix]
+    if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        raise DimensionError("b_matrix must be 3x3")
     tr = rows[0][0] + rows[1][1] + rows[2][2]
     norm2 = sum((x * x for row in rows for x in row), ZERO)
     return qi((4 * n + 2) * (4 * n + 3)) - qi(6) * (a - tr) ** 2 - qi(12 * n) * norm2

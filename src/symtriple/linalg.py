@@ -4,7 +4,9 @@ A ``Matrix`` is Gaussian-integer numerator rows ``{i: {j: (re, im)}}`` over
 one positive denominator, in canonical form, the representation of FLINT's
 ``fmpq_mat``.  Its products, ``@``, ``comm_minus``, ``combination`` and
 ``trace_product``, scale every part to one common denominator, sum on plain
-ints and reduce each result once, with one gcd over the matrix.
+ints and reduce each result once, with one gcd over the matrix;
+``comm_minus_numerators`` stops before that reduction, for a caller that
+needs only the span of its results.
 ``GaussianRational`` values are built only at the edge: by ``__getitem__``,
 ``row`` and ``entries``, and by ``apply`` and ``bilinear``, which take dense
 ``GaussianRational`` vectors and read only the entries each row holds.
@@ -47,6 +49,7 @@ __all__ = [
     "add_numerators",
     "table_product",
     "comm_minus",
+    "comm_minus_numerators",
     "combination",
     "dot",
     "rank",
@@ -332,6 +335,21 @@ def comm_minus(a: Matrix, b: Matrix, terms: Iterable, den: int = 1) -> Matrix:
     return _assemble(n, n, ((1, a, b), (-1, b, a)), terms, den, -1)
 
 
+def comm_minus_numerators(a: Matrix, b: Matrix, terms: Iterable, den: int = 1) -> tuple[dict, int]:
+    """``comm_minus`` before its canonical form: the summed numerator rows
+    ``{i: {j: (re, im)}}`` and their denominator.  The rows may hold zeros
+    and share a factor with the denominator; a caller that needs only the
+    span of such matrices, not their values, skips the reduction."""
+    n = a.rows
+    if not (a.cols == b.rows == b.cols == n):
+        raise DimensionError("comm_minus needs square matrices of one size")
+    return _assemble(n, n, ((1, a, b), (-1, b, a)), terms, den, -1, _unreduced)
+
+
+def _unreduced(rows: int, cols: int, num: dict, den: int) -> tuple[dict, int]:
+    return num, den
+
+
 def combination(terms: Iterable, n: int) -> Matrix:
     """sum c M over the pairs (c, M) of a scalar c and an n x n matrix M."""
     terms = [(qi(c), m) for c, m in terms]
@@ -341,14 +359,16 @@ def combination(terms: Iterable, n: int) -> Matrix:
     ], den)
 
 
-def _assemble(rows: int, cols: int, products, terms, tden: int = 1, sign: int = 1) -> Matrix:
+def _assemble(rows: int, cols: int, products, terms, tden: int = 1, sign: int = 1,
+              finish=Matrix.from_numerators):
     """sum s a b + (sign/tden) sum c M over the triples (s, a, b), s = 1 or
     -1, of ``products`` and the pairs (c, M) of ``terms``, c a Gaussian
     integer ``(re, im)``, all rows x cols.
 
     Every part is scaled to the least common denominator L of the parts
-    and summed on plain ints into one accumulator, which is brought to
-    canonical form once, with one gcd against L."""
+    and summed on plain ints into one accumulator, and ``finish(rows, cols,
+    acc, L)`` is returned: by default the Matrix, brought to canonical form
+    once, with one gcd against L."""
     den = 1
     for _, a, b in products:
         d = a.den * b.den
@@ -378,7 +398,7 @@ def _assemble(rows: int, cols: int, products, terms, tden: int = 1, sign: int = 
                 acc[i] = _times(cr, ci, row)
             else:
                 add_numerators(out, cr, ci, row)
-    return Matrix.from_numerators(rows, cols, acc, den)
+    return finish(rows, cols, acc, den)
 
 
 def add_numerators(out: dict, cr: int, ci: int, row: dict) -> None:

@@ -1,12 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from symtriple import holonomy, linalg
+from symtriple import connections, holonomy, linalg
 from symtriple.connections import Connection, alpha_family, connection_by_name
 from symtriple.enveloping import metric_skew_operator
+from symtriple.errors import DimensionError
 from symtriple.families import (
     expected_hol_levi_civita,
     expected_hol_skew,
@@ -21,9 +23,10 @@ from symtriple.holonomy import (
     table_report,
 )
 from symtriple.linalg import (
-    Matrix, Subspace, bracket_closure, center_of, comm, independent_mod_p, matrices_of,
+    Matrix, Subspace, add_numerators, bracket_closure, center_of, comm, independent_mod_p,
+    matrices_of,
 )
-from symtriple.scalars import ONE, ZERO, qi
+from symtriple.scalars import ONE, ZERO, GaussianRational, qi
 
 from conftest import LIGHT_CASES
 
@@ -249,6 +252,99 @@ def test_ricci_blocks_and_scalars(family, param, connection_cache):
         assert data.vertical_constant == qi(fv(n))
         assert data.horizontal_constant == qi(fh(n))
         assert data.scalar_curvature == qi(fs(n))
+
+
+def ricci_reference(conn: Connection) -> Matrix:
+    """Ric[j, k] = sum_i R(e_i, e_j)[i, k], summed row by row from the cached
+    curvature operators R(e_i, e_j), i < j."""
+    md = conn.model.m_dim
+    pairs = list(conn.curvature_pairs())
+    den = lcm(*(r.den for _, r in pairs))
+    num: dict = {k: {} for k in range(md)}
+    for (i, j), r in pairs:
+        # contributes R(e_i, e_j)[i, k] to Ric[j, k] and -R[j, k] to Ric[i, k]
+        s = den // r.den
+        add_numerators(num[j], s, 0, r.num.get(i, {}))
+        add_numerators(num[i], -s, 0, r.num.get(j, {}))
+    return Matrix.from_numerators(md, md, num, den)
+
+
+def _gaussian_members(model, seed):
+    """Two seeded family members whose a and B entries are Gaussian rationals."""
+    rng = random.Random(seed)
+
+    def entry():
+        return GaussianRational(rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(1, 4))
+
+    for _ in range(2):
+        yield Connection(model, alpha_family(
+            model, entry(), [[entry() for _ in range(3)] for _ in range(3)]))
+
+
+def _assert_ricci_matches_reference(family, param, connection_cache):
+    model = connection_cache(family, param, "levi-civita").model
+    md = model.m_dim
+    conns = [connection_cache(family, param, name)
+             for name in ("levi-civita", "distinguished", "canonical", "zero")]
+    conns += [*_seeded_members(model, 13), *_gaussian_members(model, 17)]
+    for conn in conns:
+        got, want = ricci(conn).ricci, ricci_reference(conn)
+        for j in range(md):
+            for k in range(md):
+                assert got[j, k] == want[j, k], (conn.label, j, k)
+        assert got == want, conn.label
+
+
+@pytest.mark.parametrize("family,param", LIGHT_CASES)
+def test_ricci_matches_row_sum_reference(family, param, connection_cache):
+    # the trace contraction from alpha gives every entry of the row sum over
+    # the curvature operators, for metric and non-metric (zero) connections
+    _assert_ricci_matches_reference(family, param, connection_cache)
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("family,param", [("exceptional", "binarion"),
+                                          ("exceptional", "octonion")])
+def test_heavy_ricci_matches_row_sum_reference(family, param, connection_cache):
+    _assert_ricci_matches_reference(family, param, connection_cache)
+
+
+def test_certified_member_builds_no_curvature_matrix(model_cache, monkeypatch):
+    # Ricci and the so(m, g) certificate of a generic member read alpha and
+    # the unreduced curvature numerators only
+    model = model_cache("special", 2)
+    conn = next(_seeded_members(model, 5))
+
+    def refuse(*args):
+        raise AssertionError("a curvature Matrix was built")
+
+    monkeypatch.setattr(connections, "curvature", refuse)
+    data = ricci(conn)
+    res = holonomy_algebra(conn, compute_center=False)
+    assert res.contains_so and res.dim == model.so_dim()
+    monkeypatch.undo()
+    assert data.ricci == ricci_reference(conn)
+    assert res.algebra == so_algebra(model)
+
+
+@pytest.mark.parametrize("family,param", LIGHT_CASES)
+def test_isotropy_operators_are_g_skew(family, param, model_cache):
+    # the premise of the so(m, g) certificate: g is ad(h)-invariant, so each
+    # ad_m(d_r) lies in so(m, g) and so does every R(e_i, e_j) of a metric alpha
+    model = model_cache(family, param)
+    g = model.metric.gram
+    for r in range(model.h_dim):
+        gd = g @ model.ad_m_inder(r)
+        assert gd.transpose() == -gd, r
+
+
+@pytest.mark.parametrize("b_matrix", [
+    [[1, 0, 0, 5], [0, 1, 0], [0, 0, 1]],
+    [[1, 0], [0, 1]],
+])
+def test_scalar_curvature_formula_needs_3x3(b_matrix):
+    with pytest.raises(DimensionError):
+        scalar_curvature_formula(1, 0, b_matrix)
 
 
 def test_dimension_seven_values(connection_cache):

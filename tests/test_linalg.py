@@ -16,6 +16,7 @@ from symtriple.linalg import (
     combination,
     comm,
     comm_minus,
+    comm_minus_numerators,
     independent_mod_p,
     kernel,
     matrices_of,
@@ -336,6 +337,8 @@ def test_comm_minus_matches_matrix_arithmetic(a, b, terms):
         total = total + cm
     got = comm_minus(a, b, *integer_terms(terms))
     assert got == want and all(x for _, _, x in got.entries())
+    # the unreduced numerators over their denominator are the same matrix
+    assert Matrix.from_numerators(3, 3, *comm_minus_numerators(a, b, *integer_terms(terms))) == got
     assert comm(a, b) == a @ b - b @ a
     assert combination(terms, 3) == total
     # [a, b] minus itself cancels to the zero matrix
@@ -344,6 +347,8 @@ def test_comm_minus_matches_matrix_arithmetic(a, b, terms):
         comm_minus(a, b, [((1, 0), Matrix(2, 2))])
     with pytest.raises(DimensionError):
         comm_minus(a, Matrix(2, 2), ())
+    with pytest.raises(DimensionError):
+        comm_minus_numerators(a, Matrix(2, 2), ())
 
 
 def test_modulus_constants():
