@@ -9,6 +9,10 @@ predicates, and curvature operators
 
     R(X, Y) = [alpha_X, alpha_Y] - alpha_{[X,Y]_m} - ad([X,Y]_h).
 
+On the basis this term list is ``curvature_numerators``, whose unreduced
+numerators are what the holonomy computations read; ``curvature`` brings
+them to a ``Matrix``.
+
 Every named map is a block-wise multiple of the bracket: alpha(e_i, e_j) =
 c [e_i, e_j]_m, with c read off the blocks of e_i (row) and e_j (column),
 m = vertical (xi_1, xi_2, xi_3) (+) odd part.  Each operator alpha(e_i, .)
@@ -207,29 +211,23 @@ def is_skew_torsion(model: HomogeneousModel, alpha: NomizuMap) -> bool:
     )
 
 
-def _curvature_with(comm, name: str, doc: str):
+def curvature_numerators(model: HomogeneousModel, alpha: NomizuMap, i: int,
+                         j: int) -> tuple[dict, int]:
     """R(e_i, e_j) = [alpha_i, alpha_j] - alpha_{[e_i, e_j]_m} - ad_m([e_i,
-    e_j]_h) on the m basis, summed by ``comm``: ``comm_minus`` gives the
-    operator and ``comm_minus_numerators`` its unreduced numerators.  Both
-    forms read this one term list, with no extra call per operator."""
-
-    def at(model: HomogeneousModel, alpha: NomizuMap, i: int, j: int):
-        return comm(alpha.ops[i], alpha.ops[j], [
-            *((z, alpha.ops[k]) for k, z in model.m_bracket_m(i, j).items()),
-            *((z, model.ad_m_inder(t)) for t, z in model.m_bracket_h(i, j).items()),
-        ], model.algebra.den)
-
-    at.__name__ = at.__qualname__ = name
-    at.__doc__ = doc
-    return at
+    e_j]_h) on the m basis, as ``comm_minus_numerators`` sums it: numerator
+    rows, which may hold zeros, over a denominator they may share a factor
+    with."""
+    return comm_minus_numerators(alpha.ops[i], alpha.ops[j], [
+        *((z, alpha.ops[k]) for k, z in model.m_bracket_m(i, j).items()),
+        *((z, model.ad_m_inder(t)) for t, z in model.m_bracket_h(i, j).items()),
+    ], model.algebra.den)
 
 
-curvature = _curvature_with(
-    comm_minus, "curvature", "The curvature operator R(e_i, e_j) on the m basis, a ``Matrix``.")
-curvature_numerators = _curvature_with(
-    comm_minus_numerators, "curvature_numerators",
-    "R(e_i, e_j) as ``comm_minus_numerators`` gives it: numerator rows, which\n"
-    "may hold zeros, over a denominator they may share a factor with.")
+def curvature(model: HomogeneousModel, alpha: NomizuMap, i: int, j: int) -> Matrix:
+    """The curvature operator R(e_i, e_j) on the m basis, ``curvature_numerators``
+    in canonical form."""
+    md = model.m_dim
+    return Matrix.from_numerators(md, md, *curvature_numerators(model, alpha, i, j))
 
 
 def curvature_of(model: HomogeneousModel, alpha: NomizuMap, x, y) -> Matrix:

@@ -12,12 +12,13 @@ are taken.
 For a metric connection it sits inside so(m, g), whose dimension m(m-1)/2
 is the number of R(e_i, e_j) with i < j: if ``linalg.independent_mod_p``
 proves them independent, they span so(m, g), which is built from the metric.
-The certificate reads each R(e_i, e_j) as the unreduced numerators that
-``connections.curvature_numerators`` gives, through the upper triangle of
-g R(e_i, e_j), so a certified connection builds no curvature ``Matrix``.
-Otherwise (a dependent R(e_i, e_j), or an unlucky prime) the closure runs
-on the curvature operators, with dim so(m, g) as its certified early-exit
-bound.
+Both paths read R(e_i, e_j) as the unreduced numerators N that
+``connections.curvature_numerators`` gives, a Gaussian-integer multiple of
+R(e_i, e_j) and so spanning the same line.  The certificate reads the upper
+triangle of g N.  Otherwise (a dependent R(e_i, e_j), or an unlucky prime)
+the closure runs on the matrices N over denominator 1, with dim so(m, g) as
+its certified early-exit bound.  Neither path builds a reduced curvature
+``Matrix``.
 
 ``ricci`` contracts Ric[j, k] = sum_i R(e_i, e_j)[i, k] straight from the
 Nomizu map, about m vector-operator products instead of the m(m-1)
@@ -27,7 +28,6 @@ operator products of the curvature operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import lcm
 
 from .connections import Connection, connection_by_name, curvature_numerators
@@ -79,10 +79,10 @@ def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyR
     md = model.m_dim
     metric = conn.is_metric()
     so_dim = model.so_dim()
-    read: list = []  # numerators of the first R(e_i, e_j) the certificate read
-    if metric and independent_mod_p(_skew_coordinates(conn, read)):
+    if metric and independent_mod_p(_skew_coordinates(conn)):
         algebra = so_algebra(model)
-    elif gens := [r for r in _curvature_operators(conn, read) if not r.is_zero()]:
+    elif gens := [r for num in _curvature_numerators(conn)
+                  if not (r := Matrix.from_numerators(md, md, num)).is_zero()]:
         multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
         algebra = bracket_closure(
             gens, multipliers, stop_dim=so_dim if metric else None
@@ -101,44 +101,37 @@ def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyR
     )
 
 
-def _curvature_operators(conn: Connection, read: list) -> list:
-    """R(e_i, e_j) for i < j in order, the first ones reduced from the
-    numerators in ``read`` rather than computed again: the distinguished
-    and canonical certificates fail after three."""
-    md = conn.model.m_dim
-    pairs = ((i, j) for i in range(md) for j in range(i + 1, md))
-    return [*(Matrix.from_numerators(md, md, num, den) for num, den in read),
-            *(conn.curvature(i, j) for i, j in islice(pairs, len(read), None))]
-
-
-def _skew_coordinates(conn: Connection, read: list):
-    """For each i < j, lazily, the entries (g N)[a, c], a < c, keyed
-    a * m + c, of the unreduced numerators N of R(e_i, e_j), a Gaussian-
-    integer multiple of R(e_i, e_j).  This is a linear image of R, so
-    vectors found independent here are independent as operators.
-
-    The numerators of the first m operators go to ``read``; holding all
-    m(m-1)/2 would keep them alive through a certificate that succeeds."""
+def _curvature_numerators(conn: Connection):
+    """For each i < j, lazily, the numerator rows of R(e_i, e_j) that
+    ``curvature_numerators`` gives: a Gaussian-integer multiple of R(e_i,
+    e_j).  A failed certificate has read only the first few (three for the
+    distinguished and canonical maps), so the closure computes them again."""
     model, alpha = conn.model, conn.alpha
     md = model.m_dim
-    g = model.metric.gram.num
     for i in range(md):
         for j in range(i + 1, md):
-            num, den = curvature_numerators(model, alpha, i, j)
-            if len(read) < md:
-                read.append((num, den))
-            v: dict = {}
-            get = v.get
-            for a, grow in g.items():
-                for b, (gx, gy) in grow.items():
-                    row = num.get(b)
-                    if row:
-                        base = a * md
-                        for c, (x, y) in row.items():
-                            if c > a:
-                                zr, zi = get(base + c, (0, 0))
-                                v[base + c] = (zr + gx * x - gy * y, zi + gx * y + gy * x)
-            yield v
+            yield curvature_numerators(model, alpha, i, j)[0]
+
+
+def _skew_coordinates(conn: Connection):
+    """For each numerator N of ``_curvature_numerators``, lazily, the entries
+    (g N)[a, c], a < c, keyed a * m + c.  This is a linear image of R, so
+    vectors found independent here are independent as operators."""
+    md = conn.model.m_dim
+    g = conn.model.metric.gram.num
+    for num in _curvature_numerators(conn):
+        v: dict = {}
+        get = v.get
+        for a, grow in g.items():
+            for b, (gx, gy) in grow.items():
+                row = num.get(b)
+                if row:
+                    base = a * md
+                    for c, (x, y) in row.items():
+                        if c > a:
+                            zr, zi = get(base + c, (0, 0))
+                            v[base + c] = (zr + gx * x - gy * y, zi + gx * y + gy * x)
+        yield v
 
 
 def so_algebra(model: HomogeneousModel) -> Subspace:

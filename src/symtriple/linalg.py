@@ -4,9 +4,10 @@ A ``Matrix`` is Gaussian-integer numerator rows ``{i: {j: (re, im)}}`` over
 one positive denominator, in canonical form, the representation of FLINT's
 ``fmpq_mat``.  Its products, ``@``, ``comm_minus``, ``combination`` and
 ``trace_product``, scale every part to one common denominator, sum on plain
-ints and reduce each result once, with one gcd over the matrix;
-``comm_minus_numerators`` stops before that reduction, for a caller that
-needs only the span of its results.
+ints and reduce each result once, with one gcd over the matrix.
+``comm_minus_numerators`` returns the summed numerators and their
+denominator unreduced, which a span reads as they are: the curvature
+operators are read that way.
 ``GaussianRational`` values are built only at the edge: by ``__getitem__``,
 ``row`` and ``entries``, and by ``apply`` and ``bilinear``, which take dense
 ``GaussianRational`` vectors and read only the entries each row holds.
@@ -160,11 +161,13 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return _assemble(self.rows, self.cols, (), (((1, 0), self), ((1, 0), other)))
+        return Matrix.from_numerators(self.rows, self.cols, *_assemble(
+            self.rows, self.cols, (), (((1, 0), self), ((1, 0), other))))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return _assemble(self.rows, self.cols, (), (((1, 0), self), ((-1, 0), other)))
+        return Matrix.from_numerators(self.rows, self.cols, *_assemble(
+            self.rows, self.cols, (), (((1, 0), self), ((-1, 0), other))))
 
     def __neg__(self) -> "Matrix":
         return _matrix(self.rows, self.cols, self.den, {
@@ -174,7 +177,8 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionError("matmul shape mismatch")
-        return _assemble(self.rows, other.cols, ((1, self, other),), ())
+        return Matrix.from_numerators(
+            self.rows, other.cols, *_assemble(self.rows, other.cols, ((1, self, other),), ()))
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
@@ -332,7 +336,7 @@ def comm_minus(a: Matrix, b: Matrix, terms: Iterable, den: int = 1) -> Matrix:
     n = a.rows
     if not (a.cols == b.rows == b.cols == n):
         raise DimensionError("comm_minus needs square matrices of one size")
-    return _assemble(n, n, ((1, a, b), (-1, b, a)), terms, den, -1)
+    return Matrix.from_numerators(n, n, *_assemble(n, n, ((1, a, b), (-1, b, a)), terms, den, -1))
 
 
 def comm_minus_numerators(a: Matrix, b: Matrix, terms: Iterable, den: int = 1) -> tuple[dict, int]:
@@ -343,32 +347,28 @@ def comm_minus_numerators(a: Matrix, b: Matrix, terms: Iterable, den: int = 1) -
     n = a.rows
     if not (a.cols == b.rows == b.cols == n):
         raise DimensionError("comm_minus needs square matrices of one size")
-    return _assemble(n, n, ((1, a, b), (-1, b, a)), terms, den, -1, _unreduced)
-
-
-def _unreduced(rows: int, cols: int, num: dict, den: int) -> tuple[dict, int]:
-    return num, den
+    return _assemble(n, n, ((1, a, b), (-1, b, a)), terms, den, -1)
 
 
 def combination(terms: Iterable, n: int) -> Matrix:
     """sum c M over the pairs (c, M) of a scalar c and an n x n matrix M."""
     terms = [(qi(c), m) for c, m in terms]
     den = lcm(*(c.d for c, _ in terms))
-    return _assemble(n, n, (), [
+    return Matrix.from_numerators(n, n, *_assemble(n, n, (), [
         ((c.a * (den // c.d), c.b * (den // c.d)), m) for c, m in terms
-    ], den)
+    ], den))
 
 
-def _assemble(rows: int, cols: int, products, terms, tden: int = 1, sign: int = 1,
-              finish=Matrix.from_numerators):
+def _assemble(rows: int, cols: int, products, terms, tden: int = 1,
+              sign: int = 1) -> tuple[dict, int]:
     """sum s a b + (sign/tden) sum c M over the triples (s, a, b), s = 1 or
     -1, of ``products`` and the pairs (c, M) of ``terms``, c a Gaussian
     integer ``(re, im)``, all rows x cols.
 
     Every part is scaled to the least common denominator L of the parts
-    and summed on plain ints into one accumulator, and ``finish(rows, cols,
-    acc, L)`` is returned: by default the Matrix, brought to canonical form
-    once, with one gcd against L."""
+    and summed on plain ints into one accumulator.  The pair (acc, L) is
+    returned unreduced; ``Matrix.from_numerators`` brings it to canonical
+    form with one gcd against L."""
     den = 1
     for _, a, b in products:
         d = a.den * b.den
@@ -398,7 +398,7 @@ def _assemble(rows: int, cols: int, products, terms, tden: int = 1, sign: int = 
                 acc[i] = _times(cr, ci, row)
             else:
                 add_numerators(out, cr, ci, row)
-    return finish(rows, cols, acc, den)
+    return acc, den
 
 
 def add_numerators(out: dict, cr: int, ci: int, row: dict) -> None:

@@ -6,7 +6,9 @@ from math import lcm
 import pytest
 
 from symtriple import connections, holonomy, linalg
-from symtriple.connections import Connection, alpha_family, connection_by_name
+from symtriple.connections import (
+    Connection, NomizuMap, _block_ops, alpha_family, connection_by_name,
+)
 from symtriple.enveloping import metric_skew_operator
 from symtriple.errors import DimensionError
 from symtriple.families import (
@@ -158,14 +160,21 @@ def _seeded_members(model, seed):
 def test_closure_fallback_gives_the_certified_rows(family, param, connection_cache,
                                                    monkeypatch):
     # when the modular certificate declines, or runs modulo 5 (2^2 = -1), the
-    # closure gives the same canonical rows as the full Lie closure
+    # closure gives the same canonical rows as the full Lie closure; so it
+    # does for the zero map, whose certificate always declines, and for a
+    # non-metric map, which has no certificate and no early-exit bound
     model = connection_cache(family, param, "levi-civita").model
-    conns = [connection_cache(family, param, "levi-civita"), *_seeded_members(model, 5)]
+    non_metric = Connection(model, NomizuMap(
+        _block_ops(model, (Fraction(1, 2), 1), (1, 0)), "non-metric"))
+    assert not non_metric.is_metric()
+    conns = [connection_cache(family, param, "levi-civita"), *_seeded_members(model, 5),
+             connection_cache(family, param, "zero"), non_metric]
     wants = []
     for conn in conns:
         gens = [r for _, r in conn.curvature_pairs() if not r.is_zero()]
         multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
-        wants.append(full_lie_closure(gens, multipliers, model.so_dim()))
+        stop = model.so_dim() if conn.is_metric() else None
+        wants.append(full_lie_closure(gens, multipliers, stop))
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "MODULUS", (5, 2))
         for conn, want in zip(conns, wants):
@@ -311,9 +320,12 @@ def test_heavy_ricci_matches_row_sum_reference(family, param, connection_cache):
 
 def test_certified_member_builds_no_curvature_matrix(model_cache, monkeypatch):
     # Ricci and the so(m, g) certificate of a generic member read alpha and
-    # the unreduced curvature numerators only
+    # the unreduced curvature numerators only, and so does the closure that
+    # runs when the certificate declines (distinguished, canonical, zero);
+    # fresh connections, so that no curvature cache is filled beforehand
     model = model_cache("special", 2)
     conn = next(_seeded_members(model, 5))
+    closed = [connection_by_name(model, name) for name in ("distinguished", "canonical", "zero")]
 
     def refuse(*args):
         raise AssertionError("a curvature Matrix was built")
@@ -322,9 +334,17 @@ def test_certified_member_builds_no_curvature_matrix(model_cache, monkeypatch):
     data = ricci(conn)
     res = holonomy_algebra(conn, compute_center=False)
     assert res.contains_so and res.dim == model.so_dim()
+    results = [holonomy_algebra(c, compute_center=False) for c in closed]
+    checks = [holonomy_identity_check(c) for c in closed[:2]]
     monkeypatch.undo()
     assert data.ricci == ricci_reference(conn)
     assert res.algebra == so_algebra(model)
+    for c, got in zip(closed, results):
+        gens = [r for _, r in c.curvature_pairs() if not r.is_zero()]
+        multipliers = [op for op in c.alpha.ops if not op.is_zero()]
+        want = bracket_closure(gens, multipliers, model.so_dim())
+        assert got.algebra.rows == want.rows, c.label
+    assert all(check.matches for check in checks)
 
 
 @pytest.mark.parametrize("family,param", LIGHT_CASES)
