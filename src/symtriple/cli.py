@@ -1,7 +1,9 @@
 """Batch command-line front end.
 
 Commands: verify | holonomy | curvature | ricci | table.  Exit codes:
-0 success, 1 mathematical failure, 2 usage error, 3 heavy case refused.
+0 success, 1 mathematical failure or an output pipe closed by its reader
+(stdout then goes to the null device, and no traceback is printed),
+2 usage error, 3 heavy case refused.
 All numbers are printed exactly (rationals, optionally with an i-part);
 ``--json`` switches to machine-readable records built from the same exact
 strings.
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import families
@@ -350,9 +353,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        try:
+            return _run(argv)
+        finally:
+            # a block-buffered stdout (a pipe) may hold all of the output
+            # yet, also when argparse's --help exits; flush it here, where a
+            # closed reader is still caught
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early; point stdout at devnull so the
+        # interpreter's flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_MATH
+
+
+def _run(argv) -> int:
+    ap = build_parser()
+    try:
+        args = ap.parse_args(argv)
         return args.fn(args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -17,13 +17,19 @@ files and everywhere downstream):
 
   i.e. plus-cross in the upper-right block, minus-cross in the lower-left;
   the norm is ``ab - v.w``.
+
+The models are evaluated on integer coordinates.  ``mul`` holds e_i e_j as
+Gaussian-integer numerators ``{(i, j): {k: (re, im)}}`` over ``mul_den``,
+the format of every structure-constant table (``linalg``); conjugation
+and the bilinear norm are ``Matrix``.  In every kind the unit is a 0/1
+vector, and the trace is t(x) = 2 n(x, 1).
 """
 
 from __future__ import annotations
 
 from .errors import DimensionError, ValidationError
-from .linalg import Matrix, dot, table_product
-from .scalars import GaussianRational, HALF, ONE, ZERO
+from .linalg import Matrix, canonical, table_product, vec
+from .scalars import GaussianRational, ONE, ZERO
 
 __all__ = ["CompositionAlgebra", "build_composition", "unit_multiple", "KINDS"]
 
@@ -33,16 +39,16 @@ KINDS = ("unarion", "binarion", "quaternion", "octonion")
 class CompositionAlgebra:
     """Structure constants of one split composition algebra over Q(i)."""
 
-    __slots__ = ("kind", "dim", "unit", "mul", "conj", "norm_gram", "trace_coeffs")
+    __slots__ = ("kind", "dim", "unit", "mul", "mul_den", "conj", "norm_gram")
 
-    def __init__(self, kind, dim, unit, mul, conj, norm_gram, trace_coeffs):
+    def __init__(self, kind, dim, unit, mul, mul_den, conj, norm_gram):
         self.kind = kind
         self.dim = dim
         self.unit = unit
-        self.mul = mul  # mul[i][j] = sparse coordinate vector of e_i * e_j
+        self.mul = mul  # mul[(i, j)] = e_i e_j as numerators {k: (re, im)} over mul_den
+        self.mul_den = mul_den
         self.conj = conj  # Matrix whose column i is conj(e_i)
         self.norm_gram = norm_gram  # Matrix of the bilinear N with N(x, x) = n(x)
-        self.trace_coeffs = trace_coeffs  # t(e_i) with x + conj(x) = t(x) * unit
 
     def _check(self, x):
         if len(x) != self.dim:
@@ -51,15 +57,16 @@ class CompositionAlgebra:
     def multiply(self, x, y):
         self._check(x)
         self._check(y)
-        return table_product(self.mul, x, y)
+        return table_product(self.mul, self.mul_den, x, y)
 
     def conjugate(self, x):
         self._check(x)
         return self.conj.apply(x)
 
     def trace(self, x) -> GaussianRational:
-        self._check(x)
-        return dot(x, self.trace_coeffs)
+        """t(x) with x + conj(x) = t(x) * unit, which is 2 n(x, 1)."""
+        t = self.norm_b(x, self.unit)
+        return t + t
 
     def norm_b(self, x, y) -> GaussianRational:
         """Symmetric bilinear norm form; norm_b(x, x) is the quadratic norm."""
@@ -114,22 +121,20 @@ def _zorn_norm(x):
 
 
 def build_composition(kind: str) -> CompositionAlgebra:
-    """Structure constants for the standard model of each kind."""
+    """Structure constants for the standard model of each kind, computed
+    on integer coordinates."""
     if kind == "unarion":
-        dim = 1
-        unit = (ONE,)
+        unit = (1,)
         mul_fn = lambda x, y: (x[0] * y[0],)
         conj_fn = lambda x: x
         norm_fn = lambda x: x[0] * x[0]
     elif kind == "binarion":
-        dim = 2
-        unit = (ONE, ONE)
+        unit = (1, 1)
         mul_fn = lambda x, y: (x[0] * y[0], x[1] * y[1])
         conj_fn = lambda x: (x[1], x[0])
         norm_fn = lambda x: x[0] * x[1]
     elif kind == "quaternion":
-        dim = 4
-        unit = (ONE, ZERO, ZERO, ONE)
+        unit = (1, 0, 0, 1)
 
         def mul_fn(x, y):  # matrix product in coordinates (E11, E12, E21, E22)
             return (
@@ -142,36 +147,27 @@ def build_composition(kind: str) -> CompositionAlgebra:
         conj_fn = lambda x: (x[3], -x[1], -x[2], x[0])  # adjugate
         norm_fn = lambda x: x[0] * x[3] - x[1] * x[2]  # determinant
     elif kind == "octonion":
-        dim = 8
-        unit = (ONE, ONE, ZERO, ZERO, ZERO, ZERO, ZERO, ZERO)
+        unit = (1, 1, 0, 0, 0, 0, 0, 0)
         mul_fn = _zorn_mul
         conj_fn = lambda x: (x[1], x[0]) + tuple(-c for c in x[2:8])
         norm_fn = _zorn_norm
     else:
         raise ValueError(f"unknown composition algebra kind {kind!r}")
 
-    basis = [tuple(ONE if k == i else ZERO for k in range(dim)) for i in range(dim)]
-    mul = tuple(
-        tuple({k: v for k, v in enumerate(mul_fn(basis[i], basis[j])) if v} for j in range(dim))
-        for i in range(dim)
-    )
+    dim = len(unit)
+    basis = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
+    mul, mul_den = canonical({
+        (i, j): {k: (v, 0) for k, v in enumerate(mul_fn(basis[i], basis[j]))}
+        for i in range(dim) for j in range(dim)
+    }, 1)
     conj = Matrix.from_rows([conj_fn(b) for b in basis]).transpose()
-    gram = Matrix.from_rows([
-        [
-            (
-                norm_fn(tuple(a + b for a, b in zip(basis[i], basis[j])))
-                - norm_fn(basis[i])
-                - norm_fn(basis[j])
-            )
-            * HALF
-            for j in range(dim)
-        ]
+    # N(e_i, e_j) = (n(e_i + e_j) - n(e_i) - n(e_j)) / 2
+    gram = Matrix.from_numerators(dim, dim, {
+        i: {j: (norm_fn(tuple(a + b for a, b in zip(basis[i], basis[j])))
+                - norm_fn(basis[i]) - norm_fn(basis[j]), 0) for j in range(dim)}
         for i in range(dim)
-    ])
-    trace_coeffs = tuple(
-        unit_multiple(tuple(a + b for a, b in zip(e, conj_fn(e))), unit) for e in basis
-    )
-    return CompositionAlgebra(kind, dim, unit, mul, conj, gram, trace_coeffs)
+    }, 2)
+    return CompositionAlgebra(kind, dim, vec(unit), mul, mul_den, conj, gram)
 
 
 def unit_multiple(x, unit) -> GaussianRational:

@@ -67,7 +67,7 @@ def build_triple(family: str, param) -> SymplecticTripleSystem:
 
 
 def _positive(param, name: str) -> int:
-    if not isinstance(param, int) or param < 1:
+    if type(param) is not int or param < 1:
         raise ValidationError(f"{name} must be a positive integer, got {param!r}")
     return param
 

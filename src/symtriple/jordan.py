@@ -8,25 +8,37 @@
     t(a, b)  = (1/2) tr(ab + ba)
     a x b    = (1/2) (ab + ba - tr(a) b - tr(b) a + (tr(a) tr(b) - t(a, b)) I3)
 
+and ``tr(a) = t(a, 1)``.
+
 Basis order for the hermitian kind: the three diagonal units, then for each
 off-diagonal position (0,1), (0,2), (1,2) in that order and each C-basis
 element c, the matrix with c at the position and conj(c) mirrored.  So
 ``dim = 3 + 3 * dim(C)``.
 
-``cross_table`` and ``dot_table`` hold e_i x e_j and e_i . e_j as sparse
-coordinate vectors; ``trace_form`` is the dense nested tuple of t(e_i, e_j).
+The tables are computed on the basis from C's numerator tables: a basis
+matrix is a grid of at most two C-vectors, and ab + ba is summed on its
+upper triangle only.  ``build_jordan`` first checks that C's conjugation
+is an involutive anti-automorphism, which makes ab + ba hermitian, so that
+triangle determines it, and that C's unit is a 0/1 vector, so that each
+diagonal entry is read off as a multiple of the unit.  ``cross_table`` and
+``dot_table`` hold e_i x e_j and e_i . e_j as Gaussian-integer numerators
+``{(i, j): {k: (re, im)}}`` over ``cross_den`` and ``dot_den``, the format
+of the triple system's tables; ``trace_form`` is the ``Matrix`` of
+t(e_i, e_j).  The element products evaluate them on dense vectors with
+``linalg.table_product``.
 """
 
 from __future__ import annotations
 
 from .composition import CompositionAlgebra, unit_multiple
 from .errors import DimensionError, ValidationError
-from .linalg import Matrix, dot, table_product
-from .scalars import GaussianRational, HALF, ONE, ZERO, qi
+from .linalg import Matrix, add_numerators, canonical, table_product
+from .scalars import GaussianRational, ONE, ZERO
 
 __all__ = ["CubicJordan", "build_jordan"]
 
 _OFFDIAG = ((0, 1), (0, 2), (1, 2))
+_ZZ = (0, 0)
 
 
 class CubicJordan:
@@ -37,21 +49,22 @@ class CubicJordan:
         "unit",
         "trace_form",
         "cross_table",
+        "cross_den",
         "dot_table",
-        "trace_lin",
-        "_trace_gram",
+        "dot_den",
     )
 
-    def __init__(self, kind, algebra, dim, unit, trace_form, cross_table, dot_table, trace_lin):
+    def __init__(self, kind, algebra, dim, unit, trace_form, cross_table, cross_den,
+                 dot_table, dot_den):
         self.kind = kind
         self.algebra = algebra
         self.dim = dim
         self.unit = unit
-        self.trace_form = trace_form  # t(e_i, e_j)
-        self.cross_table = cross_table  # e_i x e_j, sparse
-        self.dot_table = dot_table  # symmetrized product e_i . e_j, sparse
-        self.trace_lin = trace_lin  # tr(e_i)
-        self._trace_gram = Matrix.from_rows(trace_form)
+        self.trace_form = trace_form  # Matrix of t(e_i, e_j)
+        self.cross_table = cross_table  # e_i x e_j over cross_den
+        self.cross_den = cross_den
+        self.dot_table = dot_table  # symmetrized product e_i . e_j over dot_den
+        self.dot_den = dot_den
 
     def _check(self, a):
         if len(a) != self.dim:
@@ -60,12 +73,12 @@ class CubicJordan:
     def t(self, a, b) -> GaussianRational:
         self._check(a)
         self._check(b)
-        return self._trace_gram.bilinear(a, b)
+        return self.trace_form.bilinear(a, b)
 
     def cross(self, a, b):
         self._check(a)
         self._check(b)
-        return table_product(self.cross_table, a, b)
+        return table_product(self.cross_table, self.cross_den, a, b)
 
     def linearized_cross(self, a, b):
         """Full linearization of the adjoint map: a x' b with a x' a = 2 (a x a).
@@ -79,11 +92,11 @@ class CubicJordan:
     def dot(self, a, b):
         self._check(a)
         self._check(b)
-        return table_product(self.dot_table, a, b)
+        return table_product(self.dot_table, self.dot_den, a, b)
 
     def trace_of(self, a) -> GaussianRational:
-        self._check(a)
-        return dot(a, self.trace_lin)
+        """tr(a) = t(a, 1)."""
+        return self.t(a, self.unit)
 
     def norm(self, a) -> GaussianRational:
         """Cubic norm, read off from (a x a) . a = n(a) * unit."""
@@ -97,142 +110,110 @@ class CubicJordan:
         return f"CubicJordan({tag}, dim={self.dim})"
 
 
-class _Herm:
-    """Helper doing matrix work for H3(C) while tables are generated."""
-
-    def __init__(self, c: CompositionAlgebra):
-        self.c = c
-        self.dim = 3 + 3 * c.dim
-
-    def to_matrix(self, coords):
-        c = self.c
-        d = c.dim
-        m = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            m[i][i] = tuple(coords[i] * u for u in c.unit)
-        for p, (i, j) in enumerate(_OFFDIAG):
-            m[i][j] = tuple(coords[3 + p * d: 3 + (p + 1) * d])
-            m[j][i] = c.conjugate(m[i][j])
-        return m
-
-    def from_matrix(self, m):
-        c = self.c
-        coords = [ZERO] * self.dim
-        for i in range(3):
-            coords[i] = unit_multiple(m[i][i], c.unit)
-        for p, (i, j) in enumerate(_OFFDIAG):
-            base = 3 + p * c.dim
-            for k in range(c.dim):
-                coords[base + k] = m[i][j][k]
-            # hermitian consistency
-            back = c.conjugate(m[i][j])
-            if tuple(back) != tuple(m[j][i]):
-                raise ValidationError("matrix is not hermitian")
-        return tuple(coords)
-
-    def matmul(self, a, b):
-        c = self.c
-        out = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                acc = (ZERO,) * c.dim
-                for k in range(3):
-                    acc = tuple(
-                        x + y for x, y in zip(acc, c.multiply(a[i][k], b[k][j]))
-                    )
-                out[i][j] = acc
-        return out
-
-    def sym(self, a, b):
-        """(ab + ba) as a matrix."""
-        ab = self.matmul(a, b)
-        ba = self.matmul(b, a)
-        return [
-            [tuple(x + y for x, y in zip(ab[i][j], ba[i][j])) for j in range(3)]
-            for i in range(3)
-        ]
-
-    def mat_trace(self, m) -> GaussianRational:
-        acc = ZERO
-        for i in range(3):
-            acc = acc + unit_multiple(m[i][i], self.c.unit)
-        return acc
-
-
 def build_jordan(kind: str, algebra: CompositionAlgebra | None = None) -> CubicJordan:
     if kind == "scalar":
         if algebra is not None:
             raise ValidationError("scalar kind takes no composition algebra")
-        three = qi(3)
-        return CubicJordan(
-            "scalar", None, 1, (ONE,), ((three,),), (({0: ONE},),), (({0: ONE},),), (three,)
-        )
+        one = {(0, 0): {0: (1, 0)}}
+        form = Matrix.from_numerators(1, 1, {0: {0: (3, 0)}})
+        return CubicJordan("scalar", None, 1, (ONE,), form, one, 1, one, 1)
     if kind != "hermitian":
         raise ValueError(f"unknown Jordan algebra kind {kind!r}")
     if algebra is None:
         raise ValidationError("hermitian kind needs a composition algebra")
 
-    h = _Herm(algebra)
-    dim = h.dim
-    basis_coords = [
-        tuple(ONE if k == i else ZERO for k in range(dim)) for i in range(dim)
-    ]
-    mats = [h.to_matrix(bc) for bc in basis_coords]
-    traces = tuple(h.mat_trace(m) for m in mats)
+    c = algebra
+    _check_algebra(c)
+    dc = c.dim
+    dim = 3 + 3 * dc
+    # the basis matrices as grids [(r, s, C-numerators)] over the
+    # denominator of conj
+    d = c.conj.den
+    ones = frozenset(k for k, x in enumerate(c.unit) if x)
+    one = {k: (d, 0) for k in ones}
+    conj = c.conj.transpose().num
+    grids = [[(r, r, one)] for r in range(3)]
+    for r, s in _OFFDIAG:
+        grids += [[(r, s, {k: (d, 0)}), (s, r, conj.get(k, {}))] for k in range(dc)]
+
+    # ab + ba, hence every entry below, is over sden; tr is 1 on the diagonal units
+    sden = d * d * c.mul_den
+    trace_form, cross, dot = {}, {}, {}
+    for i, a in enumerate(grids):
+        for j, b in enumerate(grids):
+            sym = _sym(a, b, c.mul)
+            v = {}
+            for p, (r, s) in enumerate(_OFFDIAG):
+                v.update((3 + p * dc + k, z) for k, z in sym.get((r, s), {}).items())
+            tr_re = tr_im = 0
+            for r in range(3):
+                z = v[r] = _unit_coefficient(sym.get((r, r), {}), ones)
+                tr_re += z[0]
+                tr_im += z[1]
+            trace_form.setdefault(i, {})[j] = (tr_re, tr_im)  # 2 t(e_i, e_j)
+            dot[(i, j)] = v  # 2 e_i . e_j
+            # 4 e_i x e_j = 2 (ab + ba) - 2 tr_i e_j - 2 tr_j e_i
+            #               + (2 tr_i tr_j - 2 t(e_i, e_j)) 1
+            x = {k: (zr + zr, zi + zi) for k, (zr, zi) in v.items()}
+            for k, tr in ((j, i < 3), (i, j < 3)):
+                if tr:
+                    zr, zi = x.get(k, _ZZ)
+                    x[k] = (zr - 2 * sden, zi)
+            coef = 2 * sden * (i < 3 and j < 3) - tr_re
+            for k in range(3):
+                zr, zi = x[k]
+                x[k] = (zr + coef, zi - tr_im)
+            cross[(i, j)] = x
+
     unit = tuple(ONE if k < 3 else ZERO for k in range(dim))
-
-    trace_form = []
-    cross_table = []
-    dot_table = []
-    for i in range(dim):
-        tf_row = []
-        cr_row = []
-        dot_row = []
-        for j in range(dim):
-            s = h.sym(mats[i], mats[j])  # ab + ba
-            t_ij = HALF * h.mat_trace(s)
-            tf_row.append(t_ij)
-            dot_row.append(_sparse(h.from_matrix(_scale_mat(s, HALF))))
-            # 2 (a x b) = s - tr(a) b - tr(b) a + (tr(a) tr(b) - t(a,b)) I3
-            coef = traces[i] * traces[j] - t_ij
-            cm = [
-                [
-                    tuple(
-                        se
-                        - traces[i] * be
-                        - traces[j] * ae
-                        + (coef * ue if k == l else ZERO)
-                        for se, be, ae, ue in zip(
-                            s[k][l],
-                            mats[j][k][l],
-                            mats[i][k][l],
-                            algebra.unit,
-                        )
-                    )
-                    for l in range(3)
-                ]
-                for k in range(3)
-            ]
-            cr_row.append(_sparse(h.from_matrix(_scale_mat(cm, HALF))))
-        trace_form.append(tuple(tf_row))
-        cross_table.append(tuple(cr_row))
-        dot_table.append(tuple(dot_row))
-
-    return CubicJordan(
-        "hermitian",
-        algebra,
-        dim,
-        unit,
-        tuple(trace_form),
-        tuple(cross_table),
-        tuple(dot_table),
-        traces,
-    )
+    form = Matrix.from_numerators(dim, dim, trace_form, 2 * sden)
+    return CubicJordan("hermitian", algebra, dim, unit, form,
+                       *canonical(cross, 4 * sden), *canonical(dot, 2 * sden))
 
 
-def _sparse(coords) -> dict:
-    return {k: x for k, x in enumerate(coords) if x}
+def _check_algebra(c: CompositionAlgebra) -> None:
+    """Raise ``ValidationError`` unless C's unit is a nonzero 0/1 vector and
+    its conjugation an involutive anti-automorphism.  The first lets a
+    diagonal entry be read as a multiple of the unit; the second makes ab +
+    ba hermitian for hermitian a and b, so its upper triangle determines
+    it."""
+    if not any(c.unit) or any(x not in (ZERO, ONE) for x in c.unit):
+        raise ValidationError("composition algebra unit is not a 0/1 vector")
+    basis = [c.basis_element(k) for k in range(c.dim)]
+    bar = [c.conjugate(x) for x in basis]
+    if any(c.conjugate(u) != x for x, u in zip(basis, bar)) or any(
+            c.conjugate(c.multiply(x, y)) != c.multiply(v, u)
+            for x, u in zip(basis, bar) for y, v in zip(basis, bar)):
+        raise ValidationError("conjugation is not an involutive anti-automorphism")
 
 
-def _scale_mat(m, c):
-    return [[tuple(c * x for x in m[i][j]) for j in range(3)] for i in range(3)]
+def _sym(a: list, b: list, mul: dict) -> dict:
+    """ab + ba on and above the diagonal, {(r, s): C-numerators}, for grids
+    a and b of numerators ``[(r, s, {k: (re, im)})]`` and C's product
+    table ``mul``."""
+    out: dict = {}
+    for x, y in ((a, b), (b, a)):
+        for r, k, u in x:
+            for l, s, w in y:
+                if k != l or r > s:
+                    continue
+                acc = out.get((r, s))
+                if acc is None:
+                    acc = out[(r, s)] = {}
+                for p, (ur, ui) in u.items():
+                    for q, (wr, wi) in w.items():
+                        col = mul.get((p, q))
+                        if col:
+                            add_numerators(acc, ur * wr - ui * wi, ur * wi + ui * wr, col)
+    return out
+
+
+def _unit_coefficient(x: dict, ones) -> tuple:
+    """z with x = z 1 for a C-vector of numerators x, where C's unit 1 is 1
+    on the indices ``ones`` and 0 elsewhere; raises ``ValidationError``
+    otherwise, as ``unit_multiple`` does."""
+    z = x.get(min(ones), _ZZ)
+    if any(x.get(k, _ZZ) != z for k in ones) or any(
+            w != _ZZ for k, w in x.items() if k not in ones):
+        raise ValidationError("element is not a multiple of the unit")
+    return z

@@ -13,10 +13,12 @@ operators are read that way.
 ``GaussianRational`` vectors and read only the entries each row holds.
 ``flatten`` and ``from_flat`` only remap indices: the flattening is a
 sparse Gaussian-integer vector, the matrix times its denominator.  A
-``Matrix`` is not changed once built.  The structure-constant tables from
-the triple system upward are held the same way, sparse Gaussian-integer
-columns over one denominator per table: ``numerators`` and ``canonical``
-bring a table to that form, and ``add_numerators`` sums on it.
+``Matrix`` is not changed once built.  Every structure-constant table, from
+the composition algebras upward, is held the same way, sparse Gaussian-
+integer columns over one denominator per table: ``numerators`` and
+``canonical`` bring a table to that form, and ``add_numerators`` sums on
+it.  ``table_product`` evaluates such a table on dense elements, for the
+element API of the composition and Jordan algebras.
 
 Elimination has one routine, ``Subspace.insert``, which extends a canonical
 reduced-row-echelon basis in place: pivots are normalized to 1 and
@@ -52,7 +54,6 @@ __all__ = [
     "comm_minus",
     "comm_minus_numerators",
     "combination",
-    "dot",
     "rank",
     "kernel",
     "inverse",
@@ -461,30 +462,25 @@ def trace_product(a: Matrix, b: Matrix) -> GaussianRational:
     return GaussianRational(re, im, a.den * b.den)
 
 
-def dot(x: Vector, y: Vector) -> GaussianRational:
-    """sum x_i y_i for dense vectors of one length."""
-    if len(x) != len(y):
-        raise DimensionError("dot product length mismatch")
-    t = ZERO
-    for xi, yi in zip(x, y):
-        if xi and yi:
-            t += xi * yi
-    return t
-
-
-def table_product(table, x: Vector, y: Vector) -> Vector:
-    """sum x_i y_j table[i][j] for dense x and y, where ``table[i][j]`` is
-    the sparse vector of the product of basis elements e_i and e_j in an
-    algebra of dimension ``len(table)``."""
-    out = [ZERO] * len(table)
-    for i, xi in enumerate(x):
-        if xi:
-            row = table[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    c = xi * yj
-                    for k, v in row[j].items():
-                        out[k] += c * v
+def table_product(table: dict, den: int, x: Vector, y: Vector) -> Vector:
+    """sum x_i y_j e_i e_j for dense x and y of one algebra, where
+    ``table[(i, j)]`` holds the product of basis elements e_i e_j as
+    Gaussian-integer numerators ``{k: (re, im)}`` over ``den``.  The sum
+    runs on ints over one common denominator and each entry is reduced
+    once."""
+    (xs, dx), (ys, dy) = (numerators({0: dict(enumerate(v))}) for v in (x, y))
+    ys = ys.get(0, {}).items()
+    acc: dict = {}
+    get = table.get
+    for i, (xr, xi) in xs.get(0, {}).items():
+        for j, (yr, yi) in ys:
+            col = get((i, j))
+            if col:
+                add_numerators(acc, xr * yr - xi * yi, xr * yi + xi * yr, col)
+    out = [ZERO] * len(x)
+    d = dx * dy * den
+    for k, (re, im) in acc.items():
+        out[k] = GaussianRational(re, im, d)
     return tuple(out)
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product
+from math import lcm
 
 from .errors import DimensionError, ParseError, ValidationError
 from .jordan import CubicJordan
@@ -262,14 +263,12 @@ def build_exceptional_type(jordan: CubicJordan) -> SymplecticTripleSystem:
     dim = 2 + 2 * dj
     tform = jordan.trace_form
 
-    om: dict = {0: {1: ONE}, 1: {0: -ONE}}
-    for p in range(dj):
-        for q in range(dj):
-            t_pq = tform[p][q]
-            if t_pq:
-                om.setdefault(2 + p, {})[2 + dj + q] = -t_pq
-                om.setdefault(2 + dj + p, {})[2 + q] = t_pq
-    omega = Matrix(dim, dim, om)
+    om: dict = {0: {1: (tform.den, 0)}, 1: {0: (-tform.den, 0)}}
+    for p, row in tform.num.items():
+        for q, (a, b) in row.items():
+            om.setdefault(2 + p, {})[2 + dj + q] = (-a, -b)
+            om.setdefault(2 + dj + p, {})[2 + q] = (a, b)
+    omega = Matrix.from_numerators(dim, dim, om, tform.den)
 
     # (g, c) of a basis triple fills its slots (alpha, a); negated, they are
     # the (beta, b) slots of its tau image
@@ -294,17 +293,18 @@ def _exc_components(J: CubicJordan):
     ``build_exceptional_type`` where g or c is nonzero, with (g, c) as
     Gaussian-integer numerators over den; c is a sparse {J-index: (re, im)}.
 
-    J's trace form and linearized cross product become numerators over one
-    d here: t(e_p, e_q) = tf[p][q] / d and e_p x e_q = x[p][q] / d.  g and c
-    have degree at most 2 in them, so den = d^2."""
+    J's trace form and linearized cross product, twice its ``cross_table``,
+    are brought to one denominator d, the lcm of the two tables'
+    denominators: t(e_p, e_q) = tf[p][q] / d and e_p x e_q = x[p][q] / d.
+    g and c have degree at most 2 in them, so den = d^2."""
     dj = J.dim
-    tab, d = numerators({
-        **{p: dict(enumerate(row)) for p, row in enumerate(J.trace_form)},
-        **{(p, q): {l: v + v for l, v in u.items()}
-           for p, row in enumerate(J.cross_table) for q, u in enumerate(row)},
-    })
-    tf = [tab.get(p, _EMPTY) for p in range(dj)]
-    x = [[tab.get((p, q), _EMPTY) for q in range(dj)] for p in range(dj)]
+    tform, table = J.trace_form, J.cross_table
+    d = lcm(tform.den, J.cross_den)
+    st, sx = d // tform.den, 2 * d // J.cross_den
+    tf = [{q: (st * a, st * b) for q, (a, b) in tform.num.get(p, _EMPTY).items()}
+          for p in range(dj)]
+    x = [[{l: (sx * a, sx * b) for l, (a, b) in table.get((p, q), _EMPTY).items()}
+          for q in range(dj)] for p in range(dj)]
     # over d^2: t[p][q] = t(e_p, e_q), t2 = 2 t, x2[p][q] = 2 e_p x e_q,
     # xx[p][q][r] = -2 (e_p x e_q) x e_r and tx[p][q][r] = -2 t(e_p x e_q, e_r)
     t = [[(a * d, b * d) for a, b in (tf[p].get(q, _ZZ) for q in range(dj))] for p in range(dj)]

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -307,3 +311,31 @@ def test_table_all_light(capsys):
     assert f4["dims"] == {"levi-civita": 465, "distinguished": 24, "canonical": 24}
     assert by_label["orthogonal(w=5)"]["dims"]["levi-civita"] == 253
     assert all(r["pass"] for r in by_label.values())
+
+
+CURVATURE_ARGS = ("curvature", "--family", "symplectic", "--n", "1", "--connection",
+                  "canonical", "-i", "0", "-j", "1")
+
+
+@pytest.mark.parametrize("args", [CURVATURE_ARGS, ("--help",)], ids=["curvature", "help"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_pipe_exits_one_without_traceback(args, unbuffered):
+    # the reader of stdout is gone before the first line is printed; a
+    # block-buffered stdout meets it only when the output is flushed
+    r, w = os.pipe()
+    os.close(r)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run([sys.executable, "-m", "symtriple", *args], stdout=w,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(w)
+    # argparse drops an OSError from writing its help, so an unbuffered
+    # --help exits 0; a buffered one fails at the flush
+    assert proc.returncode == 1 or (args == ("--help",) and unbuffered and proc.returncode == 0)
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr

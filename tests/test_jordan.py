@@ -1,6 +1,6 @@
 import pytest
 
-from symtriple.composition import build_composition
+from symtriple.composition import CompositionAlgebra, build_composition
 from symtriple.errors import ValidationError
 from symtriple.jordan import build_jordan
 from symtriple.linalg import Matrix, rank
@@ -39,19 +39,46 @@ def test_unit_identities(hermitian):
 
 def test_symmetry(hermitian):
     d = hermitian.dim
+    form = hermitian.trace_form
     for i in range(d):
         for j in range(d):
-            assert hermitian.cross_table[i][j] == hermitian.cross_table[j][i]
-            assert hermitian.trace_form[i][j] == hermitian.trace_form[j][i]
-            assert hermitian.dot_table[i][j] == hermitian.dot_table[j][i]
+            assert hermitian.cross_table.get((i, j)) == hermitian.cross_table.get((j, i))
+            assert form[i, j] == form[j, i]
+            assert hermitian.dot_table.get((i, j)) == hermitian.dot_table.get((j, i))
 
 
 def test_trace_form_nondegenerate(hermitian):
-    d = hermitian.dim
-    gram = Matrix.from_rows(
-        [[hermitian.trace_form[i][j] for j in range(d)] for i in range(d)]
-    )
-    assert rank(gram) == d
+    assert rank(hermitian.trace_form) == hermitian.dim
+
+
+def test_trace_of_basis(hermitian):
+    # tr(a) = t(a, 1) is 1 on the three diagonal units and 0 on the rest
+    for i in range(hermitian.dim):
+        assert hermitian.trace_of(hermitian.basis_element(i)) == (1 if i < 3 else 0)
+
+
+def test_diagonal_off_the_unit_line_is_refused():
+    # with the identity as conjugation (an involutive anti-automorphism of
+    # the commutative binarion table), the diagonal of A A for A with e_0 at
+    # (0, 1) and (1, 0) is 2 e_0, which is not a multiple of the unit (1, 1)
+    c = build_composition("binarion")
+    bad = CompositionAlgebra(c.kind, c.dim, c.unit, c.mul, c.mul_den,
+                             Matrix.identity(c.dim), c.norm_gram)
+    with pytest.raises(ValidationError, match="not a multiple of the unit"):
+        build_jordan("hermitian", bad)
+
+
+def test_composition_algebra_is_checked():
+    c = build_composition("binarion")
+    # e_0 e_0 = e_1: conj(e_0 e_0) = e_0 but conj(e_0) conj(e_0) = e_1
+    bad = CompositionAlgebra(c.kind, c.dim, c.unit, {**c.mul, (0, 0): {1: (1, 0)}},
+                             c.mul_den, c.conj, c.norm_gram)
+    with pytest.raises(ValidationError, match="anti-automorphism"):
+        build_jordan("hermitian", bad)
+    doubled = CompositionAlgebra(c.kind, c.dim, (qi(2), qi(2)), c.mul, c.mul_den,
+                                 c.conj, c.norm_gram)
+    with pytest.raises(ValidationError, match="0/1 vector"):
+        build_jordan("hermitian", doubled)
 
 
 def test_trace_associativity(hermitian):

@@ -87,8 +87,10 @@ def test_sparse_kernel():
     add_numerators(w, -3, 0, {2: (1, 0), 5: (2, 0)})
     assert w == {0: (1, 0), 2: (0, 0), 5: (-6, 0)}  # the cancelled entry stays as (0, 0)
     # the dual numbers: e_0 the unit, e_1 e_1 = 0
-    table = (({0: ONE}, {1: ONE}), ({1: ONE}, {}))
-    assert table_product(table, vec([2, 1]), vec([3, 5])) == vec([6, 13])
+    table = {(0, 0): {0: (1, 0)}, (0, 1): {1: (1, 0)}, (1, 0): {1: (1, 0)}}
+    assert table_product(table, 1, vec([2, 1]), vec([3, 5])) == vec([6, 13])
+    doubled = {key: {k: (2 * x, 2 * y) for k, (x, y) in col.items()} for key, col in table.items()}
+    assert table_product(doubled, 2, vec([2, 1]), vec([3, 5])) == vec([6, 13])
 
 
 def test_insert_examples():

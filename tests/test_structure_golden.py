@@ -136,7 +136,6 @@ MODEL_DIGESTS = {
         "707887de19ac74a9eb1ad5c9bdd5f9b2c8e80153f7fca9fa361df6e9b2755a0e",
 }
 
-HEAVY_JORDAN = ("quaternion", "octonion")
 HEAVY_TRIPLES = (("exceptional", "binarion"), ("exceptional", "quaternion"), ("exceptional", "octonion"))
 
 
@@ -145,10 +144,7 @@ def test_composition_digest(kind):
     assert _digest(_composition_record(kind)) == COMPOSITION_DIGESTS[kind]
 
 
-@pytest.mark.parametrize("kind", [
-    pytest.param(k, marks=pytest.mark.heavy) if k in HEAVY_JORDAN else k
-    for k in KINDS
-])
+@pytest.mark.parametrize("kind", KINDS)
 def test_jordan_digest(kind):
     assert _digest(_jordan_record(kind)) == JORDAN_DIGESTS[kind]
 

@@ -7,7 +7,7 @@ import pytest
 from symtriple import triples
 from symtriple.enveloping import build_enveloping
 from symtriple.errors import ParseError, ValidationError
-from symtriple.families import ALL_LIGHT_TABLE_CASES
+from symtriple.families import ALL_LIGHT_TABLE_CASES, build_triple, case_m_dim
 from symtriple.linalg import Matrix, combination, vec
 from symtriple.scalars import ONE, qi
 from symtriple.triples import (
@@ -65,6 +65,15 @@ def test_parameter_validation():
         build_orthogonal_type(2)
     with pytest.raises(ValidationError):
         build_special_type(0)
+
+
+@pytest.mark.parametrize("family", ["symplectic", "orthogonal", "special"])
+def test_boolean_parameter_refused(family):
+    # True is an int to isinstance, but not a family parameter
+    with pytest.raises(ValidationError):
+        build_triple(family, True)
+    with pytest.raises(ValidationError):
+        case_m_dim(family, True)
 
 
 def test_symplectic_triple_values():
