@@ -17,8 +17,9 @@ sparse Gaussian-integer vector, the matrix times its denominator.  A
 the composition algebras upward, is held the same way, sparse Gaussian-
 integer columns over one denominator per table: ``numerators`` and
 ``canonical`` bring a table to that form, and ``add_numerators`` sums on
-it.  ``table_product`` evaluates such a table on dense elements, for the
-element API of the composition and Jordan algebras.
+it.  ``table_product`` evaluates such a table on dense elements; no
+pipeline stage does, only ``CubicJordan.linearized_cross`` and the tests
+of the composition and Jordan algebras' element identities.
 
 Elimination has one routine, ``Subspace.insert``, which extends a canonical
 reduced-row-echelon basis in place: pivots are normalized to 1 and

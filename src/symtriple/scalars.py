@@ -6,10 +6,11 @@ kept reduced so that ``gcd(a, b, d) == 1``.  Every operation is exact;
 there is deliberately no float interop.
 
 It is the value type at the edges of the package: parsing, single entries
-read off a table, and the dense elements that the composition and Jordan
-algebras take and give.  Matrix products, elimination and every structure-
-constant table hold Gaussian-integer numerators over one denominator
-instead (``linalg``), which build a ``GaussianRational`` only when read.
+read off a table, and the dense vectors that ``Matrix.apply``,
+``Matrix.bilinear`` and ``linalg.table_product`` take and give.  Matrix
+products, elimination and every structure-constant table hold Gaussian-
+integer numerators over one denominator instead (``linalg``), which build
+a ``GaussianRational`` only when read.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import pytest
 from symtriple.connections import Connection, connection_by_name
 from symtriple.enveloping import build_model
 from symtriple.families import build_triple
+from symtriple.linalg import vec
 from symtriple.scalars import GaussianRational, qi
 
 # the quick tier exercised by most suites (tangent dimension <= 19)
@@ -53,6 +54,12 @@ def integer_terms(terms) -> tuple[list, int]:
     terms = [(qi(c), m) for c, m in terms]
     den = lcm(*(c.d for c, _ in terms))
     return [((c.a * (den // c.d), c.b * (den // c.d)), m) for c, m in terms], den
+
+
+def basis(dim: int) -> list:
+    """The basis e_0, ..., e_{dim-1} as the dense vectors that
+    ``table_product``, ``Matrix.apply`` and ``Matrix.bilinear`` take."""
+    return [vec([int(k == i) for k in range(dim)]) for i in range(dim)]
 
 
 def scalars(v: dict, den: int) -> dict:

@@ -1,10 +1,19 @@
+import sys
+from itertools import product
+
 import pytest
 
 from symtriple.composition import CompositionAlgebra, build_composition
+from symtriple.connections import connection_by_name
+from symtriple.enveloping import build_model
 from symtriple.errors import ValidationError
-from symtriple.jordan import build_jordan
-from symtriple.linalg import Matrix, rank
+from symtriple.families import build_triple
+from symtriple.holonomy import holonomy_algebra
+from symtriple.jordan import CubicJordan, build_jordan
+from symtriple.linalg import Matrix, rank, table_product
 from symtriple.scalars import ONE, qi
+
+from conftest import basis
 
 HERMITIAN_DIMS = {"unarion": 6, "binarion": 9, "quaternion": 15, "octonion": 27}
 
@@ -14,15 +23,25 @@ def hermitian(request):
     return build_jordan("hermitian", build_composition(request.param))
 
 
+def cross(J, a, b):
+    return table_product(J.cross_table, J.cross_den, a, b)
+
+
+def dot(J, a, b):
+    return table_product(J.dot_table, J.dot_den, a, b)
+
+
 def test_scalar_kind():
     j = build_jordan("scalar")
     assert j.dim == 1
-    assert j.t((ONE,), (ONE,)) == 3
+    assert j.trace_form.bilinear((ONE,), (ONE,)) == 3
     # n(a) = a^3: the adjoint is a^2, so a x b = ab and a x' b = 2ab
-    assert j.cross((qi(2),), (qi(5),)) == (qi(10),)
-    assert j.linearized_cross((qi(2),), (qi(5),)) == (qi(20),)
-    assert j.norm((qi(2),)) == 8
-    assert j.trace_of((qi(2),)) == 6
+    a = (qi(2),)
+    assert cross(j, a, (qi(5),)) == (qi(10),)
+    assert j.linearized_cross(a, (qi(5),)) == (qi(20),)
+    # (a x a) . a = n(a) 1 and tr(a) = t(a, 1)
+    assert dot(j, cross(j, a, a), a) == (qi(8),)
+    assert j.trace_form.bilinear(a, j.unit) == 6
 
 
 def test_hermitian_dimensions(hermitian):
@@ -31,10 +50,10 @@ def test_hermitian_dimensions(hermitian):
 
 def test_unit_identities(hermitian):
     unit = hermitian.unit
-    assert hermitian.cross(unit, unit) == unit
-    assert hermitian.trace_of(unit) == 3
-    assert hermitian.t(unit, unit) == 3
-    assert hermitian.norm(unit) == 1
+    assert cross(hermitian, unit, unit) == unit
+    # tr(1) = t(1, 1) = 3 and (1 x 1) . 1 = n(1) 1 = 1
+    assert hermitian.trace_form.bilinear(unit, unit) == 3
+    assert dot(hermitian, cross(hermitian, unit, unit), unit) == unit
 
 
 def test_symmetry(hermitian):
@@ -53,8 +72,8 @@ def test_trace_form_nondegenerate(hermitian):
 
 def test_trace_of_basis(hermitian):
     # tr(a) = t(a, 1) is 1 on the three diagonal units and 0 on the rest
-    for i in range(hermitian.dim):
-        assert hermitian.trace_of(hermitian.basis_element(i)) == (1 if i < 3 else 0)
+    for i, e in enumerate(basis(hermitian.dim)):
+        assert hermitian.trace_form.bilinear(e, hermitian.unit) == (1 if i < 3 else 0)
 
 
 def test_diagonal_off_the_unit_line_is_refused():
@@ -82,33 +101,39 @@ def test_composition_algebra_is_checked():
 
 
 def test_trace_associativity(hermitian):
-    d = hermitian.dim
-    basis = [hermitian.basis_element(i) for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                left = hermitian.t(hermitian.dot(basis[i], basis[j]), basis[k])
-                right = hermitian.t(basis[i], hermitian.dot(basis[j], basis[k]))
-                assert left == right
+    # t(e_i . e_j, e_k) = t(e_i, e_j . e_k) on every basis triple, both
+    # sides as Gaussian-integer numerators over dot_den * trace_form.den
+    form = hermitian.trace_form
+    rows, cols, dots = form.num, form.transpose().num, hermitian.dot_table
+
+    def pair(x, y):  # sum_l x_l y_l
+        re = im = 0
+        for l, (a, b) in x.items():
+            c, d = y.get(l, (0, 0))
+            re += a * c - b * d
+            im += a * d + b * c
+        return re, im
+
+    for i, j, k in product(range(hermitian.dim), repeat=3):
+        left = pair(dots.get((i, j), {}), cols.get(k, {}))
+        assert left == pair(rows.get(i, {}), dots.get((j, k), {}))
 
 
 def test_adjoint_identity_on_probes(hermitian):
-    # (a x a) . a is n(a) * unit; norm() raises if the multiple breaks down.
+    # (a x a) . a is n(a) * unit
     d = hermitian.dim
-    basis = [hermitian.basis_element(i) for i in range(d)]
-    probes = list(basis)
-    for i in range(min(d, 6)):
-        for j in range(i + 1, min(d, 7)):
-            probes.append(tuple(a + b for a, b in zip(basis[i], basis[j])))
+    e = basis(d)
+    probes = e + [tuple(a + b for a, b in zip(e[i], e[j]))
+                  for i in range(min(d, 6)) for j in range(i + 1, min(d, 7))]
     for a in probes:
-        hermitian.norm(a)
+        v = dot(hermitian, cross(hermitian, a, a), a)
+        assert v == tuple(v[0] * u for u in hermitian.unit)
 
 
 def test_linearized_cross_doubles(hermitian):
-    a = hermitian.basis_element(0)
-    b = hermitian.basis_element(3)
-    doubled = tuple(x + x for x in hermitian.cross(a, b))
-    assert hermitian.linearized_cross(a, b) == doubled
+    e = basis(hermitian.dim)
+    doubled = tuple(x + x for x in cross(hermitian, e[0], e[3]))
+    assert hermitian.linearized_cross(e[0], e[3]) == doubled
 
 
 def test_bad_arguments():
@@ -118,3 +143,22 @@ def test_bad_arguments():
         build_jordan("hermitian")
     with pytest.raises(ValueError):
         build_jordan("spin-factor")
+
+
+def test_exceptional_build_evaluates_no_dense_element(monkeypatch):
+    # every stage reads the numerator tables: with each dense evaluator
+    # refusing, the light exceptional models and a holonomy still build
+    def refuse(*args):
+        raise AssertionError("a dense element was evaluated")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("symtriple") and hasattr(module, "table_product"):
+            monkeypatch.setattr(module, "table_product", refuse)
+    monkeypatch.setattr(Matrix, "apply", refuse)
+    monkeypatch.setattr(Matrix, "bilinear", refuse)
+    monkeypatch.setattr(CubicJordan, "linearized_cross", refuse)
+    models = {J: build_model(build_triple("exceptional", J))
+              for J in ("scalar", "unarion", "binarion")}
+    hol = holonomy_algebra(connection_by_name(models["scalar"], "distinguished"))
+    assert [model.algebra.dim for model in models.values()] == [14, 52, 78]
+    assert hol.dim == 6

@@ -16,8 +16,9 @@ import pytest
 from symtriple.composition import KINDS, build_composition
 from symtriple.families import ALL_LIGHT_TABLE_CASES
 from symtriple.jordan import build_jordan
+from symtriple.linalg import table_product
 
-from conftest import LIGHT_CASES, scalar_table
+from conftest import LIGHT_CASES, basis, scalar_table
 
 
 def _digest(obj) -> str:
@@ -30,22 +31,25 @@ def _strs(v):
 
 def _composition_record(kind):
     c = build_composition(kind)
-    e = [c.basis_element(i) for i in range(c.dim)]
+    e = basis(c.dim)
     return {
-        "mul": [[i, j, _strs(c.multiply(e[i], e[j]))] for i in range(c.dim) for j in range(c.dim)],
-        "conj": [[i, _strs(c.conjugate(e[i]))] for i in range(c.dim)],
+        "mul": [[i, j, _strs(table_product(c.mul, c.mul_den, e[i], e[j]))]
+                for i in range(c.dim) for j in range(c.dim)],
+        "conj": [[i, _strs(c.conj.apply(e[i]))] for i in range(c.dim)],
     }
 
 
 def _jordan_record(kind):
     J = build_jordan("hermitian", build_composition(kind))
-    e = [J.basis_element(i) for i in range(J.dim)]
+    e = basis(J.dim)
     pairs = [(i, j) for i in range(J.dim) for j in range(J.dim)]
     return {
-        "t": [[i, j, str(J.t(e[i], e[j]))] for i, j in pairs],
-        "cross": [[i, j, _strs(J.cross(e[i], e[j]))] for i, j in pairs],
+        "t": [[i, j, str(J.trace_form.bilinear(e[i], e[j]))] for i, j in pairs],
+        "cross": [[i, j, _strs(table_product(J.cross_table, J.cross_den, e[i], e[j]))]
+                  for i, j in pairs],
         "linearized_cross": [[i, j, _strs(J.linearized_cross(e[i], e[j]))] for i, j in pairs],
-        "dot": [[i, j, _strs(J.dot(e[i], e[j]))] for i, j in pairs],
+        "dot": [[i, j, _strs(table_product(J.dot_table, J.dot_den, e[i], e[j]))]
+                for i, j in pairs],
     }
 
 
