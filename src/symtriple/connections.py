@@ -10,8 +10,8 @@ predicates, and curvature operators
     R(X, Y) = [alpha_X, alpha_Y] - alpha_{[X,Y]_m} - ad([X,Y]_h).
 
 On the basis this term list is ``curvature_numerators``, whose unreduced
-numerators are what the holonomy computations read; ``curvature`` brings
-them to a ``Matrix``.
+numerators are what the holonomy closure reads; ``curvature`` brings them
+to a ``Matrix``.
 
 Every named map is a block-wise multiple of the bracket: alpha(e_i, e_j) =
 c [e_i, e_j]_m, with c read off the blocks of e_i (row) and e_j (column),
@@ -102,8 +102,10 @@ def _block_ops(model: HomogeneousModel, vertical_row, odd_row=(ZERO, ZERO)) -> l
 
 def alpha_levi_civita(model: HomogeneousModel) -> NomizuMap:
     """Half-bracket on matching blocks, full bracket odd-into-vertical,
-    zero vertical-into-odd."""
-    return NomizuMap(_block_ops(model, (HALF, ZERO), (ONE, HALF)), "levi-civita")
+    zero vertical-into-odd; built once per model."""
+    if model._alpha_g is None:
+        model._alpha_g = NomizuMap(_block_ops(model, (HALF, ZERO), (ONE, HALF)), "levi-civita")
+    return model._alpha_g
 
 
 def alpha_family(model: HomogeneousModel, a, b_matrix) -> NomizuMap:

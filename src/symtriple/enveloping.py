@@ -393,6 +393,7 @@ class HomogeneousModel:
         "_where",
         "_parts",
         "_ads",
+        "_alpha_g",
     )
 
     def __init__(self, triple, inder, algebra, split, kappa, metric):
@@ -407,6 +408,7 @@ class HomogeneousModel:
         self._where.update((g, (1, r)) for r, g in enumerate(split.h_indices))
         self._parts: dict = {}
         self._ads: dict = {}
+        self._alpha_g = None  # connections.alpha_levi_civita, built on first use
         self.phis = tuple(self.bracket_op(i, HALF, ONE) for i in range(3))
 
     # -- geometry ---------------------------------------------------------
@@ -500,8 +502,8 @@ class HomogeneousModel:
         for j in range(self.m_dim):
             c = vertical if j < 3 else odd
             if c:
-                cr, ci = c
-                for l, (x, y) in self.m_bracket_m(i, j).items():
+                cr, ci = c if i <= j else (-c[0], -c[1])  # [e_i, e_j] = -[e_j, e_i]
+                for l, (x, y) in self.m_bracket_m(min(i, j), max(i, j)).items():
                     num.setdefault(l, {})[j] = (cr * x - ci * y, cr * y + ci * x)
         return Matrix.from_numerators(self.m_dim, self.m_dim, num, den * self.algebra.den)
 

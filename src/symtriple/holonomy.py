@@ -9,16 +9,13 @@ with m_0 the span of the curvature operators R(e_i, e_j).  That sum is the
 smallest subspace of gl(m) containing every R(e_i, e_j) and invariant under
 [alpha(e_i, .), .]; it is already a Lie algebra, so no mutual commutators
 are taken.
-For a metric connection it sits inside so(m, g), whose dimension m(m-1)/2
-is the number of R(e_i, e_j) with i < j: if ``linalg.independent_mod_p``
-proves them independent, they span so(m, g), which is built from the metric.
-Both paths read R(e_i, e_j) as the unreduced numerators N that
-``connections.curvature_numerators`` gives, a Gaussian-integer multiple of
-R(e_i, e_j) and so spanning the same line.  The certificate reads the upper
-triangle of g N.  Otherwise (a dependent R(e_i, e_j), or an unlucky prime)
-the closure runs on the matrices N over denominator 1, with dim so(m, g) as
-its certified early-exit bound.  Neither path builds a reduced curvature
-``Matrix``.
+For a metric connection it sits inside so(m, g), of dimension m(m-1)/2, the
+number of R(e_i, e_j) with i < j: if they are independent, which the
+certificate proves in F_P from alpha, g and the bracket table, they span
+so(m, g).  Otherwise (dependent R(e_i, e_j), or an unlucky prime) the
+closure runs, with dim so(m, g) as its early exit, on the Gaussian-integer
+multiples of R(e_i, e_j) that ``connections.curvature_numerators`` gives,
+over denominator 1.  Neither path builds a reduced curvature ``Matrix``.
 
 ``ricci`` contracts Ric[j, k] = sum_i R(e_i, e_j)[i, k] straight from the
 Nomizu map, about m vector-operator products instead of the m(m-1)
@@ -28,15 +25,16 @@ operator products of the curvature operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import lcm
 
 from .connections import Connection, connection_by_name, curvature_numerators
 from .enveloping import HomogeneousModel, build_model
 from .errors import DimensionError, ValidationError
 from .linalg import (Matrix, Subspace, add_numerators, bracket_closure, center_of,
-                     independent_mod_p, trace_product)
+                     independent_fp, mod_p, trace_product)
 from .scalars import GaussianRational, ZERO, qi
-from . import families
+from . import families, linalg
 
 __all__ = [
     "HolonomyResult",
@@ -73,20 +71,19 @@ def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyR
 
     The certificate rests on one premise: every ad_m(d), d in h, is g-skew
     (g is ad(h)-invariant), so that for a metric alpha each R(e_i, e_j)
-    lies in so(m, g).  It then reads only the upper triangle of g R(e_i, e_j),
-    which is skew there and so determines R(e_i, e_j)."""
+    lies in so(m, g)."""
     model = conn.model
     md = model.m_dim
-    metric = conn.is_metric()
+    g_ops = [model.metric.gram @ op for op in conn.alpha.ops]
+    metric = all(ga.transpose() == -ga for ga in g_ops)  # is_metric, keeping g A_i
     so_dim = model.so_dim()
-    if metric and independent_mod_p(_skew_coordinates(conn)):
+    if metric and _certifies_so(conn, g_ops):
         algebra = so_algebra(model)
-    elif gens := [r for num in _curvature_numerators(conn)
-                  if not (r := Matrix.from_numerators(md, md, num)).is_zero()]:
+    elif gens := [r for i in range(md) for j in range(i + 1, md) if not (
+            r := Matrix.from_numerators(md, md, curvature_numerators(model, conn.alpha, i, j)[0])
+    ).is_zero()]:
         multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
-        algebra = bracket_closure(
-            gens, multipliers, stop_dim=so_dim if metric else None
-        )
+        algebra = bracket_closure(gens, multipliers, stop_dim=so_dim if metric else None)
     else:
         algebra = Subspace(md * md)
     center = center_of(algebra).dim if compute_center else None
@@ -101,37 +98,57 @@ def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyR
     )
 
 
-def _curvature_numerators(conn: Connection):
-    """For each i < j, lazily, the numerator rows of R(e_i, e_j) that
-    ``curvature_numerators`` gives: a Gaussian-integer multiple of R(e_i,
-    e_j).  A failed certificate has read only the first few (three for the
-    distinguished and canonical maps), so the closure computes them again."""
-    model, alpha = conn.model, conn.alpha
-    md = model.m_dim
-    for i in range(md):
-        for j in range(i + 1, md):
-            yield curvature_numerators(model, alpha, i, j)[0]
+def _certifies_so(conn: Connection, g_ops: list) -> bool:
+    """True only if the m(m-1)/2 operators R(e_i, e_j), i < j, of a metric
+    ``conn`` with g A_i = ``g_ops[i]`` are independent, so span so(m, g).
+    ``independent_fp`` reads, lazily, the upper triangle (keyed a * m + c,
+    a < c) in F_P of each
 
+        g R(e_i, e_j) = X - X^T - sum_k c_k g A_k - sum_t h_t g ad_m(d_t),
 
-def _skew_coordinates(conn: Connection):
-    """For each numerator N of ``_curvature_numerators``, lazily, the entries
-    (g N)[a, c], a < c, keyed a * m + c.  This is a linear image of R, so
-    vectors found independent here are independent as operators."""
-    md = conn.model.m_dim
-    g = conn.model.metric.gram.num
-    for num in _curvature_numerators(conn):
-        v: dict = {}
-        get = v.get
-        for a, grow in g.items():
-            for b, (gx, gy) in grow.items():
-                row = num.get(b)
-                if row:
-                    base = a * md
-                    for c, (x, y) in row.items():
-                        if c > a:
-                            zr, zi = get(base + c, (0, 0))
-                            v[base + c] = (zr + gx * x - gy * y, zi + gx * y + gy * x)
-        yield v
+    with A_i = alpha(e_i, .), X = (g A_i) A_j = ((g A_j) A_i)^T for g-skew
+    A_i, A_j, and [e_i, e_j] = sum_k c_k e_k + sum_t h_t d_t, each factor
+    reduced mod P once.  R is a polynomial in the entries of alpha, the
+    structure constants and g, and Z[i][1/D] -> F_P is a ring homomorphism
+    when P does not divide D, so these reduce the exact vectors: True proves
+    those, and the skew g R(e_i, e_j) they determine, independent over Q(i).
+    If P divides a denominator of alpha, g or the bracket table (which
+    ad_m(d_t)'s divides), it declines."""
+    model, ops = conn.model, conn.alpha.ops
+    md, gram, lden = model.m_dim, model.metric.gram, model.algebra.den
+
+    def reduced(m: Matrix) -> dict:
+        return {i: mod_p(row, m.den) for i, row in m.num.items()}
+
+    def upper(rows: dict) -> list:
+        return [(r * md + c, x) for r, row in rows.items() for c, x in row.items() if c > r]
+
+    a = cache(lambda i: reduced(ops[i]))
+    ga = cache(lambda i: reduced(g_ops[i]))
+    ga_up = cache(lambda k: upper(ga(k)))
+    gd_up = cache(lambda t: upper(reduced(gram @ model.ad_m_inder(t))))
+
+    def vectors():
+        for i in range(md):
+            for j in range(i + 1, md):
+                v: dict = {}
+                get = v.get
+                right = a(j)
+                for r, row in ga(i).items():  # X at (r, c) enters at r < c, -X^T at c < r
+                    for b, x in row.items():
+                        if b in right:
+                            for c, y in right[b].items():
+                                if c != r:
+                                    key, y = (r * md + c, y) if c > r else (c * md + r, -y)
+                                    v[key] = get(key, 0) + x * y
+                for br, up in ((model.m_bracket_m(i, j), ga_up), (model.m_bracket_h(i, j), gd_up)):
+                    for k, z in mod_p(br, lden).items():
+                        for key, x in up(k):
+                            v[key] = get(key, 0) - z * x
+                yield v
+
+    dens = (gram.den, lden, *(op.den for op in ops))
+    return all(d % linalg.MODULUS[0] for d in dens) and independent_fp(vectors())
 
 
 def so_algebra(model: HomogeneousModel) -> Subspace:

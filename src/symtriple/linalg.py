@@ -31,12 +31,13 @@ normalized row, and a column index finds the rows a new pivot must be
 cleared from.  ``Subspace`` takes one vector format, such an integer vector
 ``{index: (re, im)}`` as ``Matrix.flatten`` gives: a span does not change
 under scaling, so closures and centers stay on ints, and ``coords_of``
-gives integer coordinates too.  ``independent_mod_p`` eliminates mod a
-prime only to prove vectors independent, and gives no rows.
+gives integer coordinates too.  ``independent_fp`` eliminates mod a prime
+P only to prove vectors independent, on images in F_P such as ``mod_p``'s.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, isqrt, lcm
@@ -58,7 +59,9 @@ __all__ = [
     "rank",
     "kernel",
     "inverse",
+    "mod_p",
     "independent_mod_p",
+    "independent_fp",
     "bracket_closure",
     "close_under",
     "lie_generators",
@@ -675,7 +678,8 @@ class Subspace:
         if outside the span: each row is 1 at its pivot and 0 at the others,
         so they are the entries of ``v`` at the pivots."""
         w = _numerators(v, self.ambient)
-        coords = {r: w[p] for r, p in enumerate(self.pivots) if p in w}
+        pivots = self.pivots
+        coords = {bisect_left(pivots, p): w[p] for p in sorted(p for p in w if p in self._rows)}
         self._reduce(w)
         if w:
             return None
@@ -698,20 +702,33 @@ class Subspace:
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
-# P = 2^30 - 35, a prime = 1 mod 4, and s with s^2 = -1 mod P: a + bi -> a + bs
-# is a ring homomorphism Z[i] -> F_P
+# P = 2^30 - 35, a prime = 1 mod 4, and s with s^2 = -1 mod P
 MODULUS = (1073741789, 140687844)
 
 
-def independent_mod_p(vectors: Iterable) -> bool:
-    """True only if the sparse Gaussian-integer vectors are independent over
-    Q(i): forward elimination finds their images in F_P^n independent, so a
-    maximal minor is nonzero mod P and hence in Z[i].  False, at the first
-    dependency or zero vector mod P, proves nothing.  No rows are kept."""
+def mod_p(v: dict, den: int = 1) -> dict:
+    """The image ``{index: x}``, without zeros, of ``v / den`` under the ring
+    homomorphism Z[i][1/den] -> F_P, a + bi -> (a + bs) / den, for a sparse
+    Gaussian-integer vector ``v`` and a ``den`` that P does not divide."""
     p, s = MODULUS
+    inv = pow(den, -1, p)
+    return {k: x for k, (a, b) in v.items() if (x := (a + b * s) * inv % p)}
+
+
+def independent_mod_p(vectors: Iterable) -> bool:
+    """True only if the sparse Gaussian-integer vectors are independent."""
+    return independent_fp(map(mod_p, vectors))
+
+
+def independent_fp(vectors: Iterable) -> bool:
+    """True only if vectors over Q(i) with the images ``{index: x}`` in F_P,
+    x any int, are independent: a maximal minor of the images is nonzero,
+    hence so is its preimage.  False, at the first dependency or zero vector
+    mod P, proves nothing.  No rows are kept."""
+    p = MODULUS[0]
     rows: dict = {}  # pivot -> the row past its pivot, where it is 1
     for v in vectors:
-        w = {k: x for k, (a, b) in v.items() if (x := (a + b * s) % p)}
+        w = {k: x for k, y in v.items() if (x := y % p)}
         # rows reach only past their pivots, so clear pivots in increasing order
         todo = [k for k in w if k in rows]
         heapify(todo)

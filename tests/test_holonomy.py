@@ -179,10 +179,115 @@ def test_closure_fallback_gives_the_certified_rows(family, param, connection_cac
         patch.setattr(linalg, "MODULUS", (5, 2))
         for conn, want in zip(conns, wants):
             assert holonomy_algebra(conn, compute_center=False).algebra == want
+    closures = []
+
+    def counted_closure(*args, **kwargs):
+        closures.append(1)
+        return bracket_closure(*args, **kwargs)
+
     with monkeypatch.context() as patch:
-        patch.setattr(holonomy, "independent_mod_p", lambda vectors: False)
+        patch.setattr(holonomy, "independent_fp", lambda vectors: False)
+        patch.setattr(holonomy, "bracket_closure", counted_closure)
         for conn, want in zip(conns, wants):
             assert holonomy_algebra(conn, compute_center=False).algebra == want
+    assert len(closures) == len(conns)
+
+
+def certifies_so(conn) -> bool:
+    return holonomy._certifies_so(conn, [conn.model.metric.gram @ op for op in conn.alpha.ops])
+
+
+def reference_vectors(conn):
+    """The exact path to the so(m, g) certificate's vectors: the numerators
+    N of each R(e_i, e_j), i < j, from ``curvature_numerators``, and the
+    upper triangle of g N on Gaussian integers, keyed a * m + c."""
+    model = conn.model
+    md = model.m_dim
+    g = model.metric.gram.num
+    for i in range(md):
+        for j in range(i + 1, md):
+            num = connections.curvature_numerators(model, conn.alpha, i, j)[0]
+            v: dict = {}
+            for a, grow in g.items():
+                for b, (gx, gy) in grow.items():
+                    for c, (x, y) in num.get(b, {}).items():
+                        if c > a:
+                            zr, zi = v.get(a * md + c, (0, 0))
+                            v[a * md + c] = (zr + gx * x - gy * y, zi + gx * y + gy * x)
+            yield v
+
+
+def _unit_leading(v: dict) -> dict:
+    """v mod P scaled so that its entry at the least index is 1: two vectors
+    agree here exactly when one is a unit of F_P times the other."""
+    p = linalg.MODULUS[0]
+    w = {k: x % p for k, x in sorted(v.items()) if x % p}
+    inv = pow(next(iter(w.values()), 1), -1, p)
+    return {k: x * inv % p for k, x in w.items()}
+
+
+def _metric_connections(model, connection_cache, family, param):
+    return [*(connection_cache(family, param, name)
+              for name in ("levi-civita", "distinguished", "canonical", "zero")),
+            *_seeded_members(model, 5)]
+
+
+def _assert_certificate_agrees(conn, monkeypatch):
+    """The certificate's verdict is that of the exact path, and each of its
+    F_P vectors is a unit times the reduction of the exact one."""
+    verdict = certifies_so(conn)
+    assert verdict == independent_mod_p(reference_vectors(conn)), conn.label
+    read = []
+    with monkeypatch.context() as patch:
+        patch.setattr(holonomy, "independent_fp", lambda vectors: read.extend(vectors))
+        certifies_so(conn)
+    want = [_unit_leading(linalg.mod_p(v)) for v in reference_vectors(conn)]
+    assert [_unit_leading(v) for v in read] == want, conn.label
+    return verdict
+
+
+@pytest.mark.parametrize("family,param", LIGHT_CASES)
+def test_certificate_agrees_with_exact_numerators(family, param, connection_cache,
+                                                  monkeypatch):
+    # the F_P vectors formed from alpha are those of the exact Gaussian-
+    # integer curvature numerators, reduced mod P, and give their verdict
+    model = connection_cache(family, param, "levi-civita").model
+    conns = _metric_connections(model, connection_cache, family, param)
+    assert all(conn.is_metric() for conn in conns)
+    verdicts = [_assert_certificate_agrees(conn, monkeypatch) for conn in conns]
+    assert verdicts == [True, False, False, False, True, True]
+
+
+@pytest.mark.parametrize("family,param", LIGHT_CASES)
+def test_certified_members_build_no_curvature_numerators(family, param, connection_cache,
+                                                          monkeypatch):
+    model = connection_cache(family, param, "levi-civita").model
+    conns = [connection_cache(family, param, "levi-civita"), *_seeded_members(model, 5)]
+
+    def refuse(*args):
+        raise AssertionError("curvature numerators built on the certified path")
+
+    monkeypatch.setattr(connections, "curvature_numerators", refuse)
+    monkeypatch.setattr(holonomy, "curvature_numerators", refuse)
+    for conn in conns:
+        assert holonomy_algebra(conn, compute_center=False).contains_so
+
+
+def test_certificate_declines_on_a_denominator_divisible_by_p(model_cache, monkeypatch):
+    # modulo 5 the member's alpha has no image in F_P: the certificate
+    # declines without raising, and the closure gives the rows
+    model = model_cache("symplectic", 1)
+    b = [[Fraction(1, 5), 2, 0], [0, -1, Fraction(3, 5)], [1, 0, 5]]
+    conn = Connection(model, alpha_family(model, Fraction(2, 5), b))
+    gens = [r for _, r in conn.curvature_pairs() if not r.is_zero()]
+    multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
+    want = bracket_closure(gens, multipliers, model.so_dim())
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "MODULUS", (5, 2))
+        assert any(op.den % 5 == 0 for op in conn.alpha.ops)
+        assert not certifies_so(conn)
+        res = holonomy_algebra(conn, compute_center=False)
+    assert res.algebra.rows == want.rows and res.contains_so
 
 
 @pytest.mark.parametrize("family,param", LIGHT_CASES)
@@ -216,6 +321,15 @@ def test_heavy_e6_certificate_matches_closure(model_cache):
         want = bracket_closure(gens, multipliers, model.so_dim())
         res = holonomy_algebra(conn, compute_center=False)
         assert res.algebra.rows == want.rows and res.dim == 903
+
+
+@pytest.mark.heavy
+def test_heavy_e6_certificate_agrees_with_exact_numerators(model_cache, connection_cache,
+                                                          monkeypatch):
+    model = model_cache("exceptional", "binarion")
+    conns = _metric_connections(model, connection_cache, "exceptional", "binarion")
+    verdicts = [_assert_certificate_agrees(conn, monkeypatch) for conn in conns]
+    assert verdicts == [True, False, False, False, True, True]
 
 
 @pytest.mark.parametrize("family,param,span_dim", [
