@@ -39,7 +39,6 @@ from .connections import (
     alpha_levi_civita,
     connection_by_name,
     curvature,
-    curvature_of,
     is_metric,
     is_skew_torsion,
 )
@@ -49,7 +48,6 @@ from .holonomy import (
     holonomy_algebra,
     holonomy_identity_check,
     ricci,
-    scalar_curvature,
     scalar_curvature_formula,
     table_report,
 )

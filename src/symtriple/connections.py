@@ -33,9 +33,9 @@ from math import lcm
 
 from .enveloping import HomogeneousModel
 from .errors import ConstructionError, DimensionError
-from .linalg import (Matrix, add_numerators, combination, comm_minus, comm_minus_numerators,
-                     numerators)
+from .linalg import Matrix, add_numerators, combination, comm_minus, comm_minus_numerators
 from .scalars import HALF, ONE, ZERO, GaussianRational, qi
+from .triples import check_witnesses
 
 __all__ = [
     "NomizuMap",
@@ -46,11 +46,11 @@ __all__ = [
     "alpha_canonical",
     "alpha_zero",
     "torsion_operator",
+    "metric_products",
     "is_metric",
     "is_skew_torsion",
     "curvature",
     "curvature_numerators",
-    "curvature_of",
     "admissibility_failures",
     "connection_by_name",
     "CONNECTION_NAMES",
@@ -179,18 +179,26 @@ def torsion_operator(model: HomogeneousModel, alpha: NomizuMap, i: int, j: int):
     return tuple(GaussianRational(*t.get(l, (0, 0)), den) for l in range(model.m_dim))
 
 
-def is_metric(model: HomogeneousModel, alpha: NomizuMap) -> bool:
-    """alpha(X, .) in so(m, g) for every X.
+def metric_products(model: HomogeneousModel, alpha: NomizuMap) -> list | None:
+    """The products g A_i, A_i = alpha(e_i, .), when every A_i lies in
+    so(m, g); None, at the first that does not.
 
     g is symmetric, so a^T g + g a = (g a)^T + g a, and a lies in so(m, g)
     exactly when g a is skew: one product per operator.
     """
     g = model.metric.gram
+    products = []
     for a_i in alpha.ops:
         ga = g @ a_i
         if ga.transpose() != -ga:
-            return False
-    return True
+            return None
+        products.append(ga)
+    return products
+
+
+def is_metric(model: HomogeneousModel, alpha: NomizuMap) -> bool:
+    """alpha(X, .) in so(m, g) for every X (``metric_products``)."""
+    return metric_products(model, alpha) is not None
 
 
 def is_skew_torsion(model: HomogeneousModel, alpha: NomizuMap) -> bool:
@@ -232,46 +240,28 @@ def curvature(model: HomogeneousModel, alpha: NomizuMap, i: int, j: int) -> Matr
     return Matrix.from_numerators(md, md, *curvature_numerators(model, alpha, i, j))
 
 
-def curvature_of(model: HomogeneousModel, alpha: NomizuMap, x, y) -> Matrix:
-    """R(X, Y) for arbitrary m-coordinate vectors, straight from the
-    defining formula rather than by bilinear expansion of basis operators."""
-    md = model.m_dim
-    if len(x) != md or len(y) != md:
-        raise DimensionError("curvature arguments must live on the m basis")
-    # [X, Y]_m and [X, Y]_h, sparse, over dx dy times the table's denominator
-    (xs, dx), (ys, dy) = (numerators({0: dict(enumerate(v))}) for v in (x, y))
-    xy_m: dict = {}
-    xy_h: dict = {}
-    for i, (a, b) in xs.get(0, {}).items():
-        for j, (c, d) in ys.get(0, {}).items():
-            cr, ci = a * c - b * d, a * d + b * c
-            add_numerators(xy_m, cr, ci, model.m_bracket_m(i, j))
-            add_numerators(xy_h, cr, ci, model.m_bracket_h(i, j))
-    return comm_minus(alpha.op_of(x), alpha.op_of(y), [
-        *((z, alpha.ops[k]) for k, z in xy_m.items()),
-        *((z, model.ad_m_inder(t)) for t, z in xy_h.items()),
-    ], dx * dy * model.algebra.den)
-
-
 def admissibility_failures(model: HomogeneousModel, alpha: NomizuMap) -> list:
     """The first pair (h-index, m-index) at which h fails to act as a
     derivation of alpha, [ad d, alpha_X] = alpha_{dX}, as a one-element
     list; empty when every h-basis element acts as a derivation.
 
-    All h_dim * m_dim residues are evaluated.  The d acting as derivations
-    of alpha form a Lie algebra, but Lie generators of h found through g(T)'s
-    bracket (30 of 133 on e8) certify the rest only if ad_m: h -> gl(m) is a
-    Lie homomorphism, which is the Jacobi identity of g(T), and this check
+    All h_dim * m_dim residues go through ``check_witnesses`` in ``fast``
+    mode, with no certificate.  The d acting as derivations of alpha form a
+    Lie algebra, but Lie generators of h found through g(T)'s bracket (30 of
+    133 on e8) certify the rest only if ad_m: h -> gl(m) is a Lie
+    homomorphism, which is the Jacobi identity of g(T), and this check
     guards models whose T was never verified.  Generators of ad_m(h) taken
     inside gl(m) are sound, but measured slower than this loop."""
-    for t in range(model.h_dim):
-        d = model.ad_m_inder(t)
-        cols = d.transpose().num  # cols[i] = d(e_i), over d.den
-        for i in range(model.m_dim):
-            terms = [(z, alpha.ops[l]) for l, z in cols.get(i, {}).items()]
-            if not comm_minus(d, alpha.ops[i], terms, d.den).is_zero():
-                return [(t, i)]
-    return []
+
+    def residues():
+        for t in range(model.h_dim):
+            d = model.ad_m_inder(t)
+            cols = d.transpose().num  # cols[i] = d(e_i), over d.den
+            for i in range(model.m_dim):
+                terms = [(z, alpha.ops[l]) for l, z in cols.get(i, {}).items()]
+                yield (t, i), comm_minus(d, alpha.ops[i], terms, d.den).is_zero()
+
+    return check_witnesses(residues(), "fast", 1)[1]
 
 
 class Connection:
@@ -304,18 +294,6 @@ class Connection:
         for i in range(md):
             for j in range(i + 1, md):
                 yield (i, j), self.curvature(i, j)
-
-    def torsion(self, i: int, j: int):
-        return torsion_operator(self.model, self.alpha, i, j)
-
-    def curvature_of(self, x, y) -> Matrix:
-        return curvature_of(self.model, self.alpha, x, y)
-
-    def is_metric(self) -> bool:
-        return is_metric(self.model, self.alpha)
-
-    def is_skew_torsion(self) -> bool:
-        return is_skew_torsion(self.model, self.alpha)
 
     def __repr__(self):
         return f"Connection({self.label!r} on {self.model.triple.label!r})"

@@ -241,16 +241,15 @@ def verify_jacobi(L: GradedLieAlgebra, mode: str = "fast") -> JacobiReport:
 
     The x satisfying it for every y are those whose ad_x is a derivation;
     they form a subspace closed under the bracket, by bilinearity alone.
-    So the identity is evaluated only for basis indices s whose e_s generate
-    g as a Lie algebra (``linalg.lie_generators`` over the unit vectors,
-    cheapest ad_s first), against every basis index j, which proves it for
-    every pair.  Only when one of those residues is nonzero does the check
-    rerun over every pair (i, j) to find the witnesses, so ``fast`` and
-    ``audit`` reports are those of the all-pairs loop.  On a pass
-    ``checked_pairs`` is dim(dim - 1)/2, the pairs certified.
+    So the ``check_witnesses`` certificate evaluates the identity only for
+    basis indices s whose e_s generate g as a Lie algebra
+    (``linalg.lie_generators`` over the unit vectors, cheapest ad_s first),
+    against every basis index j, which proves it for every pair.  Only when
+    one of those residues is nonzero does the check run over every pair
+    (i, j) to find the witnesses, so ``fast`` and ``audit`` reports are
+    those of the all-pairs loop.  On a pass ``checked_pairs`` is
+    dim(dim - 1)/2, the pairs certified.
     """
-    if mode not in ("fast", "audit"):
-        raise ValueError("mode must be 'fast' or 'audit'")
 
     def act(k: int, w: dict) -> dict:
         """ad_k w times L.den: the brackets [e_k, e_j] summed on plain ints."""
@@ -259,20 +258,21 @@ def verify_jacobi(L: GradedLieAlgebra, mode: str = "fast") -> JacobiReport:
             add_numerators(out, re, im, L.bracket_basis(k, j))
         return out
 
-    gens = lie_generators(
-        [{i: (1, 0)} for i in range(L.dim)], act, L.dim,
-        [L.ad(i).nnz() for i in range(L.dim)],
-    )
-    if all(
-        _ad_is_hom(L, min(s, j), max(s, j))
-        for k, s in enumerate(gens) for j in range(L.dim)
-        if j != s and j not in gens[:k]
-    ):
-        return JacobiReport(L.dim, L.dim * (L.dim - 1) // 2, [])
+    def certificate() -> bool:
+        gens = lie_generators(
+            [{i: (1, 0)} for i in range(L.dim)], act, L.dim,
+            [L.ad(i).nnz() for i in range(L.dim)],
+        )
+        return all(
+            _ad_is_hom(L, min(s, j), max(s, j))
+            for k, s in enumerate(gens) for j in range(L.dim)
+            if j != s and j not in gens[:k]
+        )
+
     checked, failed = check_witnesses((
         ((i, j), _ad_is_hom(L, i, j))
         for i in range(L.dim) for j in range(i + 1, L.dim)
-    ), mode, JACOBI_FAILURE_CAP)
+    ), mode, JACOBI_FAILURE_CAP, certificate, L.dim * (L.dim - 1) // 2)
     return JacobiReport(L.dim, checked, [
         JacobiFailure(w, "[ad_i, ad_j] != ad_[e_i, e_j]") for w in failed
     ])
@@ -486,15 +486,8 @@ class HomogeneousModel:
         """The operator e_j -> c_j [e_i, e_j]_m on m, with c_j = ``vertical``
         on the vertical block (j < 3) and c_j = ``odd`` on the odd block.
 
-        phi_i and every named Nomizu map are built from it, operator by
-        operator, with these (vertical, odd) coefficients:
-
-            phi_i                  bracket_op(i - 1, 1/2, 1)
-            levi-civita            (1/2, 0) for vertical e_i, (1, 1/2) for odd
-            family (a, B)          ((1 + a - tr B)/2, 0) for vertical e_i,
-                                   (1, 1/2) for odd, before its phi entries
-            distinguished          (0, -1)  for vertical e_i, zero for odd
-            canonical              (-1, -1) for vertical e_i, zero for odd
+        phi_i is ``bracket_op(i - 1, 1/2, 1)``; the coefficients of every
+        named Nomizu map are tabled in the ``connections`` module docstring.
         """
         coeffs, den = numerators({0: {0: vertical, 1: odd}})
         vertical, odd = (coeffs.get(0, _EMPTY).get(b) for b in (0, 1))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import lcm
 
-from .connections import Connection, connection_by_name, curvature_numerators
+from .connections import Connection, connection_by_name, curvature_numerators, metric_products
 from .enveloping import HomogeneousModel, build_model
 from .errors import DimensionError, ValidationError
 from .linalg import (Matrix, Subspace, add_numerators, bracket_closure, center_of,
@@ -45,7 +45,6 @@ __all__ = [
     "holonomy_identity_check",
     "HolonomyStructure",
     "ricci",
-    "scalar_curvature",
     "scalar_curvature_formula",
     "TableRow",
     "table_report",
@@ -69,13 +68,14 @@ def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyR
     the curvature operators, closed under [alpha(e_i, .), .], unless it is
     certified to be so(m, g).
 
-    The certificate rests on one premise: every ad_m(d), d in h, is g-skew
-    (g is ad(h)-invariant), so that for a metric alpha each R(e_i, e_j)
-    lies in so(m, g)."""
+    The metric test is ``connections.metric_products``, whose products
+    g A_i the certificate reads.  The certificate rests on one premise:
+    every ad_m(d), d in h, is g-skew (g is ad(h)-invariant), so that for a
+    metric alpha each R(e_i, e_j) lies in so(m, g)."""
     model = conn.model
     md = model.m_dim
-    g_ops = [model.metric.gram @ op for op in conn.alpha.ops]
-    metric = all(ga.transpose() == -ga for ga in g_ops)  # is_metric, keeping g A_i
+    g_ops = metric_products(model, conn.alpha)
+    metric = g_ops is not None
     so_dim = model.so_dim()
     if metric and _certifies_so(conn, g_ops):
         algebra = so_algebra(model)
@@ -297,10 +297,6 @@ def _block_constant(ric: Matrix, gram: Matrix, idx) -> GaussianRational | None:
             elif r:
                 return None
     return c if c is not None else ZERO
-
-
-def scalar_curvature(conn: Connection) -> GaussianRational:
-    return ricci(conn).scalar_curvature
 
 
 def scalar_curvature_formula(n: int, a, b_matrix) -> GaussianRational:

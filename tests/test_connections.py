@@ -12,6 +12,8 @@ from symtriple.connections import (
     connection_by_name,
     is_metric,
     is_skew_torsion,
+    metric_products,
+    torsion_operator,
 )
 from symtriple.enveloping import metric_skew_operator
 from symtriple.errors import DimensionError
@@ -291,25 +293,25 @@ def test_torsion_values(model_cache):
     md = model.m_dim
     for i in range(md):
         for j in range(md):
-            assert lc.torsion(i, j) == (ZERO,) * md
+            assert torsion_operator(model, lc.alpha, i, j) == (ZERO,) * md
     xi3 = model.xi_vector(3)
-    assert dist.torsion(0, 1) == tuple(qi(-2) * c for c in xi3)
-    assert can.torsion(0, 1) == tuple(qi(-6) * c for c in xi3)
+    assert torsion_operator(model, dist.alpha, 0, 1) == tuple(qi(-2) * c for c in xi3)
+    assert torsion_operator(model, can.alpha, 0, 1) == tuple(qi(-6) * c for c in xi3)
 
 
 @pytest.mark.parametrize("family,param", LIGHT_CASES)
 def test_metric_and_skew_flags(family, param, connection_cache):
     for name in ("levi-civita", "distinguished", "canonical"):
         conn = connection_cache(family, param, name)
-        assert conn.is_metric()
-        assert conn.is_skew_torsion()
+        assert is_metric(conn.model, conn.alpha)
+        assert is_skew_torsion(conn.model, conn.alpha)
 
 
 def test_zero_map_not_skew(model_cache):
     model = model_cache("symplectic", 1)
     zero = connection_by_name(model, "zero")
-    assert zero.is_metric()
-    assert not zero.is_skew_torsion()
+    assert is_metric(model, zero.alpha)
+    assert not is_skew_torsion(model, zero.alpha)
 
 
 def dense_is_skew_torsion(model, alpha):
@@ -352,19 +354,19 @@ def test_skew_torsion_on_maps_that_fail_it(family, param, model_cache):
          True, True),
         (replaced(4, bumped, "lc bumped"), False, False),
     ]
+    g = model.metric.gram
     for alpha, metric, skew in cases:
         assert is_metric(model, alpha) == metric, alpha.label
+        products = metric_products(model, alpha)
+        assert products == ([g @ op for op in alpha.ops] if metric else None), alpha.label
         assert is_skew_torsion(model, alpha) == skew, alpha.label
         assert dense_is_skew_torsion(model, alpha) == skew, alpha.label
 
 
 def test_family_members_are_skew(model_cache):
     model = model_cache("symplectic", 1)
-    from symtriple.connections import Connection
-
     alpha = alpha_family(model, qi("1/2"), [[1, 2, 0], [0, -1, 1], [3, 0, 5]])
-    conn = Connection(model, alpha)
-    assert conn.is_metric() and conn.is_skew_torsion()
+    assert is_metric(model, alpha) and is_skew_torsion(model, alpha)
     assert not admissibility_failures(model, alpha)
 
 
@@ -673,29 +675,6 @@ def test_first_bianchi_failure_value(family, param, connection_cache):
             for t, v in enumerate(_gamma_part(model, p, q, r)):
                 want[t] = want[t] + v + v
         assert total == want
-
-
-def test_curvature_of_matches_bilinear_expansion(connection_cache):
-    # R on arbitrary vectors from the defining formula agrees with the
-    # antisymmetric bilinear expansion of the basis operators
-    import random
-
-    conn = connection_cache("symplectic", 1, "canonical")
-    model = conn.model
-    md = model.m_dim
-    rng = random.Random(7)
-    for _ in range(5):
-        x = tuple(qi(rng.randint(-3, 3)) for _ in range(md))
-        y = tuple(qi(rng.randint(-3, 3)) for _ in range(md))
-        direct = conn.curvature_of(x, y)
-        expanded = combination([
-            (x[i] * y[j], conn.curvature(i, j))
-            for i in range(md) if x[i] for j in range(md) if y[j]
-        ], md)
-        assert direct == expanded
-    # antisymmetry
-    x = tuple(qi(1) for _ in range(md))
-    assert conn.curvature_of(x, x).is_zero()
 
 
 def test_constant_curvature_witness(connection_cache):

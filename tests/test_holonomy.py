@@ -7,7 +7,7 @@ import pytest
 
 from symtriple import connections, holonomy, linalg
 from symtriple.connections import (
-    Connection, NomizuMap, _block_ops, alpha_family, connection_by_name,
+    Connection, NomizuMap, _block_ops, alpha_family, connection_by_name, is_metric,
 )
 from symtriple.enveloping import metric_skew_operator
 from symtriple.errors import DimensionError
@@ -19,7 +19,6 @@ from symtriple.holonomy import (
     holonomy_algebra,
     holonomy_identity_check,
     ricci,
-    scalar_curvature,
     scalar_curvature_formula,
     so_algebra,
     table_report,
@@ -142,7 +141,7 @@ def test_kostant_closure_matches_full_lie_closure(family, param, connection_cach
     for conn in conns:
         gens = [r for _, r in conn.curvature_pairs() if not r.is_zero()]
         multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
-        stop = model.so_dim() if conn.is_metric() else None
+        stop = model.so_dim() if is_metric(model, conn.alpha) else None
         want = full_lie_closure(gens, multipliers, stop)
         assert holonomy_algebra(conn, compute_center=False).algebra == want, conn.label
 
@@ -166,14 +165,14 @@ def test_closure_fallback_gives_the_certified_rows(family, param, connection_cac
     model = connection_cache(family, param, "levi-civita").model
     non_metric = Connection(model, NomizuMap(
         _block_ops(model, (Fraction(1, 2), 1), (1, 0)), "non-metric"))
-    assert not non_metric.is_metric()
+    assert not is_metric(model, non_metric.alpha)
     conns = [connection_cache(family, param, "levi-civita"), *_seeded_members(model, 5),
              connection_cache(family, param, "zero"), non_metric]
     wants = []
     for conn in conns:
         gens = [r for _, r in conn.curvature_pairs() if not r.is_zero()]
         multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
-        stop = model.so_dim() if conn.is_metric() else None
+        stop = model.so_dim() if is_metric(model, conn.alpha) else None
         wants.append(full_lie_closure(gens, multipliers, stop))
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "MODULUS", (5, 2))
@@ -253,7 +252,7 @@ def test_certificate_agrees_with_exact_numerators(family, param, connection_cach
     # integer curvature numerators, reduced mod P, and give their verdict
     model = connection_cache(family, param, "levi-civita").model
     conns = _metric_connections(model, connection_cache, family, param)
-    assert all(conn.is_metric() for conn in conns)
+    assert all(is_metric(model, conn.alpha) for conn in conns)
     verdicts = [_assert_certificate_agrees(conn, monkeypatch) for conn in conns]
     assert verdicts == [True, False, False, False, True, True]
 
@@ -483,9 +482,9 @@ def test_scalar_curvature_formula_needs_3x3(b_matrix):
 
 def test_dimension_seven_values(connection_cache):
     # n = 1: scalars 42 / 0 / -48
-    assert scalar_curvature(connection_cache("symplectic", 1, "levi-civita")) == 42
-    assert scalar_curvature(connection_cache("symplectic", 1, "distinguished")) == 0
-    assert scalar_curvature(connection_cache("symplectic", 1, "canonical")) == -48
+    assert ricci(connection_cache("symplectic", 1, "levi-civita")).scalar_curvature == 42
+    assert ricci(connection_cache("symplectic", 1, "distinguished")).scalar_curvature == 0
+    assert ricci(connection_cache("symplectic", 1, "canonical")).scalar_curvature == -48
 
 
 def test_lazy_center(connection_cache):
@@ -515,14 +514,14 @@ def test_scalar_curvature_formula(family, param, connection_cache):
     for name, a, b in (("levi-civita", 0, zero), ("distinguished", 2, eye),
                        ("canonical", 0, eye)):
         want = scalar_curvature_formula(model.n, a, b)
-        assert scalar_curvature(connection_cache(family, param, name)) == want
+        assert ricci(connection_cache(family, param, name)).scalar_curvature == want
     rng = random.Random(7)
     for _ in range(2):
         a = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         b = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)]
              for _ in range(3)]
         conn = Connection(model, alpha_family(model, a, b))
-        assert scalar_curvature(conn) == scalar_curvature_formula(model.n, a, b)
+        assert ricci(conn).scalar_curvature == scalar_curvature_formula(model.n, a, b)
     assert scalar_curvature_formula(1, 2, eye) == 0  # the distinguished point at n = 1
 
 

@@ -206,17 +206,23 @@ def _reference_identity3(t: SymplecticTripleSystem, mode: str):
     return checked, failed
 
 
-@pytest.mark.parametrize("mode", ["fast", "audit"])
-def test_derivation_witnesses_match_reference(mode, triple_cache):
-    # the same epsilon in [e_i,e_j,e_k] and [e_j,e_i,e_k]: (1) still holds,
-    # so identity (3) runs over i <= j, and it fails
-    t = triple_cache("special", 2)
+def _symmetric_bump(t: SymplecticTripleSystem) -> SymplecticTripleSystem:
+    """t with 1 added at the same entry of [e_i,e_j,e_k] and [e_j,e_i,e_k],
+    for the least such key with i < j, so that (1) still holds."""
     cols = scalar_cols(t)
     i, j, k = min(key for key in cols if key[0] < key[1])
     l = min(cols[(i, j, k)])
     for key in ((i, j, k), (j, i, k)):
         cols[key][l] = cols[key][l] + ONE
-    bad = SymplecticTripleSystem(t.dim, t.omega, cols, "special(w=2)+symmetric")
+    return SymplecticTripleSystem(t.dim, t.omega, cols, t.label + "+symmetric")
+
+
+@pytest.mark.parametrize("mode", ["fast", "audit"])
+def test_derivation_witnesses_match_reference(mode, triple_cache):
+    # the same epsilon in [e_i,e_j,e_k] and [e_j,e_i,e_k]: (1) still holds,
+    # so identity (3) runs over i <= j, and it fails
+    t = triple_cache("special", 2)
+    bad = _symmetric_bump(t)
     # fewer d_ij span inder(T) than there are pairs, so a check over the
     # spanning pairs alone would report different counts and witnesses
     assert inder_basis(bad).dim < t.dim * (t.dim + 1) // 2
@@ -285,6 +291,54 @@ def test_identity2_witnesses_match_reference(mode, triple_cache):
         assert [f.witness for f in report.failures if f.axiom == 2] == failed
         if mode == "audit":
             assert any(k < j for _, j, k in failed)
+
+
+def _reference_identity4(t: SymplecticTripleSystem, mode: str):
+    """Identity (4) pair by pair, with dense vectors: ([e_i,e_j,e_u], e_v)
+    + (e_u, [e_i,e_j,e_v]) over every (u, v), for the pairs i <= j when
+    (1) holds and for every (i, j) otherwise: (pairs checked, failing
+    witnesses)."""
+    d = t.dim
+    cap = 1 if mode == "fast" else triples.AXIOM_FAILURE_CAP
+    unit = [tuple(qi(int(a == b)) for b in range(d)) for a in range(d)]
+    prod = {(i, j, k): t.triple_product(unit[i], unit[j], unit[k])
+            for i in range(d) for j in range(d) for k in range(d)}
+    symmetric = all(prod[(i, j, k)] == prod[(j, i, k)] for (i, j, k) in prod)
+    om = [[t.omega[a, b] for b in range(d)] for a in range(d)]
+
+    def residue(x, y, u: int, v: int):  # (x, e_v) + (e_u, y)
+        return sum((c * om[l][v] + om[u][l] * e for l, (c, e) in enumerate(zip(x, y))), qi(0))
+
+    checked, failed = 0, []
+    for i in range(d):
+        for j in range(i if symmetric else 0, d):
+            checked += 1
+            if any(residue(prod[(i, j, u)], prod[(i, j, v)], u, v)
+                   for u in range(d) for v in range(d)):
+                failed.append((i, j))
+                if len(failed) == cap:
+                    return checked, failed
+    return checked, failed
+
+
+@pytest.mark.parametrize("mode", ["fast", "audit"])
+def test_identity4_witnesses_match_reference(mode, triple_cache):
+    # (4) is certified from the Lie generators that identity (3) finds; a
+    # system that fails it reruns every pair, over i <= j when (1) holds
+    t = triple_cache("special", 2)
+    cases = [_mutated(triple_cache(*case)) for case in
+             (("symplectic", 2), ("special", 1), ("exceptional", "scalar"))]
+    cases += [_with_omega(t, [(0, 1), (1, 0)]), _with_omega(t, [(1, 1)]), _symmetric_bump(t)]
+    outcomes = []
+    for bad in cases:
+        report = verify_axioms(bad, mode=mode)
+        checked, failed = _reference_identity4(bad, mode)
+        assert report.checked[4] == checked, bad.label
+        assert [f.witness for f in report.failures if f.axiom == 4] == failed, bad.label
+        outcomes.append((1 in {f.axiom for f in report.failures}, bool(failed)))
+    # a certified pass, and failures with and without (1)
+    assert outcomes == [(False, False), (True, True), (True, True),
+                        (False, True), (False, True), (False, True)]
 
 
 def _direct_sum(a: SymplecticTripleSystem, b: SymplecticTripleSystem):

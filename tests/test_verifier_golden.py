@@ -98,6 +98,42 @@ def test_check_witnesses_stops():
         check_witnesses(iter(checks), "thorough", 10)
 
 
+class _Unread:
+    """An iterator of checks that fails the test if it is read."""
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        raise AssertionError("a check was read")
+
+
+def test_check_witnesses_certificate():
+    # a passing certificate returns the count it proves and reads no check
+    for mode in ("fast", "audit"):
+        assert check_witnesses(_Unread(), mode, 10, lambda: True, 7) == (7, [])
+    # a failing one gives the result of no certificate
+    checks = [("a", True), ("b", False), ("c", True), ("d", False), ("e", False)]
+    for mode, cap in (("fast", 10), ("audit", 2), ("audit", 10)):
+        assert (check_witnesses(iter(checks), mode, cap, lambda: False, 7)
+                == check_witnesses(iter(checks), mode, cap))
+
+
+def test_bad_mode_raises_before_certificate(monkeypatch, model_cache):
+    ran = []
+    with pytest.raises(ValueError):
+        check_witnesses(_Unread(), "thorough", 10, lambda: ran.append(1) or True, 7)
+    assert not ran
+    # verify_jacobi raises on a table that passes, before finding generators
+
+    def no_generators(*args):
+        raise AssertionError("generators found for a bad mode")
+
+    monkeypatch.setattr(enveloping, "lie_generators", no_generators)
+    with pytest.raises(ValueError):
+        verify_jacobi(model_cache("symplectic", 1).algebra, mode="thorough")
+
+
 def test_audit_caps(monkeypatch, triple_cache, model_cache):
     monkeypatch.setattr(triples, "AXIOM_FAILURE_CAP", 2)
     report = verify_axioms(_mutated(triple_cache("exceptional", "unarion")), mode="audit")
