@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import families
-from .connections import Connection, alpha_family, connection_by_name
+from .connections import Connection, alpha_family, connection_by_name, curvature
 from .enveloping import build_model, verify_jacobi
 from .errors import ConstructionError, ParseError, ValidationError
 from .holonomy import (
@@ -243,7 +243,7 @@ def cmd_curvature(args) -> int:
     i, j = args.i, args.j
     if not (0 <= i < md and 0 <= j < md):
         raise _Usage(f"basis indices must lie in 0..{md - 1}")
-    r = conn.curvature(i, j)
+    r = curvature(model, conn.alpha, i, j)
     if args.json:
         print(json.dumps({
             "case": triple.label,

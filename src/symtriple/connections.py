@@ -70,16 +70,6 @@ class NomizuMap:
     def m_dim(self) -> int:
         return len(self.ops)
 
-    def value(self, x, y):
-        """alpha(x, y) for m-coordinate vectors."""
-        return self.op_of(x).apply(y)
-
-    def op_of(self, x) -> Matrix:
-        """The operator alpha(x, .) for an m-coordinate vector x."""
-        if len(x) != self.m_dim:
-            raise DimensionError("NomizuMap arguments must live on the m basis")
-        return combination(zip(x, self.ops), self.m_dim)
-
     def __eq__(self, other):
         if not isinstance(other, NomizuMap):
             return NotImplemented
@@ -265,35 +255,17 @@ def admissibility_failures(model: HomogeneousModel, alpha: NomizuMap) -> list:
 
 
 class Connection:
-    """A Nomizu map together with its cached curvature operators."""
+    """A Nomizu map on the tangent model of a homogeneous model."""
 
-    __slots__ = ("model", "alpha", "_curv")
+    __slots__ = ("model", "alpha")
 
     def __init__(self, model: HomogeneousModel, alpha: NomizuMap):
         self.model = model
         self.alpha = alpha
-        self._curv: dict = {}
 
     @property
     def label(self) -> str:
         return self.alpha.label
-
-    def curvature(self, i: int, j: int) -> Matrix:
-        if i == j:
-            return Matrix(self.model.m_dim, self.model.m_dim)
-        if i > j:
-            return -self.curvature(j, i)
-        m = self._curv.get((i, j))
-        if m is None:
-            m = curvature(self.model, self.alpha, i, j)
-            self._curv[(i, j)] = m
-        return m
-
-    def curvature_pairs(self):
-        md = self.model.m_dim
-        for i in range(md):
-            for j in range(i + 1, md):
-                yield (i, j), self.curvature(i, j)
 
     def __repr__(self):
         return f"Connection({self.label!r} on {self.model.triple.label!r})"

@@ -46,8 +46,6 @@ __all__ = [
     "verify_jacobi",
     "killing_form",
     "metric_g",
-    "xi_matrices",
-    "metric_skew_operator",
 ]
 
 # The vertical basis of sp(V) as 2x2 matrices: xi_1 = diag(i, -i),
@@ -57,10 +55,6 @@ _XI = (
     Matrix.from_rows([[ZERO, -ONE], [ONE, ZERO]]),
     Matrix.from_rows([[ZERO, -I], [-I, ZERO]]),
 )
-
-def xi_matrices():
-    """The three vertical generators as 2x2 matrices over Q(i)."""
-    return _XI
 
 
 def _sl2_to_xi(m: Matrix) -> tuple[dict, int]:
@@ -305,13 +299,6 @@ class InvariantMetric:
         self.gram = gram
         self._inverse = gram_inverse
 
-    def value(self, x, y) -> GaussianRational:
-        return self.gram.bilinear(x, y)
-
-    def eta(self, i: int):
-        """The 1-form g(xi_i, .) as a coordinate row over the m basis."""
-        return tuple(self.gram[i, j] for j in range(self.gram.cols))
-
     def inverse(self) -> Matrix:
         return self._inverse
 
@@ -344,27 +331,6 @@ def metric_g(L: GradedLieAlgebra, split: ReductiveSplit, kappa: Matrix) -> Invar
             if gram[i, j] != expect:
                 raise ConstructionError("vertical block of the metric is not orthonormal")
     return InvariantMetric(gram, inverse(gram))  # inverse raises if degenerate
-
-
-def metric_skew_operator(metric: InvariantMetric, u, v) -> Matrix:
-    """The rank-two element g(u,.)v - g(v,.)u of so(m, g)."""
-    m_dim = metric.gram.rows
-    gu = tuple(metric.value(u, _axis(m_dim, j)) for j in range(m_dim))
-    gv = tuple(metric.value(v, _axis(m_dim, j)) for j in range(m_dim))
-    data: dict = {}
-    for i in range(m_dim):
-        row = {}
-        for j in range(m_dim):
-            x = gu[j] * v[i] - gv[j] * u[i]
-            if x:
-                row[j] = x
-        if row:
-            data[i] = row
-    return Matrix(m_dim, m_dim, data)
-
-
-def _axis(n: int, i: int):
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def _xi_position(i: int) -> int:
@@ -427,10 +393,6 @@ class HomogeneousModel:
 
     def so_dim(self) -> int:
         return self.m_dim * (self.m_dim - 1) // 2
-
-    def xi_vector(self, i: int):
-        """xi_i as an m-coordinate vector (i in 1..3)."""
-        return _axis(self.m_dim, _xi_position(i))
 
     def m_to_g(self, p: int) -> int:
         return self.split.m_indices[p]

@@ -60,7 +60,6 @@ __all__ = [
     "kernel",
     "inverse",
     "mod_p",
-    "independent_mod_p",
     "independent_fp",
     "bracket_closure",
     "close_under",
@@ -713,11 +712,6 @@ def mod_p(v: dict, den: int = 1) -> dict:
     p, s = MODULUS
     inv = pow(den, -1, p)
     return {k: x for k, (a, b) in v.items() if (x := (a + b * s) * inv % p)}
-
-
-def independent_mod_p(vectors: Iterable) -> bool:
-    """True only if the sparse Gaussian-integer vectors are independent."""
-    return independent_fp(map(mod_p, vectors))
 
 
 def independent_fp(vectors: Iterable) -> bool:

@@ -32,7 +32,7 @@ from math import lcm
 from .errors import DimensionError, ParseError, ValidationError
 from .jordan import CubicJordan
 from .linalg import (
-    Matrix, Subspace, add_numerators, canonical, combination, comm, comm_minus, lie_generators,
+    Matrix, Subspace, add_numerators, canonical, comm, comm_minus, lie_generators,
     matrices_of, numerators, rank,
 )
 from .scalars import GaussianRational, HALF, ONE, qi
@@ -82,23 +82,9 @@ class SymplecticTripleSystem:
         t.num, t.den = canonical(num, den)
         return t
 
-    def form(self, x, y) -> GaussianRational:
-        """The skew bilinear form (x, y)."""
-        return self.omega.bilinear(x, y)
-
     def basis_triple(self, i: int, j: int, k: int) -> dict:
         """[e_i, e_j, e_k] as numerators over ``den``."""
         return self.num.get((i, j, k), _EMPTY)
-
-    def triple_product(self, x, y, z):
-        """[x, y, z] = d_{x,y}(z), with d_{x,y} = sum x_i y_j d_{e_i, e_j}."""
-        if len(x) != self.dim or len(y) != self.dim or len(z) != self.dim:
-            raise DimensionError("triple_product arity/length mismatch")
-        d_xy = combination((
-            (xi * yj, self.dmat(i, j))
-            for i, xi in enumerate(x) if xi for j, yj in enumerate(y) if yj
-        ), self.dim)
-        return d_xy.apply(z)
 
     def dmat(self, i: int, j: int) -> Matrix:
         """The operator d_{e_i, e_j} = [e_i, e_j, .] as a matrix."""

@@ -3,10 +3,11 @@ from math import lcm
 
 import pytest
 
+from symtriple import connections
 from symtriple.connections import Connection, connection_by_name
 from symtriple.enveloping import build_model
 from symtriple.families import build_triple
-from symtriple.linalg import vec
+from symtriple.linalg import Matrix, combination, independent_fp, mod_p, vec
 from symtriple.scalars import GaussianRational, qi
 
 # the quick tier exercised by most suites (tangent dimension <= 19)
@@ -60,6 +61,46 @@ def basis(dim: int) -> list:
     """The basis e_0, ..., e_{dim-1} as the dense vectors that
     ``table_product``, ``Matrix.apply`` and ``Matrix.bilinear`` take."""
     return [vec([int(k == i) for k in range(dim)]) for i in range(dim)]
+
+
+def triple_product(t, x, y, z) -> tuple:
+    """[x, y, z] = d_{x,y}(z) in the triple system t, for dense vectors, with
+    d_{x,y} = sum x_i y_j d_{e_i, e_j}."""
+    return combination((
+        (xi * yj, t.dmat(i, j))
+        for i, xi in enumerate(x) if xi for j, yj in enumerate(y) if yj
+    ), t.dim).apply(z)
+
+
+def independent_mod_p(vectors) -> bool:
+    """True only if the sparse Gaussian-integer vectors are independent."""
+    return independent_fp(map(mod_p, vectors))
+
+
+# (connection, i, j) -> R(e_i, e_j), i <= j.  The suites read each operator
+# about three times; the key holds the connection alive, so no object id is
+# reused for another connection while the session runs
+_CURVATURE: dict = {}
+
+
+def curvature(conn, i: int, j: int) -> Matrix:
+    """R(e_i, e_j) of the connection, ``connections.curvature`` computed once
+    per session for each pair i <= j; R(e_j, e_i) is its negation."""
+    if i > j:
+        return -curvature(conn, j, i)
+    key = (conn, i, j)
+    r = _CURVATURE.get(key)
+    if r is None:
+        r = _CURVATURE[key] = connections.curvature(conn.model, conn.alpha, i, j)
+    return r
+
+
+def curvature_pairs(conn):
+    """((i, j), R(e_i, e_j)) over the pairs i < j."""
+    md = conn.model.m_dim
+    for i in range(md):
+        for j in range(i + 1, md):
+            yield (i, j), curvature(conn, i, j)
 
 
 def scalars(v: dict, den: int) -> dict:

@@ -10,7 +10,7 @@ import pytest
 from symtriple import cli
 from symtriple.cli import main
 from symtriple.errors import ConstructionError, ValidationError
-from symtriple.triples import build_symplectic_type, save_sts
+from symtriple.triples import build_symplectic_type, save_sts, scalar_from_json
 
 
 def run(capsys, *argv):
@@ -339,3 +339,28 @@ def test_closed_pipe_exits_one_without_traceback(args, unbuffered):
     assert proc.returncode == 1 or (args == ("--help",) and unbuffered and proc.returncode == 0)
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+# sha256 of ``curvature --family symplectic --n 1 --connection canonical
+# --json`` at (i, j): R(e_4, e_3) = -R(e_3, e_4) and R(e_0, e_0) = 0, each
+# in canonical form
+CURVATURE_DIGESTS = {
+    (3, 4): "d9e24e320cce31e0f0451721263ee8482509d9a5c05b2d18e610a71c5fc3f9ad",
+    (4, 3): "e21bc4bf5361d0178483e625f0dea8fdaf39883b3c7120b3f3d6a8b8503d2ca4",
+    (0, 0): "0219f496fc3157853c50b41de211ece44fbecd29dec653286caf940bfc114143",
+}
+
+
+def test_curvature_json_digests(capsys):
+    matrices = {}
+    for (i, j), digest in CURVATURE_DIGESTS.items():
+        code, out, _ = run(capsys, "curvature", "--family", "symplectic", "--n", "1",
+                           "--connection", "canonical", "-i", str(i), "-j", str(j), "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (i, j)
+        matrices[(i, j)] = json.loads(out)["matrix"]
+    r34, r43 = ([[scalar_from_json(x, "matrix") for x in row] for row in matrices[key]]
+                for key in ((3, 4), (4, 3)))
+    assert any(x for row in r34 for x in row)
+    assert r43 == [[-x for x in row] for row in r34]
+    assert all(x == "0" for row in matrices[(0, 0)] for x in row)

@@ -15,12 +15,10 @@ from symtriple.connections import (
     metric_products,
     torsion_operator,
 )
-from symtriple.enveloping import metric_skew_operator
-from symtriple.errors import DimensionError
 from symtriple.linalg import Matrix, combination
 from symtriple.scalars import HALF, ONE, ZERO, qi
 
-from conftest import LIGHT_CASES, scalars
+from conftest import LIGHT_CASES, basis, curvature, curvature_pairs, scalars
 
 EPS2 = ((0, 1), (-1, 0))  # <e_a, e_b> on the auxiliary plane
 
@@ -36,10 +34,6 @@ def _mbm(model, p, q):
 def _bt(model, i, j, k):
     """[e_i, e_j, e_k] in T as scalars."""
     return scalars(model.triple.basis_triple(i, j, k), model.triple.den)
-
-
-def basis_vec(md, i):
-    return tuple(ONE if j == i else ZERO for j in range(md))
 
 
 def unit3(r, s):
@@ -71,50 +65,47 @@ def gamma_on(a, c, b):
 
 def test_levi_civita_values(model_cache):
     model = model_cache("symplectic", 1)
-    lc = alpha_levi_civita(model)
+    lc = alpha_levi_civita(model).ops
     md = model.m_dim
-    xi = [model.xi_vector(i) for i in (1, 2, 3)]
-    odd = basis_vec(md, 3)
-    assert lc.value(xi[0], odd) == (ZERO,) * md
-    assert lc.value(xi[0], xi[1]) == xi[2]  # (1/2)[xi1, xi2]
+    e = basis(md)
+    xi, odd = e[:3], e[3]
+    assert lc[0].apply(odd) == (ZERO,) * md
+    assert lc[0].apply(xi[1]) == xi[2]  # (1/2)[xi1, xi2]
     # alpha(a (x) x, xi) = [a (x) x, xi]_m = -xi(a) (x) x; xi1(e1) = i e1
-    assert lc.value(odd, xi[0]) == tuple(
+    assert lc[3].apply(xi[0]) == tuple(
         qi("-i") if i == 3 else ZERO for i in range(md)
     )
-    for x, y in ((odd[:-1], odd), (odd, odd[:-1])):
-        with pytest.raises(DimensionError):
-            lc.value(x, y)
 
 
 def test_alpha_o_values(model_cache):
     model = model_cache("symplectic", 1)
-    ao = torsion_part(model, 1, ZERO3)
+    ao = torsion_part(model, 1, ZERO3).ops
     md = model.m_dim
-    xi = [model.xi_vector(i) for i in (1, 2, 3)]
-    assert ao.value(xi[0], xi[1]) == xi[2]
-    assert ao.value(xi[1], xi[0]) == tuple(-c for c in xi[2])
-    assert ao.value(xi[0], basis_vec(md, 4)) == (ZERO,) * md
-    assert ao.value(basis_vec(md, 3), basis_vec(md, 4)) == (ZERO,) * md
+    e = basis(md)
+    assert ao[0].apply(e[1]) == e[2]
+    assert ao[1].apply(e[0]) == tuple(-c for c in e[2])
+    assert ao[0].apply(e[4]) == (ZERO,) * md
+    assert ao[3].apply(e[4]) == (ZERO,) * md
 
 
 def test_alpha_rs_values(model_cache):
     model = model_cache("symplectic", 1)
     md = model.m_dim
-    xi = [model.xi_vector(i) for i in (1, 2, 3)]
-    x = basis_vec(md, 3)
-    a11 = torsion_part(model, 0, unit3(1, 1))
-    assert a11.value(x, xi[0]) == model.phi(1).apply(x)
-    assert a11.value(xi[0], x) == tuple(-c for c in model.phi(1).apply(x))
-    assert a11.value(xi[0], xi[1]) == tuple(-c for c in xi[2])
-    a12 = torsion_part(model, 0, unit3(1, 2))
-    assert a12.value(xi[0], xi[1]) == (ZERO,) * md  # r != s kills the vertical part
-    assert a12.value(x, xi[0]) == model.phi(2).apply(x)
-    assert a12.value(x, xi[1]) == (ZERO,) * md
+    e = basis(md)
+    xi, x = e[:3], e[3]
+    a11 = torsion_part(model, 0, unit3(1, 1)).ops
+    assert a11[3].apply(xi[0]) == model.phi(1).apply(x)
+    assert a11[0].apply(x) == tuple(-c for c in model.phi(1).apply(x))
+    assert a11[0].apply(xi[1]) == tuple(-c for c in xi[2])
+    a12 = torsion_part(model, 0, unit3(1, 2)).ops
+    assert a12[0].apply(xi[1]) == (ZERO,) * md  # r != s kills the vertical part
+    assert a12[3].apply(xi[0]) == model.phi(2).apply(x)
+    assert a12[3].apply(xi[1]) == (ZERO,) * md
     # odd-odd: alpha_rs(X, Y) = Phi_s(X, Y) xi_r
-    y = basis_vec(md, 5)
+    y = e[5]
     phi2y = model.phi(2).apply(y)
-    want = tuple(model.metric.value(x, phi2y) * c for c in xi[0])
-    assert a12.value(x, y) == want
+    want = tuple(model.metric.gram.bilinear(x, phi2y) * c for c in xi[0])
+    assert a12[3].apply(y) == want
 
 
 def test_family_specializations(model_cache):
@@ -294,7 +285,7 @@ def test_torsion_values(model_cache):
     for i in range(md):
         for j in range(md):
             assert torsion_operator(model, lc.alpha, i, j) == (ZERO,) * md
-    xi3 = model.xi_vector(3)
+    xi3 = basis(md)[2]
     assert torsion_operator(model, dist.alpha, 0, 1) == tuple(qi(-2) * c for c in xi3)
     assert torsion_operator(model, can.alpha, 0, 1) == tuple(qi(-6) * c for c in xi3)
 
@@ -380,38 +371,37 @@ def test_admissibility(family, param, connection_cache):
 def test_wedge_normalization_cross_check(model_cache):
     # g(alpha_rs(X,Y),Z) = (eta_r ^ Phi_s)(X,Y,Z) with the pinned wedge
     # (eta ^ Phi)(X,Y,Z) = eta(X)Phi(Y,Z) + eta(Y)Phi(Z,X) + eta(Z)Phi(X,Y);
-    # same for alpha_o against eta_1 ^ eta_2 ^ eta_3.
+    # same for alpha_o against eta_1 ^ eta_2 ^ eta_3.  eta_r(e_i) = g[r - 1, i].
     model = model_cache("symplectic", 1)
     md = model.m_dim
-    basis = [basis_vec(md, p) for p in range(md)]
-    gv = model.metric.value
+    e = basis(md)
+    gram = model.metric.gram
+    gv = gram.bilinear
     for r in range(1, 4):
-        eta_r = model.metric.eta(r - 1)
         for s in range(1, 4):
-            ars = torsion_part(model, 0, unit3(r, s))
+            ars = torsion_part(model, 0, unit3(r, s)).ops
             phi_s = model.phi(s)
 
             def phi2(u, w):
                 return gv(u, phi_s.apply(w))
 
             for i, j, k in itertools.product(range(md), repeat=3):
-                lhs = gv(ars.value(basis[i], basis[j]), basis[k])
+                lhs = gv(ars[i].apply(e[j]), e[k])
                 rhs = (
-                    eta_r[i] * phi2(basis[j], basis[k])
-                    + eta_r[j] * phi2(basis[k], basis[i])
-                    + eta_r[k] * phi2(basis[i], basis[j])
+                    gram[r - 1, i] * phi2(e[j], e[k])
+                    + gram[r - 1, j] * phi2(e[k], e[i])
+                    + gram[r - 1, k] * phi2(e[i], e[j])
                 )
                 assert lhs == rhs
-    ao = torsion_part(model, 1, ZERO3)
-    etas = [model.metric.eta(r) for r in range(3)]
+    ao = torsion_part(model, 1, ZERO3).ops
     for i, j, k in itertools.product(range(md), repeat=3):
-        rows = [[etas[r][idx] for idx in (i, j, k)] for r in range(3)]
+        rows = [[gram[r, idx] for idx in (i, j, k)] for r in range(3)]
         det = (
             rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
             - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
             + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
         )
-        assert gv(ao.value(basis[i], basis[j]), basis[k]) == det
+        assert gv(ao[i].apply(e[j]), e[k]) == det
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +534,7 @@ def _gamma_xi_coords(a, b):
 def test_levi_civita_curvature_closed_forms(family, param, connection_cache):
     conn = connection_cache(family, param, "levi-civita")
     model = conn.model
-    for (i, j), r in conn.curvature_pairs():
+    for (i, j), r in curvature_pairs(conn):
         assert r == lc_closed_form(model, i, j), (family, param, i, j)
 
 
@@ -553,7 +543,7 @@ def test_skew_curvature_closed_forms(family, param, connection_cache):
     for name, canonical in (("distinguished", False), ("canonical", True)):
         conn = connection_cache(family, param, name)
         model = conn.model
-        for (i, j), r in conn.curvature_pairs():
+        for (i, j), r in curvature_pairs(conn):
             assert r == skew_closed_form(model, i, j, canonical), (name, i, j)
 
 
@@ -563,18 +553,17 @@ def test_lc_curvature_is_metric_pair_operator(family, param, connection_cache):
     conn = connection_cache(family, param, "levi-civita")
     model = conn.model
     md = model.m_dim
+    g = model.metric.gram
+
+    def phi(a, b):  # g(e_a, .) e_b - g(e_b, .) e_a
+        return Matrix(md, md, {b: g.row(a)}) - Matrix(md, md, {a: g.row(b)})
+
     for i in range(3):
         for j in range(i + 1, 3):
-            want = metric_skew_operator(
-                model.metric, basis_vec(md, i), basis_vec(md, j)
-            )
-            assert conn.curvature(i, j) == -want
+            assert curvature(conn, i, j) == -phi(i, j)
     for p in range(3, md):
         for i in range(3):
-            want = metric_skew_operator(
-                model.metric, basis_vec(md, p), basis_vec(md, i)
-            )
-            assert conn.curvature(p, i) == -want
+            assert curvature(conn, p, i) == -phi(p, i)
 
 
 @pytest.mark.parametrize("family,param", LIGHT_CASES)
@@ -584,7 +573,7 @@ def test_curvature_operators_orthogonal(family, param, connection_cache):
         conn = connection_cache(family, param, name)
         if g is None:
             g = conn.model.metric.gram
-        for _, r in conn.curvature_pairs():
+        for _, r in curvature_pairs(conn):
             assert (r.transpose() @ g + g @ r).is_zero()
 
 
@@ -595,7 +584,7 @@ def test_skew_vs_canonical_blocks(family, param, connection_cache):
     md = dist.model.m_dim
     for i in range(md):
         for j in range(i + 1, md):
-            rs, rc = dist.curvature(i, j), can.curvature(i, j)
+            rs, rc = curvature(dist, i, j), curvature(can, i, j)
             for p in range(3, md):
                 for q in range(3, md):
                     assert rs[p, q] == rc[p, q]
@@ -667,7 +656,7 @@ def test_first_bianchi_failure_value(family, param, connection_cache):
         total = [ZERO] * md
         want = [ZERO] * md
         for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-            cur = conn.curvature(p, q)
+            cur = curvature(conn, p, q)
             for t in range(md):
                 v = cur[t, r]
                 if v:
@@ -685,13 +674,12 @@ def test_constant_curvature_witness(connection_cache):
         model = conn.model
         md = model.m_dim
         td = model.algebra.t_dim
+        g = model.metric.gram
         for x in range(td):
             for y in range(td):
                 p, q = _odd(model, 0, x), _odd(model, 1, y)
-                r = conn.curvature(p, q)
-                phi = metric_skew_operator(
-                    model.metric, basis_vec(md, p), basis_vec(md, q)
-                )
+                r = curvature(conn, p, q)
+                phi = Matrix(md, md, {q: g.row(p)}) - Matrix(md, md, {p: g.row(q)})
                 for z in range(td):
                     col = _odd(model, 0, z)
                     for t in range(md):

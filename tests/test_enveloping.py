@@ -5,9 +5,7 @@ from symtriple.enveloping import (
     GradedLieAlgebra,
     build_enveloping,
     killing_form,
-    metric_skew_operator,
     verify_jacobi,
-    xi_matrices,
 )
 from symtriple.errors import ValidationError
 from symtriple.linalg import (
@@ -16,7 +14,7 @@ from symtriple.linalg import (
 from symtriple.scalars import HALF, ONE, ZERO, GaussianRational, qi
 from symtriple.triples import SymplecticTripleSystem, build_symplectic_type, inder_basis
 
-from conftest import LIGHT_CASES, scalar_table, scalars
+from conftest import LIGHT_CASES, basis, scalar_table, scalars
 
 ENVELOPING_DIMS = {
     ("symplectic", 1): 10,  # sp(4)
@@ -50,7 +48,7 @@ def test_xi_bracket_relations(model_cache):
     assert scalars(L.bracket_basis(1, 2), L.den) == {0: qi(2)}
     assert scalars(L.bracket_basis(2, 0), L.den) == {1: qi(2)}
     # 2x2 matrix commutators agree
-    x1, x2, x3 = xi_matrices()
+    x1, x2, x3 = enveloping._XI
     assert comm(x1, x2) == x3 + x3
 
 
@@ -103,7 +101,7 @@ def _direct_ad_m_xi(model, i):
     e_a (x) t_k -> xi_i(e_a) (x) t_k on the odd block."""
     L = model.algebra
     td = L.t_dim
-    xi = xi_matrices()[i - 1]
+    xi = enveloping._XI[i - 1]
     data = {}
     for j in range(3):
         for l, v in scalars(L.bracket_basis(i - 1, j), L.den).items():
@@ -423,14 +421,14 @@ def test_metric_inverse(model_cache):
 def test_xi_index_outside_one_to_three_is_refused(i, model_cache):
     # only xi_1, xi_2, xi_3 exist; no index is read as a position of m
     model = model_cache("symplectic", 1)
-    for call in (model.xi_vector, model.ad_m_xi, model.phi):
+    for call in (model.ad_m_xi, model.phi):
         with pytest.raises(ValidationError):
             call(i)
 
 
 def test_phi_relations(model_cache):
     model = model_cache("exceptional", "scalar")
-    xi = [model.xi_vector(i) for i in (1, 2, 3)]
+    xi = basis(model.m_dim)[:3]
     zero = tuple([ZERO] * model.m_dim)
     assert model.phi(1).apply(xi[1]) == xi[2]
     assert model.phi(2).apply(xi[2]) == xi[0]
@@ -438,21 +436,18 @@ def test_phi_relations(model_cache):
         assert model.phi(i).apply(xi[i - 1]) == zero
     # phi_k = phi_i . phi_j - eta_j (x) xi_i for even permutations
     for (i, j, k) in [(1, 2, 3), (2, 3, 1), (3, 1, 2)]:
-        eta_j = model.metric.eta(j - 1)
-        data = {}
-        for col, v in enumerate(eta_j):
-            if v:
-                data.setdefault(i - 1, {})[col] = v
-        correction = Matrix(model.m_dim, model.m_dim, data)
+        # eta_j = g(xi_j, .) is row j - 1 of the Gram matrix
+        correction = Matrix(model.m_dim, model.m_dim, {i - 1: model.metric.gram.row(j - 1)})
         assert model.phi(k) == model.phi(i) @ model.phi(j) - correction
 
 
 def test_metric_skew_operator_is_orthogonal(model_cache):
     model = model_cache("symplectic", 1)
+    # g(u, .) v - g(v, .) u for u = xi_1 = e_0 and v = e_4
+    md = model.m_dim
     g = model.metric.gram
-    u = model.xi_vector(1)
-    v = tuple(ONE if i == 4 else ZERO for i in range(model.m_dim))
-    phi = metric_skew_operator(model.metric, u, v)
+    phi = Matrix(md, md, {4: g.row(0)}) - Matrix(md, md, {0: g.row(4)})
+    assert not phi.is_zero()
     assert (phi.transpose() @ g + g @ phi).is_zero()
 
 

@@ -9,7 +9,6 @@ from symtriple import connections, holonomy, linalg
 from symtriple.connections import (
     Connection, NomizuMap, _block_ops, alpha_family, connection_by_name, is_metric,
 )
-from symtriple.enveloping import metric_skew_operator
 from symtriple.errors import DimensionError
 from symtriple.families import (
     expected_hol_levi_civita,
@@ -24,12 +23,11 @@ from symtriple.holonomy import (
     table_report,
 )
 from symtriple.linalg import (
-    Matrix, Subspace, add_numerators, bracket_closure, center_of, comm, independent_mod_p,
-    matrices_of,
+    Matrix, Subspace, add_numerators, bracket_closure, center_of, comm, matrices_of,
 )
-from symtriple.scalars import ONE, ZERO, GaussianRational, qi
+from symtriple.scalars import GaussianRational, qi
 
-from conftest import LIGHT_CASES
+from conftest import LIGHT_CASES, curvature_pairs, independent_mod_p
 
 
 @pytest.mark.parametrize("family,param", LIGHT_CASES)
@@ -139,7 +137,7 @@ def test_kostant_closure_matches_full_lie_closure(family, param, connection_cach
              for _ in range(3)]
         conns.append(Connection(model, alpha_family(model, a, b)))
     for conn in conns:
-        gens = [r for _, r in conn.curvature_pairs() if not r.is_zero()]
+        gens = [r for _, r in curvature_pairs(conn) if not r.is_zero()]
         multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
         stop = model.so_dim() if is_metric(model, conn.alpha) else None
         want = full_lie_closure(gens, multipliers, stop)
@@ -170,7 +168,7 @@ def test_closure_fallback_gives_the_certified_rows(family, param, connection_cac
              connection_cache(family, param, "zero"), non_metric]
     wants = []
     for conn in conns:
-        gens = [r for _, r in conn.curvature_pairs() if not r.is_zero()]
+        gens = [r for _, r in curvature_pairs(conn) if not r.is_zero()]
         multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
         stop = model.so_dim() if is_metric(model, conn.alpha) else None
         wants.append(full_lie_closure(gens, multipliers, stop))
@@ -278,7 +276,7 @@ def test_certificate_declines_on_a_denominator_divisible_by_p(model_cache, monke
     model = model_cache("symplectic", 1)
     b = [[Fraction(1, 5), 2, 0], [0, -1, Fraction(3, 5)], [1, 0, 5]]
     conn = Connection(model, alpha_family(model, Fraction(2, 5), b))
-    gens = [r for _, r in conn.curvature_pairs() if not r.is_zero()]
+    gens = [r for _, r in curvature_pairs(conn) if not r.is_zero()]
     multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
     want = bracket_closure(gens, multipliers, model.so_dim())
     with monkeypatch.context() as patch:
@@ -293,9 +291,9 @@ def test_certificate_declines_on_a_denominator_divisible_by_p(model_cache, monke
 def test_so_algebra_is_spanned_by_metric_skew_operators(family, param, model_cache):
     model = model_cache(family, param)
     md = model.m_dim
-    axes = [tuple(ONE if k == a else ZERO for k in range(md)) for a in range(md)]
+    g = model.metric.gram
     want = Subspace.span((
-        metric_skew_operator(model.metric, axes[a], axes[b]).flatten()
+        (Matrix(md, md, {b: g.row(a)}) - Matrix(md, md, {a: g.row(b)})).flatten()
         for a in range(md) for b in range(a + 1, md)
     ), ambient=md * md)
     first, second = so_algebra(model), so_algebra(model)
@@ -315,7 +313,7 @@ def test_heavy_e6_certificate_matches_closure(model_cache):
     b = [[1, 2, 0], [0, -1, 1], [3, 0, 5]]
     for conn in (Connection(model, alpha_family(model, 0, [[0] * 3] * 3)),
                  Connection(model, alpha_family(model, Fraction(1, 2), b))):
-        gens = [r for _, r in conn.curvature_pairs() if not r.is_zero()]
+        gens = [r for _, r in curvature_pairs(conn) if not r.is_zero()]
         multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
         want = bracket_closure(gens, multipliers, model.so_dim())
         res = holonomy_algebra(conn, compute_center=False)
@@ -343,10 +341,10 @@ def test_holonomy_grows_through_multipliers(family, param, span_dim, model_cache
     # dimensions, which only the [alpha(e_i, .), .] steps of the closure add
     model = model_cache(family, param)
     conn = Connection(model, alpha_family(model, 1, [[0] * 3 for _ in range(3)]))
-    gens = [r for _, r in conn.curvature_pairs() if not r.is_zero()]
+    gens = [r for _, r in curvature_pairs(conn) if not r.is_zero()]
     span = Subspace.span([r.flatten() for r in gens], ambient=model.m_dim ** 2)
     assert span.dim == span_dim
-    assert not independent_mod_p(r.flatten() for _, r in conn.curvature_pairs())
+    assert not independent_mod_p(r.flatten() for _, r in curvature_pairs(conn))
     res = holonomy_algebra(conn, compute_center=False)
     assert res.dim > span.dim
     assert res.dim == res.so_dim == model.so_dim()
@@ -377,10 +375,10 @@ def test_ricci_blocks_and_scalars(family, param, connection_cache):
 
 
 def ricci_reference(conn: Connection) -> Matrix:
-    """Ric[j, k] = sum_i R(e_i, e_j)[i, k], summed row by row from the cached
+    """Ric[j, k] = sum_i R(e_i, e_j)[i, k], summed row by row from the
     curvature operators R(e_i, e_j), i < j."""
     md = conn.model.m_dim
-    pairs = list(conn.curvature_pairs())
+    pairs = list(curvature_pairs(conn))
     den = lcm(*(r.den for _, r in pairs))
     num: dict = {k: {} for k in range(md)}
     for (i, j), r in pairs:
@@ -434,8 +432,7 @@ def test_heavy_ricci_matches_row_sum_reference(family, param, connection_cache):
 def test_certified_member_builds_no_curvature_matrix(model_cache, monkeypatch):
     # Ricci and the so(m, g) certificate of a generic member read alpha and
     # the unreduced curvature numerators only, and so does the closure that
-    # runs when the certificate declines (distinguished, canonical, zero);
-    # fresh connections, so that no curvature cache is filled beforehand
+    # runs when the certificate declines (distinguished, canonical, zero)
     model = model_cache("special", 2)
     conn = next(_seeded_members(model, 5))
     closed = [connection_by_name(model, name) for name in ("distinguished", "canonical", "zero")]
@@ -453,7 +450,7 @@ def test_certified_member_builds_no_curvature_matrix(model_cache, monkeypatch):
     assert data.ricci == ricci_reference(conn)
     assert res.algebra == so_algebra(model)
     for c, got in zip(closed, results):
-        gens = [r for _, r in c.curvature_pairs() if not r.is_zero()]
+        gens = [r for _, r in curvature_pairs(c) if not r.is_zero()]
         multipliers = [op for op in c.alpha.ops if not op.is_zero()]
         want = bracket_closure(gens, multipliers, model.so_dim())
         assert got.algebra.rows == want.rows, c.label

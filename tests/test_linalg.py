@@ -17,7 +17,6 @@ from symtriple.linalg import (
     comm,
     comm_minus,
     comm_minus_numerators,
-    independent_mod_p,
     kernel,
     matrices_of,
     rank,
@@ -27,7 +26,7 @@ from symtriple.linalg import (
 )
 from symtriple.scalars import ONE, GaussianRational, qi
 
-from conftest import cleared, integer_terms
+from conftest import cleared, independent_mod_p, integer_terms
 
 E12 = Matrix.from_rows([[0, 1], [0, 0]])
 E21 = Matrix.from_rows([[0, 0], [1, 0]])
