@@ -59,12 +59,11 @@ __all__ = [
 class NomizuMap:
     """Bilinear map m x m -> m, as left-multiplication matrices per basis."""
 
-    __slots__ = ("ops", "label", "params")
+    __slots__ = ("ops", "label")
 
-    def __init__(self, ops, label: str, params=None):
+    def __init__(self, ops, label: str):
         self.ops = tuple(ops)
         self.label = label
-        self.params = params
 
     @property
     def m_dim(self) -> int:
@@ -130,27 +129,20 @@ def alpha_family(model: HomogeneousModel, a, b_matrix) -> NomizuMap:
                 extra[r].setdefault(l, {})[i] = -v
     ops = [op + Matrix(md, md, e) if e else op for op, e in zip(ops, extra)]
     label = f"family(a={a}, B={[[str(x) for x in row] for row in rows]})"
-    return NomizuMap(ops, label, params=(a, tuple(tuple(r) for r in rows)))
-
-
-_IDENTITY3 = tuple(tuple(ONE if r == s else ZERO for s in range(3)) for r in range(3))
+    return NomizuMap(ops, label)
 
 
 def alpha_distinguished(model: HomogeneousModel) -> NomizuMap:
     """alpha_g + 2 alpha_o + sum_r alpha_rr, the family member at (a, B) =
     (2, I), from its value table: alpha(xi_i, X) = -phi_i(X) and zero on
     every other pair of blocks."""
-    return NomizuMap(
-        _block_ops(model, (ZERO, -ONE)), "distinguished", params=(qi(2), _IDENTITY3)
-    )
+    return NomizuMap(_block_ops(model, (ZERO, -ONE)), "distinguished")
 
 
 def alpha_canonical(model: HomogeneousModel) -> NomizuMap:
     """alpha_g + sum_r alpha_rr, the family member at (a, B) = (0, I), from
     its value table: the distinguished one plus alpha(xi, xi') = -[xi, xi']."""
-    return NomizuMap(
-        _block_ops(model, (-ONE, -ONE)), "canonical", params=(qi(0), _IDENTITY3)
-    )
+    return NomizuMap(_block_ops(model, (-ONE, -ONE)), "canonical")
 
 
 def alpha_zero(model: HomogeneousModel) -> NomizuMap:

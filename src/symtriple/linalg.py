@@ -12,7 +12,10 @@ operators are read that way.
 ``row`` and ``entries``, and by ``apply`` and ``bilinear``, which take dense
 ``GaussianRational`` vectors and read only the entries each row holds.
 ``flatten`` and ``from_flat`` only remap indices: the flattening is a
-sparse Gaussian-integer vector, the matrix times its denominator.  A
+sparse Gaussian-integer vector, the matrix times its denominator.
+``ad_flat(a)`` maps such a flattening of X to that of a.den [a, X],
+summed on plain ints: closures and centers take their commutators through
+it, so no closure or center image is built as a ``Matrix``.  A
 ``Matrix`` is not changed once built.  Every structure-constant table, from
 the composition algebras upward, is held the same way, sparse Gaussian-
 integer columns over one denominator per table: ``numerators`` and
@@ -55,6 +58,7 @@ __all__ = [
     "table_product",
     "comm_minus",
     "comm_minus_numerators",
+    "ad_flat",
     "combination",
     "rank",
     "kernel",
@@ -326,6 +330,40 @@ def _matrix(rows: int, cols: int, den: int, num: dict) -> Matrix:
 def comm(a: Matrix, b: Matrix) -> Matrix:
     """Commutator [a, b] = ab - ba."""
     return comm_minus(a, b, ())
+
+
+def ad_flat(a: Matrix):
+    """The map x -> flatten(a.den [a, X]) for the row-major flattening x of
+    an n x n matrix X, for a square n x n ``a``: both take sparse Gaussian-
+    integer vectors ``{index: (re, im)}``.  The image is summed on plain
+    ints without its zeros, and no ``Matrix`` or canonical form is built.
+    a's rows and columns are indexed once, here, not once per image."""
+    n = a.rows
+    if a.cols != n:
+        raise DimensionError("ad_flat needs a square matrix")
+    left: dict = {}  # k -> ((i n, a_ik)), the terms a_ik X_kl of (aX)_il
+    right: dict = {}  # l -> ((j, a_lj)), the terms X_kl a_lj of (Xa)_kj
+    for i, row in a.num.items():
+        right[i] = tuple(row.items())
+        for k, z in row.items():
+            left.setdefault(k, []).append((i * n, z))
+    get_left, get_right = left.get, right.get
+
+    def image(x: dict) -> dict:
+        out: dict = {}
+        get = out.get
+        for p, (xr, xi) in x.items():
+            k, l = divmod(p, n)
+            for i, (ar, ai) in get_left(k, ()):
+                zr, zi = get(i + l, _ZZ)
+                out[i + l] = (zr + ar * xr - ai * xi, zi + ar * xi + ai * xr)
+            k *= n
+            for j, (ar, ai) in get_right(l, ()):
+                zr, zi = get(k + j, _ZZ)
+                out[k + j] = (zr - ar * xr + ai * xi, zi - ar * xi - ai * xr)
+        return {q: z for q, z in out.items() if z != _ZZ}
+
+    return image
 
 
 def comm_minus(a: Matrix, b: Matrix, terms: Iterable, den: int = 1) -> Matrix:
@@ -860,7 +898,9 @@ def bracket_closure(
     stop_dim: int | None = None,
 ) -> Subspace:
     """Smallest subspace containing ``gens`` and invariant under [mu, .] for
-    each multiplier mu, by ``close_under`` on the flattened matrices.
+    each multiplier mu, by ``close_under`` on the flattened matrices.  Each
+    image is ``ad_flat(mu)`` of a flat vector, one map per multiplier,
+    scaled by mu.den, which does not change the span.
 
     ``bracket_closure(S, S)`` is the Lie algebra generated by S, since the
     right-normed brackets [s_1, [s_2, ..., [s_k-1, s_k]]] span it.
@@ -874,11 +914,9 @@ def bracket_closure(
     if not gens:
         return Subspace(d * d)
 
-    def images(x: dict):
-        x = Matrix.from_flat(x, d, d)
-        return (comm(mu, x).flatten() for mu in multipliers)
-
-    return close_under(Subspace(d * d), [g.flatten() for g in gens], images, stop_dim)
+    ads = [ad_flat(mu) for mu in multipliers]
+    return close_under(Subspace(d * d), [g.flatten() for g in gens],
+                       lambda x: (ad(x) for ad in ads), stop_dim)
 
 
 def _side(space: Subspace) -> int:
@@ -899,18 +937,19 @@ def center_of(space: Subspace) -> Subspace:
     """{x in space : [x, y] = 0 for every y in the space}.
 
     Computed by intersecting, one basis constraint at a time, the kernels of
-    c -> [sum c_i X_i, B_j] over the current candidates X_i; the candidate
-    space shrinks quickly, which keeps large inputs tractable.
+    c -> [B_j, sum c_i X_i] over the current candidates X_i, each image
+    ``ad_flat(B_j)`` of a flat vector, one map per basis element; the
+    candidate space shrinks quickly, which keeps large inputs tractable.
     """
     d = _side(space)
     # the rows scaled to Gaussian integers: the same span and the same
     # constraints, and every commutator below is exact on plain ints
-    cand = space._vectors()  # flattened candidate matrices
-    mats = [Matrix.from_flat(x, d, d) for x in cand]
-    for bj in mats:
+    basis = cand = space._vectors()  # flattened candidate matrices
+    for bj in basis:
         if not cand:
             break
-        images = [comm(Matrix.from_flat(x, d, d), bj).flatten() for x in cand]
+        ad = ad_flat(Matrix.from_flat(bj, d, d))
+        images = [ad(x) for x in cand]
         if not any(images):
             continue
         # each null-space row, times its D, is D at its pivot p and re + im i

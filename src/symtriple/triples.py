@@ -32,7 +32,7 @@ from math import lcm
 from .errors import DimensionError, ParseError, ValidationError
 from .jordan import CubicJordan
 from .linalg import (
-    Matrix, Subspace, add_numerators, canonical, comm, comm_minus, lie_generators,
+    Matrix, Subspace, ad_flat, add_numerators, canonical, comm_minus, lie_generators,
     matrices_of, numerators, rank,
 )
 from .scalars import GaussianRational, HALF, ONE, qi
@@ -496,8 +496,13 @@ def verify_axioms(T: SymplecticTripleSystem, mode: str = "fast") -> AxiomReport:
 
     nonzero = [(i, j) for (i, j) in pairs if not dmat(i, j).is_zero()]
 
+    ads: dict = {}  # k -> ad_flat(d_k), built when k first acts
+
     def bracket(k: int, w: dict) -> dict:
-        return comm(dmat(*nonzero[k]), Matrix.from_flat(w, d, d)).flatten()
+        ad = ads.get(k)
+        if ad is None:
+            ad = ads[k] = ad_flat(dmat(*nonzero[k]))
+        return ad(w)
 
     flat = [dmat(*p).flatten() for p in nonzero]
     gens = [nonzero[s] for s in lie_generators(flat, bracket, d * d, [len(v) for v in flat])]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -26,6 +27,7 @@ from symtriple.linalg import (
     Matrix, Subspace, add_numerators, bracket_closure, center_of, comm, matrices_of,
 )
 from symtriple.scalars import GaussianRational, qi
+from symtriple.triples import verify_axioms
 
 from conftest import LIGHT_CASES, curvature_pairs, independent_mod_p
 
@@ -455,6 +457,34 @@ def test_certified_member_builds_no_curvature_matrix(model_cache, monkeypatch):
         want = bracket_closure(gens, multipliers, model.so_dim())
         assert got.algebra.rows == want.rows, c.label
     assert all(check.matches for check in checks)
+
+
+def test_closure_and_center_images_build_no_matrix(connection_cache, triple_cache, monkeypatch):
+    # closure, center and identity (3) generator images go through
+    # linalg.ad_flat on flat vectors; with linalg.comm refused wherever it is
+    # imported, the models built beforehand give the same results
+    conns = [connection_cache(family, param, name) for family, param in (
+        ("symplectic", 1), ("special", 1)) for name in ("distinguished", "canonical")]
+    T = triple_cache("exceptional", "scalar")
+
+    def results():
+        hol = [holonomy_algebra(conn) for conn in conns]
+        return [(r.algebra, r.center_dim) for r in hol], verify_axioms(T)
+
+    want = results()
+
+    def refuse(*args):
+        raise AssertionError("a commutator Matrix was built")
+
+    patched = [name for name, mod in sys.modules.items()
+               if name.startswith("symtriple") and getattr(mod, "comm", None) is linalg.comm]
+    assert "symtriple.linalg" in patched
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "comm", refuse)
+    got = results()
+    monkeypatch.undo()
+    assert got == want
+    assert [c for _, c in want[0]] == [0, 0, 1, 1] and want[1].passed
 
 
 @pytest.mark.parametrize("family,param", LIGHT_CASES)

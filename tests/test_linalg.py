@@ -10,6 +10,7 @@ from symtriple.linalg import (
     MODULUS,
     Matrix,
     Subspace,
+    ad_flat,
     add_numerators,
     bracket_closure,
     center_of,
@@ -350,6 +351,44 @@ def test_comm_minus_matches_matrix_arithmetic(a, b, terms):
         comm_minus(a, Matrix(2, 2), ())
     with pytest.raises(DimensionError):
         comm_minus_numerators(a, Matrix(2, 2), ())
+
+
+def _random_numerators(rng, n: int, density: float) -> dict:
+    """Sparse n x n Gaussian-integer rows, about a quarter of them imaginary."""
+    num: dict = {}
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < density:
+                z = (rng.randint(-5, 5), rng.choice((0, 0, 0, rng.randint(-3, 3))))
+                if z != (0, 0):
+                    num.setdefault(i, {})[j] = z
+    return num
+
+
+def test_ad_flat_matches_commutator():
+    rng = random.Random(20261020)
+    n = 4
+    dens = set()
+    for den in (1, 2, 6, 15):
+        for _ in range(6):
+            a = Matrix.from_numerators(n, n, _random_numerators(rng, n, 0.5), den)
+            ad = ad_flat(a)
+            dens.add(a.den)
+            for _ in range(4):
+                x = Matrix.from_numerators(n, n, _random_numerators(rng, n, 0.4)).flatten()
+                got = ad(x)
+                assert all(z != (0, 0) for z in got.values())
+                assert Matrix.from_flat(got, n, n, a.den) == comm(a, Matrix.from_flat(x, n, n))
+            # [a, a] and [a, 1] cancel to the empty vector, and so does [a, 0]
+            assert ad(a.flatten()) == ad(Matrix.identity(n).flatten()) == ad({}) == {}
+    assert dens - {1}  # a non-unit denominator is scaled out, not dropped
+    # imaginary entries on both sides, over a = (1/2) (i e_01 + 4 e_10)
+    a = Matrix(2, 2, {0: {1: GaussianRational(0, 1, 2)}, 1: {0: 2}})
+    x = {0: (0, 1), 1: (3, -2), 3: (1, 0)}
+    assert a.den == 2
+    assert Matrix.from_flat(ad_flat(a)(x), 2, 2, a.den) == comm(a, Matrix.from_flat(x, 2, 2))
+    with pytest.raises(DimensionError):
+        ad_flat(Matrix(2, 3))
 
 
 def test_modulus_constants():
