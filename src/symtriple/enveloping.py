@@ -24,12 +24,12 @@ from math import lcm
 
 from .errors import ConstructionError, ValidationError
 from .linalg import (
-    Matrix, add_numerators, canonical, comm, comm_minus, inverse, lie_generators, numerators,
+    Matrix, Subspace, ad_flat, add_numerators, canonical, comm_minus, inverse, lie_generators,
+    matrices_of, numerators,
 )
 from .scalars import HALF, I, ONE, ZERO, qi
 from .triples import (
     _EMPTY,
-    InnerDerivationSpace,
     SymplecticTripleSystem,
     _gamma_mat,
     check_witnesses,
@@ -55,6 +55,8 @@ _XI = (
     Matrix.from_rows([[ZERO, -ONE], [ONE, ZERO]]),
     Matrix.from_rows([[ZERO, -I], [-I, ZERO]]),
 )
+# [xi_i, xi_j], i < j, as numerators over 1
+_XI_BRACKETS = {(0, 1): {2: (2, 0)}, (0, 2): {1: (-2, 0)}, (1, 2): {0: (2, 0)}}
 
 
 def _sl2_to_xi(m: Matrix) -> tuple[dict, int]:
@@ -117,12 +119,19 @@ class ReductiveSplit:
         return len(self.m_indices)
 
 
-def build_enveloping(T: SymplecticTripleSystem, inder: InnerDerivationSpace):
+def build_enveloping(T: SymplecticTripleSystem, inder: Subspace):
     """Assemble g(T) and its reductive split from a simple triple system
-    and its inder(T)."""
+    and the echelon span ``inder`` of its flattened d_ij.
+
+    Every part is a sparse numerator table over a denominator of its own:
+    the sp(V) brackets are the constant ``_XI_BRACKETS``, and the h-h
+    bracket [d_r, d_s] is ``ad_flat(d_r)`` of d_s's flattening, read in
+    the basis by ``coords_of`` over d_r.den d_s.den.  The table is brought
+    to one denominator with one lcm and to canonical form with one gcd."""
     if T.dim % 2:
         raise ValidationError("triple systems of odd dimension are out of scope")
     n = T.dim // 2
+    mats = matrices_of(inder)
     h = inder.dim
     t_dim = T.dim
     dim = 3 + h + 2 * t_dim
@@ -137,19 +146,19 @@ def build_enveloping(T: SymplecticTripleSystem, inder: InnerDerivationSpace):
             parts.append(((i, j), den, entry))
 
     # vertical-vertical
-    for i in range(3):
-        for j in range(i + 1, 3):
-            put(i, j, *_sl2_to_xi(comm(_XI[i], _XI[j])))
-    # h-h
+    for key, entry in _XI_BRACKETS.items():
+        put(*key, entry, 1)
+    # h-h:  [d_r, d_s] times d_r.den d_s.den
+    flat = [d.flatten() for d in mats]
     for r in range(h):
+        ad = ad_flat(mats[r])
         for s in range(r + 1, h):
-            br = comm(inder.mats[r], inder.mats[s])
-            coords = inder.coords_of(br)
+            coords = inder.coords_of(ad(flat[s]))
             if coords is None:
                 raise ConstructionError(
                     f"inner derivations not closed under brackets at ({r},{s})"
                 )
-            put(3 + r, 3 + s, {3 + t: z for t, z in coords.items()}, br.den)
+            put(3 + r, 3 + s, {3 + t: z for t, z in coords.items()}, mats[r].den * mats[s].den)
     # vertical-odd:  [xi, e_a (x) t_k] = xi(e_a) (x) t_k
     for i in range(3):
         xi = _XI[i].transpose().num  # xi[a] = xi(e_a)
@@ -157,8 +166,7 @@ def build_enveloping(T: SymplecticTripleSystem, inder: InnerDerivationSpace):
             for k in range(t_dim):
                 put(i, odd(a, k), {odd(b, k): z for b, z in col.items()}, _XI[i].den)
     # h-odd:  [d, e_a (x) t_k] = e_a (x) d(t_k), over the nonzero columns of d
-    for r in range(h):
-        d = inder.mats[r]
+    for r, d in enumerate(mats):
         for a in range(2):
             for k, col in d.transpose().num.items():
                 put(3 + r, odd(a, k), {odd(a, l): z for l, z in col.items()}, d.den)
@@ -174,7 +182,7 @@ def build_enveloping(T: SymplecticTripleSystem, inder: InnerDerivationSpace):
     for k in range(t_dim):  # <e_1, e_2> = 1, and d_{x,y} = d_{y,x}
         for l in range(k, t_dim):
             dmat = T.dmat(k, l)
-            coords = inder.coords_of(dmat)
+            coords = inder.coords_of(dmat.flatten())
             if coords is None:
                 raise ConstructionError(f"d_({(k, l)}) escapes the inner derivation span")
             entry = {3 + t: z for t, z in coords.items()}

@@ -8,21 +8,20 @@ ints and reduce each result once, with one gcd over the matrix.
 ``comm_minus_numerators`` returns the summed numerators and their
 denominator unreduced, which a span reads as they are: the curvature
 operators are read that way.
-``GaussianRational`` values are built only at the edge: by ``__getitem__``,
-``row`` and ``entries``, and by ``apply`` and ``bilinear``, which take dense
-``GaussianRational`` vectors and read only the entries each row holds.
+``GaussianRational`` values are built only at the edge, by ``__getitem__``,
+``row`` and ``entries``; a ``Matrix`` has no dense-vector evaluator.
 ``flatten`` and ``from_flat`` only remap indices: the flattening is a
 sparse Gaussian-integer vector, the matrix times its denominator.
 ``ad_flat(a)`` maps such a flattening of X to that of a.den [a, X],
-summed on plain ints: closures and centers take their commutators through
-it, so no closure or center image is built as a ``Matrix``.  A
-``Matrix`` is not changed once built.  Every structure-constant table, from
-the composition algebras upward, is held the same way, sparse Gaussian-
-integer columns over one denominator per table: ``numerators`` and
-``canonical`` bring a table to that form, and ``add_numerators`` sums on
-it.  ``table_product`` evaluates such a table on dense elements; no
-pipeline stage does, only ``CubicJordan.linearized_cross`` and the tests
-of the composition and Jordan algebras' element identities.
+summed on plain ints: closures, centers and g(T)'s h-h brackets take
+their commutators through it, so none of those is built as a ``Matrix``,
+and no pipeline stage calls ``comm``.  A ``Matrix`` is not changed once
+built.  Every structure-constant table, from the composition algebras
+upward, is held the same way, sparse Gaussian-integer columns over one
+denominator per table: ``numerators`` and ``canonical`` bring a table to
+that form, and ``add_numerators`` sums on it.  ``table_product``
+evaluates such a table on dense elements; no pipeline stage does, only
+``CubicJordan.linearized_cross`` and the tests.
 
 Elimination has one routine, ``Subspace.insert``, which extends a canonical
 reduced-row-echelon basis in place: pivots are normalized to 1 and
@@ -188,26 +187,6 @@ class Matrix:
         return Matrix.from_numerators(
             self.rows, other.cols, *_assemble(self.rows, other.cols, ((1, self, other),), ()))
 
-    def apply(self, v: Vector) -> Vector:
-        if len(v) != self.cols:
-            raise DimensionError("matrix-vector length mismatch")
-        out = [ZERO] * self.rows
-        for i, row in self.num.items():
-            out[i] = _dot_numerators(row, v, self.den)
-        return tuple(out)
-
-    def bilinear(self, x: Vector, y: Vector) -> GaussianRational:
-        """x^T M y for dense vectors x and y."""
-        if len(x) != self.rows or len(y) != self.cols:
-            raise DimensionError("bilinear form argument length mismatch")
-        acc = ZERO
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.num.get(i)
-                if row:
-                    acc += xi * _dot_numerators(row, y, self.den)
-        return acc
-
     def transpose(self) -> "Matrix":
         num: dict = {}
         for i, row in self.num.items():
@@ -305,16 +284,6 @@ def canonical(num: dict, den: int) -> tuple[dict, int]:
                     for i, row in num.items()
                 }
     return num, den
-
-
-def _dot_numerators(row: dict, v: Vector, den: int) -> GaussianRational:
-    """sum_j row[j] v_j / den for a numerator row and a dense vector v."""
-    acc = ZERO
-    for j, (x, y) in row.items():
-        vj = v[j]
-        if vj:
-            acc += vj * GaussianRational(x, y)
-    return acc / den
 
 
 def _matrix(rows: int, cols: int, den: int, num: dict) -> Matrix:

@@ -33,13 +33,12 @@ from .errors import DimensionError, ParseError, ValidationError
 from .jordan import CubicJordan
 from .linalg import (
     Matrix, Subspace, ad_flat, add_numerators, canonical, comm_minus, lie_generators,
-    matrices_of, numerators, rank,
+    numerators, rank,
 )
 from .scalars import GaussianRational, HALF, ONE, qi
 
 __all__ = [
     "SymplecticTripleSystem",
-    "InnerDerivationSpace",
     "AxiomReport",
     "AxiomFailure",
     "build_symplectic_type",
@@ -525,34 +524,12 @@ def verify_axioms(T: SymplecticTripleSystem, mode: str = "fast") -> AxiomReport:
 # ---------------------------------------------------------------------------
 
 
-class InnerDerivationSpace:
-    """Echelonized span of the operators d_{x,y}."""
-
-    __slots__ = ("space", "mats")
-
-    def __init__(self, space: Subspace, mats: list):
-        self.space = space
-        self.mats = mats
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def coords_of(self, mat: Matrix) -> dict | None:
-        """Coordinates of ``mat`` in the basis ``mats``, numerators ``{r: (re,
-        im)}`` over ``mat.den``, or None outside the span."""
-        return self.space.coords_of(mat.flatten())
-
-    def __repr__(self):
-        return f"InnerDerivationSpace(dim={self.dim})"
-
-
-def inder_basis(T: SymplecticTripleSystem) -> InnerDerivationSpace:
-    """The echelon span of the nonzero d_ij, i <= j, inserted in order."""
+def inder_basis(T: SymplecticTripleSystem) -> Subspace:
+    """The echelon span of the flattened nonzero d_ij, i <= j, inserted in
+    order; ``linalg.matrices_of`` reads its rows back as matrices."""
     d = T.dim
     dmats = (T.dmat(i, j) for i in range(d) for j in range(i, d))
-    space = Subspace.span((m.flatten() for m in dmats if not m.is_zero()), ambient=d * d)
-    return InnerDerivationSpace(space, matrices_of(space))
+    return Subspace.span((m.flatten() for m in dmats if not m.is_zero()), ambient=d * d)
 
 
 def is_simple(T: SymplecticTripleSystem) -> bool:

@@ -6,9 +6,10 @@ import pytest
 from symtriple import connections
 from symtriple.connections import Connection, connection_by_name
 from symtriple.enveloping import build_model
+from symtriple.errors import DimensionError
 from symtriple.families import build_triple
 from symtriple.linalg import Matrix, combination, independent_fp, mod_p, vec
-from symtriple.scalars import GaussianRational, qi
+from symtriple.scalars import ZERO, GaussianRational, qi
 
 # the quick tier exercised by most suites (tangent dimension <= 19)
 LIGHT_CASES = (
@@ -43,8 +44,9 @@ def cleared(v) -> tuple[dict, int]:
     """A Gaussian-rational vector, dense or sparse ``{index: scalar}``, with
     its denominators cleared: the sparse Gaussian-integer vector L v that
     ``Subspace`` takes, with L the least common denominator, and L."""
-    items = [(k, x) for k, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x]
-    den = lcm(*(x.d for _, x in items))
+    items = [(k, x) for k, x in (v.items() if isinstance(v, dict) else enumerate(v))
+             if x.a or x.b]
+    den = lcm(*{x.d for _, x in items})
     return {k: (x.a * (den // x.d), x.b * (den // x.d)) for k, x in items}, den
 
 
@@ -59,17 +61,57 @@ def integer_terms(terms) -> tuple[list, int]:
 
 def basis(dim: int) -> list:
     """The basis e_0, ..., e_{dim-1} as the dense vectors that
-    ``table_product``, ``Matrix.apply`` and ``Matrix.bilinear`` take."""
+    ``table_product``, ``apply`` and ``bilinear`` take."""
     return [vec([int(k == i) for k in range(dim)]) for i in range(dim)]
+
+
+def _dot(row: dict, w: dict) -> tuple:
+    """sum_j row[j] w[j] for a numerator row and a Gaussian-integer vector."""
+    re = im = 0
+    for j, (p, q) in row.items():
+        z = w.get(j)
+        if z is not None:
+            re += p * z[0] - q * z[1]
+            im += p * z[1] + q * z[0]
+    return re, im
+
+
+def apply(m: Matrix, y) -> tuple:
+    """m y for a dense vector y, summed on m's numerator rows."""
+    if len(y) != m.cols:
+        raise DimensionError("matrix-vector length mismatch")
+    w, den = cleared(y)
+    den *= m.den
+    out = [ZERO] * m.rows
+    for i, row in m.num.items():
+        re, im = _dot(row, w)
+        if re or im:
+            out[i] = GaussianRational(re, im, den)
+    return tuple(out)
+
+
+def bilinear(m: Matrix, x, y) -> GaussianRational:
+    """x^T m y for dense vectors x and y, summed on m's numerator rows."""
+    if len(x) != m.rows or len(y) != m.cols:
+        raise DimensionError("bilinear form argument length mismatch")
+    (u, du), (w, dw) = cleared(x), cleared(y)
+    re = im = 0
+    for i, (a, b) in u.items():
+        row = m.num.get(i)
+        if row:
+            p, q = _dot(row, w)
+            re += a * p - b * q
+            im += a * q + b * p
+    return GaussianRational(re, im, du * dw * m.den)
 
 
 def triple_product(t, x, y, z) -> tuple:
     """[x, y, z] = d_{x,y}(z) in the triple system t, for dense vectors, with
     d_{x,y} = sum x_i y_j d_{e_i, e_j}."""
-    return combination((
+    return apply(combination((
         (xi * yj, t.dmat(i, j))
         for i, xi in enumerate(x) if xi for j, yj in enumerate(y) if yj
-    ), t.dim).apply(z)
+    ), t.dim), z)
 
 
 def independent_mod_p(vectors) -> bool:

@@ -6,7 +6,7 @@ from symtriple.composition import KINDS, build_composition
 from symtriple.linalg import table_product
 from symtriple.scalars import ONE, ZERO, qi
 
-from conftest import basis
+from conftest import apply, basis, bilinear
 
 
 def probe_set(c):
@@ -32,23 +32,23 @@ def test_unital(algebra):
 def test_conjugation_involution_and_norm(algebra):
     # x conj(x) = n(x) 1 with n(x) = N(x, x)
     for x in probe_set(algebra):
-        assert algebra.conj.apply(algebra.conj.apply(x)) == x
-        n = algebra.norm_gram.bilinear(x, x)
-        assert mul(algebra, x, algebra.conj.apply(x)) == tuple(n * u for u in algebra.unit)
+        assert apply(algebra.conj, apply(algebra.conj, x)) == x
+        n = bilinear(algebra.norm_gram, x, x)
+        assert mul(algebra, x, apply(algebra.conj, x)) == tuple(n * u for u in algebra.unit)
 
 
 def test_trace_identity(algebra):
     # x + conj(x) = t(x) 1 with t(x) = 2 N(x, 1)
     for x in probe_set(algebra):
-        s = tuple(a + b for a, b in zip(x, algebra.conj.apply(x)))
-        t = 2 * algebra.norm_gram.bilinear(x, algebra.unit)
+        s = tuple(a + b for a, b in zip(x, apply(algebra.conj, x)))
+        t = 2 * bilinear(algebra.norm_gram, x, algebra.unit)
         assert s == tuple(t * u for u in algebra.unit)
 
 
 def test_norm_multiplicative(algebra):
     # quadratic in each slot, so values on e_i and e_i + e_j pin it down;
     # the probe set covers exactly those.
-    n = lambda x: algebra.norm_gram.bilinear(x, x)
+    n = lambda x: bilinear(algebra.norm_gram, x, x)
     probes = probe_set(algebra)
     for x in probes:
         for y in probes:
@@ -74,8 +74,8 @@ def test_binarion_idempotents():
 def test_quaternion_conjugate_is_adjugate():
     q = build_composition("quaternion")
     e = basis(4)
-    assert q.conj.apply(e[0]) == e[3]
-    assert q.conj.apply(e[1]) == tuple(-x for x in e[1])
+    assert apply(q.conj, e[0]) == e[3]
+    assert apply(q.conj, e[1]) == tuple(-x for x in e[1])
 
 
 def test_zorn_hand_product():
@@ -85,9 +85,9 @@ def test_zorn_hand_product():
     expect = tuple(-ONE if i == 7 else ZERO for i in range(8))
     assert mul(z, e[2], e[3]) == expect
     # and the norm pairing: n(p) = 0, n(u_i) = 0, bilinear n(p, q) = 1/2
-    assert z.norm_gram.bilinear(e[0], e[0]) == ZERO
-    assert z.norm_gram.bilinear(e[0], e[1]) == qi("1/2")
-    assert z.norm_gram.bilinear(e[2], e[5]) == qi("-1/2")
+    assert bilinear(z.norm_gram, e[0], e[0]) == ZERO
+    assert bilinear(z.norm_gram, e[0], e[1]) == qi("1/2")
+    assert bilinear(z.norm_gram, e[2], e[5]) == qi("-1/2")
 
 
 def test_unknown_kind_rejected():

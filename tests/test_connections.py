@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import pytest
 
@@ -18,7 +19,7 @@ from symtriple.connections import (
 from symtriple.linalg import Matrix, combination
 from symtriple.scalars import HALF, ONE, ZERO, qi
 
-from conftest import LIGHT_CASES, basis, curvature, curvature_pairs, scalars
+from conftest import LIGHT_CASES, apply, basis, bilinear, curvature, curvature_pairs, scalars
 
 EPS2 = ((0, 1), (-1, 0))  # <e_a, e_b> on the auxiliary plane
 
@@ -69,10 +70,10 @@ def test_levi_civita_values(model_cache):
     md = model.m_dim
     e = basis(md)
     xi, odd = e[:3], e[3]
-    assert lc[0].apply(odd) == (ZERO,) * md
-    assert lc[0].apply(xi[1]) == xi[2]  # (1/2)[xi1, xi2]
+    assert apply(lc[0], odd) == (ZERO,) * md
+    assert apply(lc[0], xi[1]) == xi[2]  # (1/2)[xi1, xi2]
     # alpha(a (x) x, xi) = [a (x) x, xi]_m = -xi(a) (x) x; xi1(e1) = i e1
-    assert lc[3].apply(xi[0]) == tuple(
+    assert apply(lc[3], xi[0]) == tuple(
         qi("-i") if i == 3 else ZERO for i in range(md)
     )
 
@@ -82,10 +83,10 @@ def test_alpha_o_values(model_cache):
     ao = torsion_part(model, 1, ZERO3).ops
     md = model.m_dim
     e = basis(md)
-    assert ao[0].apply(e[1]) == e[2]
-    assert ao[1].apply(e[0]) == tuple(-c for c in e[2])
-    assert ao[0].apply(e[4]) == (ZERO,) * md
-    assert ao[3].apply(e[4]) == (ZERO,) * md
+    assert apply(ao[0], e[1]) == e[2]
+    assert apply(ao[1], e[0]) == tuple(-c for c in e[2])
+    assert apply(ao[0], e[4]) == (ZERO,) * md
+    assert apply(ao[3], e[4]) == (ZERO,) * md
 
 
 def test_alpha_rs_values(model_cache):
@@ -94,18 +95,18 @@ def test_alpha_rs_values(model_cache):
     e = basis(md)
     xi, x = e[:3], e[3]
     a11 = torsion_part(model, 0, unit3(1, 1)).ops
-    assert a11[3].apply(xi[0]) == model.phi(1).apply(x)
-    assert a11[0].apply(x) == tuple(-c for c in model.phi(1).apply(x))
-    assert a11[0].apply(xi[1]) == tuple(-c for c in xi[2])
+    assert apply(a11[3], xi[0]) == apply(model.phi(1), x)
+    assert apply(a11[0], x) == tuple(-c for c in apply(model.phi(1), x))
+    assert apply(a11[0], xi[1]) == tuple(-c for c in xi[2])
     a12 = torsion_part(model, 0, unit3(1, 2)).ops
-    assert a12[0].apply(xi[1]) == (ZERO,) * md  # r != s kills the vertical part
-    assert a12[3].apply(xi[0]) == model.phi(2).apply(x)
-    assert a12[3].apply(xi[1]) == (ZERO,) * md
+    assert apply(a12[0], xi[1]) == (ZERO,) * md  # r != s kills the vertical part
+    assert apply(a12[3], xi[0]) == apply(model.phi(2), x)
+    assert apply(a12[3], xi[1]) == (ZERO,) * md
     # odd-odd: alpha_rs(X, Y) = Phi_s(X, Y) xi_r
     y = e[5]
-    phi2y = model.phi(2).apply(y)
-    want = tuple(model.metric.gram.bilinear(x, phi2y) * c for c in xi[0])
-    assert a12[3].apply(y) == want
+    phi2y = apply(model.phi(2), y)
+    want = tuple(bilinear(model.metric.gram, x, phi2y) * c for c in xi[0])
+    assert apply(a12[3], y) == want
 
 
 def test_family_specializations(model_cache):
@@ -375,17 +376,17 @@ def test_wedge_normalization_cross_check(model_cache):
     md = model.m_dim
     e = basis(md)
     gram = model.metric.gram
-    gv = gram.bilinear
+    gv = partial(bilinear, gram)
     for r in range(1, 4):
         for s in range(1, 4):
             ars = torsion_part(model, 0, unit3(r, s)).ops
             phi_s = model.phi(s)
 
             def phi2(u, w):
-                return gv(u, phi_s.apply(w))
+                return gv(u, apply(phi_s, w))
 
             for i, j, k in itertools.product(range(md), repeat=3):
-                lhs = gv(ars[i].apply(e[j]), e[k])
+                lhs = gv(apply(ars[i], e[j]), e[k])
                 rhs = (
                     gram[r - 1, i] * phi2(e[j], e[k])
                     + gram[r - 1, j] * phi2(e[k], e[i])
@@ -400,7 +401,7 @@ def test_wedge_normalization_cross_check(model_cache):
             - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
             + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
         )
-        assert gv(ao[i].apply(e[j]), e[k]) == det
+        assert gv(apply(ao[i], e[j]), e[k]) == det
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +513,7 @@ def skew_closed_form(model, i, j, canonical):
     if eps:
         if canonical:
             d = model.triple.dmat(k, l)
-            for r, cv in scalars(model.inder.coords_of(d), d.den).items():
+            for r, cv in scalars(model.inder.coords_of(d.flatten()), d.den).items():
                 add_matrix(out, -eps * cv, model.ad_m_inder(r))
         else:
             for c in range(2):

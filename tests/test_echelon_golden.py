@@ -42,7 +42,7 @@ def _echelon_record(family, param, connection_cache):
         record[name] = _rows(algebra)
         if name != "levi-civita":
             record[f"center {name}"] = _rows(center_of(algebra))
-    record["inder"] = _rows(model.inder.space)
+    record["inder"] = _rows(model.inder)
     record["metric inverse"] = sorted(
         [i, j, str(x)] for i, j, x in model.metric.inverse().entries()
     )

@@ -9,12 +9,13 @@ from symtriple.enveloping import (
 )
 from symtriple.errors import ValidationError
 from symtriple.linalg import (
-    Matrix, bracket_closure, combination, comm, lie_generators, numerators, rank, trace_product,
+    Matrix, bracket_closure, combination, comm, lie_generators, matrices_of, numerators, rank,
+    trace_product,
 )
 from symtriple.scalars import HALF, ONE, ZERO, GaussianRational, qi
 from symtriple.triples import SymplecticTripleSystem, build_symplectic_type, inder_basis
 
-from conftest import LIGHT_CASES, basis, scalar_table, scalars
+from conftest import LIGHT_CASES, apply, basis, scalar_table, scalars
 
 ENVELOPING_DIMS = {
     ("symplectic", 1): 10,  # sp(4)
@@ -56,9 +57,8 @@ def test_inder_acts_on_odd(model_cache):
     # [d, e_a (x) t_k] = e_a (x) d(t_k)
     model = model_cache("symplectic", 2)
     L = model.algebra
-    h, td = L.h_dim, L.t_dim
-    for r in range(h):
-        dmat = model.inder.mats[r]
+    td = L.t_dim
+    for r, dmat in enumerate(matrices_of(model.inder)):
         for a in range(2):
             for k in range(td):
                 got = scalars(L.bracket_basis(3 + r, L.odd_index(a, k)), L.den)
@@ -79,13 +79,13 @@ def test_odd_odd_bracket(model_cache):
         for l in range(L.t_dim):
             hpart = model.m_bracket_h(3 + k, 3 + L.t_dim + l)
             d = t.dmat(k, l)
-            assert scalars(hpart, L.den) == scalars(model.inder.coords_of(d), d.den)
+            assert scalars(hpart, L.den) == scalars(model.inder.coords_of(d.flatten()), d.den)
 
 
 def _direct_ad_m_inder(model, r):
     """ad(d_r) on m from the matrix of d_r: e_a (x) t_k -> e_a (x) d_r(t_k)."""
     td = model.algebra.t_dim
-    dmat = model.inder.mats[r]
+    dmat = matrices_of(model.inder)[r]
     data = {}
     for a in range(2):
         base = 3 + a * td
@@ -430,10 +430,10 @@ def test_phi_relations(model_cache):
     model = model_cache("exceptional", "scalar")
     xi = basis(model.m_dim)[:3]
     zero = tuple([ZERO] * model.m_dim)
-    assert model.phi(1).apply(xi[1]) == xi[2]
-    assert model.phi(2).apply(xi[2]) == xi[0]
+    assert apply(model.phi(1), xi[1]) == xi[2]
+    assert apply(model.phi(2), xi[2]) == xi[0]
     for i in (1, 2, 3):
-        assert model.phi(i).apply(xi[i - 1]) == zero
+        assert apply(model.phi(i), xi[i - 1]) == zero
     # phi_k = phi_i . phi_j - eta_j (x) xi_i for even permutations
     for (i, j, k) in [(1, 2, 3), (2, 3, 1), (3, 1, 2)]:
         # eta_j = g(xi_j, .) is row j - 1 of the Gram matrix

@@ -10,6 +10,7 @@ from symtriple import connections, holonomy, linalg
 from symtriple.connections import (
     Connection, NomizuMap, _block_ops, alpha_family, connection_by_name, is_metric,
 )
+from symtriple.enveloping import build_model
 from symtriple.errors import DimensionError
 from symtriple.families import (
     expected_hol_levi_civita,
@@ -460,16 +461,19 @@ def test_certified_member_builds_no_curvature_matrix(model_cache, monkeypatch):
 
 
 def test_closure_and_center_images_build_no_matrix(connection_cache, triple_cache, monkeypatch):
-    # closure, center and identity (3) generator images go through
-    # linalg.ad_flat on flat vectors; with linalg.comm refused wherever it is
-    # imported, the models built beforehand give the same results
-    conns = [connection_cache(family, param, name) for family, param in (
-        ("symplectic", 1), ("special", 1)) for name in ("distinguished", "canonical")]
+    # closure, center and identity (3) generator images and g(T)'s h-h
+    # brackets go through linalg.ad_flat on flat vectors; with linalg.comm
+    # refused wherever it is imported, the same results and g(T) tables come out
+    cases = (("symplectic", 1), ("special", 1))
+    conns = [connection_cache(family, param, name)
+             for family, param in cases for name in ("distinguished", "canonical")]
     T = triple_cache("exceptional", "scalar")
+    triples = [triple_cache(*case) for case in cases] + [T]
 
     def results():
         hol = [holonomy_algebra(conn) for conn in conns]
-        return [(r.algebra, r.center_dim) for r in hol], verify_axioms(T)
+        tables = [(L.den, L.table) for L in (build_model(t).algebra for t in triples)]
+        return [(r.algebra, r.center_dim) for r in hol], verify_axioms(T), tables
 
     want = results()
 

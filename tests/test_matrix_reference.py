@@ -22,7 +22,7 @@ from symtriple.errors import ValidationError
 from symtriple.linalg import Matrix, combination, comm_minus, inverse, trace_product
 from symtriple.scalars import GaussianRational, ZERO
 
-from conftest import integer_terms
+from conftest import apply, bilinear, integer_terms
 
 Z = (Fraction(0), Fraction(0))
 
@@ -175,8 +175,8 @@ def test_vector_maps_match_reference(data):
     y = tuple(data.draw(_cells) for _ in range(cols))
     dm = dense(m)
     want = [_sum(_mul(dm[i][j], _pair(y[j])) for j in range(cols)) for i in range(rows)]
-    assert [_pair(v) for v in m.apply(y)] == want
-    assert _pair(m.bilinear(x, y)) == _sum(_mul(_pair(x[i]), want[i]) for i in range(rows))
+    assert [_pair(v) for v in apply(m, y)] == want
+    assert _pair(bilinear(m, x, y)) == _sum(_mul(_pair(x[i]), want[i]) for i in range(rows))
 
 
 @settings(max_examples=60)

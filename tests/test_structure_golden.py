@@ -18,7 +18,7 @@ from symtriple.families import ALL_LIGHT_TABLE_CASES
 from symtriple.jordan import build_jordan
 from symtriple.linalg import table_product
 
-from conftest import LIGHT_CASES, basis, scalar_table
+from conftest import apply, basis, bilinear, scalar_table
 
 
 def _digest(obj) -> str:
@@ -35,7 +35,7 @@ def _composition_record(kind):
     return {
         "mul": [[i, j, _strs(table_product(c.mul, c.mul_den, e[i], e[j]))]
                 for i in range(c.dim) for j in range(c.dim)],
-        "conj": [[i, _strs(c.conj.apply(e[i]))] for i in range(c.dim)],
+        "conj": [[i, _strs(apply(c.conj, e[i]))] for i in range(c.dim)],
     }
 
 
@@ -44,7 +44,7 @@ def _jordan_record(kind):
     e = basis(J.dim)
     pairs = [(i, j) for i in range(J.dim) for j in range(J.dim)]
     return {
-        "t": [[i, j, str(J.trace_form.bilinear(e[i], e[j]))] for i, j in pairs],
+        "t": [[i, j, str(bilinear(J.trace_form, e[i], e[j]))] for i, j in pairs],
         "cross": [[i, j, _strs(table_product(J.cross_table, J.cross_den, e[i], e[j]))]
                   for i, j in pairs],
         "linearized_cross": [[i, j, _strs(J.linearized_cross(e[i], e[j]))] for i, j in pairs],
@@ -138,6 +138,20 @@ MODEL_DIGESTS = {
         "85da17c715d3a0c5e2ac83104324d4cbb4415dcb36e99ecde8e7e447ff821708",
     ("exceptional", "scalar"):
         "707887de19ac74a9eb1ad5c9bdd5f9b2c8e80153f7fca9fa361df6e9b2755a0e",
+    ("symplectic", 3):
+        "6fc5f09c919c7bcdd2cc2af5665608dde15f907a6fceccb6daf33523f812f133",
+    ("special", 3):
+        "825186df6b4171fb7241f9f42587dd99d5fbcddce080041840283bae8008eb1a",
+    ("orthogonal", 5):
+        "acfcb832a2aea8446206e89bc6c1cac1ba6a2ac00b490edb5458a35a6cdf2273",
+    ("exceptional", "unarion"):
+        "c717b3283062a61a768162c79b8cad371e6455ded1dfe7245b635f27891e7ab4",
+    ("exceptional", "binarion"):
+        "edaa9af111711e07978ffd16f1349c7abdb8d3ad41dc4220cbdc14a33b718725",
+    ("exceptional", "quaternion"):
+        "4d7a70efb21c5e38adb2f065e141a2ec85737feef5f26d17bef0369e33c2264f",
+    ("exceptional", "octonion"):
+        "1aa2c20f7fa1c30260e0fc1d594c84b1113ca9e9191608f6a6ba7fda391ff528",
 }
 
 HEAVY_TRIPLES = (("exceptional", "binarion"), ("exceptional", "quaternion"), ("exceptional", "octonion"))
@@ -161,6 +175,9 @@ def test_triple_digest(case, triple_cache):
     assert _digest(_triple_record(triple_cache(*case))) == TRIPLE_DIGESTS[case]
 
 
-@pytest.mark.parametrize("case", LIGHT_CASES)
+@pytest.mark.parametrize("case", [
+    *ALL_LIGHT_TABLE_CASES,
+    *(pytest.param(c, marks=pytest.mark.heavy) for c in HEAVY_TRIPLES),
+])
 def test_model_digest(case, model_cache):
     assert _digest(_model_record(model_cache(*case))) == MODEL_DIGESTS[case]
