@@ -13,9 +13,9 @@ For a metric connection it sits inside so(m, g), of dimension m(m-1)/2, the
 number of R(e_i, e_j) with i < j: if they are independent, which the
 certificate proves in F_P from alpha, g and the bracket table, they span
 so(m, g).  Otherwise (dependent R(e_i, e_j), or an unlucky prime) the
-closure runs, with dim so(m, g) as its early exit, on the Gaussian-integer
-multiples of R(e_i, e_j) that ``connections.curvature_numerators`` gives,
-over denominator 1.  Neither path builds a reduced curvature ``Matrix``.
+closure runs, with dim so(m, g) as its early exit, on the flat Gaussian-
+integer multiples of R(e_i, e_j) that ``connections.curvature_vectors``
+yields, read lazily.  Neither path builds a curvature ``Matrix``.
 
 ``ricci`` contracts Ric[j, k] = sum_i R(e_i, e_j)[i, k] straight from the
 Nomizu map, about m vector-operator products instead of the m(m-1)
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import lcm
 
-from .connections import Connection, connection_by_name, curvature_numerators, metric_products
+from .connections import Connection, connection_by_name, curvature_vectors, metric_products
 from .enveloping import HomogeneousModel, build_model
 from .errors import DimensionError, ValidationError
 from .linalg import (Matrix, Subspace, add_numerators, bracket_closure, center_of,
@@ -79,13 +79,10 @@ def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyR
     so_dim = model.so_dim()
     if metric and _certifies_so(conn, g_ops):
         algebra = so_algebra(model)
-    elif gens := [r for i in range(md) for j in range(i + 1, md) if not (
-            r := Matrix.from_numerators(md, md, curvature_numerators(model, conn.alpha, i, j)[0])
-    ).is_zero()]:
-        multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
-        algebra = bracket_closure(gens, multipliers, stop_dim=so_dim if metric else None)
     else:
-        algebra = Subspace(md * md)
+        gens = (v for _, v, _ in curvature_vectors(model, conn.alpha))
+        multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
+        algebra = bracket_closure(gens, multipliers, md, so_dim if metric else None)
     center = center_of(algebra).dim if compute_center else None
     return HolonomyResult(
         label=conn.label,

@@ -5,21 +5,19 @@ one positive denominator, in canonical form, the representation of FLINT's
 ``fmpq_mat``.  Its products, ``@``, ``comm_minus``, ``combination`` and
 ``trace_product``, scale every part to one common denominator, sum on plain
 ints and reduce each result once, with one gcd over the matrix.
-``comm_minus_numerators`` returns the summed numerators and their
-denominator unreduced, which a span reads as they are: the curvature
-operators are read that way.
 ``GaussianRational`` values are built only at the edge, by ``__getitem__``,
 ``row`` and ``entries``; a ``Matrix`` has no dense-vector evaluator.
 ``flatten`` and ``from_flat`` only remap indices: the flattening is a
 sparse Gaussian-integer vector, the matrix times its denominator.
 ``ad_flat(a)`` maps such a flattening of X to that of a.den [a, X],
-summed on plain ints: closures, centers and g(T)'s h-h brackets take
-their commutators through it, so none of those is built as a ``Matrix``,
-and no pipeline stage calls ``comm``.  A ``Matrix`` is not changed once
-built.  Every structure-constant table, from the composition algebras
-upward, is held the same way, sparse Gaussian-integer columns over one
-denominator per table: ``numerators`` and ``canonical`` bring a table to
-that form, and ``add_numerators`` sums on it.  ``table_product``
+summed on plain ints: closures, centers, curvature operators,
+admissibility residues and g(T)'s h-h brackets take their commutators
+through it, so none is built as a ``Matrix``, and no pipeline stage calls
+``comm``.  A ``Matrix`` is not changed once built.  Every structure-
+constant table, from the composition algebras upward, is held the same
+way, sparse Gaussian-integer columns over one denominator per table:
+``numerators`` and ``canonical`` bring a table to that form, and
+``add_numerators`` sums on it.  ``table_product``
 evaluates such a table on dense elements; no pipeline stage does, only
 ``CubicJordan.linearized_cross`` and the tests.
 
@@ -56,7 +54,6 @@ __all__ = [
     "add_numerators",
     "table_product",
     "comm_minus",
-    "comm_minus_numerators",
     "ad_flat",
     "combination",
     "rank",
@@ -348,17 +345,6 @@ def comm_minus(a: Matrix, b: Matrix, terms: Iterable, den: int = 1) -> Matrix:
     if not (a.cols == b.rows == b.cols == n):
         raise DimensionError("comm_minus needs square matrices of one size")
     return Matrix.from_numerators(n, n, *_assemble(n, n, ((1, a, b), (-1, b, a)), terms, den, -1))
-
-
-def comm_minus_numerators(a: Matrix, b: Matrix, terms: Iterable, den: int = 1) -> tuple[dict, int]:
-    """``comm_minus`` before its canonical form: the summed numerator rows
-    ``{i: {j: (re, im)}}`` and their denominator.  The rows may hold zeros
-    and share a factor with the denominator; a caller that needs only the
-    span of such matrices, not their values, skips the reduction."""
-    n = a.rows
-    if not (a.cols == b.rows == b.cols == n):
-        raise DimensionError("comm_minus needs square matrices of one size")
-    return _assemble(n, n, ((1, a, b), (-1, b, a)), terms, den, -1)
 
 
 def combination(terms: Iterable, n: int) -> Matrix:
@@ -861,31 +847,22 @@ def lie_generators(candidates: Sequence[dict], act, ambient: int, weights: Seque
     return gens
 
 
-def bracket_closure(
-    gens: Sequence[Matrix],
-    multipliers: Sequence[Matrix],
-    stop_dim: int | None = None,
-) -> Subspace:
-    """Smallest subspace containing ``gens`` and invariant under [mu, .] for
-    each multiplier mu, by ``close_under`` on the flattened matrices.  Each
-    image is ``ad_flat(mu)`` of a flat vector, one map per multiplier,
-    scaled by mu.den, which does not change the span.
+def bracket_closure(gens: Iterable[dict], multipliers: Sequence[Matrix], side: int,
+                    stop_dim: int | None = None) -> Subspace:
+    """Smallest subspace of flattened side x side matrices containing
+    ``gens`` and invariant under [mu, .] for each multiplier mu, by
+    ``close_under``.  The generators are sparse Gaussian-integer vectors,
+    the format ``Subspace.insert`` takes, read lazily; each image is
+    ``ad_flat(mu)`` of one, scaled by mu.den, which does not change the span.
 
-    ``bracket_closure(S, S)`` is the Lie algebra generated by S, since the
-    right-normed brackets [s_1, [s_2, ..., [s_k-1, s_k]]] span it.
-    ``stop_dim`` is that of ``close_under``.
+    With S both the generators and the multipliers, this is the Lie algebra
+    generated by S, since the right-normed brackets [s_1, [s_2, ..., [s_k-1,
+    s_k]]] span it.  ``stop_dim`` is that of ``close_under``.
     """
-    sizes = {m.rows for m in gens} | {m.cols for m in gens}
-    sizes |= {m.rows for m in multipliers} | {m.cols for m in multipliers}
-    if len(sizes) > 1:
-        raise DimensionError("bracket_closure inputs must share one square size")
-    d = sizes.pop() if sizes else 0
-    if not gens:
-        return Subspace(d * d)
-
+    if any(mu.rows != side for mu in multipliers):
+        raise DimensionError(f"bracket_closure multipliers must be {side}x{side}")
     ads = [ad_flat(mu) for mu in multipliers]
-    return close_under(Subspace(d * d), [g.flatten() for g in gens],
-                       lambda x: (ad(x) for ad in ads), stop_dim)
+    return close_under(Subspace(side * side), gens, lambda x: (ad(x) for ad in ads), stop_dim)
 
 
 def _side(space: Subspace) -> int:

@@ -1,9 +1,13 @@
 import itertools
+import random
+from fractions import Fraction
 from functools import partial
 
 import pytest
 
+from symtriple import connections
 from symtriple.connections import (
+    Connection,
     NomizuMap,
     admissibility_failures,
     alpha_canonical,
@@ -16,7 +20,7 @@ from symtriple.connections import (
     metric_products,
     torsion_operator,
 )
-from symtriple.linalg import Matrix, combination
+from symtriple.linalg import Matrix, combination, comm_minus
 from symtriple.scalars import HALF, ONE, ZERO, qi
 
 from conftest import LIGHT_CASES, apply, basis, bilinear, curvature, curvature_pairs, scalars
@@ -545,6 +549,55 @@ def test_skew_curvature_closed_forms(family, param, connection_cache):
         model = conn.model
         for (i, j), r in curvature_pairs(conn):
             assert r == skew_closed_form(model, i, j, canonical), (name, i, j)
+
+
+def fractional_members(model, seed=3):
+    """Two seeded family members, one with B over 3 and one over 5, whose
+    operators alpha(e_i, .) carry different denominators."""
+    rng = random.Random(seed)
+    for den in (3, 5):
+        b = [[Fraction(rng.randint(-6, 6), rng.choice((1, den))) for _ in range(3)]
+             for _ in range(3)]
+        alpha = alpha_family(model, Fraction(rng.randint(-6, 6), den), b)
+        assert len({op.den for op in alpha.ops}) > 1
+        yield Connection(model, alpha)
+
+
+def curvature_reference(model, alpha, i, j) -> Matrix:
+    """R(e_i, e_j) = [A_i, A_j] - A_{[e_i, e_j]_m} - ad_m([e_i, e_j]_h) by
+    Matrix arithmetic, A_k = alpha(e_k, .)."""
+    ops = alpha.ops
+    return comm_minus(ops[i], ops[j], [
+        *((z, ops[k]) for k, z in model.m_bracket_m(i, j).items()),
+        *((z, model.ad_m_inder(t)) for t, z in model.m_bracket_h(i, j).items()),
+    ], model.algebra.den)
+
+
+@pytest.mark.parametrize("family,param", LIGHT_CASES)
+def test_curvature_vectors_match_curvature(family, param, connection_cache):
+    # each flat vector over its denominator is R(e_i, e_j), as Matrix
+    # arithmetic and connections.curvature give it, for i < j, i > j and
+    # i = j; a pair is skipped exactly where R(e_i, e_j) = 0
+    model = connection_cache(family, param, "levi-civita").model
+    md = model.m_dim
+    conns = [*(connection_cache(family, param, name)
+               for name in ("levi-civita", "distinguished", "canonical", "zero")),
+             *fractional_members(model)]
+    pairs = list(itertools.product(range(md), repeat=2))
+    skipped = 0
+    for conn in conns:
+        got = {ij: Matrix.from_flat(v, md, md, den)
+               for ij, v, den in connections.curvature_vectors(model, conn.alpha, pairs)}
+        for i, j in pairs:
+            want = curvature_reference(model, conn.alpha, i, j)
+            assert ((i, j) in got) == (not want.is_zero()), (conn.label, i, j)
+            assert got.get((i, j), want) == want, (conn.label, i, j)
+            assert connections.curvature(model, conn.alpha, i, j) == want, (conn.label, i, j)
+            skipped += want.is_zero() and i != j
+        # by default the pairs i < j, in order
+        default = [ij for ij, _, _ in connections.curvature_vectors(model, conn.alpha)]
+        assert default == [(i, j) for i, j in got if i < j], conn.label
+    assert skipped
 
 
 @pytest.mark.parametrize("family,param", LIGHT_CASES)

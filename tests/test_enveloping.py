@@ -186,7 +186,7 @@ def _assert_generators_fill(L, n_gens, dim):
     gens = _algebra_generators(L)
     assert (len(gens), L.dim) == (n_gens, dim)
     ads = [L.ad(s) for s in gens]
-    closure = bracket_closure(ads, ads)
+    closure = bracket_closure([m.flatten() for m in ads], ads, L.dim)
     assert all(closure.contains(L.ad(i).flatten()) for i in range(L.dim))
 
 
@@ -233,7 +233,7 @@ def test_inder_generators(family, param, n_gens, h_dim, triple_cache):
         [m.nnz() for m in dmats],
     )
     assert (len(gens), inder_basis(t).dim) == (n_gens, h_dim)
-    closure = bracket_closure([dmats[s] for s in gens], [dmats[s] for s in gens])
+    closure = bracket_closure([dmats[s].flatten() for s in gens], [dmats[s] for s in gens], d)
     assert closure.dim == h_dim
     assert all(closure.contains(m.flatten()) for m in dmats)
 

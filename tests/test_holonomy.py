@@ -198,15 +198,19 @@ def certifies_so(conn) -> bool:
 
 
 def reference_vectors(conn):
-    """The exact path to the so(m, g) certificate's vectors: the numerators
-    N of each R(e_i, e_j), i < j, from ``curvature_numerators``, and the
-    upper triangle of g N on Gaussian integers, keyed a * m + c."""
+    """The exact path to the so(m, g) certificate's vectors: the flat
+    Gaussian-integer multiple N of each R(e_i, e_j), i < j, from
+    ``curvature_vectors`` (zero where it yields none), and the upper
+    triangle of g N on Gaussian integers, keyed a * m + c."""
     model = conn.model
     md = model.m_dim
     g = model.metric.gram.num
+    flat = {ij: v for ij, v, _ in connections.curvature_vectors(model, conn.alpha)}
     for i in range(md):
         for j in range(i + 1, md):
-            num = connections.curvature_numerators(model, conn.alpha, i, j)[0]
+            num: dict = {}  # N as rows {b: {c: (re, im)}}
+            for p, z in flat.get((i, j), {}).items():
+                num.setdefault(p // md, {})[p % md] = z
             v: dict = {}
             for a, grow in g.items():
                 for b, (gx, gy) in grow.items():
@@ -265,10 +269,10 @@ def test_certified_members_build_no_curvature_numerators(family, param, connecti
     conns = [connection_cache(family, param, "levi-civita"), *_seeded_members(model, 5)]
 
     def refuse(*args):
-        raise AssertionError("curvature numerators built on the certified path")
+        raise AssertionError("curvature vectors built on the certified path")
 
-    monkeypatch.setattr(connections, "curvature_numerators", refuse)
-    monkeypatch.setattr(holonomy, "curvature_numerators", refuse)
+    monkeypatch.setattr(connections, "curvature_vectors", refuse)
+    monkeypatch.setattr(holonomy, "curvature_vectors", refuse)
     for conn in conns:
         assert holonomy_algebra(conn, compute_center=False).contains_so
 
@@ -281,7 +285,8 @@ def test_certificate_declines_on_a_denominator_divisible_by_p(model_cache, monke
     conn = Connection(model, alpha_family(model, Fraction(2, 5), b))
     gens = [r for _, r in curvature_pairs(conn) if not r.is_zero()]
     multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
-    want = bracket_closure(gens, multipliers, model.so_dim())
+    want = bracket_closure([r.flatten() for r in gens], multipliers, model.m_dim,
+                           model.so_dim())
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "MODULUS", (5, 2))
         assert any(op.den % 5 == 0 for op in conn.alpha.ops)
@@ -318,7 +323,8 @@ def test_heavy_e6_certificate_matches_closure(model_cache):
                  Connection(model, alpha_family(model, Fraction(1, 2), b))):
         gens = [r for _, r in curvature_pairs(conn) if not r.is_zero()]
         multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
-        want = bracket_closure(gens, multipliers, model.so_dim())
+        want = bracket_closure([r.flatten() for r in gens], multipliers, model.m_dim,
+                               model.so_dim())
         res = holonomy_algebra(conn, compute_center=False)
         assert res.algebra.rows == want.rows and res.dim == 903
 
@@ -433,9 +439,9 @@ def test_heavy_ricci_matches_row_sum_reference(family, param, connection_cache):
 
 
 def test_certified_member_builds_no_curvature_matrix(model_cache, monkeypatch):
-    # Ricci and the so(m, g) certificate of a generic member read alpha and
-    # the unreduced curvature numerators only, and so does the closure that
-    # runs when the certificate declines (distinguished, canonical, zero)
+    # Ricci and the so(m, g) certificate of a generic member read alpha
+    # only, and the closure that runs when the certificate declines
+    # (distinguished, canonical, zero) reads the flat curvature vectors
     model = model_cache("special", 2)
     conn = next(_seeded_members(model, 5))
     closed = [connection_by_name(model, name) for name in ("distinguished", "canonical", "zero")]
@@ -455,7 +461,8 @@ def test_certified_member_builds_no_curvature_matrix(model_cache, monkeypatch):
     for c, got in zip(closed, results):
         gens = [r for _, r in curvature_pairs(c) if not r.is_zero()]
         multipliers = [op for op in c.alpha.ops if not op.is_zero()]
-        want = bracket_closure(gens, multipliers, model.so_dim())
+        want = bracket_closure([r.flatten() for r in gens], multipliers, model.m_dim,
+                               model.so_dim())
         assert got.algebra.rows == want.rows, c.label
     assert all(check.matches for check in checks)
 

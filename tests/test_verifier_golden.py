@@ -7,17 +7,19 @@ implemented.  Each report is serialized to JSON and pinned by its sha256.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from symtriple import enveloping, triples
 from symtriple.connections import NomizuMap, admissibility_failures, alpha_levi_civita
 from symtriple.enveloping import GradedLieAlgebra, verify_jacobi
-from symtriple.linalg import Matrix, numerators
+from symtriple.linalg import Matrix, comm_minus, numerators
 from symtriple.scalars import ONE, qi
 from symtriple.triples import check_witnesses, verify_axioms
 
 from conftest import scalar_table
+from test_connections import fractional_members
 from test_triples import _mutated
 
 
@@ -87,6 +89,40 @@ def test_admissibility_detects_bumped_entry(model_cache):
     failures = admissibility_failures(model, NomizuMap(ops, "bumped"))
     assert failures == [(1, 4)]
     assert not admissibility_failures(model, alpha)
+
+
+def admissibility_reference(model, alpha) -> list:
+    """The first (t, i) at which [ad_m(d_t), A_i] - sum_l d_t(e_i)_l A_l,
+    A_i = alpha(e_i, .), is not zero, by Matrix arithmetic over all pairs."""
+    for t in range(model.h_dim):
+        d = model.ad_m_inder(t)
+        cols = d.transpose().num  # cols[i] = d(e_i), over d.den
+        for i, a in enumerate(alpha.ops):
+            terms = [(z, alpha.ops[l]) for l, z in cols.get(i, {}).items()]
+            if not comm_minus(d, a, terms, d.den).is_zero():
+                return [(t, i)]
+    return []
+
+
+def test_admissibility_with_mixed_denominators(model_cache):
+    # members whose operators carry different denominators, each operator
+    # in turn bumped by 1/3 at its first entry: the flat residues report
+    # the first witness of the Matrix loop
+    model = model_cache("orthogonal", 3)
+    md = model.m_dim
+    found = set()
+    for conn in fractional_members(model):
+        ops = conn.alpha.ops
+        assert admissibility_failures(model, conn.alpha) == []
+        for k in range(md):
+            i, j, _ = min(ops[k].entries())
+            bumped = [*ops[:k], ops[k] + Matrix(md, md, {i: {j: qi(Fraction(1, 3))}}),
+                      *ops[k + 1:]]
+            alpha = NomizuMap(bumped, f"{conn.label} bumped at {k}")
+            failures = admissibility_failures(model, alpha)
+            assert failures == admissibility_reference(model, alpha), alpha.label
+            found.update(failures)
+    assert len(found) > 3
 
 
 def test_check_witnesses_stops():
