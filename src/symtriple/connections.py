@@ -247,13 +247,17 @@ def admissibility_failures(model: HomogeneousModel, alpha: NomizuMap) -> list:
 
     With F_l the flattening of D alpha(e_l, .), D the lcm of alpha's
     denominators, the residue at (t, i) times D and ad_m(d_t)'s denominator
-    is K(F_i) - sum_l d_t(e_i)_l F_l, K = ``ad_flat(ad_m(d_t))`` built once
-    per t; it passes when every entry cancels.  All h_dim * m_dim residues
-    go through ``check_witnesses`` in ``fast`` mode.  Lie generators of h
-    found through g(T)'s bracket would certify the rest only if g(T) is a
-    Lie algebra, which this check must not assume.  Generators of ad_m(h)
-    in gl(m) are sound, but found per call they cost more than this loop,
-    on one Xeon core 0.059 s for e8's 30 against 0.032 s for its residues."""
+    is K(F_i) - sum_l d_t(e_i)_l F_l, K = ``ad_flat(ad_m(d_t))`` built at
+    most once per t, on its first nonzero F_i; it passes when every entry
+    cancels.  Where F_i = 0 and every F_l it subtracts is zero, as on the
+    odd block of the distinguished and canonical maps, the residue is zero
+    and nothing is summed.  All h_dim * m_dim residues go through
+    ``check_witnesses`` in ``fast`` mode, in (t, i) order.  Lie generators
+    of h found through g(T)'s bracket would certify the rest only if g(T)
+    is a Lie algebra, which this check must not assume.  Generators of
+    ad_m(h) in gl(m) are sound, but found per call they cost more than this
+    loop, on one Xeon core 0.059 s for e8's 30 against 0.025 s for its
+    residues."""
     den = lcm(*(op.den for op in alpha.ops))
     flats = [{p: (x * s, y * s) for p, (x, y) in op.flatten().items()}
              for op in alpha.ops for s in (den // op.den,)]
@@ -261,10 +265,13 @@ def admissibility_failures(model: HomogeneousModel, alpha: NomizuMap) -> list:
     def residues():
         for t in range(model.h_dim):
             d = model.ad_m_inder(t)
-            image = ad_flat(d)
+            image = None
             cols = d.transpose().num  # cols[i] = d(e_i), over d.den
             for i, f in enumerate(flats):
-                v = image(f)
+                v = {}
+                if f:  # K(0) = 0: a t whose residues read no nonzero F_i builds no K
+                    image = image or ad_flat(d)
+                    v = image(f)
                 for l, (x, y) in cols.get(i, {}).items():
                     add_numerators(v, -x, -y, flats[l])
                 yield (t, i), not any(x or y for x, y in v.values())

@@ -17,6 +17,12 @@ closure runs, with dim so(m, g) as its early exit, on the flat Gaussian-
 integer multiples of R(e_i, e_j) that ``connections.curvature_vectors``
 yields, read lazily.  Neither path builds a curvature ``Matrix``.
 
+The closure reads R(e_i, e_j) only for the pairs ``_spanning_pairs`` picks:
+every pair of nonzero alpha(e_i, .), and a pair with a zero one only when
+its bracket [e_i, e_j] grows a span in g.  They span what all R(e_i, e_j)
+span, so the canonical rows are the same.  The distinguished and canonical
+maps are zero on the odd block, and on e8 they read 251 of the 6,555 pairs.
+
 ``ricci`` contracts Ric[j, k] = sum_i R(e_i, e_j)[i, k] straight from the
 Nomizu map, about m vector-operator products instead of the m(m-1)
 operator products of the curvature operators.
@@ -80,7 +86,8 @@ def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyR
     if metric and _certifies_so(conn, g_ops):
         algebra = so_algebra(model)
     else:
-        gens = (v for _, v, _ in curvature_vectors(model, conn.alpha))
+        pairs = _spanning_pairs(model, conn.alpha.ops)
+        gens = (v for _, v, _ in curvature_vectors(model, conn.alpha, pairs))
         multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
         algebra = bracket_closure(gens, multipliers, md, so_dim if metric else None)
     center = center_of(algebra).dim if compute_center else None
@@ -93,6 +100,30 @@ def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyR
         so_dim=so_dim,
         metric=metric,
     )
+
+
+def _spanning_pairs(model: HomogeneousModel, ops):
+    """The pairs i < j, lazily and in order, whose R(e_i, e_j) span what
+    all of them span: each pair of nonzero operators A_i = alpha(e_i, .),
+    and each other pair whose bracket [e_i, e_j] grows the span, in one
+    ``Subspace`` of g, of the brackets of the other pairs before it.  With
+    Lambda the linear map on g that sends e_k to A_k and d_t to ad_m(d_t),
+
+        R(e_i, e_j) = [A_i, A_j] - Lambda([e_i, e_j]),
+
+    so where A_i = 0 or A_j = 0 it is -Lambda([e_i, e_j]), and the R of
+    those pairs span Lambda of the span of their brackets.  Only linearity
+    in g's coordinates is used, not the Jacobi identity."""
+    zero = [op.is_zero() for op in ops]
+    bracket, g = model.algebra.bracket_basis, model.m_to_g
+    brackets = Subspace(model.algebra.dim)
+    for i in range(len(ops)):
+        for j in range(i + 1, len(ops)):
+            if zero[i] or zero[j]:
+                b = bracket(g(i), g(j))
+                if not (b and brackets.insert(b)[1]):
+                    continue
+            yield i, j
 
 
 def _certifies_so(conn: Connection, g_ops: list) -> bool:

@@ -8,7 +8,8 @@ import pytest
 
 from symtriple import connections, holonomy, linalg
 from symtriple.connections import (
-    Connection, NomizuMap, _block_ops, alpha_family, connection_by_name, is_metric,
+    Connection, NomizuMap, _block_ops, admissibility_failures, alpha_family, connection_by_name,
+    curvature_vectors, is_metric,
 )
 from symtriple.enveloping import build_model
 from symtriple.errors import DimensionError
@@ -191,6 +192,83 @@ def test_closure_fallback_gives_the_certified_rows(family, param, connection_cac
         for conn, want in zip(conns, wants):
             assert holonomy_algebra(conn, compute_center=False).algebra == want
     assert len(closures) == len(conns)
+
+
+def _mixed_maps(model, levi_civita, distinguished):
+    """Metric maps with zero and nonzero operators: distinguished with its
+    first odd operator taken from Levi-Civita, and Levi-Civita with its
+    first vertical operator, or its whole vertical block, zeroed."""
+    lc, dist = levi_civita.alpha.ops, distinguished.alpha.ops
+    zero = Matrix(model.m_dim, model.m_dim)
+    return [NomizuMap([*dist[:3], lc[3], *dist[4:]], "distinguished, one odd operator"),
+            NomizuMap([zero, *lc[1:]], "levi-civita, first operator zeroed"),
+            NomizuMap([zero] * 3 + list(lc[3:]), "levi-civita, vertical block zeroed")]
+
+
+@pytest.mark.parametrize("family,param", LIGHT_CASES)
+def test_spanning_pairs_give_the_closure_over_every_pair(family, param, connection_cache,
+                                                          monkeypatch):
+    # where alpha(e_i, .) or alpha(e_j, .) is zero, R(e_i, e_j) is a linear
+    # image of [e_i, e_j], so the pairs whose brackets grow a span in g give
+    # the span of every R(e_i, e_j), and the closure over them the rows of
+    # the closure over every pair; the certificate is refused, so that the
+    # closure runs on each map.  Where h acts by derivations, that is the
+    # full Lie closure too; elsewhere Kostant's span need not be closed
+    # under mutual commutators
+    model = connection_cache(family, param, "levi-civita").model
+    maps = _mixed_maps(model, connection_cache(family, param, "levi-civita"),
+                       connection_cache(family, param, "distinguished"))
+    monkeypatch.setattr(holonomy, "independent_fp", lambda vectors: False)
+    admissible = 0
+    for alpha in maps:
+        conn = Connection(model, alpha)
+        assert is_metric(model, alpha)
+        flats = [r.flatten() for _, r in curvature_pairs(conn)]
+        picked = curvature_vectors(model, alpha, holonomy._spanning_pairs(model, alpha.ops))
+        assert (Subspace.span((v for _, v, _ in picked), model.m_dim ** 2)
+                == Subspace.span(flats, model.m_dim ** 2)), alpha.label
+        multipliers = [op for op in alpha.ops if not op.is_zero()]
+        every = bracket_closure(flats, multipliers, model.m_dim, model.so_dim())
+        got = holonomy_algebra(conn, compute_center=False).algebra
+        assert got == every, alpha.label
+        if not admissibility_failures(model, alpha):
+            admissible += 1
+            gens = [r for _, r in curvature_pairs(conn) if not r.is_zero()]
+            assert got == full_lie_closure(gens, multipliers, model.so_dim()), alpha.label
+    assert admissible >= 2
+
+
+@pytest.mark.parametrize("family,param", LIGHT_CASES)
+def test_closure_reads_few_curvature_pairs(family, param, connection_cache, monkeypatch):
+    # with k nonzero operators, the closure computes R(e_i, e_j) for the
+    # C(k, 2) pairs of them and for at most dim g pairs whose brackets grow
+    # a span in g, not for all m(m-1)/2
+    read = []
+
+    def counted(model, alpha, pairs):
+        pairs = list(pairs)
+        read.append(len(pairs))
+        return curvature_vectors(model, alpha, pairs)
+
+    monkeypatch.setattr(holonomy, "curvature_vectors", counted)
+    for name in ("distinguished", "canonical", "zero"):
+        conn = connection_cache(family, param, name)
+        k = sum(not op.is_zero() for op in conn.alpha.ops)
+        holonomy_algebra(conn, compute_center=False)
+        assert len(read) == 1, name
+        assert read.pop() <= conn.model.algebra.dim + k * (k - 1) // 2 < conn.model.so_dim()
+
+
+@pytest.mark.heavy
+def test_heavy_e6_named_closures_match_the_closure_over_every_pair(connection_cache):
+    for name in ("distinguished", "canonical"):
+        conn = connection_cache("exceptional", "binarion", name)
+        model = conn.model
+        gens = (v for _, v, _ in curvature_vectors(model, conn.alpha))
+        multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
+        want = bracket_closure(gens, multipliers, model.m_dim, model.so_dim())
+        res = holonomy_algebra(conn, compute_center=False)
+        assert res.algebra.rows == want.rows and res.dim == 38, name
 
 
 def certifies_so(conn) -> bool:

@@ -12,7 +12,9 @@ from fractions import Fraction
 import pytest
 
 from symtriple import enveloping, triples
-from symtriple.connections import NomizuMap, admissibility_failures, alpha_levi_civita
+from symtriple.connections import (
+    NomizuMap, admissibility_failures, alpha_canonical, alpha_distinguished, alpha_levi_civita,
+)
 from symtriple.enveloping import GradedLieAlgebra, verify_jacobi
 from symtriple.linalg import Matrix, comm_minus, numerators
 from symtriple.scalars import ONE, qi
@@ -123,6 +125,27 @@ def test_admissibility_with_mixed_denominators(model_cache):
             assert failures == admissibility_reference(model, alpha), alpha.label
             found.update(failures)
     assert len(found) > 3
+
+
+def test_admissibility_of_zero_operators_reaching_a_nonzero_one(model_cache):
+    # distinguished and canonical are zero on the odd block; with one odd
+    # operator alpha(e_k, .) set to Levi-Civita's, a residue at (t, i) fails
+    # where d_t(e_i) reaches e_k, though alpha(e_i, .) = 0, and the flat
+    # residues report the first witness of the Matrix loop
+    reached = set()
+    cases = (("symplectic", 2), ("special", 2), ("orthogonal", 3), ("exceptional", "scalar"))
+    for case in cases:
+        model = model_cache(*case)
+        lc = alpha_levi_civita(model).ops
+        for alpha in (alpha_distinguished(model), alpha_canonical(model)):
+            assert admissibility_failures(model, alpha) == []
+            for k in range(3, model.m_dim):
+                ops = [*alpha.ops[:k], lc[k], *alpha.ops[k + 1:]]
+                mixed = NomizuMap(ops, f"{alpha.label}, Levi-Civita at {k}")
+                failures = admissibility_failures(model, mixed)
+                assert failures == admissibility_reference(model, mixed), (case, mixed.label)
+                reached.update(case for _, i in failures if i != k)
+    assert reached == set(cases)
 
 
 def test_check_witnesses_stops():
