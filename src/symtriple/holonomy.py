@@ -77,7 +77,14 @@ def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyR
     The metric test is ``connections.metric_products``, whose products
     g A_i the certificate reads.  The certificate rests on one premise:
     every ad_m(d), d in h, is g-skew (g is ad(h)-invariant), so that for a
-    metric alpha each R(e_i, e_j) lies in so(m, g)."""
+    metric alpha each R(e_i, e_j) lies in so(m, g).
+
+    The result is the holonomy algebra only for an invariant connection,
+    one whose Nomizu map h acts on by derivations: only then is Kostant's
+    span a Lie algebra.  ``connections.connection_by_name`` checks this
+    with ``admissibility_failures``; a bare ``Connection(model, alpha)``
+    is not checked, here or anywhere, and for a map that fails it the
+    span returned need not be the holonomy algebra."""
     model = conn.model
     md = model.m_dim
     g_ops = metric_products(model, conn.alpha)

@@ -11,14 +11,16 @@ ints and reduce each result once, with one gcd over the matrix.
 sparse Gaussian-integer vector, the matrix times its denominator.
 ``ad_flat(a)`` maps such a flattening of X to that of a.den [a, X],
 summed on plain ints: closures, centers, curvature operators,
-admissibility residues and g(T)'s h-h brackets take their commutators
-through it, so none is built as a ``Matrix``, and no pipeline stage calls
-``comm``.  A ``Matrix`` is not changed once built.  Every structure-
-constant table, from the composition algebras upward, is held the same
-way, sparse Gaussian-integer columns over one denominator per table:
-``numerators`` and ``canonical`` bring a table to that form, and
-``add_numerators`` sums on it.  ``table_product``
-evaluates such a table on dense elements; no pipeline stage does, only
+admissibility residues, the identity (3) and Jacobi residues of the
+verifiers and g(T)'s h-h brackets take their commutators through it, so
+none is built as a ``Matrix``.  No pipeline stage calls ``comm`` or
+``comm_minus``: ``comm_minus`` is the body of ``comm`` and the tests'
+reference for those residues.  A ``Matrix`` is not changed once built.
+Every structure-constant table, from the composition algebras upward, is
+held the same way, sparse Gaussian-integer columns over one denominator
+per table: ``numerators`` and ``canonical`` bring a table to that form,
+and ``add_numerators`` sums on it.  ``table_product`` evaluates such a
+table on dense elements; no pipeline stage does, only
 ``CubicJordan.linearized_cross`` and the tests.
 
 Elimination has one routine, ``Subspace.insert``, which extends a canonical
@@ -337,9 +339,11 @@ def comm_minus(a: Matrix, b: Matrix, terms: Iterable, den: int = 1) -> Matrix:
     a Gaussian integer ``(re, im)``, such as an entry of a structure-
     constant table over its denominator ``den``.
 
-    Every derivation and curvature identity of the package has this form.
-    Both products and every term are summed into one sparse accumulator,
-    so no intermediate matrix is built.
+    Every derivation and curvature identity of the package has this form;
+    the pipeline sums each on flat vectors through ``ad_flat``, and the
+    tests check those residues against this one.  Both products and every
+    term are summed into one sparse accumulator, so no intermediate matrix
+    is built.
     """
     n = a.rows
     if not (a.cols == b.rows == b.cols == n):

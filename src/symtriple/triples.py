@@ -32,8 +32,7 @@ from math import lcm
 from .errors import DimensionError, ParseError, ValidationError
 from .jordan import CubicJordan
 from .linalg import (
-    Matrix, Subspace, ad_flat, add_numerators, canonical, comm_minus, lie_generators,
-    numerators, rank,
+    Matrix, Subspace, ad_flat, add_numerators, canonical, lie_generators, numerators, rank,
 )
 from .scalars import GaussianRational, HALF, ONE, qi
 
@@ -438,7 +437,9 @@ def verify_axioms(T: SymplecticTripleSystem, mode: str = "fast") -> AxiomReport:
     the derivations of any trilinear product form a Lie algebra.  So it is
     certified from the pairs (i, j) whose d_ij generate a Lie algebra
     containing every d_ij (``linalg.lie_generators``, sparsest first),
-    against every (l, m).
+    against every (l, m).  The certificate and the all-pairs loop sum each
+    residue on the flattenings of T.den d_ij through ``linalg.ad_flat``,
+    with no commutator ``Matrix``.
 
     Identity (4) says d_ij lies in {d : d^T omega + omega d = 0}, a Lie
     subalgebra of gl(T) for any omega; the zero d_ij lie in it.  So the same
@@ -485,26 +486,34 @@ def verify_axioms(T: SymplecticTripleSystem, mode: str = "fast") -> AxiomReport:
 
     # (3) derivation property, as the operator identity
     #     [d_ij, d_lm] = d_{d_ij(e_l), m} + d_{l, d_ij(e_m)}
+    # on the flattenings D_ij of T.den d_ij: with d_ij(e_l) = sum_p z_p e_p
+    # / T.den and d_ij(e_m) = sum_p z'_p e_p / T.den, the residue times
+    # T.den^2 is  ad_flat(D_ij)(D_lm) - sum_p z_p D_pm - sum_p z'_p D_lp
+    flat = _flat_d(T)
     pairs = [(i, j) for i in range(d) for j in range(i if axiom1_ok else 0, d)]
+    ads: dict = {}  # (i, j) -> ad_flat(D_ij), built when d_ij first acts
+
+    def ad(p: tuple):
+        a = ads.get(p)
+        if a is None:
+            a = ads[p] = ad_flat(Matrix.from_flat(flat[p], d, d))
+        return a
 
     def derivation(i: int, j: int, l: int, m: int) -> bool:
-        return comm_minus(dmat(i, j), dmat(l, m), [
-            *((z, dmat(p, m)) for p, z in bt(i, j, l).items()),
-            *((z, dmat(l, p)) for p, z in bt(i, j, m).items()),
-        ], T.den).is_zero()
+        if (i, j) not in flat:  # d_ij = 0, and so are both its images
+            return True
+        r = ad((i, j))(flat.get((l, m), _EMPTY))
+        for p, (x, y) in bt(i, j, l).items():
+            add_numerators(r, -x, -y, flat.get((p, m), _EMPTY))
+        for p, (x, y) in bt(i, j, m).items():
+            add_numerators(r, -x, -y, flat.get((l, p), _EMPTY))
+        return not any(x or y for x, y in r.values())
 
-    nonzero = [(i, j) for (i, j) in pairs if not dmat(i, j).is_zero()]
-
-    ads: dict = {}  # k -> ad_flat(d_k), built when k first acts
-
-    def bracket(k: int, w: dict) -> dict:
-        ad = ads.get(k)
-        if ad is None:
-            ad = ads[k] = ad_flat(dmat(*nonzero[k]))
-        return ad(w)
-
-    flat = [dmat(*p).flatten() for p in nonzero]
-    gens = [nonzero[s] for s in lie_generators(flat, bracket, d * d, [len(v) for v in flat])]
+    nonzero = [p for p in pairs if p in flat]
+    gens = [nonzero[s] for s in lie_generators(
+        [flat[p] for p in nonzero], lambda k, w: ad(nonzero[k])(w), d * d,
+        [len(flat[p]) for p in nonzero],
+    )]
     run(3, "d_{ij} fails the derivation identity", (
         ((i, j, l, m), derivation(i, j, l, m))
         for (i, j) in pairs for (l, m) in pairs
@@ -524,12 +533,25 @@ def verify_axioms(T: SymplecticTripleSystem, mode: str = "fast") -> AxiomReport:
 # ---------------------------------------------------------------------------
 
 
+def _flat_d(T: SymplecticTripleSystem) -> dict:
+    """(i, j) -> the row-major flattening of T.den d_ij, for each nonzero
+    d_ij, read straight from ``T.num``: unlike the canonical ``dmat``, whose
+    denominators differ, every one carries the one factor T.den."""
+    d = T.dim
+    flat: dict = {}
+    for (i, j, k), col in T.num.items():
+        flat.setdefault((i, j), {}).update((l * d + k, z) for l, z in col.items())
+    return flat
+
+
 def inder_basis(T: SymplecticTripleSystem) -> Subspace:
     """The echelon span of the flattened nonzero d_ij, i <= j, inserted in
     order; ``linalg.matrices_of`` reads its rows back as matrices."""
     d = T.dim
-    dmats = (T.dmat(i, j) for i in range(d) for j in range(i, d))
-    return Subspace.span((m.flatten() for m in dmats if not m.is_zero()), ambient=d * d)
+    flat = _flat_d(T)
+    return Subspace.span(
+        (flat[(i, j)] for i in range(d) for j in range(i, d) if (i, j) in flat), ambient=d * d
+    )
 
 
 def is_simple(T: SymplecticTripleSystem) -> bool:

@@ -7,20 +7,21 @@ implemented.  Each report is serialized to JSON and pinned by its sha256.
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from symtriple import enveloping, triples
+from symtriple import enveloping, linalg, triples
 from symtriple.connections import (
     NomizuMap, admissibility_failures, alpha_canonical, alpha_distinguished, alpha_levi_civita,
 )
-from symtriple.enveloping import GradedLieAlgebra, verify_jacobi
+from symtriple.enveloping import GradedLieAlgebra, build_model, verify_jacobi
 from symtriple.linalg import Matrix, comm_minus, numerators
 from symtriple.scalars import ONE, qi
-from symtriple.triples import check_witnesses, verify_axioms
+from symtriple.triples import SymplecticTripleSystem, check_witnesses, verify_axioms
 
-from conftest import scalar_table
+from conftest import LIGHT_CASES, scalar_cols, scalar_table
 from test_connections import fractional_members
 from test_triples import _mutated
 
@@ -80,6 +81,126 @@ def test_jacobi_report_digest(mode, model_cache):
         "failures": [[list(f.witness), f.detail] for f in report.failures],
     }
     assert _digest(record) == JACOBI_DIGESTS[mode]
+
+
+THIRD = qi(Fraction(1, 3))
+
+
+def identity3_reference(T, mode: str) -> tuple:
+    """(tuples checked, failing witnesses) of identity (3) from the plain
+    all-pairs loop: [d_ij, d_lm] - d_{d_ij(e_l), m} - d_{l, d_ij(e_m)} by
+    ``comm_minus`` on the canonical d_ij, over i <= j and l <= m when (1)
+    holds and over every pair otherwise."""
+    d, bt, dmat = T.dim, T.basis_triple, T.dmat
+    symmetric = all(bt(i, j, k) == bt(j, i, k)
+                    for i in range(d) for j in range(d) for k in range(d))
+    pairs = [(i, j) for i in range(d) for j in range(i if symmetric else 0, d)]
+    return check_witnesses((
+        ((i, j, l, m), comm_minus(dmat(i, j), dmat(l, m), [
+            *((z, dmat(p, m)) for p, z in bt(i, j, l).items()),
+            *((z, dmat(l, p)) for p, z in bt(i, j, m).items()),
+        ], T.den).is_zero())
+        for (i, j) in pairs for (l, m) in pairs
+    ), mode, triples.AXIOM_FAILURE_CAP)
+
+
+def jacobi_reference(L, mode: str) -> tuple:
+    """(pairs checked, failing witnesses) of Jacobi from the plain all-pairs
+    loop: [ad_i, ad_j] - ad_[e_i, e_j] by ``comm_minus`` on the canonical ad_i."""
+    return check_witnesses((
+        ((i, j), comm_minus(L.ad(i), L.ad(j), [
+            (z, L.ad(l)) for l, z in L.bracket_basis(i, j).items()
+        ], L.den).is_zero())
+        for i in range(L.dim) for j in range(i + 1, L.dim)
+    ), mode, enveloping.JACOBI_FAILURE_CAP)
+
+
+def _bumped_triple(T, key, symmetric: bool = True):
+    """T with 1/3 added at the least entry of [e_i,e_j,e_k], key = (i, j, k),
+    and, if ``symmetric``, of [e_j,e_i,e_k] too, so that (1) still holds."""
+    cols = {k: dict(col) for k, col in scalar_cols(T).items()}
+    i, j, k = key
+    l = min(cols[key])
+    for other in {key, (j, i, k)} if symmetric else (key,):
+        cols[other][l] = cols[other][l] + THIRD
+    return SymplecticTripleSystem(T.dim, T.omega, cols, f"{T.label} + 1/3 at {key}")
+
+
+def _bumped_algebra(L, key):
+    """L with 1/3 added at the least entry of [e_i, e_j], key = (i, j)."""
+    table = {k: dict(e) for k, e in scalar_table(L).items()}
+    l = min(table[key])
+    table[key][l] = table[key][l] + THIRD
+    return GradedLieAlgebra(L.dim, L.n, L.h_dim, L.t_dim, *numerators(table))
+
+
+def test_identity3_and_jacobi_with_mixed_denominators(triple_cache, model_cache):
+    # the canonical d_ij and ad_i of these tables do not share a denominator,
+    # but D_ij = T.den d_ij and B_i = L.den ad_i all carry the one factor of
+    # their table; with entries moved by 1/3, the flat residues give the
+    # witnesses and counts of the comm_minus loop in both modes
+    T = triple_cache("orthogonal", 3)
+    d = T.dim
+    assert T.den == 2 and {T.dmat(i, j).den for i in range(d) for j in range(d)} == {1, 2}
+    keys = sorted(key for key in T.num if key[0] <= key[1])
+    systems = [T, _bumped_triple(T, keys[0], symmetric=False)]
+    systems += [_bumped_triple(T, key) for key in keys[::6]]
+    failing = 0
+    for t in systems:
+        for mode in ("fast", "audit"):
+            report = verify_axioms(t, mode)
+            witnesses = [f.witness for f in report.failures if f.axiom == 3]
+            assert (report.checked[3], witnesses) == identity3_reference(t, mode), t.label
+            failing += bool(witnesses)
+    assert failing > 6
+
+    L = model_cache("exceptional", "scalar").algebra
+    assert L.den == 3 and {L.ad(i).den for i in range(L.dim)} == {1, 3}
+    algebras = [L] + [_bumped_algebra(L, key) for key in sorted(L.table)[::5]]
+    failing = 0
+    for alg in algebras:
+        for mode in ("fast", "audit"):
+            report = verify_jacobi(alg, mode)
+            witnesses = [f.witness for f in report.failures]
+            assert (report.checked_pairs, witnesses) == jacobi_reference(alg, mode)
+            failing += bool(witnesses)
+    assert failing > 6
+
+
+def test_verifiers_build_no_ad_or_commutator_matrix(triple_cache, model_cache, monkeypatch):
+    # identity (3) and Jacobi residues are summed on flat integer vectors;
+    # with GradedLieAlgebra.ad and comm_minus refused wherever triples and
+    # enveloping could reach them, the same reports and g(T) tables come
+    # out, also from the all-pairs loops of failing tables in audit mode
+    systems = [triple_cache(*case) for case in LIGHT_CASES]
+    bad_triple = _bumped_triple(triple_cache("orthogonal", 3), (0, 3, 0))
+    bad_algebra = _sign_flipped_sp4(model_cache)
+
+    def results():
+        out = []
+        for T in systems:
+            L = build_model(T).algebra
+            out.append((verify_axioms(T), L.den, L.table, verify_jacobi(L)))
+        return out, verify_axioms(bad_triple, "audit"), verify_jacobi(bad_algebra, "audit")
+
+    want = results()
+
+    def refuse(*args):
+        raise AssertionError("an ad or commutator Matrix was built")
+
+    monkeypatch.setattr(GradedLieAlgebra, "ad", refuse)
+    patched = [name for name, mod in sys.modules.items()
+               if name.startswith("symtriple")
+               and getattr(mod, "comm_minus", None) is linalg.comm_minus]
+    assert "symtriple.linalg" in patched
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "comm_minus", refuse)
+    got = results()
+    monkeypatch.undo()
+    assert got == want
+    assert all(axioms.passed and jacobi.passed for axioms, _, _, jacobi in want[0])
+    assert len([f for f in want[1].failures if f.axiom == 3]) > 1
+    assert len(want[2].failures) > 1
 
 
 def test_admissibility_detects_bumped_entry(model_cache):
