@@ -207,13 +207,14 @@ def is_skew_torsion(model: HomogeneousModel, alpha: NomizuMap) -> bool:
 def curvature_vectors(model: HomogeneousModel, alpha: NomizuMap, pairs=None):
     """Yield ``((i, j), v, den)`` for the pairs, by default every i < j in
     order, where R(e_i, e_j) != 0: v is the flattening of den R(e_i, e_j),
-    without zeros.  ``ad_flat(A_i)``, A_i = alpha(e_i, .), built once per i,
-    maps the flattening of A_j to that of A_i.den A_j.den [A_i, A_j]; the
-    bracket terms are subtracted on flat vectors, and no ``Matrix`` is built."""
+    without zeros.  ``ad_flat`` of the flattening of A_i.den A_i, A_i =
+    alpha(e_i, .), built once per i, maps that of A_j.den A_j to that of
+    A_i.den A_j.den [A_i, A_j]; the bracket terms are subtracted on flat
+    vectors, and no ``Matrix`` is built."""
     md, ops, lden = model.m_dim, alpha.ops, model.algebra.den
     flat_op = cache(lambda k: ops[k].flatten())
     flat_ad = cache(lambda t: model.ad_m_inder(t).flatten())
-    kernel = cache(lambda i: ad_flat(ops[i]))
+    kernel = cache(lambda i: ad_flat(flat_op(i), md))
     if pairs is None:
         pairs = ((i, j) for i in range(md) for j in range(i + 1, md))
     for i, j in pairs:
@@ -247,17 +248,17 @@ def admissibility_failures(model: HomogeneousModel, alpha: NomizuMap) -> list:
 
     With F_l the flattening of D alpha(e_l, .), D the lcm of alpha's
     denominators, the residue at (t, i) times D and ad_m(d_t)'s denominator
-    is K(F_i) - sum_l d_t(e_i)_l F_l, K = ``ad_flat(ad_m(d_t))`` built at
-    most once per t, on its first nonzero F_i; it passes when every entry
-    cancels.  Where F_i = 0 and every F_l it subtracts is zero, as on the
-    odd block of the distinguished and canonical maps, the residue is zero
-    and nothing is summed.  All h_dim * m_dim residues go through
-    ``check_witnesses`` in ``fast`` mode, in (t, i) order.  Lie generators
-    of h found through g(T)'s bracket would certify the rest only if g(T)
-    is a Lie algebra, which this check must not assume.  Generators of
-    ad_m(h) in gl(m) are sound, but found per call they cost more than this
-    loop, on one Xeon core 0.059 s for e8's 30 against 0.025 s for its
-    residues."""
+    is K(F_i) - sum_l d_t(e_i)_l F_l, K = ``ad_flat`` of the flattening of
+    ad_m(d_t) times its denominator, built at most once per t, on its first
+    nonzero F_i; it passes when every entry cancels.  Where F_i = 0 and
+    every F_l it subtracts is zero, as on the odd block of the
+    distinguished and canonical maps, the residue is zero and nothing is
+    summed.  All h_dim * m_dim residues go through ``check_witnesses`` in
+    ``fast`` mode, in (t, i) order.  Lie generators of h found through
+    g(T)'s bracket would certify the rest only if g(T) is a Lie algebra,
+    which this check must not assume.  Generators of ad_m(h) in gl(m) are
+    sound, but found per call they cost more than this loop, on one Xeon
+    core 0.059 s for e8's 30 against 0.025 s for its residues."""
     den = lcm(*(op.den for op in alpha.ops))
     flats = [{p: (x * s, y * s) for p, (x, y) in op.flatten().items()}
              for op in alpha.ops for s in (den // op.den,)]
@@ -270,7 +271,7 @@ def admissibility_failures(model: HomogeneousModel, alpha: NomizuMap) -> list:
             for i, f in enumerate(flats):
                 v = {}
                 if f:  # K(0) = 0: a t whose residues read no nonzero F_i builds no K
-                    image = image or ad_flat(d)
+                    image = image or ad_flat(d.flatten(), model.m_dim)
                     v = image(f)
                 for l, (x, y) in cols.get(i, {}).items():
                     add_numerators(v, -x, -y, flats[l])

@@ -24,8 +24,7 @@ from math import lcm
 
 from .errors import ConstructionError, ValidationError
 from .linalg import (
-    Matrix, Subspace, ad_flat, add_numerators, canonical, inverse, lie_generators,
-    matrices_of, numerators,
+    Matrix, Subspace, ad_flat, add_numerators, canonical, inverse, lie_generators, numerators,
 )
 from .scalars import HALF, I, ONE, ZERO, qi
 from .triples import (
@@ -74,7 +73,7 @@ class GradedLieAlgebra:
     ``table[(i, j)]``, i < j, is [e_i, e_j] as sparse Gaussian-integer
     numerators ``{l: (re, im)}`` over the one positive denominator ``den``."""
 
-    __slots__ = ("dim", "n", "h_dim", "t_dim", "table", "den", "_ads")
+    __slots__ = ("dim", "n", "h_dim", "t_dim", "table", "den")
 
     def __init__(self, dim, n, h_dim, t_dim, table, den=1):
         self.dim = dim
@@ -83,7 +82,6 @@ class GradedLieAlgebra:
         self.t_dim = t_dim
         self.table = table
         self.den = den
-        self._ads: dict = {}
 
     def odd_index(self, a: int, k: int) -> int:
         return 3 + self.h_dim + a * self.t_dim + k
@@ -93,16 +91,6 @@ class GradedLieAlgebra:
         if i <= j:
             return self.table.get((i, j), _EMPTY)
         return {l: (-x, -y) for l, (x, y) in self.table.get((j, i), _EMPTY).items()}
-
-    def ad(self, i: int) -> Matrix:
-        m = self._ads.get(i)
-        if m is None:
-            num: dict = {}
-            for j in range(self.dim):
-                for l, z in self.bracket_basis(i, j).items():
-                    num.setdefault(l, {})[j] = z
-            m = self._ads[i] = Matrix.from_numerators(self.dim, self.dim, num, self.den)
-        return m
 
     def __repr__(self):
         return f"GradedLieAlgebra(dim={self.dim}, n={self.n})"
@@ -124,15 +112,18 @@ def build_enveloping(T: SymplecticTripleSystem, inder: Subspace):
     """Assemble g(T) and its reductive split from a simple triple system
     and the echelon span ``inder`` of its flattened d_ij.
 
-    Every part is a sparse numerator table over a denominator of its own:
-    the sp(V) brackets are the constant ``_XI_BRACKETS``, and the h-h
-    bracket [d_r, d_s] is ``ad_flat(d_r)`` of d_s's flattening, read in
-    the basis by ``coords_of`` over d_r.den d_s.den.  The table is brought
-    to one denominator with one lcm and to canonical form with one gcd."""
+    Every part is a sparse numerator table over a denominator of its own.
+    The operators d_r are read from the rows of ``inder``: ``vectors()``
+    gives the flattening of D_r d_r, D_r its entry at the pivot.  The sp(V)
+    brackets are the constant ``_XI_BRACKETS``, and the h-h bracket
+    [d_r, d_s] is ``ad_flat(D_r d_r)`` of D_s d_s, read in the basis by
+    ``coords_of`` over D_r D_s.  The table is brought to one denominator
+    with one lcm and to canonical form with one gcd."""
     if T.dim % 2:
         raise ValidationError("triple systems of odd dimension are out of scope")
     n = T.dim // 2
-    mats = matrices_of(inder)
+    flat = inder.vectors()  # flat[r] = D_r d_r, flattened
+    dens = [v[p][0] for p, v in zip(inder.pivots, flat)]  # D_r
     h = inder.dim
     t_dim = T.dim
     dim = 3 + h + 2 * t_dim
@@ -149,28 +140,31 @@ def build_enveloping(T: SymplecticTripleSystem, inder: Subspace):
     # vertical-vertical
     for key, entry in _XI_BRACKETS.items():
         put(*key, entry, 1)
-    # h-h:  [d_r, d_s] times d_r.den d_s.den
-    flat = [d.flatten() for d in mats]
+    # h-h:  [d_r, d_s] times D_r D_s
     for r in range(h):
-        ad = ad_flat(mats[r])
+        ad = ad_flat(flat[r], t_dim)
         for s in range(r + 1, h):
             coords = inder.coords_of(ad(flat[s]))
             if coords is None:
                 raise ConstructionError(
                     f"inner derivations not closed under brackets at ({r},{s})"
                 )
-            put(3 + r, 3 + s, {3 + t: z for t, z in coords.items()}, mats[r].den * mats[s].den)
+            put(3 + r, 3 + s, {3 + t: z for t, z in coords.items()}, dens[r] * dens[s])
     # vertical-odd:  [xi, e_a (x) t_k] = xi(e_a) (x) t_k
     for i in range(3):
         xi = _XI[i].transpose().num  # xi[a] = xi(e_a)
         for a, col in xi.items():
             for k in range(t_dim):
                 put(i, odd(a, k), {odd(b, k): z for b, z in col.items()}, _XI[i].den)
-    # h-odd:  [d, e_a (x) t_k] = e_a (x) d(t_k), over the nonzero columns of d
-    for r, d in enumerate(mats):
+    # h-odd:  [d_r, e_a (x) t_k] = e_a (x) d_r(t_k), over the nonzero columns of d_r
+    for r, v in enumerate(flat):
+        cols: dict = {}  # k -> D_r d_r(t_k)
+        for p, z in v.items():
+            l, k = divmod(p, t_dim)
+            cols.setdefault(k, {})[l] = z
         for a in range(2):
-            for k, col in d.transpose().num.items():
-                put(3 + r, odd(a, k), {odd(a, l): z for l, z in col.items()}, d.den)
+            for k, col in cols.items():
+                put(3 + r, odd(a, k), {odd(a, l): z for l, z in col.items()}, dens[r])
     # odd-odd:  [e_a (x) x, e_b (x) y] = (x,y) gamma_{a,b} + <a,b> d_{x,y}, a <= b
     for a, b in ((0, 0), (0, 1), (1, 1)):
         coords, den = _sl2_to_xi(_gamma_mat(a, b))
@@ -267,7 +261,7 @@ def verify_jacobi(L: GradedLieAlgebra, mode: str = "fast") -> JacobiReport:
         """[ad_s, ad_j] = ad_[e_s, e_j], as one residue on flat vectors."""
         ad = ads.get(s)
         if ad is None:
-            ad = ads[s] = ad_flat(Matrix.from_flat(flat[s], dim, dim))
+            ad = ads[s] = ad_flat(flat[s], dim)
         r = ad(flat[j])
         for l, (x, y) in L.bracket_basis(s, j).items():
             add_numerators(r, -x, -y, flat[l])
@@ -449,17 +443,18 @@ class HomogeneousModel:
     # -- distinguished operators on m --------------------------------------
 
     def _ad_m(self, k: int) -> Matrix:
-        """ad(e_k) restricted to m, for e_k in sp(V) (+) h."""
+        """ad(e_k) restricted to m, for e_k in sp(V) (+) h: the m-parts of
+        the brackets [e_k, e_j] for the m positions j only."""
         m = self._ads.get(k)
         if m is None:
-            where = self._where
-            ad = self.algebra.ad(k)
+            where, bracket = self._where, self.algebra.bracket_basis
             num: dict = {}
-            for l, row in ad.num.items():
-                part, pos = where[l]
-                if part == 0:
-                    num[pos] = {where[j][1]: z for j, z in row.items()}
-            m = Matrix.from_numerators(self.m_dim, self.m_dim, num, ad.den)
+            for q, j in enumerate(self.split.m_indices):
+                for l, z in bracket(k, j).items():
+                    part, p = where[l]
+                    if part == 0:
+                        num.setdefault(p, {})[q] = z
+            m = Matrix.from_numerators(self.m_dim, self.m_dim, num, self.algebra.den)
             self._ads[k] = m
         return m
 

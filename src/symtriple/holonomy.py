@@ -77,7 +77,9 @@ def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyR
     The metric test is ``connections.metric_products``, whose products
     g A_i the certificate reads.  The certificate rests on one premise:
     every ad_m(d), d in h, is g-skew (g is ad(h)-invariant), so that for a
-    metric alpha each R(e_i, e_j) lies in so(m, g).
+    metric alpha each R(e_i, e_j) lies in so(m, g).  A certified algebra's
+    center is 0 without ``center_of``: so(m, g) is semisimple for m >= 3,
+    and every m here is 2 dim T + 3 >= 7.
 
     The result is the holonomy algebra only for an invariant connection,
     one whose Nomizu map h acts on by derivations: only then is Kostant's
@@ -90,14 +92,15 @@ def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyR
     g_ops = metric_products(model, conn.alpha)
     metric = g_ops is not None
     so_dim = model.so_dim()
-    if metric and _certifies_so(conn, g_ops):
+    certified = metric and _certifies_so(conn, g_ops)
+    if certified:
         algebra = so_algebra(model)
     else:
         pairs = _spanning_pairs(model, conn.alpha.ops)
         gens = (v for _, v, _ in curvature_vectors(model, conn.alpha, pairs))
-        multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
+        multipliers = [op.flatten() for op in conn.alpha.ops if not op.is_zero()]
         algebra = bracket_closure(gens, multipliers, md, so_dim if metric else None)
-    center = center_of(algebra).dim if compute_center else None
+    center = (0 if certified else center_of(algebra).dim) if compute_center else None
     return HolonomyResult(
         label=conn.label,
         algebra=algebra,

@@ -9,11 +9,12 @@ ints and reduce each result once, with one gcd over the matrix.
 ``row`` and ``entries``; a ``Matrix`` has no dense-vector evaluator.
 ``flatten`` and ``from_flat`` only remap indices: the flattening is a
 sparse Gaussian-integer vector, the matrix times its denominator.
-``ad_flat(a)`` maps such a flattening of X to that of a.den [a, X],
-summed on plain ints: closures, centers, curvature operators,
-admissibility residues, the identity (3) and Jacobi residues of the
-verifiers and g(T)'s h-h brackets take their commutators through it, so
-none is built as a ``Matrix``.  No pipeline stage calls ``comm`` or
+Operators enter the commutator kernel in that one format: ``ad_flat(a,
+n)`` maps the flattening of an n x n X to that of [A, X], for a the
+flattening of A, summed on plain ints.  Closures, centers, curvature
+operators, admissibility residues, the identity (3) and Jacobi residues
+of the verifiers and g(T)'s h-h brackets take their commutators through
+it, so none is built as a ``Matrix``.  No pipeline stage calls ``comm`` or
 ``comm_minus``: ``comm_minus`` is the body of ``comm`` and the tests'
 reference for those residues.  A ``Matrix`` is not changed once built.
 Every structure-constant table, from the composition algebras upward, is
@@ -300,21 +301,20 @@ def comm(a: Matrix, b: Matrix) -> Matrix:
     return comm_minus(a, b, ())
 
 
-def ad_flat(a: Matrix):
-    """The map x -> flatten(a.den [a, X]) for the row-major flattening x of
-    an n x n matrix X, for a square n x n ``a``: both take sparse Gaussian-
-    integer vectors ``{index: (re, im)}``.  The image is summed on plain
-    ints without its zeros, and no ``Matrix`` or canonical form is built.
-    a's rows and columns are indexed once, here, not once per image."""
-    n = a.rows
-    if a.cols != n:
-        raise DimensionError("ad_flat needs a square matrix")
+def ad_flat(a: dict, n: int):
+    """The map x -> flatten([A, X]) for the row-major flattenings a of A
+    and x of X, n x n Gaussian-integer matrices, sparse vectors ``{index:
+    (re, im)}`` as ``Subspace`` takes.  The image is summed on plain ints
+    without its zeros, with no ``Matrix``; a's rows and columns are
+    indexed once, here, where an index outside n x n raises."""
+    if a and (min(a) < 0 or max(a) >= n * n):
+        raise DimensionError(f"ad_flat index outside {n}x{n}")
     left: dict = {}  # k -> ((i n, a_ik)), the terms a_ik X_kl of (aX)_il
     right: dict = {}  # l -> ((j, a_lj)), the terms X_kl a_lj of (Xa)_kj
-    for i, row in a.num.items():
-        right[i] = tuple(row.items())
-        for k, z in row.items():
-            left.setdefault(k, []).append((i * n, z))
+    for p, z in a.items():
+        i, k = divmod(p, n)
+        right.setdefault(i, []).append((k, z))
+        left.setdefault(k, []).append((i * n, z))
     get_left, get_right = left.get, right.get
 
     def image(x: dict) -> dict:
@@ -599,8 +599,9 @@ class Subspace:
         rows = self._rows
         return tuple(_row_vector(p, *rows[p]) for p in self.pivots)
 
-    def _vectors(self) -> list:
-        """The rows as Gaussian-integer vectors, each D times its row."""
+    def vectors(self) -> list:
+        """The basis rows in increasing pivot order as Gaussian-integer
+        vectors, each row times its denominator D, its entry at the pivot."""
         rows = self._rows
         return [{p: (rows[p][0], 0), **rows[p][1]} for p in self.pivots]
 
@@ -684,7 +685,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise DimensionError("ambient mismatch")
-        return Subspace.span([*self._vectors(), *other._vectors()], self.ambient)
+        return Subspace.span([*self.vectors(), *other.vectors()], self.ambient)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -845,42 +846,27 @@ def lie_generators(candidates: Sequence[dict], act, ambient: int, weights: Seque
             gens.append(k)
             # the closure so far is already invariant under the earlier gens
             close_under(
-                closure, [v, *(act(k, w) for w in closure._vectors())],
+                closure, [v, *(act(k, w) for w in closure.vectors())],
                 lambda x: (act(s, x) for s in gens), ambient,
             )
     return gens
 
 
-def bracket_closure(gens: Iterable[dict], multipliers: Sequence[Matrix], side: int,
+def bracket_closure(gens: Iterable[dict], multipliers: Sequence[dict], side: int,
                     stop_dim: int | None = None) -> Subspace:
     """Smallest subspace of flattened side x side matrices containing
     ``gens`` and invariant under [mu, .] for each multiplier mu, by
-    ``close_under``.  The generators are sparse Gaussian-integer vectors,
-    the format ``Subspace.insert`` takes, read lazily; each image is
-    ``ad_flat(mu)`` of one, scaled by mu.den, which does not change the span.
+    ``close_under``.  The generators and multipliers are flattenings,
+    sparse Gaussian-integer vectors, the format ``Subspace.insert`` takes;
+    the generators are read lazily, and each image is ``ad_flat(mu, side)``
+    of one, so a multiplier may be any nonzero multiple of its matrix.
 
     With S both the generators and the multipliers, this is the Lie algebra
     generated by S, since the right-normed brackets [s_1, [s_2, ..., [s_k-1,
     s_k]]] span it.  ``stop_dim`` is that of ``close_under``.
     """
-    if any(mu.rows != side for mu in multipliers):
-        raise DimensionError(f"bracket_closure multipliers must be {side}x{side}")
-    ads = [ad_flat(mu) for mu in multipliers]
+    ads = [ad_flat(mu, side) for mu in multipliers]
     return close_under(Subspace(side * side), gens, lambda x: (ad(x) for ad in ads), stop_dim)
-
-
-def _side(space: Subspace) -> int:
-    """d for a subspace of flattened d x d matrices."""
-    d = isqrt(space.ambient)
-    if d * d != space.ambient:
-        raise DimensionError("ambient dimension is not a perfect square")
-    return d
-
-
-def matrices_of(space: Subspace) -> list[Matrix]:
-    """Reinterpret the rows of a subspace of flattened d x d matrices."""
-    d = _side(space)
-    return [Matrix.from_flat(v, d, d, v[p][0]) for p, v in zip(space.pivots, space._vectors())]
 
 
 def center_of(space: Subspace) -> Subspace:
@@ -888,17 +874,19 @@ def center_of(space: Subspace) -> Subspace:
 
     Computed by intersecting, one basis constraint at a time, the kernels of
     c -> [B_j, sum c_i X_i] over the current candidates X_i, each image
-    ``ad_flat(B_j)`` of a flat vector, one map per basis element; the
+    ``ad_flat(B_j, d)`` of a flat vector, one map per basis element; the
     candidate space shrinks quickly, which keeps large inputs tractable.
     """
-    d = _side(space)
+    d = isqrt(space.ambient)
+    if d * d != space.ambient:
+        raise DimensionError("ambient dimension is not a perfect square")
     # the rows scaled to Gaussian integers: the same span and the same
     # constraints, and every commutator below is exact on plain ints
-    basis = cand = space._vectors()  # flattened candidate matrices
+    basis = cand = space.vectors()  # flattened candidate matrices
     for bj in basis:
         if not cand:
             break
-        ad = ad_flat(Matrix.from_flat(bj, d, d))
+        ad = ad_flat(bj, d)
         images = [ad(x) for x in cand]
         if not any(images):
             continue

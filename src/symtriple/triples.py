@@ -62,7 +62,7 @@ class SymplecticTripleSystem:
     scalar columns ``{(i, j, k): {l: scalar}}``, as ``Matrix`` takes scalar
     entries, and ``entries`` gives them back."""
 
-    __slots__ = ("dim", "omega", "num", "den", "label", "_dmats")
+    __slots__ = ("dim", "omega", "num", "den", "label")
 
     def __init__(self, dim: int, omega: Matrix, cols: dict, label: str):
         if omega.rows != dim or omega.cols != dim:
@@ -71,7 +71,6 @@ class SymplecticTripleSystem:
         self.omega = omega
         self.num, self.den = numerators(cols)
         self.label = label
-        self._dmats: dict = {}
 
     @staticmethod
     def from_numerators(dim: int, omega: Matrix, num: dict, den: int, label: str):
@@ -83,17 +82,6 @@ class SymplecticTripleSystem:
     def basis_triple(self, i: int, j: int, k: int) -> dict:
         """[e_i, e_j, e_k] as numerators over ``den``."""
         return self.num.get((i, j, k), _EMPTY)
-
-    def dmat(self, i: int, j: int) -> Matrix:
-        """The operator d_{e_i, e_j} = [e_i, e_j, .] as a matrix."""
-        m = self._dmats.get((i, j))
-        if m is None:
-            rows: dict = {}
-            for k in range(self.dim):
-                for l, z in self.num.get((i, j, k), _EMPTY).items():
-                    rows.setdefault(l, {})[k] = z
-            m = self._dmats[(i, j)] = Matrix.from_numerators(self.dim, self.dim, rows, self.den)
-        return m
 
     def entries(self):
         """Sparse tensor entries as (i, j, k, l, coefficient), sorted."""
@@ -443,7 +431,8 @@ def verify_axioms(T: SymplecticTripleSystem, mode: str = "fast") -> AxiomReport:
 
     Identity (4) says d_ij lies in {d : d^T omega + omega d = 0}, a Lie
     subalgebra of gl(T) for any omega; the zero d_ij lie in it.  So the same
-    generators certify it for every pair.
+    generators certify it for every pair.  Its residues are summed on the
+    same flattenings and on omega's numerators, with no ``Matrix`` either.
     """
     report = AxiomReport(T.label, T.dim)
     d = T.dim
@@ -451,7 +440,6 @@ def verify_axioms(T: SymplecticTripleSystem, mode: str = "fast") -> AxiomReport:
     # (e_i, e_j) = form[i][j] / om.den, read densely by (2)
     form = [[om.num.get(i, _EMPTY).get(j, _ZZ) for j in range(d)] for i in range(d)]
     bt = T.basis_triple
-    dmat = T.dmat
 
     def run(axiom: int, detail: str, checks, *certificate) -> bool:
         report.checked[axiom], failed = check_witnesses(
@@ -496,7 +484,7 @@ def verify_axioms(T: SymplecticTripleSystem, mode: str = "fast") -> AxiomReport:
     def ad(p: tuple):
         a = ads.get(p)
         if a is None:
-            a = ads[p] = ad_flat(Matrix.from_flat(flat[p], d, d))
+            a = ads[p] = ad_flat(flat[p], d)
         return a
 
     def derivation(i: int, j: int, l: int, m: int) -> bool:
@@ -519,9 +507,26 @@ def verify_axioms(T: SymplecticTripleSystem, mode: str = "fast") -> AxiomReport:
         for (i, j) in pairs for (l, m) in pairs
     ), lambda: all(derivation(*g, l, m) for g in gens for (l, m) in pairs), len(pairs) ** 2)
 
-    # (4) d_ij in sp(T, omega): d^T omega + omega d = 0
+    # (4) d_ij in sp(T, omega): d^T omega + omega d = 0, whose entry at
+    # (k, b) is ([e_i,e_j,e_k], e_b) + (e_k, [e_i,e_j,e_b]); summed on the
+    # numerators of D_ij and omega, over T.den om.den
+    om_cols: dict = {}  # l -> [(a, numerator of (e_a, e_l))]
+    for a, row in om.num.items():
+        for l, z in row.items():
+            om_cols.setdefault(l, []).append((a, z))
+
     def in_sp(i: int, j: int) -> bool:
-        return (dmat(i, j).transpose() @ om + om @ dmat(i, j)).is_zero()
+        r: dict = {}
+        get = r.get
+        for p, (x, y) in flat.get((i, j), _EMPTY).items():
+            l, k = divmod(p, d)  # T.den [e_i,e_j,e_k] holds x + y i at e_l
+            for b, (u, v) in om.num.get(l, _EMPTY).items():
+                zr, zi = get(k * d + b, _ZZ)
+                r[k * d + b] = (zr + x * u - y * v, zi + x * v + y * u)
+            for a, (u, v) in om_cols.get(l, ()):
+                zr, zi = get(a * d + k, _ZZ)
+                r[a * d + k] = (zr + x * u - y * v, zi + x * v + y * u)
+        return not any(x or y for x, y in r.values())
 
     run(4, "d_{ij} not in sp(T, omega)", (((i, j), in_sp(i, j)) for (i, j) in pairs),
         lambda: all(in_sp(*g) for g in gens), len(pairs))
@@ -535,8 +540,8 @@ def verify_axioms(T: SymplecticTripleSystem, mode: str = "fast") -> AxiomReport:
 
 def _flat_d(T: SymplecticTripleSystem) -> dict:
     """(i, j) -> the row-major flattening of T.den d_ij, for each nonzero
-    d_ij, read straight from ``T.num``: unlike the canonical ``dmat``, whose
-    denominators differ, every one carries the one factor T.den."""
+    d_ij, read straight from ``T.num``, so every one carries the one factor
+    T.den: the entry of T.den [e_i, e_j, e_k] at e_l is at l d + k."""
     d = T.dim
     flat: dict = {}
     for (i, j, k), col in T.num.items():
@@ -546,7 +551,7 @@ def _flat_d(T: SymplecticTripleSystem) -> dict:
 
 def inder_basis(T: SymplecticTripleSystem) -> Subspace:
     """The echelon span of the flattened nonzero d_ij, i <= j, inserted in
-    order; ``linalg.matrices_of`` reads its rows back as matrices."""
+    order; ``enveloping.build_enveloping`` reads its rows as operators."""
     d = T.dim
     flat = _flat_d(T)
     return Subspace.span(

@@ -1,5 +1,5 @@
 import os
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 
@@ -10,6 +10,7 @@ from symtriple.errors import DimensionError
 from symtriple.families import build_triple
 from symtriple.linalg import Matrix, combination, independent_fp, mod_p, vec
 from symtriple.scalars import ZERO, GaussianRational, qi
+from symtriple.triples import _flat_d
 
 # the quick tier exercised by most suites (tangent dimension <= 19)
 LIGHT_CASES = (
@@ -105,11 +106,48 @@ def bilinear(m: Matrix, x, y) -> GaussianRational:
     return GaussianRational(re, im, du * dw * m.den)
 
 
+# id(obj) -> (obj, {key: value}) for the reference matrices below; each
+# entry holds its object alive, so no id is reused while the session runs
+_MEMO: dict = {}
+
+
+def _memo(obj, key, build):
+    """build(), computed once per session for the object and key."""
+    entry = _MEMO.get(id(obj))
+    if entry is None:
+        entry = _MEMO[id(obj)] = (obj, {})
+    values = entry[1]
+    if key not in values:
+        values[key] = build()
+    return values[key]
+
+
+def dmat(t, i: int, j: int) -> Matrix:
+    """The operator d_{e_i, e_j} = [e_i, e_j, .] of the triple system t as a
+    matrix, from the flattening of t.den d_ij that ``triples._flat_d`` reads."""
+    flat = _memo(t, "flat", lambda: _flat_d(t))
+    return _memo(t, (i, j), lambda: Matrix.from_flat(flat.get((i, j), {}), t.dim, t.dim, t.den))
+
+
+def ad(L, i: int) -> Matrix:
+    """The matrix of ad(e_i) on the Lie algebra L, whose column j is
+    [e_i, e_j] as ``bracket_basis`` gives it, over L.den."""
+    d = L.dim
+    return _memo(L, i, lambda: Matrix.from_flat(
+        {l * d + j: z for j in range(d) for l, z in L.bracket_basis(i, j).items()}, d, d, L.den))
+
+
+def matrices_of(space) -> list:
+    """The rows of a subspace of flattened d x d matrices as matrices."""
+    d = isqrt(space.ambient)
+    return [Matrix.from_flat(v, d, d, v[p][0]) for p, v in zip(space.pivots, space.vectors())]
+
+
 def triple_product(t, x, y, z) -> tuple:
     """[x, y, z] = d_{x,y}(z) in the triple system t, for dense vectors, with
     d_{x,y} = sum x_i y_j d_{e_i, e_j}."""
     return apply(combination((
-        (xi * yj, t.dmat(i, j))
+        (xi * yj, dmat(t, i, j))
         for i, xi in enumerate(x) if xi for j, yj in enumerate(y) if yj
     ), t.dim), z)
 
@@ -165,7 +203,7 @@ def scalar_table(L) -> dict:
     read off the matrices ad(e_i)."""
     table: dict = {}
     for i in range(L.dim):
-        for l, j, v in L.ad(i).entries():
+        for l, j, v in ad(L, i).entries():
             if i < j:
                 table.setdefault((i, j), {})[l] = v
     return table

@@ -23,7 +23,9 @@ from symtriple.connections import (
 from symtriple.linalg import Matrix, combination, comm_minus
 from symtriple.scalars import HALF, ONE, ZERO, qi
 
-from conftest import LIGHT_CASES, apply, basis, bilinear, curvature, curvature_pairs, scalars
+from conftest import (
+    LIGHT_CASES, apply, basis, bilinear, curvature, curvature_pairs, dmat, scalars,
+)
 
 EPS2 = ((0, 1), (-1, 0))  # <e_a, e_b> on the auxiliary plane
 
@@ -516,7 +518,7 @@ def skew_closed_form(model, i, j, canonical):
     eps = qi(EPS2[a][b])
     if eps:
         if canonical:
-            d = model.triple.dmat(k, l)
+            d = dmat(model.triple, k, l)
             for r, cv in scalars(model.inder.coords_of(d.flatten()), d.den).items():
                 add_matrix(out, -eps * cv, model.ad_m_inder(r))
         else:

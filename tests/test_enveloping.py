@@ -9,13 +9,13 @@ from symtriple.enveloping import (
 )
 from symtriple.errors import ValidationError
 from symtriple.linalg import (
-    Matrix, bracket_closure, combination, comm, lie_generators, matrices_of, numerators, rank,
+    Matrix, bracket_closure, combination, comm, lie_generators, numerators, rank,
     trace_product,
 )
 from symtriple.scalars import HALF, ONE, ZERO, GaussianRational, qi
 from symtriple.triples import SymplecticTripleSystem, build_symplectic_type, inder_basis
 
-from conftest import LIGHT_CASES, apply, basis, scalar_table, scalars
+from conftest import LIGHT_CASES, ad, apply, basis, dmat, matrices_of, scalar_table, scalars
 
 ENVELOPING_DIMS = {
     ("symplectic", 1): 10,  # sp(4)
@@ -58,14 +58,14 @@ def test_inder_acts_on_odd(model_cache):
     model = model_cache("symplectic", 2)
     L = model.algebra
     td = L.t_dim
-    for r, dmat in enumerate(matrices_of(model.inder)):
+    for r, d in enumerate(matrices_of(model.inder)):
         for a in range(2):
             for k in range(td):
                 got = scalars(L.bracket_basis(3 + r, L.odd_index(a, k)), L.den)
                 want = {
-                    L.odd_index(a, l): dmat[l, k]
+                    L.odd_index(a, l): d[l, k]
                     for l in range(td)
-                    if dmat[l, k]
+                    if d[l, k]
                 }
                 assert got == want
 
@@ -78,21 +78,21 @@ def test_odd_odd_bracket(model_cache):
     for k in range(L.t_dim):
         for l in range(L.t_dim):
             hpart = model.m_bracket_h(3 + k, 3 + L.t_dim + l)
-            d = t.dmat(k, l)
+            d = dmat(t, k, l)
             assert scalars(hpart, L.den) == scalars(model.inder.coords_of(d.flatten()), d.den)
 
 
 def _direct_ad_m_inder(model, r):
     """ad(d_r) on m from the matrix of d_r: e_a (x) t_k -> e_a (x) d_r(t_k)."""
     td = model.algebra.t_dim
-    dmat = matrices_of(model.inder)[r]
+    d = matrices_of(model.inder)[r]
     data = {}
     for a in range(2):
         base = 3 + a * td
         for k in range(td):
             for l in range(td):
-                if dmat[l, k]:
-                    data.setdefault(base + l, {})[base + k] = dmat[l, k]
+                if d[l, k]:
+                    data.setdefault(base + l, {})[base + k] = d[l, k]
     return Matrix(model.m_dim, model.m_dim, data)
 
 
@@ -163,8 +163,8 @@ def _algebra_generators(L):
     ``lie_generators`` call, with ad_k w computed as a matrix product."""
     return lie_generators(
         [{i: (1, 0)} for i in range(L.dim)],
-        lambda k, w: (L.ad(k) @ Matrix.from_flat(w, L.dim, 1)).flatten(), L.dim,
-        [L.ad(i).nnz() for i in range(L.dim)],
+        lambda k, w: (ad(L, k) @ Matrix.from_flat(w, L.dim, 1)).flatten(), L.dim,
+        [ad(L, i).nnz() for i in range(L.dim)],
     )
 
 
@@ -185,9 +185,9 @@ ALGEBRA_GENERATORS = {
 def _assert_generators_fill(L, n_gens, dim):
     gens = _algebra_generators(L)
     assert (len(gens), L.dim) == (n_gens, dim)
-    ads = [L.ad(s) for s in gens]
-    closure = bracket_closure([m.flatten() for m in ads], ads, L.dim)
-    assert all(closure.contains(L.ad(i).flatten()) for i in range(L.dim))
+    ads = [ad(L, s).flatten() for s in gens]
+    closure = bracket_closure(ads, ads, L.dim)
+    assert all(closure.contains(ad(L, i).flatten()) for i in range(L.dim))
 
 
 def test_generators_fill_algebra(model_cache):
@@ -224,7 +224,7 @@ def test_inder_generators(family, param, n_gens, h_dim, triple_cache):
     """The ``lie_generators`` call of ``verify_axioms`` for identity (3)."""
     t = triple_cache(family, param)
     d = t.dim
-    dmats = [t.dmat(i, j) for i in range(d) for j in range(i, d)]
+    dmats = [dmat(t, i, j) for i in range(d) for j in range(i, d)]
     dmats = [m for m in dmats if not m.is_zero()]
     gens = lie_generators(
         [m.flatten() for m in dmats],
@@ -233,7 +233,8 @@ def test_inder_generators(family, param, n_gens, h_dim, triple_cache):
         [m.nnz() for m in dmats],
     )
     assert (len(gens), inder_basis(t).dim) == (n_gens, h_dim)
-    closure = bracket_closure([dmats[s].flatten() for s in gens], [dmats[s] for s in gens], d)
+    flats = [dmats[s].flatten() for s in gens]
+    closure = bracket_closure(flats, flats, d)
     assert closure.dim == h_dim
     assert all(closure.contains(m.flatten()) for m in dmats)
 
@@ -247,9 +248,9 @@ def _reference_jacobi(L, mode):
         for j in range(i + 1, L.dim):
             checked += 1
             rhs = combination(
-                [(v, L.ad(l)) for l, v in scalars(L.bracket_basis(i, j), L.den).items()], L.dim
+                [(v, ad(L, l)) for l, v in scalars(L.bracket_basis(i, j), L.den).items()], L.dim
             )
-            if comm(L.ad(i), L.ad(j)) != rhs:
+            if comm(ad(L, i), ad(L, j)) != rhs:
                 witnesses.append((i, j))
                 if len(witnesses) == limit:
                     return checked, witnesses
@@ -340,7 +341,7 @@ def _assert_killing_matches_trace_products(L):
     kap = killing_form(L)
     for i in range(L.dim):
         for j in range(L.dim):
-            assert kap[i, j] == trace_product(L.ad(i), L.ad(j)), (i, j)
+            assert kap[i, j] == trace_product(ad(L, i), ad(L, j)), (i, j)
     return kap
 
 

@@ -26,12 +26,12 @@ from symtriple.holonomy import (
     table_report,
 )
 from symtriple.linalg import (
-    Matrix, Subspace, add_numerators, bracket_closure, center_of, comm, matrices_of,
+    Matrix, Subspace, add_numerators, bracket_closure, center_of, comm,
 )
 from symtriple.scalars import GaussianRational, qi
 from symtriple.triples import verify_axioms
 
-from conftest import LIGHT_CASES, curvature_pairs, independent_mod_p
+from conftest import LIGHT_CASES, curvature_pairs, independent_mod_p, matrices_of
 
 
 @pytest.mark.parametrize("family,param", LIGHT_CASES)
@@ -228,7 +228,8 @@ def test_spanning_pairs_give_the_closure_over_every_pair(family, param, connecti
         assert (Subspace.span((v for _, v, _ in picked), model.m_dim ** 2)
                 == Subspace.span(flats, model.m_dim ** 2)), alpha.label
         multipliers = [op for op in alpha.ops if not op.is_zero()]
-        every = bracket_closure(flats, multipliers, model.m_dim, model.so_dim())
+        every = bracket_closure(flats, [op.flatten() for op in multipliers], model.m_dim,
+                                model.so_dim())
         got = holonomy_algebra(conn, compute_center=False).algebra
         assert got == every, alpha.label
         if not admissibility_failures(model, alpha):
@@ -265,7 +266,7 @@ def test_heavy_e6_named_closures_match_the_closure_over_every_pair(connection_ca
         conn = connection_cache("exceptional", "binarion", name)
         model = conn.model
         gens = (v for _, v, _ in curvature_vectors(model, conn.alpha))
-        multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
+        multipliers = [op.flatten() for op in conn.alpha.ops if not op.is_zero()]
         want = bracket_closure(gens, multipliers, model.m_dim, model.so_dim())
         res = holonomy_algebra(conn, compute_center=False)
         assert res.algebra.rows == want.rows and res.dim == 38, name
@@ -343,16 +344,22 @@ def test_certificate_agrees_with_exact_numerators(family, param, connection_cach
 @pytest.mark.parametrize("family,param", LIGHT_CASES)
 def test_certified_members_build_no_curvature_numerators(family, param, connection_cache,
                                                           monkeypatch):
+    # the certified path builds no curvature vectors and no center: the
+    # algebra is so(m, g), semisimple for m >= 3, whose center is 0, as
+    # center_of gives on so_algebra
     model = connection_cache(family, param, "levi-civita").model
+    assert center_of(so_algebra(model)).dim == 0
     conns = [connection_cache(family, param, "levi-civita"), *_seeded_members(model, 5)]
 
     def refuse(*args):
-        raise AssertionError("curvature vectors built on the certified path")
+        raise AssertionError("curvature vectors or a center built on the certified path")
 
     monkeypatch.setattr(connections, "curvature_vectors", refuse)
     monkeypatch.setattr(holonomy, "curvature_vectors", refuse)
+    monkeypatch.setattr(holonomy, "center_of", refuse)
     for conn in conns:
-        assert holonomy_algebra(conn, compute_center=False).contains_so
+        res = holonomy_algebra(conn)
+        assert res.contains_so and res.center_dim == 0, conn.label
 
 
 def test_certificate_declines_on_a_denominator_divisible_by_p(model_cache, monkeypatch):
@@ -362,7 +369,7 @@ def test_certificate_declines_on_a_denominator_divisible_by_p(model_cache, monke
     b = [[Fraction(1, 5), 2, 0], [0, -1, Fraction(3, 5)], [1, 0, 5]]
     conn = Connection(model, alpha_family(model, Fraction(2, 5), b))
     gens = [r for _, r in curvature_pairs(conn) if not r.is_zero()]
-    multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
+    multipliers = [op.flatten() for op in conn.alpha.ops if not op.is_zero()]
     want = bracket_closure([r.flatten() for r in gens], multipliers, model.m_dim,
                            model.so_dim())
     with monkeypatch.context() as patch:
@@ -400,7 +407,7 @@ def test_heavy_e6_certificate_matches_closure(model_cache):
     for conn in (Connection(model, alpha_family(model, 0, [[0] * 3] * 3)),
                  Connection(model, alpha_family(model, Fraction(1, 2), b))):
         gens = [r for _, r in curvature_pairs(conn) if not r.is_zero()]
-        multipliers = [op for op in conn.alpha.ops if not op.is_zero()]
+        multipliers = [op.flatten() for op in conn.alpha.ops if not op.is_zero()]
         want = bracket_closure([r.flatten() for r in gens], multipliers, model.m_dim,
                                model.so_dim())
         res = holonomy_algebra(conn, compute_center=False)
@@ -538,7 +545,7 @@ def test_certified_member_builds_no_curvature_matrix(model_cache, monkeypatch):
     assert res.algebra == so_algebra(model)
     for c, got in zip(closed, results):
         gens = [r for _, r in curvature_pairs(c) if not r.is_zero()]
-        multipliers = [op for op in c.alpha.ops if not op.is_zero()]
+        multipliers = [op.flatten() for op in c.alpha.ops if not op.is_zero()]
         want = bracket_closure([r.flatten() for r in gens], multipliers, model.m_dim,
                                model.so_dim())
         assert got.algebra.rows == want.rows, c.label
@@ -548,7 +555,8 @@ def test_certified_member_builds_no_curvature_matrix(model_cache, monkeypatch):
 def test_closure_and_center_images_build_no_matrix(connection_cache, triple_cache, monkeypatch):
     # closure, center and identity (3) generator images and g(T)'s h-h
     # brackets go through linalg.ad_flat on flat vectors; with linalg.comm
-    # refused wherever it is imported, the same results and g(T) tables come out
+    # refused wherever it is imported, and Matrix.from_flat on the one Matrix
+    # class, the same results and g(T) tables come out
     cases = (("symplectic", 1), ("special", 1))
     conns = [connection_cache(family, param, name)
              for family, param in cases for name in ("distinguished", "canonical")]
@@ -570,6 +578,9 @@ def test_closure_and_center_images_build_no_matrix(connection_cache, triple_cach
     assert "symtriple.linalg" in patched
     for name in patched:
         monkeypatch.setattr(sys.modules[name], "comm", refuse)
+    assert all(getattr(mod, "Matrix", Matrix) is Matrix
+               for name, mod in sys.modules.items() if name.startswith("symtriple"))
+    monkeypatch.setattr(Matrix, "from_flat", refuse)
     got = results()
     monkeypatch.undo()
     assert got == want

@@ -18,7 +18,6 @@ from symtriple.linalg import (
     comm,
     comm_minus,
     kernel,
-    matrices_of,
     rank,
     table_product,
     trace_product,
@@ -26,10 +25,11 @@ from symtriple.linalg import (
 )
 from symtriple.scalars import ONE, GaussianRational, qi
 
-from conftest import apply, bilinear, cleared, independent_mod_p, integer_terms
+from conftest import apply, bilinear, cleared, independent_mod_p, integer_terms, matrices_of
 
 E12 = Matrix.from_rows([[0, 1], [0, 0]])
 E21 = Matrix.from_rows([[0, 0], [1, 0]])
+F12, F21 = E12.flatten(), E21.flatten()
 
 
 def ints(*values) -> dict:
@@ -203,14 +203,14 @@ def test_coords_of():
 
 
 def test_closure_nilpotent_generator():
-    assert bracket_closure([E12.flatten()], [E12], 2).dim == 1
+    assert bracket_closure([F12], [F12], 2).dim == 1
 
 
 def test_closure_of_no_generators_lives_in_gl_d():
     # the explicit side sets the ambient gl(d), with no generators or no multipliers
-    empty = bracket_closure([], [E12], 2)
+    empty = bracket_closure([], [F12], 2)
     assert (empty.ambient, empty.dim) == (4, 0)
-    assert empty.sum(bracket_closure([E12.flatten()], [], 2)).dim == 1
+    assert empty.sum(bracket_closure([F12], [], 2)).dim == 1
     assert bracket_closure([], [], 0).ambient == 0
     # the generators may be any iterable, read once in order
     read = []
@@ -220,7 +220,7 @@ def test_closure_of_no_generators_lives_in_gl_d():
 
 def test_closure_generates_sl2():
     # [E12, E21] = diag(1, -1), so the closure is the full traceless algebra.
-    space = bracket_closure([E12.flatten(), E21.flatten()], [E12, E21], 2)
+    space = bracket_closure([F12, F21], [F12, F21], 2)
     assert space.dim == 3
     mats = matrices_of(space)
     for x in mats:
@@ -231,22 +231,22 @@ def test_closure_generates_sl2():
 def test_closure_with_multipliers_and_stop():
     # multiplier brackets alone must be followed: start from the diagonal.
     # Without multipliers the closure is the span: no mutual commutators.
-    gens = [E12.flatten(), E21.flatten()]
+    gens = [F12, F21]
     assert bracket_closure(gens, [], 2).dim == 2
     h = comm(E12, E21)
-    space = bracket_closure([h.flatten()], [E12, E21], 2)
+    space = bracket_closure([h.flatten()], gens, 2)
     assert space.dim == 3
-    space = bracket_closure(gens, [E12, E21], 2, stop_dim=3)
+    # a multiple of a multiplier gives the same closure
+    assert bracket_closure([h.flatten()], [{1: (3, 4)}, F21], 2) == space
+    space = bracket_closure(gens, gens, 2, stop_dim=3)
     assert space.dim == 3
-    # a multiplier or a generator of another side
+    # a generator of another side; a multiplier is checked by ad_flat
     with pytest.raises(DimensionError):
-        bracket_closure(gens, [E12, Matrix.identity(3)], 2)
-    with pytest.raises(DimensionError):
-        bracket_closure([Matrix.identity(3).flatten()], [E12], 2)
+        bracket_closure([Matrix.identity(3).flatten()], [F12], 2)
 
 
 def test_center_examples():
-    sl2 = bracket_closure([E12.flatten(), E21.flatten()], [E12, E21], 2)
+    sl2 = bracket_closure([F12, F21], [F12, F21], 2)
     assert center_of(sl2).dim == 0
     span_id = Subspace.span([Matrix.identity(2).flatten()], ambient=4)
     assert center_of(span_id) == span_id
@@ -374,7 +374,7 @@ def test_ad_flat_matches_commutator():
     for den in (1, 2, 6, 15):
         for _ in range(6):
             a = Matrix.from_numerators(n, n, _random_numerators(rng, n, 0.5), den)
-            ad = ad_flat(a)
+            ad = ad_flat(a.flatten(), n)
             dens.add(a.den)
             for _ in range(4):
                 x = Matrix.from_numerators(n, n, _random_numerators(rng, n, 0.4)).flatten()
@@ -388,9 +388,14 @@ def test_ad_flat_matches_commutator():
     a = Matrix(2, 2, {0: {1: GaussianRational(0, 1, 2)}, 1: {0: 2}})
     x = {0: (0, 1), 1: (3, -2), 3: (1, 0)}
     assert a.den == 2
-    assert Matrix.from_flat(ad_flat(a)(x), 2, 2, a.den) == comm(a, Matrix.from_flat(x, 2, 2))
-    with pytest.raises(DimensionError):
-        ad_flat(Matrix(2, 3))
+    assert Matrix.from_flat(ad_flat(a.flatten(), 2)(x), 2, 2, a.den) == comm(
+        a, Matrix.from_flat(x, 2, 2))
+    # an operator with an index outside n x n, as the flattening of a
+    # multiplier of another side, is refused when the map is built
+    for bad in (Matrix.identity(3).flatten(), {4: (1, 0)}, {-1: (1, 0)}):
+        with pytest.raises(DimensionError):
+            ad_flat(bad, 2)
+    assert ad_flat({}, 2)(x) == {}
 
 
 def test_modulus_constants():

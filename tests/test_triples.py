@@ -24,7 +24,7 @@ from symtriple.triples import (
     verify_axioms,
 )
 
-from conftest import AXIOM_CASES, bilinear, scalar_cols, scalars, triple_product
+from conftest import AXIOM_CASES, bilinear, dmat, scalar_cols, scalars, triple_product
 
 INDER_DIMS = {
     ("symplectic", 1): 3,  # sp(2)
@@ -195,10 +195,10 @@ def _reference_identity3(t: SymplecticTripleSystem, mode: str):
     checked, failed = 0, []
     for i, j in pairs:
         for l, m in pairs:
-            a, b = t.dmat(i, j), t.dmat(l, m)
+            a, b = dmat(t, i, j), dmat(t, l, m)
             rhs = combination([
-                *((v, t.dmat(p, m)) for p, v in scalars(t.basis_triple(i, j, l), t.den).items()),
-                *((v, t.dmat(l, p)) for p, v in scalars(t.basis_triple(i, j, m), t.den).items()),
+                *((v, dmat(t, p, m)) for p, v in scalars(t.basis_triple(i, j, l), t.den).items()),
+                *((v, dmat(t, l, p)) for p, v in scalars(t.basis_triple(i, j, m), t.den).items()),
             ], d)
             checked += 1
             if a @ b - b @ a != rhs:

@@ -21,7 +21,7 @@ from symtriple.linalg import Matrix, comm_minus, numerators
 from symtriple.scalars import ONE, qi
 from symtriple.triples import SymplecticTripleSystem, check_witnesses, verify_axioms
 
-from conftest import LIGHT_CASES, scalar_cols, scalar_table
+from conftest import LIGHT_CASES, ad, dmat, scalar_cols, scalar_table
 from test_connections import fractional_members
 from test_triples import _mutated
 
@@ -91,14 +91,14 @@ def identity3_reference(T, mode: str) -> tuple:
     all-pairs loop: [d_ij, d_lm] - d_{d_ij(e_l), m} - d_{l, d_ij(e_m)} by
     ``comm_minus`` on the canonical d_ij, over i <= j and l <= m when (1)
     holds and over every pair otherwise."""
-    d, bt, dmat = T.dim, T.basis_triple, T.dmat
+    d, bt = T.dim, T.basis_triple
     symmetric = all(bt(i, j, k) == bt(j, i, k)
                     for i in range(d) for j in range(d) for k in range(d))
     pairs = [(i, j) for i in range(d) for j in range(i if symmetric else 0, d)]
     return check_witnesses((
-        ((i, j, l, m), comm_minus(dmat(i, j), dmat(l, m), [
-            *((z, dmat(p, m)) for p, z in bt(i, j, l).items()),
-            *((z, dmat(l, p)) for p, z in bt(i, j, m).items()),
+        ((i, j, l, m), comm_minus(dmat(T, i, j), dmat(T, l, m), [
+            *((z, dmat(T, p, m)) for p, z in bt(i, j, l).items()),
+            *((z, dmat(T, l, p)) for p, z in bt(i, j, m).items()),
         ], T.den).is_zero())
         for (i, j) in pairs for (l, m) in pairs
     ), mode, triples.AXIOM_FAILURE_CAP)
@@ -108,8 +108,8 @@ def jacobi_reference(L, mode: str) -> tuple:
     """(pairs checked, failing witnesses) of Jacobi from the plain all-pairs
     loop: [ad_i, ad_j] - ad_[e_i, e_j] by ``comm_minus`` on the canonical ad_i."""
     return check_witnesses((
-        ((i, j), comm_minus(L.ad(i), L.ad(j), [
-            (z, L.ad(l)) for l, z in L.bracket_basis(i, j).items()
+        ((i, j), comm_minus(ad(L, i), ad(L, j), [
+            (z, ad(L, l)) for l, z in L.bracket_basis(i, j).items()
         ], L.den).is_zero())
         for i in range(L.dim) for j in range(i + 1, L.dim)
     ), mode, enveloping.JACOBI_FAILURE_CAP)
@@ -141,7 +141,7 @@ def test_identity3_and_jacobi_with_mixed_denominators(triple_cache, model_cache)
     # witnesses and counts of the comm_minus loop in both modes
     T = triple_cache("orthogonal", 3)
     d = T.dim
-    assert T.den == 2 and {T.dmat(i, j).den for i in range(d) for j in range(d)} == {1, 2}
+    assert T.den == 2 and {dmat(T, i, j).den for i in range(d) for j in range(d)} == {1, 2}
     keys = sorted(key for key in T.num if key[0] <= key[1])
     systems = [T, _bumped_triple(T, keys[0], symmetric=False)]
     systems += [_bumped_triple(T, key) for key in keys[::6]]
@@ -155,7 +155,7 @@ def test_identity3_and_jacobi_with_mixed_denominators(triple_cache, model_cache)
     assert failing > 6
 
     L = model_cache("exceptional", "scalar").algebra
-    assert L.den == 3 and {L.ad(i).den for i in range(L.dim)} == {1, 3}
+    assert L.den == 3 and {ad(L, i).den for i in range(L.dim)} == {1, 3}
     algebras = [L] + [_bumped_algebra(L, key) for key in sorted(L.table)[::5]]
     failing = 0
     for alg in algebras:
@@ -168,9 +168,9 @@ def test_identity3_and_jacobi_with_mixed_denominators(triple_cache, model_cache)
 
 
 def test_verifiers_build_no_ad_or_commutator_matrix(triple_cache, model_cache, monkeypatch):
-    # identity (3) and Jacobi residues are summed on flat integer vectors;
-    # with GradedLieAlgebra.ad and comm_minus refused wherever triples and
-    # enveloping could reach them, the same reports and g(T) tables come
+    # identity (3), (4) and Jacobi residues are summed on flat integer
+    # vectors; with Matrix.from_flat and comm_minus refused wherever triples
+    # and enveloping could reach them, the same reports and g(T) tables come
     # out, also from the all-pairs loops of failing tables in audit mode
     systems = [triple_cache(*case) for case in LIGHT_CASES]
     bad_triple = _bumped_triple(triple_cache("orthogonal", 3), (0, 3, 0))
@@ -188,7 +188,10 @@ def test_verifiers_build_no_ad_or_commutator_matrix(triple_cache, model_cache, m
     def refuse(*args):
         raise AssertionError("an ad or commutator Matrix was built")
 
-    monkeypatch.setattr(GradedLieAlgebra, "ad", refuse)
+    # every module that holds a Matrix holds the one class patched here
+    assert all(getattr(mod, "Matrix", Matrix) is Matrix
+               for name, mod in sys.modules.items() if name.startswith("symtriple"))
+    monkeypatch.setattr(Matrix, "from_flat", refuse)
     patched = [name for name, mod in sys.modules.items()
                if name.startswith("symtriple")
                and getattr(mod, "comm_minus", None) is linalg.comm_minus]
@@ -227,7 +230,21 @@ def admissibility_reference(model, alpha) -> list:
     return []
 
 
-def test_admissibility_with_mixed_denominators(model_cache):
+def rescaled(T, scales):
+    """T in the basis f_i = s_i e_i: [f_i, f_j, f_k] = (s_i s_j s_k / s_l)
+    c^l f_l for [e_i, e_j, e_k] = c^l e_l, and (f_i, f_j) = s_i s_j (e_i, e_j)."""
+    cols: dict = {}
+    for i, j, k, l, v in T.entries():
+        cols.setdefault((i, j, k), {})[l] = v * qi(Fraction(scales[i] * scales[j] * scales[k],
+                                                            scales[l]))
+    omega: dict = {}
+    for i, j, v in T.omega.entries():
+        omega.setdefault(i, {})[j] = v * scales[i] * scales[j]
+    return SymplecticTripleSystem(T.dim, Matrix(T.dim, T.dim, omega), cols,
+                                  f"{T.label} rescaled by {scales}")
+
+
+def test_admissibility_with_mixed_denominators(model_cache, triple_cache):
     # members whose operators carry different denominators, each operator
     # in turn bumped by 1/3 at its first entry: the flat residues report
     # the first witness of the Matrix loop
@@ -246,6 +263,17 @@ def test_admissibility_with_mixed_denominators(model_cache):
             assert failures == admissibility_reference(model, alpha), alpha.label
             found.update(failures)
     assert len(found) > 3
+    # Levi-Civita of rescaled bases, whose odd operators carry different
+    # denominators (2 and 4 on orthogonal(3)): every operator must be brought
+    # to the one lcm of alpha's denominators, or a residue fails that holds
+    for case, scales in ((("orthogonal", 3), (2, 3, 5, 7, 11, 13)),
+                         (("special", 2), (2, 3, 5, 7))):
+        T = rescaled(triple_cache(*case), scales)
+        assert verify_axioms(T).passed, T.label
+        model = build_model(T)
+        alpha = alpha_levi_civita(model)
+        assert len({op.den for op in alpha.ops[3:]}) > 1, T.label
+        assert admissibility_failures(model, alpha) == admissibility_reference(model, alpha) == []
 
 
 def test_admissibility_of_zero_operators_reaching_a_nonzero_one(model_cache):
