@@ -31,16 +31,15 @@ from .enveloping import (
     verify_jacobi,
 )
 from .connections import (
+    NAMED,
     Connection,
     NomizuMap,
-    alpha_canonical,
-    alpha_distinguished,
     alpha_family,
-    alpha_levi_civita,
     connection_by_name,
     curvature,
     is_metric,
     is_skew_torsion,
+    named_alpha,
 )
 from .holonomy import (
     HolonomyResult,

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import families
-from .connections import Connection, alpha_family, connection_by_name, curvature
+from .connections import NAMED, Connection, alpha_family, connection_by_name, curvature
 from .enveloping import build_model, verify_jacobi
 from .errors import ConstructionError, ParseError, ValidationError
 from .holonomy import (
@@ -48,7 +48,7 @@ def _add_case_args(p: argparse.ArgumentParser, with_connection: bool = True) -> 
         p.add_argument(
             "--connection",
             default="levi-civita",
-            choices=("levi-civita", "distinguished", "canonical", "zero", "family"),
+            choices=(*NAMED, "family"),
         )
         p.add_argument("--a",
                        help="coefficient of the vertical torsion block "
@@ -204,11 +204,7 @@ def cmd_holonomy(args) -> int:
     triple, conn = _load_connection(args)
     model = conn.model
     res = holonomy_algebra(conn, compute_center=not args.no_center)
-    expected = None
-    if args.family != "file" and args.connection in ("distinguished", "canonical"):
-        expected = families.expected_hol_skew(args.family, _resolve_param(args))
-    elif args.family != "file" and args.connection == "levi-civita":
-        expected = families.expected_hol_levi_civita(model.n)
+    expected = families.expected_hol(args.family, _resolve_param(args), args.connection)
     status = None if expected is None else (res.dim == expected)
     record = {
         "case": triple.label,

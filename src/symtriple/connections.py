@@ -16,15 +16,10 @@ predicates, and curvature operators
 Every named map is a block-wise multiple of the bracket: alpha(e_i, e_j) =
 c [e_i, e_j]_m, with c read off the blocks of e_i (row) and e_j (column),
 m = vertical (xi_1, xi_2, xi_3) (+) odd part.  Each operator alpha(e_i, .)
-is ``HomogeneousModel.bracket_op(i, vertical, odd)`` with
-
-    map                    vertical e_i             odd e_i
-    levi-civita            (1/2, 0)                 (1, 1/2)
-    family (a, B)          ((1 + a - tr B)/2, 0)    (1, 1/2)
-    distinguished          (0, -1)                  0
-    canonical              (-1, -1)                 0
-
-The family adds, for each r, the Phi and phi entries of sum_s B_rs phi_s.
+is ``HomogeneousModel.bracket_op(i, vertical, odd)``, with the rows of
+``NAMED`` for the named maps and ``((1 + a - tr B)/2, 0)`` and ``(1, 1/2)``
+for the family member (a, B), which then adds, for each r, the Phi and phi
+entries of sum_s B_rs phi_s.
 """
 
 from __future__ import annotations
@@ -41,11 +36,9 @@ from .triples import check_witnesses
 __all__ = [
     "NomizuMap",
     "Connection",
-    "alpha_levi_civita",
+    "NAMED",
+    "named_alpha",
     "alpha_family",
-    "alpha_distinguished",
-    "alpha_canonical",
-    "alpha_zero",
     "torsion_operator",
     "metric_products",
     "is_metric",
@@ -82,7 +75,7 @@ class NomizuMap:
         return f"NomizuMap({self.label!r}, m_dim={self.m_dim})"
 
 
-def _block_ops(model: HomogeneousModel, vertical_row, odd_row=(ZERO, ZERO)) -> list:
+def _block_ops(model: HomogeneousModel, vertical_row, odd_row) -> list:
     """ops[i] = bracket_op(i, *row), with the row of e_i's block."""
     return [
         model.bracket_op(i, *(vertical_row if i < 3 else odd_row))
@@ -90,12 +83,28 @@ def _block_ops(model: HomogeneousModel, vertical_row, odd_row=(ZERO, ZERO)) -> l
     ]
 
 
-def alpha_levi_civita(model: HomogeneousModel) -> NomizuMap:
-    """Half-bracket on matching blocks, full bracket odd-into-vertical,
-    zero vertical-into-odd; built once per model."""
-    if model._alpha_g is None:
-        model._alpha_g = NomizuMap(_block_ops(model, (HALF, ZERO), (ONE, HALF)), "levi-civita")
-    return model._alpha_g
+# name -> (vertical row, odd row): the row of e_i's block holds c for a
+# vertical and for an odd e_j.  distinguished and canonical are the family
+# members at (a, B) = (2, I) and (0, I): alpha(xi_i, X) = -phi_i(X), plus
+# alpha(xi, xi') = -[xi, xi'] for the canonical map, and zero on every
+# other pair of blocks.
+NAMED = {
+    "levi-civita": ((HALF, ZERO), (ONE, HALF)),
+    "distinguished": ((ZERO, -ONE), (ZERO, ZERO)),
+    "canonical": ((-ONE, -ONE), (ZERO, ZERO)),
+    "zero": ((ZERO, ZERO), (ZERO, ZERO)),  # a reference map, not in the paper
+}
+CONNECTION_NAMES = tuple(name for name in NAMED if name != "zero")
+
+
+def named_alpha(model: HomogeneousModel, name: str) -> NomizuMap:
+    """The Nomizu map of the ``NAMED`` row ``name``, built once per model."""
+    alpha = model._named.get(name)
+    if alpha is None:
+        if name not in NAMED:
+            raise ValueError(f"unknown connection {name!r}")
+        alpha = model._named[name] = NomizuMap(_block_ops(model, *NAMED[name]), name)
+    return alpha
 
 
 def alpha_family(model: HomogeneousModel, a, b_matrix) -> NomizuMap:
@@ -131,24 +140,6 @@ def alpha_family(model: HomogeneousModel, a, b_matrix) -> NomizuMap:
     ops = [op + Matrix(md, md, e) if e else op for op, e in zip(ops, extra)]
     label = f"family(a={a}, B={[[str(x) for x in row] for row in rows]})"
     return NomizuMap(ops, label)
-
-
-def alpha_distinguished(model: HomogeneousModel) -> NomizuMap:
-    """alpha_g + 2 alpha_o + sum_r alpha_rr, the family member at (a, B) =
-    (2, I), from its value table: alpha(xi_i, X) = -phi_i(X) and zero on
-    every other pair of blocks."""
-    return NomizuMap(_block_ops(model, (ZERO, -ONE)), "distinguished")
-
-
-def alpha_canonical(model: HomogeneousModel) -> NomizuMap:
-    """alpha_g + sum_r alpha_rr, the family member at (a, B) = (0, I), from
-    its value table: the distinguished one plus alpha(xi, xi') = -[xi, xi']."""
-    return NomizuMap(_block_ops(model, (-ONE, -ONE)), "canonical")
-
-
-def alpha_zero(model: HomogeneousModel) -> NomizuMap:
-    """The zero Nomizu map (flat-ish reference connection)."""
-    return NomizuMap(_block_ops(model, (ZERO, ZERO)), "zero")
 
 
 def torsion_operator(model: HomogeneousModel, alpha: NomizuMap, i: int, j: int):
@@ -193,7 +184,7 @@ def is_skew_torsion(model: HomogeneousModel, alpha: NomizuMap) -> bool:
     """
     if not is_metric(model, alpha):
         return False
-    base = alpha_levi_civita(model)
+    base = named_alpha(model, "levi-civita")
     cols: dict = {}  # (i, j) -> D(e_i, e_j), sparse and nonzero
     for i, (a_i, g_i) in enumerate(zip(alpha.ops, base.ops)):
         for j, l, x in (a_i - g_i).transpose().entries():
@@ -297,20 +288,8 @@ class Connection:
         return f"Connection({self.label!r} on {self.model.triple.label!r})"
 
 
-CONNECTION_NAMES = ("levi-civita", "distinguished", "canonical")
-
-
 def connection_by_name(model: HomogeneousModel, name: str) -> Connection:
-    if name == "levi-civita":
-        alpha = alpha_levi_civita(model)
-    elif name == "distinguished":
-        alpha = alpha_distinguished(model)
-    elif name == "canonical":
-        alpha = alpha_canonical(model)
-    elif name == "zero":
-        alpha = alpha_zero(model)
-    else:
-        raise ValueError(f"unknown connection {name!r}")
+    alpha = named_alpha(model, name)
     if admissibility_failures(model, alpha):
         raise ConstructionError(f"{name}: isotropy does not act by derivations")
     return Connection(model, alpha)

@@ -380,7 +380,7 @@ class HomogeneousModel:
         "_where",
         "_parts",
         "_ads",
-        "_alpha_g",
+        "_named",
     )
 
     def __init__(self, triple, inder, algebra, split, kappa, metric):
@@ -395,7 +395,7 @@ class HomogeneousModel:
         self._where.update((g, (1, r)) for r, g in enumerate(split.h_indices))
         self._parts: dict = {}
         self._ads: dict = {}
-        self._alpha_g = None  # connections.alpha_levi_civita, built on first use
+        self._named: dict = {}  # connections.named_alpha, each built on first use
         self.phis = tuple(self.bracket_op(i, HALF, ONE) for i in range(3))
 
     # -- geometry ---------------------------------------------------------
@@ -443,19 +443,10 @@ class HomogeneousModel:
     # -- distinguished operators on m --------------------------------------
 
     def _ad_m(self, k: int) -> Matrix:
-        """ad(e_k) restricted to m, for e_k in sp(V) (+) h: the m-parts of
-        the brackets [e_k, e_j] for the m positions j only."""
+        """ad(e_k) restricted to m, for e_k in sp(V) (+) h."""
         m = self._ads.get(k)
         if m is None:
-            where, bracket = self._where, self.algebra.bracket_basis
-            num: dict = {}
-            for q, j in enumerate(self.split.m_indices):
-                for l, z in bracket(k, j).items():
-                    part, p = where[l]
-                    if part == 0:
-                        num.setdefault(p, {})[q] = z
-            m = Matrix.from_numerators(self.m_dim, self.m_dim, num, self.algebra.den)
-            self._ads[k] = m
+            m = self._ads[k] = self._bracket_m(k, (1, 0), (1, 0), 1)
         return m
 
     def ad_m_inder(self, r: int) -> Matrix:
@@ -471,17 +462,28 @@ class HomogeneousModel:
         on the vertical block (j < 3) and c_j = ``odd`` on the odd block.
 
         phi_i is ``bracket_op(i - 1, 1/2, 1)``; the coefficients of every
-        named Nomizu map are tabled in the ``connections`` module docstring.
+        named Nomizu map are the rows of ``connections.NAMED``.
         """
         coeffs, den = numerators({0: {0: vertical, 1: odd}})
-        vertical, odd = (coeffs.get(0, _EMPTY).get(b) for b in (0, 1))
+        row = coeffs.get(0, _EMPTY)
+        return self._bracket_m(self.m_to_g(i), row.get(0), row.get(1), den)
+
+    def _bracket_m(self, k: int, vertical, odd, den: int) -> Matrix:
+        """e_j -> c_j [e_k, e_j]_m on m for the g-index k, with c_j the
+        Gaussian-integer numerator ``vertical`` or ``odd`` (None for 0) over
+        ``den``, on the blocks of ``bracket_op``; read from the stored entry
+        of ``algebra.table``, with no negated copy."""
+        table, where = self.algebra.table, self._where
         num: dict = {}
-        for j in range(self.m_dim):
-            c = vertical if j < 3 else odd
+        for q, j in enumerate(self.split.m_indices):
+            c = vertical if q < 3 else odd
             if c:
-                cr, ci = c if i <= j else (-c[0], -c[1])  # [e_i, e_j] = -[e_j, e_i]
-                for l, (x, y) in self.m_bracket_m(min(i, j), max(i, j)).items():
-                    num.setdefault(l, {})[j] = (cr * x - ci * y, cr * y + ci * x)
+                # [e_k, e_j] = -[e_j, e_k], and only the first of each pair is stored
+                key, (cr, ci) = ((k, j), c) if k <= j else ((j, k), (-c[0], -c[1]))
+                for l, (x, y) in table.get(key, _EMPTY).items():
+                    part, p = where[l]
+                    if part == 0:
+                        num.setdefault(p, {})[q] = (cr * x - ci * y, cr * y + ci * x)
         return Matrix.from_numerators(self.m_dim, self.m_dim, num, den * self.algebra.den)
 
     def phi(self, i: int) -> Matrix:

@@ -30,8 +30,7 @@ __all__ = [
     "build_triple",
     "case_m_dim",
     "is_heavy",
-    "expected_hol_levi_civita",
-    "expected_hol_skew",
+    "expected_hol",
     "DEFAULT_TABLE_CASES",
     "ALL_LIGHT_TABLE_CASES",
 ]
@@ -94,22 +93,23 @@ def is_heavy(m_dim: int) -> bool:
     return m_dim > LIGHT_M_DIM_LIMIT
 
 
-def expected_hol_levi_civita(n: int) -> int:
-    """dim so(4n+3) = 8n^2 + 10n + 3."""
-    return 8 * n * n + 10 * n + 3
-
-
-def expected_hol_skew(family: str, param) -> int:
-    """Table closed form for the two skew-torsion holonomies: 3 + dim inder."""
+def expected_hol(family: str, param, name: str) -> int | None:
+    """The table's closed form for the holonomy of a named connection:
+    dim so(4n+3) = 8n^2 + 10n + 3 for Levi-Civita, 3 + dim inder for the
+    distinguished and canonical ones; None for a file or any other name."""
+    if family == "file":
+        return None
+    if name == "levi-civita":
+        m = case_m_dim(family, param)
+        return m * (m - 1) // 2
+    if name not in ("distinguished", "canonical"):
+        return None
     if family == "symplectic":
-        n = param
-        return 2 * n * n + n + 3
+        return 2 * param * param + param + 3
     if family == "special":
-        n = param
-        return n * n + 3
+        return param * param + 3
     if family == "orthogonal":
-        n = param
-        return n * (n - 1) // 2 + 6
+        return param * (param - 1) // 2 + 6
     if family == "exceptional":
         return 3 + _EXC_INDER[param]
     raise ValidationError(f"no closed-form holonomy dimension for {family!r}")

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from functools import cache
 from math import lcm
 
-from .connections import Connection, connection_by_name, curvature_vectors, metric_products
+from .connections import (CONNECTION_NAMES, Connection, connection_by_name, curvature_vectors,
+                          metric_products)
 from .enveloping import HomogeneousModel, build_model
 from .errors import DimensionError, ValidationError
 from .linalg import (Matrix, Subspace, add_numerators, bracket_closure, center_of,
@@ -384,18 +385,14 @@ def table_report(cases, compute_centers: bool = False):
         n = model.n
         dims = {}
         centers = {}
-        for name in ("levi-civita", "distinguished", "canonical"):
+        for name in CONNECTION_NAMES:
             conn = connection_by_name(model, name)
             want_center = compute_centers and name != "levi-civita"
             res = holonomy_algebra(conn, compute_center=want_center)
             dims[name] = res.dim
             if want_center:
                 centers[name] = res.center_dim
-        expected = {
-            "levi-civita": families.expected_hol_levi_civita(n),
-            "distinguished": families.expected_hol_skew(family, param),
-            "canonical": families.expected_hol_skew(family, param),
-        }
+        expected = {name: families.expected_hol(family, param, name) for name in CONNECTION_NAMES}
         rows.append(
             TableRow(
                 family=family,

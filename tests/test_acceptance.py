@@ -6,7 +6,7 @@ import itertools
 
 from symtriple.connections import connection_by_name
 from symtriple.enveloping import build_model, verify_jacobi
-from symtriple.families import expected_hol_levi_civita, expected_hol_skew
+from symtriple.families import expected_hol
 from symtriple.holonomy import (
     holonomy_algebra,
     holonomy_identity_check,
@@ -127,22 +127,13 @@ def test_criterion_04_curvature_closed_forms(connection_cache):
 def test_criterion_05_dimension_table(connection_cache):
     bad = []
     for family, param in LIGHT_CASES:
-        model = connection_cache(family, param, "levi-civita").model
-        got = {}
-        got["levi-civita"] = holonomy_algebra(
-            connection_cache(family, param, "levi-civita"), compute_center=False
-        ).dim
-        for name in ("distinguished", "canonical"):
-            got[name] = holonomy_algebra(
+        for name in ("levi-civita", "distinguished", "canonical"):
+            dim = holonomy_algebra(
                 connection_cache(family, param, name), compute_center=False
             ).dim
-        want_lc = expected_hol_levi_civita(model.n)
-        want_skew = expected_hol_skew(family, param)
-        if got["levi-civita"] != want_lc:
-            bad.append((family, param, "levi-civita", got["levi-civita"], want_lc))
-        for name in ("distinguished", "canonical"):
-            if got[name] != want_skew:
-                bad.append((family, param, name, got[name], want_skew))
+            want = expected_hol(family, param, name)
+            if dim != want:
+                bad.append((family, param, name, dim, want))
     ok = not bad
     _report(5, "holonomy dimension table", ok,
             "8n^2+10n+3 / family closed forms, 7 cases")

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import random
 from fractions import Fraction
@@ -5,21 +6,22 @@ from functools import partial
 
 import pytest
 
-from symtriple import connections
+from symtriple import cli, connections
 from symtriple.connections import (
+    CONNECTION_NAMES,
+    NAMED,
     Connection,
     NomizuMap,
     admissibility_failures,
-    alpha_canonical,
-    alpha_distinguished,
     alpha_family,
-    alpha_levi_civita,
     connection_by_name,
     is_metric,
     is_skew_torsion,
     metric_products,
+    named_alpha,
     torsion_operator,
 )
+from symtriple.holonomy import table_report
 from symtriple.linalg import Matrix, combination, comm_minus
 from symtriple.scalars import HALF, ONE, ZERO, qi
 
@@ -51,7 +53,7 @@ def unit3(r, s):
 def torsion_part(model, a, b_matrix):
     """alpha_family(a, B) - alpha_g; alpha_o is (1, 0), alpha_rs is (0, E_rs)."""
     family = alpha_family(model, a, b_matrix)
-    lc = alpha_levi_civita(model)
+    lc = named_alpha(model, "levi-civita")
     return NomizuMap([x - y for x, y in zip(family.ops, lc.ops)], family.label)
 
 
@@ -72,7 +74,7 @@ def gamma_on(a, c, b):
 
 def test_levi_civita_values(model_cache):
     model = model_cache("symplectic", 1)
-    lc = alpha_levi_civita(model).ops
+    lc = named_alpha(model, "levi-civita").ops
     md = model.m_dim
     e = basis(md)
     xi, odd = e[:3], e[3]
@@ -117,9 +119,9 @@ def test_alpha_rs_values(model_cache):
 
 def test_family_specializations(model_cache):
     model = model_cache("symplectic", 1)
-    assert alpha_family(model, 0, ZERO3).ops == alpha_levi_civita(model).ops
-    assert alpha_family(model, 2, IDENTITY3).ops == alpha_distinguished(model).ops
-    assert alpha_family(model, 0, IDENTITY3).ops == alpha_canonical(model).ops
+    assert alpha_family(model, 0, ZERO3).ops == named_alpha(model, "levi-civita").ops
+    assert alpha_family(model, 2, IDENTITY3).ops == named_alpha(model, "distinguished").ops
+    assert alpha_family(model, 0, IDENTITY3).ops == named_alpha(model, "canonical").ops
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +233,8 @@ def reference_skew(model, canonical):
 @pytest.mark.parametrize("family,param", LIGHT_CASES)
 def test_skew_value_tables(family, param, model_cache):
     model = model_cache(family, param)
-    dist = alpha_distinguished(model)
-    can = alpha_canonical(model)
+    dist = named_alpha(model, "distinguished")
+    can = named_alpha(model, "canonical")
     # the closed-form tables are the family members at (a, B) = (2, I), (0, I)
     for closed, a in ((dist, 2), (can, 0)):
         combo = alpha_family(model, a, IDENTITY3)
@@ -240,7 +242,7 @@ def test_skew_value_tables(family, param, model_cache):
     # every map built by bracket_op equals its entry-by-entry table
     for i in (1, 2, 3):
         assert model.phi(i) == reference_phi(model, i)
-    assert list(alpha_levi_civita(model).ops) == reference_levi_civita(model)
+    assert list(named_alpha(model, "levi-civita").ops) == reference_levi_civita(model)
     assert list(torsion_part(model, 1, ZERO3).ops) == reference_alpha_o(model)
     for r, s in itertools.product((1, 2, 3), repeat=2):
         got = torsion_part(model, 0, unit3(r, s)).ops
@@ -311,12 +313,31 @@ def test_zero_map_not_skew(model_cache):
     assert not is_skew_torsion(model, zero.alpha)
 
 
+def test_named_table_drives_every_reader(model_cache):
+    # each NAMED row is built once per model; its names, and no other, are
+    # what connection_by_name, the CLI and the dimension table accept
+    model = model_cache("symplectic", 1)
+    for name in NAMED:
+        assert named_alpha(model, name) is named_alpha(model, name)
+        assert named_alpha(model, name).label == name
+    with pytest.raises(ValueError, match="bogus"):
+        connection_by_name(model, "bogus")
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("holonomy", "curvature", "ricci"):
+        option = next(a for a in commands.choices[command]._actions if a.dest == "connection")
+        assert tuple(option.choices) == (*NAMED, "family")
+    [row] = table_report([("symplectic", 1)])
+    assert tuple(row.dims) == tuple(row.expected) == CONNECTION_NAMES
+    assert set(CONNECTION_NAMES) < set(NAMED)
+
+
 def dense_is_skew_torsion(model, alpha):
     """The dense predicate: both so(g) checks on w_i = D_i^T g, then
     w_i[j, k] = -w_j[i, k] entry by entry, for D = alpha - alpha_g."""
     if not is_metric(model, alpha):
         return False
-    base = alpha_levi_civita(model)
+    base = named_alpha(model, "levi-civita")
     g = model.metric.gram
     md = model.m_dim
     w = []
@@ -335,7 +356,7 @@ def dense_is_skew_torsion(model, alpha):
 def test_skew_torsion_on_maps_that_fail_it(family, param, model_cache):
     model = model_cache(family, param)
     md = model.m_dim
-    lc = alpha_levi_civita(model).ops
+    lc = named_alpha(model, "levi-civita").ops
 
     def replaced(k, op, label):
         return NomizuMap([op if i == k else x for i, x in enumerate(lc)], label)

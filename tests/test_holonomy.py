@@ -13,10 +13,7 @@ from symtriple.connections import (
 )
 from symtriple.enveloping import build_model
 from symtriple.errors import DimensionError
-from symtriple.families import (
-    expected_hol_levi_civita,
-    expected_hol_skew,
-)
+from symtriple.families import expected_hol
 from symtriple.holonomy import (
     holonomy_algebra,
     holonomy_identity_check,
@@ -36,15 +33,14 @@ from conftest import LIGHT_CASES, curvature_pairs, independent_mod_p, matrices_o
 
 @pytest.mark.parametrize("family,param", LIGHT_CASES)
 def test_holonomy_dimensions(family, param, connection_cache):
-    model = connection_cache(family, param, "levi-civita").model
     res = holonomy_algebra(
         connection_cache(family, param, "levi-civita"), compute_center=False
     )
-    assert res.dim == expected_hol_levi_civita(model.n)
+    assert res.dim == expected_hol(family, param, "levi-civita")
     assert res.contains_so and res.dim == res.so_dim
     for name in ("distinguished", "canonical"):
         res = holonomy_algebra(connection_cache(family, param, name), compute_center=False)
-        assert res.dim == expected_hol_skew(family, param)
+        assert res.dim == expected_hol(family, param, name)
         assert not res.contains_so
 
 

@@ -13,9 +13,7 @@ from fractions import Fraction
 import pytest
 
 from symtriple import enveloping, linalg, triples
-from symtriple.connections import (
-    NomizuMap, admissibility_failures, alpha_canonical, alpha_distinguished, alpha_levi_civita,
-)
+from symtriple.connections import NomizuMap, admissibility_failures, named_alpha
 from symtriple.enveloping import GradedLieAlgebra, build_model, verify_jacobi
 from symtriple.linalg import Matrix, comm_minus, numerators
 from symtriple.scalars import ONE, qi
@@ -208,7 +206,7 @@ def test_verifiers_build_no_ad_or_commutator_matrix(triple_cache, model_cache, m
 
 def test_admissibility_detects_bumped_entry(model_cache):
     model = model_cache("symplectic", 2)
-    alpha = alpha_levi_civita(model)
+    alpha = named_alpha(model, "levi-civita")
     ops = list(alpha.ops)
     i, j, _ = min(ops[3].entries())
     ops[3] = ops[3] + Matrix(model.m_dim, model.m_dim, {i: {j: ONE}})
@@ -271,7 +269,7 @@ def test_admissibility_with_mixed_denominators(model_cache, triple_cache):
         T = rescaled(triple_cache(*case), scales)
         assert verify_axioms(T).passed, T.label
         model = build_model(T)
-        alpha = alpha_levi_civita(model)
+        alpha = named_alpha(model, "levi-civita")
         assert len({op.den for op in alpha.ops[3:]}) > 1, T.label
         assert admissibility_failures(model, alpha) == admissibility_reference(model, alpha) == []
 
@@ -285,8 +283,8 @@ def test_admissibility_of_zero_operators_reaching_a_nonzero_one(model_cache):
     cases = (("symplectic", 2), ("special", 2), ("orthogonal", 3), ("exceptional", "scalar"))
     for case in cases:
         model = model_cache(*case)
-        lc = alpha_levi_civita(model).ops
-        for alpha in (alpha_distinguished(model), alpha_canonical(model)):
+        lc = named_alpha(model, "levi-civita").ops
+        for alpha in (named_alpha(model, "distinguished"), named_alpha(model, "canonical")):
             assert admissibility_failures(model, alpha) == []
             for k in range(3, model.m_dim):
                 ops = [*alpha.ops[:k], lc[k], *alpha.ops[k + 1:]]
