@@ -29,7 +29,7 @@ from math import lcm
 
 from .enveloping import HomogeneousModel
 from .errors import ConstructionError, DimensionError
-from .linalg import Matrix, ad_flat, add_numerators, combination
+from .linalg import _EMPTY, Matrix, ad_flat, add_numerators, combination
 from .scalars import HALF, ONE, ZERO, GaussianRational, qi
 from .triples import check_witnesses
 
@@ -158,13 +158,16 @@ def metric_products(model: HomogeneousModel, alpha: NomizuMap) -> list | None:
     so(m, g); None, at the first that does not.
 
     g is symmetric, so a^T g + g a = (g a)^T + g a, and a lies in so(m, g)
-    exactly when g a is skew: one product per operator.
+    exactly when g a is skew: one product per operator, each numerator
+    compared with its mirror in place.
     """
     g = model.metric.gram
     products = []
     for a_i in alpha.ops:
         ga = g @ a_i
-        if ga.transpose() != -ga:
+        rows = ga.num
+        if not all(rows.get(c, _EMPTY).get(r) == (-x, -y)
+                   for r, row in rows.items() for c, (x, y) in row.items()):
             return None
         products.append(ga)
     return products

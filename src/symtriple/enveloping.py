@@ -380,6 +380,7 @@ class HomogeneousModel:
         "_where",
         "_parts",
         "_ads",
+        "_g_ads",
         "_named",
     )
 
@@ -395,6 +396,7 @@ class HomogeneousModel:
         self._where.update((g, (1, r)) for r, g in enumerate(split.h_indices))
         self._parts: dict = {}
         self._ads: dict = {}
+        self._g_ads: dict = {}  # exact g ad_m(d_r), never a residue mod P
         self._named: dict = {}  # connections.named_alpha, each built on first use
         self.phis = tuple(self.bracket_op(i, HALF, ONE) for i in range(3))
 
@@ -452,6 +454,13 @@ class HomogeneousModel:
     def ad_m_inder(self, r: int) -> Matrix:
         """ad(d_r) restricted to m (kills the vertical block)."""
         return self._ad_m(self.split.h_indices[r])
+
+    def g_ad_m_inder(self, r: int) -> Matrix:
+        """g ad_m(d_r): the Gram matrix times ``ad_m_inder(r)``, cached."""
+        m = self._g_ads.get(r)
+        if m is None:
+            m = self._g_ads[r] = self.metric.gram @ self.ad_m_inder(r)
+        return m
 
     def ad_m_xi(self, i: int) -> Matrix:
         """ad(xi_i) restricted to m (i in 1..3)."""

@@ -12,10 +12,11 @@ are taken.
 For a metric connection it sits inside so(m, g), of dimension m(m-1)/2, the
 number of R(e_i, e_j) with i < j: if they are independent, which the
 certificate proves in F_P from alpha, g and the bracket table, they span
-so(m, g).  Otherwise (dependent R(e_i, e_j), or an unlucky prime) the
-closure runs, with dim so(m, g) as its early exit, on the flat Gaussian-
-integer multiples of R(e_i, e_j) that ``connections.curvature_vectors``
-yields, read lazily.  Neither path builds a curvature ``Matrix``.
+so(m, g), and the result spans it only when its ``algebra`` is first read.
+Otherwise (dependent R(e_i, e_j), or an unlucky prime) the closure runs,
+with dim so(m, g) as its early exit, on the flat Gaussian-integer
+multiples of R(e_i, e_j) that ``connections.curvature_vectors`` yields,
+read lazily.  Neither path builds a curvature ``Matrix``.
 
 The closure reads R(e_i, e_j) only for the pairs ``_spanning_pairs`` picks:
 every pair of nonzero alpha(e_i, .), and a pair with a zero one only when
@@ -30,7 +31,7 @@ operator products of the curvature operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from math import lcm
 
@@ -61,13 +62,24 @@ __all__ = [
 
 @dataclass
 class HolonomyResult:
+    """A certified result holds no ``_algebra`` but its model: the first
+    read of ``algebra`` spans ``so_algebra(_model)`` and keeps it, since
+    ``dim``, ``contains_so`` and ``center_dim`` do not need it."""
+
     label: str
-    algebra: Subspace
     dim: int
     center_dim: int | None
     contains_so: bool
     so_dim: int
     metric: bool
+    _algebra: Subspace | None = field(default=None, repr=False, compare=False)
+    _model: HomogeneousModel | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def algebra(self) -> Subspace:
+        if self._algebra is None:
+            self._algebra = so_algebra(self._model)
+        return self._algebra
 
 
 def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyResult:
@@ -79,8 +91,10 @@ def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyR
     g A_i the certificate reads.  The certificate rests on one premise:
     every ad_m(d), d in h, is g-skew (g is ad(h)-invariant), so that for a
     metric alpha each R(e_i, e_j) lies in so(m, g).  A certified algebra's
-    center is 0 without ``center_of``: so(m, g) is semisimple for m >= 3,
-    and every m here is 2 dim T + 3 >= 7.
+    dim is dim so(m, g), and its center is 0 without ``center_of``:
+    so(m, g) is semisimple for m >= 3, and every m here is 2 dim T + 3 >= 7.
+    So its ``so_algebra`` basis is spanned only on the first read of
+    ``algebra``; the closure's algebra is built here.
 
     The result is the holonomy algebra only for an invariant connection,
     one whose Nomizu map h acts on by derivations: only then is Kostant's
@@ -93,23 +107,28 @@ def holonomy_algebra(conn: Connection, compute_center: bool = True) -> HolonomyR
     g_ops = metric_products(model, conn.alpha)
     metric = g_ops is not None
     so_dim = model.so_dim()
-    certified = metric and _certifies_so(conn, g_ops)
-    if certified:
-        algebra = so_algebra(model)
-    else:
-        pairs = _spanning_pairs(model, conn.alpha.ops)
-        gens = (v for _, v, _ in curvature_vectors(model, conn.alpha, pairs))
-        multipliers = [op.flatten() for op in conn.alpha.ops if not op.is_zero()]
-        algebra = bracket_closure(gens, multipliers, md, so_dim if metric else None)
-    center = (0 if certified else center_of(algebra).dim) if compute_center else None
+    if metric and _certifies_so(conn, g_ops):
+        return HolonomyResult(
+            label=conn.label,
+            dim=so_dim,
+            center_dim=0 if compute_center else None,
+            contains_so=True,
+            so_dim=so_dim,
+            metric=True,
+            _model=model,
+        )
+    pairs = _spanning_pairs(model, conn.alpha.ops)
+    gens = (v for _, v, _ in curvature_vectors(model, conn.alpha, pairs))
+    multipliers = [op.flatten() for op in conn.alpha.ops if not op.is_zero()]
+    algebra = bracket_closure(gens, multipliers, md, so_dim if metric else None)
     return HolonomyResult(
         label=conn.label,
-        algebra=algebra,
         dim=algebra.dim,
-        center_dim=center,
+        center_dim=center_of(algebra).dim if compute_center else None,
         contains_so=metric and algebra.dim == so_dim,
         so_dim=so_dim,
         metric=metric,
+        _algebra=algebra,
     )
 
 
@@ -147,10 +166,12 @@ def _certifies_so(conn: Connection, g_ops: list) -> bool:
 
     with A_i = alpha(e_i, .), X = (g A_i) A_j = ((g A_j) A_i)^T for g-skew
     A_i, A_j, and [e_i, e_j] = sum_k c_k e_k + sum_t h_t d_t, each factor
-    reduced mod P once.  R is a polynomial in the entries of alpha, the
-    structure constants and g, and Z[i][1/D] -> F_P is a ring homomorphism
-    when P does not divide D, so these reduce the exact vectors: True proves
-    those, and the skew g R(e_i, e_j) they determine, independent over Q(i).
+    reduced mod P once per call (the exact g ad_m(d_t) are formed once per
+    model, by ``HomogeneousModel.g_ad_m_inder``).  R is a polynomial in the
+    entries of alpha, the structure constants and g, and Z[i][1/D] -> F_P
+    is a ring homomorphism when P does not divide D, so these reduce the
+    exact vectors: True proves those, and the skew g R(e_i, e_j) they
+    determine, independent over Q(i).
     If P divides a denominator of alpha, g or the bracket table (which
     ad_m(d_t)'s divides), it declines."""
     model, ops = conn.model, conn.alpha.ops
@@ -165,7 +186,7 @@ def _certifies_so(conn: Connection, g_ops: list) -> bool:
     a = cache(lambda i: reduced(ops[i]))
     ga = cache(lambda i: reduced(g_ops[i]))
     ga_up = cache(lambda k: upper(ga(k)))
-    gd_up = cache(lambda t: upper(reduced(gram @ model.ad_m_inder(t))))
+    gd_up = cache(lambda t: upper(reduced(model.g_ad_m_inder(t))))
 
     def vectors():
         for i in range(md):

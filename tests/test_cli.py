@@ -190,6 +190,27 @@ def test_holonomy_family_connection(capsys):
     assert json.loads(out)["dim"] == 6  # same map as the distinguished connection
 
 
+def test_certified_holonomy_builds_no_so_algebra(capsys, monkeypatch):
+    # the record of a certified member needs neither the closure nor so(m, g)
+    from symtriple import holonomy
+
+    def refuse(*args):
+        raise AssertionError("a closure or so(m, g) was built")
+
+    monkeypatch.setattr(holonomy, "bracket_closure", refuse)
+    monkeypatch.setattr(holonomy, "so_algebra", refuse)
+    code, out, _ = run(
+        capsys,
+        "holonomy", "--family", "symplectic", "--n", "1",
+        "--connection", "family", "--a", "1/2", "--b-matrix", "1,2,0;0,-1,1;3,0,5",
+        "--json",
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["dim"] == record["so_dim"] == 21
+    assert record["contains_so"] is True and record["center"] == 0
+
+
 @pytest.mark.parametrize("coefficient", (
     ("--a", "1/0"),
     ("--b-matrix", "1/0,0,0;0,0,0;0,0,0"),

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -374,6 +375,65 @@ def test_certificate_declines_on_a_denominator_divisible_by_p(model_cache, monke
         assert not certifies_so(conn)
         res = holonomy_algebra(conn, compute_center=False)
     assert res.algebra.rows == want.rows and res.contains_so
+
+
+@pytest.mark.parametrize("family,param", LIGHT_CASES)
+def test_certified_algebra_is_spanned_on_first_read(family, param, connection_cache,
+                                                    monkeypatch):
+    # a certified result knows dim, contains_so and its center without
+    # so(m, g); the first read of .algebra spans it, and later reads return
+    # that same Subspace
+    model = connection_cache(family, param, "levi-civita").model
+    want = so_algebra(model).rows
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return so_algebra(model)
+
+    monkeypatch.setattr(holonomy, "so_algebra", counted)
+    for conn in (connection_cache(family, param, "levi-civita"), *_seeded_members(model, 5)):
+        calls.clear()
+        res = holonomy_algebra(conn)
+        assert res.contains_so and res.dim == model.so_dim() and res.center_dim == 0
+        assert calls == [], conn.label
+        first = res.algebra
+        assert calls == [model] and first.rows == want, conn.label
+        assert res.algebra is first and len(calls) == 1, conn.label
+
+
+def test_results_pickle_before_and_after_the_first_read(connection_cache):
+    # a result can be sent to another process, its algebra read or not
+    model = connection_cache("special", 1, "levi-civita").model
+    for name in ("levi-civita", "distinguished"):
+        res = holonomy_algebra(connection_cache("special", 1, name))
+        for copy in (pickle.loads(pickle.dumps(res)), pickle.loads(pickle.dumps(res))):
+            assert copy == res and copy.algebra.rows == res.algebra.rows, name
+    assert res.dim < model.so_dim()
+
+
+@pytest.mark.parametrize("family,param", LIGHT_CASES)
+def test_per_model_products_hold_no_residue(family, param, triple_cache, monkeypatch):
+    # a model whose exact g ad_m(d_t) were filled at the real P gives, at
+    # P = 5, the verdicts and rows of a model built fresh: the cache holds
+    # exact products, never residues
+    warm, fresh = build_model(triple_cache(family, param)), build_model(triple_cache(family, param))
+    b = [[Fraction(1, 5), 2, 0], [0, -1, Fraction(3, 5)], [1, 0, 5]]
+
+    def conns(model):
+        return [connection_by_name(model, "levi-civita"), *_seeded_members(model, 5),
+                Connection(model, alpha_family(model, Fraction(2, 5), b))]
+
+    assert all(certifies_so(conn) for conn in conns(warm)[:3])
+    assert warm._g_ads and all(
+        m == warm.metric.gram @ warm.ad_m_inder(t) for t, m in warm._g_ads.items())
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "MODULUS", (5, 2))
+        for got, want in zip(conns(warm), conns(fresh)):
+            assert certifies_so(got) == certifies_so(want), want.label
+            g, w = holonomy_algebra(got), holonomy_algebra(want)
+            assert (g.dim, g.center_dim, g.contains_so) == (w.dim, w.center_dim, w.contains_so)
+            assert g.algebra.rows == w.algebra.rows, want.label
 
 
 @pytest.mark.parametrize("family,param", LIGHT_CASES)
