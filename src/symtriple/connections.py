@@ -17,9 +17,9 @@ Every named map is a block-wise multiple of the bracket: alpha(e_i, e_j) =
 c [e_i, e_j]_m, with c read off the blocks of e_i (row) and e_j (column),
 m = vertical (xi_1, xi_2, xi_3) (+) odd part.  Each operator alpha(e_i, .)
 is ``HomogeneousModel.bracket_op(i, vertical, odd)``, with the rows of
-``NAMED`` for the named maps and ``((1 + a - tr B)/2, 0)`` and ``(1, 1/2)``
-for the family member (a, B), which then adds, for each r, the Phi and phi
-entries of sum_s B_rs phi_s.
+``NAMED``.  The family member (a, B) is Levi-Civita's map with its vertical
+operators times 1 + a - tr B, plus, for each r, the Phi and phi entries of
+sum_s B_rs phi_s, summed on Gaussian-integer numerators.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from math import lcm
 
 from .enveloping import HomogeneousModel
 from .errors import ConstructionError, DimensionError
-from .linalg import _EMPTY, Matrix, ad_flat, add_numerators, combination
+from .linalg import _EMPTY, _ZZ, Matrix, _times, ad_flat, add_numerators
 from .scalars import HALF, ONE, ZERO, GaussianRational, qi
 from .triples import check_witnesses
 
@@ -115,31 +115,40 @@ def alpha_family(model: HomogeneousModel, a, b_matrix) -> NomizuMap:
         alpha_rs(X, Y) = Phi_s(X, Y) xi_r, alpha_rs(X, xi_j) = delta_rj phi_s(X),
         alpha_rs(xi_i, xi_j) = -delta_rs eps_ijk xi_k, extended alternating.
 
-    On the blocks of the bracket the sum is one bracket multiple; then, for
-    each r, the Phi and phi entries of phi = sum_s b[r][s] phi_s are added.
+    On the blocks of the bracket the sum is alpha_g, its vertical operators
+    times 1 + a - tr B; then, for each r, the Phi and phi entries of phi =
+    sum_s b[r][s] phi_s are added, on numerators over one denominator.
     """
     a = qi(a)
     rows = [[qi(x) for x in row] for row in b_matrix]
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise DimensionError("b_matrix must be 3x3")
-    md = model.m_dim
-    trace = rows[0][0] + rows[1][1] + rows[2][2]
-    ops = _block_ops(model, ((ONE + a - trace) * HALF, ZERO), (ONE, HALF))
-    # entries added to the bracket part, at places no other r touches
-    extra = [{} for _ in range(md)]
+    md, gram, gden = model.m_dim, model.metric.gram, model.metric.gram.den
+    k = ONE + a - (rows[0][0] + rows[1][1] + rows[2][2])
+    lc = [(k if i < 3 else ONE, op) for i, op in enumerate(named_alpha(model, "levi-civita").ops)]
+    den = lcm(*(c.d * op.den for c, op in lc),
+              gden * lcm(*(f.den for f in model.phis)) * lcm(*(c.d for row in rows for c in row)))
+    ops = [{l: _times(c.a * s, c.b * s, row) for l, row in op.num.items()}
+           for c, op in lc for s in (den // (c.d * op.den),)]
     for r, row in enumerate(rows):
-        phi = combination(((c, model.phi(s + 1)) for s, c in enumerate(row)), md)
-        w = model.metric.gram @ phi  # w[i, j] = g(e_i, phi e_j)
-        for i, j, v in w.entries():
-            if i >= 3 and j >= 3:  # columns over odd Y: Phi(e_i, Y) xi_r
-                extra[i].setdefault(r, {})[j] = v
-        for l, i, v in phi.entries():
-            if i >= 3:  # column xi_r: phi(e_i), and its alternating counterpart
-                extra[i].setdefault(l, {})[r] = v
-                extra[r].setdefault(l, {})[i] = -v
-    ops = [op + Matrix(md, md, e) if e else op for op, e in zip(ops, extra)]
+        phi: dict = {}  # sum_s b[r][s] phi_s, over den / g's denominator
+        for c, f in zip(row, model.phis):
+            if c:
+                s = den // (gden * c.d * f.den)
+                for l, frow in f.num.items():
+                    add_numerators(phi.setdefault(l, {}), c.a * s, c.b * s, frow)
+        odd = {l: {i: z for i, z in prow.items() if i >= 3} for l, prow in phi.items()}
+        for i, grow in gram.num.items():  # row r over odd Y: Phi(e_i, Y) = (g phi)[i, Y]
+            if i >= 3:
+                out = ops[i].setdefault(r, {})
+                for b, (x, y) in grow.items():
+                    add_numerators(out, x, y, odd.get(b, _EMPTY))
+        for l, orow in odd.items():  # column xi_r: phi(e_i), and its alternating counterpart
+            add_numerators(ops[r].setdefault(l, {}), -gden, 0, orow)
+            for i, z in orow.items():
+                add_numerators(ops[i].setdefault(l, {}), gden, 0, {r: z})
     label = f"family(a={a}, B={[[str(x) for x in row] for row in rows]})"
-    return NomizuMap(ops, label)
+    return NomizuMap((Matrix.from_numerators(md, md, num, den) for num in ops), label)
 
 
 def torsion_operator(model: HomogeneousModel, alpha: NomizuMap, i: int, j: int):
@@ -183,19 +192,24 @@ def is_skew_torsion(model: HomogeneousModel, alpha: NomizuMap) -> bool:
 
     alpha and alpha_g are both metric, so for D = alpha - alpha_g the form
     g(D(X, Y), Z) already alternates in (Y, Z); it is a 3-form exactly when
-    D(X, Y) = -D(Y, X) as well.
+    D(X, Y) = -D(Y, X) as well: on numerators over the lcm E of alpha's and
+    alpha_g's denominators, E D(e_i, e_j) + E D(e_j, e_i) vanishes.
     """
     if not is_metric(model, alpha):
         return False
-    base = named_alpha(model, "levi-civita")
-    cols: dict = {}  # (i, j) -> D(e_i, e_j), sparse and nonzero
-    for i, (a_i, g_i) in enumerate(zip(alpha.ops, base.ops)):
-        for j, l, x in (a_i - g_i).transpose().entries():
-            cols.setdefault((i, j), {})[l] = x
-    return all(
-        cols.get((j, i)) == {l: -x for l, x in col.items()}
-        for (i, j), col in cols.items()
-    )
+    md, base = model.m_dim, named_alpha(model, "levi-civita").ops
+    den = lcm(*(op.den for op in alpha.ops), *(op.den for op in base))
+    sums: dict = {}  # (min(i, j) m + max(i, j)) m + l -> E (D(e_i, e_j) + D(e_j, e_i))_l
+    get = sums.get
+    for i, pair in enumerate(zip(alpha.ops, base)):
+        for sign, op in zip((1, -1), pair):
+            s = sign * (den // op.den)
+            for l, row in op.num.items():
+                for j, (x, y) in row.items():
+                    key = ((i * md + j) if i <= j else (j * md + i)) * md + l
+                    zr, zi = get(key, _ZZ)
+                    sums[key] = (zr + s * x, zi + s * y)
+    return not any(x or y for x, y in sums.values())
 
 
 def curvature_vectors(model: HomogeneousModel, alpha: NomizuMap, pairs=None):

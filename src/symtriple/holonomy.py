@@ -40,7 +40,7 @@ from .connections import (CONNECTION_NAMES, Connection, connection_by_name, curv
 from .enveloping import HomogeneousModel, build_model
 from .errors import DimensionError, ValidationError
 from .linalg import (Matrix, Subspace, add_numerators, bracket_closure, center_of,
-                     independent_fp, mod_p, trace_product)
+                     independent_fp, trace_product)
 from .scalars import GaussianRational, ZERO, qi
 from . import families, linalg
 
@@ -165,26 +165,35 @@ def _certifies_so(conn: Connection, g_ops: list) -> bool:
         g R(e_i, e_j) = X - X^T - sum_k c_k g A_k - sum_t h_t g ad_m(d_t),
 
     with A_i = alpha(e_i, .), X = (g A_i) A_j = ((g A_j) A_i)^T for g-skew
-    A_i, A_j, and [e_i, e_j] = sum_k c_k e_k + sum_t h_t d_t, each factor
-    reduced mod P once per call (the exact g ad_m(d_t) are formed once per
-    model, by ``HomogeneousModel.g_ad_m_inder``).  R is a polynomial in the
-    entries of alpha, the structure constants and g, and Z[i][1/D] -> F_P
-    is a ring homomorphism when P does not divide D, so these reduce the
-    exact vectors: True proves those, and the skew g R(e_i, e_j) they
-    determine, independent over Q(i).
+    A_i, A_j, and [e_i, e_j] = sum_k c_k e_k + sum_t h_t d_t.  Each A_i,
+    g A_i and g ad_m(d_t) is reduced mod P at most once per call, to lists
+    of ``(c, y)`` or ``(r, r m, b, x)`` tuples, and each c_k and h_t with
+    one inverse of ``algebra.den`` per call (the exact g ad_m(d_t) are
+    formed once per model, by ``HomogeneousModel.g_ad_m_inder``).  R is a
+    polynomial in the entries of alpha, the structure constants and g, and
+    Z[i][1/D] -> F_P is a ring homomorphism when P does not divide D, so
+    these reduce the exact vectors: True proves those, and the skew
+    g R(e_i, e_j) they determine, independent over Q(i).
     If P divides a denominator of alpha, g or the bracket table (which
-    ad_m(d_t)'s divides), it declines."""
+    ad_m(d_t)'s divides), it declines before it reduces anything."""
     model, ops = conn.model, conn.alpha.ops
-    md, gram, lden = model.m_dim, model.metric.gram, model.algebra.den
+    md, lden = model.m_dim, model.algebra.den
+    p, s = linalg.MODULUS
+    if any(d % p == 0 for d in (model.metric.gram.den, lden, *(op.den for op in ops))):
+        return False
+    inv_lden = pow(lden, -1, p)
 
-    def reduced(m: Matrix) -> dict:
-        return {i: mod_p(row, m.den) for i, row in m.num.items()}
+    def reduced(m: Matrix) -> dict:  # {r: [(c, x)]}, the nonzero entries of m in F_P
+        inv = pow(m.den, -1, p)
+        return {r: [(c, x) for c, (u, w) in row.items() if (x := (u + w * s) * inv % p)]
+                for r, row in m.num.items()}
 
     def upper(rows: dict) -> list:
-        return [(r * md + c, x) for r, row in rows.items() for c, x in row.items() if c > r]
+        return [(r * md + c, x) for r, row in rows.items() for c, x in row if c > r]
 
-    a = cache(lambda i: reduced(ops[i]))
+    right = cache(lambda j: reduced(ops[j]))
     ga = cache(lambda i: reduced(g_ops[i]))
+    left = cache(lambda i: [(r, r * md, b, x) for r, row in ga(i).items() for b, x in row])
     ga_up = cache(lambda k: upper(ga(k)))
     gd_up = cache(lambda t: upper(reduced(model.g_ad_m_inder(t))))
 
@@ -193,22 +202,22 @@ def _certifies_so(conn: Connection, g_ops: list) -> bool:
             for j in range(i + 1, md):
                 v: dict = {}
                 get = v.get
-                right = a(j)
-                for r, row in ga(i).items():  # X at (r, c) enters at r < c, -X^T at c < r
-                    for b, x in row.items():
-                        if b in right:
-                            for c, y in right[b].items():
-                                if c != r:
-                                    key, y = (r * md + c, y) if c > r else (c * md + r, -y)
-                                    v[key] = get(key, 0) + x * y
+                cols = right(j).get
+                for r, rm, b, x in left(i):  # X at (r, c) enters at r < c, -X^T at c < r
+                    for c, y in cols(b, ()):
+                        if c > r:
+                            v[rm + c] = get(rm + c, 0) + x * y
+                        elif c < r:
+                            key = c * md + r
+                            v[key] = get(key, 0) - x * y
                 for br, up in ((model.m_bracket_m(i, j), ga_up), (model.m_bracket_h(i, j), gd_up)):
-                    for k, z in mod_p(br, lden).items():
-                        for key, x in up(k):
-                            v[key] = get(key, 0) - z * x
+                    for k, (u, w) in br.items():
+                        if z := (u + w * s) * inv_lden % p:
+                            for key, x in up(k):
+                                v[key] = get(key, 0) - z * x
                 yield v
 
-    dens = (gram.den, lden, *(op.den for op in ops))
-    return all(d % linalg.MODULUS[0] for d in dens) and independent_fp(vectors())
+    return independent_fp(vectors())
 
 
 def so_algebra(model: HomogeneousModel) -> Subspace:

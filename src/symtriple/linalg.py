@@ -35,7 +35,9 @@ cleared from.  ``Subspace`` takes one vector format, such an integer vector
 ``{index: (re, im)}`` as ``Matrix.flatten`` gives: a span does not change
 under scaling, so closures and centers stay on ints, and ``coords_of``
 gives integer coordinates too.  ``independent_fp`` eliminates mod a prime
-P only to prove vectors independent, on images in F_P such as ``mod_p``'s.
+P only to prove vectors independent, on images in F_P.  No pipeline stage
+calls ``mod_p`` or ``combination``: they are the tests' references for the
+certificate's residues and the family's sums.
 """
 
 from __future__ import annotations
@@ -716,19 +718,25 @@ def independent_fp(vectors: Iterable) -> bool:
     """True only if vectors over Q(i) with the images ``{index: x}`` in F_P,
     x any int, are independent: a maximal minor of the images is nonzero,
     hence so is its preimage.  False, at the first dependency or zero vector
-    mod P, proves nothing.  No rows are kept."""
+    mod P, proves nothing.  Each vector is reduced mod P in the pass that
+    collects the pivots it hits; no rows are kept after the call."""
     p = MODULUS[0]
-    rows: dict = {}  # pivot -> the row past its pivot, where it is 1
+    rows: dict = {}  # pivot -> [(index, x)], the row past its pivot, where it is 1
     for v in vectors:
-        w = {k: x for k, y in v.items() if (x := y % p)}
+        w: dict = {}
+        todo = []
+        for k, y in v.items():
+            if x := y % p:
+                w[k] = x
+                if k in rows:
+                    todo.append(k)
         # rows reach only past their pivots, so clear pivots in increasing order
-        todo = [k for k in w if k in rows]
         heapify(todo)
         while todo:
             q = heappop(todo)
             c = w.pop(q)
             if c:
-                for k, x in rows[q].items():
+                for k, x in rows[q]:
                     if k not in w and k in rows:
                         heappush(todo, k)
                     w[k] = (w.get(k, 0) - c * x) % p
@@ -737,7 +745,7 @@ def independent_fp(vectors: Iterable) -> bool:
             return False
         q = min(w)
         inv = pow(w.pop(q), -1, p)
-        rows[q] = {k: x * inv % p for k, x in w.items()}
+        rows[q] = [(k, x * inv % p) for k, x in w.items()]
     return True
 
 

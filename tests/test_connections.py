@@ -22,12 +22,13 @@ from symtriple.connections import (
     torsion_operator,
 )
 from symtriple.holonomy import table_report
-from symtriple.linalg import Matrix, combination, comm_minus
+from symtriple.linalg import Matrix, combination, comm_minus, inverse
 from symtriple.scalars import HALF, ONE, ZERO, qi
 
 from conftest import (
     LIGHT_CASES, apply, basis, bilinear, curvature, curvature_pairs, dmat, scalars,
 )
+from test_matrix_reference import assert_canonical
 
 EPS2 = ((0, 1), (-1, 0))  # <e_a, e_b> on the auxiliary plane
 
@@ -279,9 +280,15 @@ def test_family_matches_reference_combination(family, param, model_cache):
             qi(rng.choice(values)),
             [[qi(rng.choice(values)) for _ in range(3)] for _ in range(3)],
         ))
+    # B over 3, 5 and 7, coprime to the denominators of phi_s and g, so the
+    # one denominator of the numerator sum is no multiple of theirs
+    members += [(qi("1/2"), [["1/3", 0, "2/7+1/5i"], [0, "-1/3", 1], ["2/7+1/5i", 2, 0]]),
+                (0, [[0, "1/3", 0], ["2/7+1/5i", 0, 0], [0, 0, "1/3"]])]
     for a, b_matrix in members:
         got = alpha_family(model, a, b_matrix).ops
         assert list(got) == reference_family(model, a, b_matrix, lc, ao, ars), (a, b_matrix)
+        for op in got:
+            assert_canonical(op)
 
 
 def test_torsion_values(model_cache):
@@ -377,6 +384,57 @@ def test_skew_torsion_on_maps_that_fail_it(family, param, model_cache):
         assert is_metric(model, alpha) == metric, alpha.label
         products = metric_products(model, alpha)
         assert products == ([g @ op for op in alpha.ops] if metric else None), alpha.label
+        assert is_skew_torsion(model, alpha) == skew, alpha.label
+        assert dense_is_skew_torsion(model, alpha) == skew, alpha.label
+
+
+def three_form_part(model, c, i, j, k) -> Matrix:
+    """The operator D with g(D e_j, e_k) = c = -g(D e_k, e_j), zero
+    elsewhere: a metric change of alpha(e_i, .) that is one entry of a
+    3-form, up to its forced alternation in (Y, Z)."""
+    md = model.m_dim
+    return inverse(model.metric.gram) @ Matrix(md, md, {k: {j: c}, j: {k: -c}})
+
+
+@pytest.mark.parametrize("family,param", LIGHT_CASES)
+def test_skew_torsion_matches_dense_predicate(family, param, model_cache):
+    # is_skew_torsion sums D(e_i, e_j) + D(e_j, e_i) on numerators over the
+    # lcm of alpha's and alpha_g's denominators; the dense predicate does not
+    model = model_cache(family, param)
+    md = model.m_dim
+    lc = named_alpha(model, "levi-civita").ops
+    rng = random.Random(29)
+
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    def gaussian():
+        return qi(rational()) + qi(rational()) * qi("i")
+
+    members = [alpha_family(model, draw(), [[draw() for _ in range(3)] for _ in range(3)])
+               for draw in (rational, gaussian)]
+    assert any(x.b for op in members[1].ops for _, _, x in op.entries())
+    # B = E_11 / 3 leaves alpha(X, xi_2) = alpha_g(X, xi_2) over another
+    # denominator: D holds zeros where the two numerators cancel
+    cancel = alpha_family(model, 0, [[Fraction(1, 3), 0, 0], ZERO3[1], ZERO3[2]])
+    assert any(a.den != b.den and any(a[l, j] == x for l, j, x in b.entries())
+               for a, b in zip(cancel.ops, lc))
+    if (family, param) == ("orthogonal", 3):
+        assert 4 in {op.den for op in lc}
+        assert all({op.den for op in lc} != {op.den for op in m.ops} for m in (*members, cancel))
+    # one entry of a 3-form on (e_0, e_3, e_last): in all three operators
+    # it alternates, in alpha(e_0, .) alone it breaks only the (X, Y)
+    # alternation, at D(e_0, e_3) and D(e_0, e_last)
+    base, c, k = members[0], qi("2/7"), md - 1
+    parts = {0: three_form_part(model, c, 0, 3, k), 3: three_form_part(model, c, 3, k, 0),
+             k: three_form_part(model, c, k, 0, 3)}
+    full = NomizuMap([op + parts[i] if i in parts else op for i, op in enumerate(base.ops)],
+                     "member + 3-form")
+    broken = NomizuMap([op + parts[0] if i == 0 else op for i, op in enumerate(base.ops)],
+                       "member + one operator of a 3-form")
+    for alpha, skew in (*((m, True) for m in members), (cancel, True), (full, True),
+                        (broken, False)):
+        assert is_metric(model, alpha), alpha.label
         assert is_skew_torsion(model, alpha) == skew, alpha.label
         assert dense_is_skew_torsion(model, alpha) == skew, alpha.label
 
