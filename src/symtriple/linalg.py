@@ -2,9 +2,9 @@
 
 A ``Matrix`` is Gaussian-integer numerator rows ``{i: {j: (re, im)}}`` over
 one positive denominator, in canonical form, the representation of FLINT's
-``fmpq_mat``.  Its products, ``@``, ``comm_minus``, ``combination`` and
-``trace_product``, scale every part to one common denominator, sum on plain
-ints and reduce each result once, with one gcd over the matrix.
+``fmpq_mat``.  ``@`` and ``trace_product`` sum over the product of the
+two denominators, ``+`` and ``-`` over their lcm, all on plain ints, and
+each result is reduced once, with one gcd over the matrix.
 ``GaussianRational`` values are built only at the edge, by ``__getitem__``,
 ``row`` and ``entries``; a ``Matrix`` has no dense-vector evaluator.
 ``flatten`` and ``from_flat`` only remap indices: the flattening is a
@@ -14,9 +14,8 @@ n)`` maps the flattening of an n x n X to that of [A, X], for a the
 flattening of A, summed on plain ints.  Closures, centers, curvature
 operators, admissibility residues, the identity (3) and Jacobi residues
 of the verifiers and g(T)'s h-h brackets take their commutators through
-it, so none is built as a ``Matrix``.  No pipeline stage calls ``comm`` or
-``comm_minus``: ``comm_minus`` is the body of ``comm`` and the tests'
-reference for those residues.  A ``Matrix`` is not changed once built.
+it, so none is built as a ``Matrix``.  No pipeline stage calls ``comm``,
+``a @ b - b @ a``.  A ``Matrix`` is not changed once built.
 Every structure-constant table, from the composition algebras upward, is
 held the same way, sparse Gaussian-integer columns over one denominator
 per table: ``numerators`` and ``canonical`` bring a table to that form,
@@ -35,9 +34,7 @@ cleared from.  ``Subspace`` takes one vector format, such an integer vector
 ``{index: (re, im)}`` as ``Matrix.flatten`` gives: a span does not change
 under scaling, so closures and centers stay on ints, and ``coords_of``
 gives integer coordinates too.  ``independent_fp`` eliminates mod a prime
-P only to prove vectors independent, on images in F_P.  No pipeline stage
-calls ``mod_p`` or ``combination``: they are the tests' references for the
-certificate's residues and the family's sums.
+P only to prove vectors independent, on images in F_P.
 """
 
 from __future__ import annotations
@@ -58,13 +55,10 @@ __all__ = [
     "canonical",
     "add_numerators",
     "table_product",
-    "comm_minus",
     "ad_flat",
-    "combination",
     "rank",
     "kernel",
     "inverse",
-    "mod_p",
     "independent_fp",
     "bracket_closure",
     "close_under",
@@ -169,14 +163,25 @@ class Matrix:
             raise DimensionError("matrix shape mismatch")
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix.from_numerators(self.rows, self.cols, *_assemble(
-            self.rows, self.cols, (), (((1, 0), self), ((1, 0), other))))
+        return self._sum(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._sum(other, -1)
+
+    def _sum(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other, both scaled to the lcm of their denominators
+        and summed on plain ints; ``from_numerators`` reduces the sum once."""
         self._check_same_shape(other)
-        return Matrix.from_numerators(self.rows, self.cols, *_assemble(
-            self.rows, self.cols, (), (((1, 0), self), ((-1, 0), other))))
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        acc = {i: _times(s, 0, row) for i, row in self.num.items()}
+        for i, row in other.num.items():
+            out = acc.get(i)
+            if out is None:
+                acc[i] = _times(t, 0, row)
+            else:
+                add_numerators(out, t, 0, row)
+        return Matrix.from_numerators(self.rows, self.cols, acc, den)
 
     def __neg__(self) -> "Matrix":
         return _matrix(self.rows, self.cols, self.den, {
@@ -186,8 +191,20 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionError("matmul shape mismatch")
-        return Matrix.from_numerators(
-            self.rows, other.cols, *_assemble(self.rows, other.cols, ((1, self, other),), ()))
+        # row i sums a_ik times row k of other, over self.den * other.den
+        acc: dict = {}
+        bget = other.num.get
+        for i, row in self.num.items():
+            out = None
+            for k, (cr, ci) in row.items():
+                brow = bget(k)
+                if brow is None:
+                    continue
+                if out is None:
+                    acc[i] = out = _times(cr, ci, brow)
+                else:
+                    add_numerators(out, cr, ci, brow)
+        return Matrix.from_numerators(self.rows, other.cols, acc, self.den * other.den)
 
     def transpose(self) -> "Matrix":
         num: dict = {}
@@ -300,7 +317,7 @@ def _matrix(rows: int, cols: int, den: int, num: dict) -> Matrix:
 
 def comm(a: Matrix, b: Matrix) -> Matrix:
     """Commutator [a, b] = ab - ba."""
-    return comm_minus(a, b, ())
+    return a @ b - b @ a
 
 
 def ad_flat(a: dict, n: int):
@@ -336,74 +353,6 @@ def ad_flat(a: dict, n: int):
     return image
 
 
-def comm_minus(a: Matrix, b: Matrix, terms: Iterable, den: int = 1) -> Matrix:
-    """[a, b] - (1/den) sum c M over the pairs (c, M) in ``terms``, with c
-    a Gaussian integer ``(re, im)``, such as an entry of a structure-
-    constant table over its denominator ``den``.
-
-    Every derivation and curvature identity of the package has this form;
-    the pipeline sums each on flat vectors through ``ad_flat``, and the
-    tests check those residues against this one.  Both products and every
-    term are summed into one sparse accumulator, so no intermediate matrix
-    is built.
-    """
-    n = a.rows
-    if not (a.cols == b.rows == b.cols == n):
-        raise DimensionError("comm_minus needs square matrices of one size")
-    return Matrix.from_numerators(n, n, *_assemble(n, n, ((1, a, b), (-1, b, a)), terms, den, -1))
-
-
-def combination(terms: Iterable, n: int) -> Matrix:
-    """sum c M over the pairs (c, M) of a scalar c and an n x n matrix M."""
-    terms = [(qi(c), m) for c, m in terms]
-    den = lcm(*(c.d for c, _ in terms))
-    return Matrix.from_numerators(n, n, *_assemble(n, n, (), [
-        ((c.a * (den // c.d), c.b * (den // c.d)), m) for c, m in terms
-    ], den))
-
-
-def _assemble(rows: int, cols: int, products, terms, tden: int = 1,
-              sign: int = 1) -> tuple[dict, int]:
-    """sum s a b + (sign/tden) sum c M over the triples (s, a, b), s = 1 or
-    -1, of ``products`` and the pairs (c, M) of ``terms``, c a Gaussian
-    integer ``(re, im)``, all rows x cols.
-
-    Every part is scaled to the least common denominator L of the parts
-    and summed on plain ints into one accumulator.  The pair (acc, L) is
-    returned unreduced; ``Matrix.from_numerators`` brings it to canonical
-    form with one gcd against L."""
-    den = 1
-    for _, a, b in products:
-        d = a.den * b.den
-        if den % d:
-            den = den // gcd(den, d) * d
-    scaled = []
-    for (cr, ci), m in terms:
-        if m.rows != rows or m.cols != cols:
-            raise DimensionError(
-                f"term of shape {m.rows}x{m.cols}, expected {rows}x{cols}"
-            )
-        if cr or ci:
-            g = gcd(tden, cr, ci)  # the coefficient in lowest terms
-            d = tden // g * m.den
-            scaled.append((cr // g, ci // g, d, m))
-            if den % d:
-                den = den // gcd(den, d) * d
-    acc: dict = {}
-    for s, a, b in products:
-        _add_product(acc, a.num, b.num, s * (den // (a.den * b.den)))
-    for cr, ci, d, m in scaled:
-        s = sign * (den // d)
-        cr, ci = cr * s, ci * s
-        for i, row in m.num.items():
-            out = acc.get(i)
-            if out is None:
-                acc[i] = _times(cr, ci, row)
-            else:
-                add_numerators(out, cr, ci, row)
-    return acc, den
-
-
 def add_numerators(out: dict, cr: int, ci: int, row: dict) -> None:
     """In place, out += (cr + ci i) * row on sparse Gaussian-integer
     vectors ``{j: (re, im)}``.  Entries that cancel stay as (0, 0), which
@@ -424,28 +373,6 @@ def _times(cr: int, ci: int, row: dict) -> dict:
     if ci:
         return {j: (cr * x - ci * y, cr * y + ci * x) for j, (x, y) in row.items()}
     return {j: (cr * x, cr * y) for j, (x, y) in row.items()}
-
-
-def _add_product(acc: dict, a: dict, b: dict, s: int) -> None:
-    """In place, acc += s a b for the numerator rows a, b and an int s."""
-    if not b:
-        return
-    bget = b.get
-    for i, row in a.items():
-        out = None
-        for k, (cr, ci) in row.items():
-            brow = bget(k)
-            if brow is None:
-                continue
-            if s != 1:
-                cr *= s
-                ci *= s
-            if out is None:
-                out = acc.get(i)
-                if out is None:
-                    acc[i] = out = _times(cr, ci, brow)
-                    continue
-            add_numerators(out, cr, ci, brow)
 
 
 def trace_product(a: Matrix, b: Matrix) -> GaussianRational:
@@ -703,15 +630,6 @@ class Subspace:
 
 # P = 2^30 - 35, a prime = 1 mod 4, and s with s^2 = -1 mod P
 MODULUS = (1073741789, 140687844)
-
-
-def mod_p(v: dict, den: int = 1) -> dict:
-    """The image ``{index: x}``, without zeros, of ``v / den`` under the ring
-    homomorphism Z[i][1/den] -> F_P, a + bi -> (a + bs) / den, for a sparse
-    Gaussian-integer vector ``v`` and a ``den`` that P does not divide."""
-    p, s = MODULUS
-    inv = pow(den, -1, p)
-    return {k: x for k, (a, b) in v.items() if (x := (a + b * s) * inv % p)}
 
 
 def independent_fp(vectors: Iterable) -> bool:

@@ -3,12 +3,12 @@ from math import isqrt, lcm
 
 import pytest
 
-from symtriple import connections
+from symtriple import connections, linalg
 from symtriple.connections import Connection, connection_by_name
 from symtriple.enveloping import build_model
 from symtriple.errors import DimensionError
 from symtriple.families import build_triple
-from symtriple.linalg import Matrix, combination, independent_fp, mod_p, vec
+from symtriple.linalg import Matrix, add_numerators, independent_fp, vec
 from symtriple.scalars import ZERO, GaussianRational, qi
 from symtriple.triples import _flat_d
 
@@ -58,6 +58,38 @@ def integer_terms(terms) -> tuple[list, int]:
     terms = [(qi(c), m) for c, m in terms]
     den = lcm(*(c.d for c, _ in terms))
     return [((c.a * (den // c.d), c.b * (den // c.d)), m) for c, m in terms], den
+
+
+def combination(terms, n: int) -> Matrix:
+    """sum c M over the pairs (c, M) of a scalar c and an n x n matrix M,
+    every c M scaled to the lcm of their denominators and summed on ints."""
+    terms = [(qi(c), m) for c, m in terms]
+    if any(m.rows != n or m.cols != n for _, m in terms):
+        raise DimensionError(f"a term is not {n}x{n}")
+    den = lcm(*(c.d * m.den for c, m in terms))
+    acc: dict = {}
+    for c, m in terms:
+        s = den // (c.d * m.den)
+        for i, row in m.num.items():
+            add_numerators(acc.setdefault(i, {}), c.a * s, c.b * s, row)
+    return Matrix.from_numerators(n, n, acc, den)
+
+
+def comm_minus(a: Matrix, b: Matrix, terms, den: int = 1) -> Matrix:
+    """[a, b] - (1/den) sum c M over the pairs (c, M) with c a Gaussian
+    integer ``(re, im)``, such as an entry of a structure-constant table
+    over its denominator ``den``: the reference for the derivation and
+    curvature residues that ``src/`` sums on flat vectors by ``ad_flat``."""
+    rest = combination(((GaussianRational(cr, ci, den), m) for (cr, ci), m in terms), a.rows)
+    return a @ b - b @ a - rest
+
+
+def mod_p(v: dict) -> dict:
+    """The image ``{index: x}``, without zeros, of the sparse Gaussian-integer
+    vector ``v`` under the ring homomorphism Z[i] -> F_P, a + bi -> a + bs,
+    with (P, s) = ``linalg.MODULUS`` read at each call."""
+    p, s = linalg.MODULUS
+    return {k: x for k, (a, b) in v.items() if (x := (a + b * s) % p)}
 
 
 def basis(dim: int) -> list:

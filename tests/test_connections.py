@@ -22,11 +22,12 @@ from symtriple.connections import (
     torsion_operator,
 )
 from symtriple.holonomy import table_report
-from symtriple.linalg import Matrix, combination, comm_minus, inverse
+from symtriple.linalg import Matrix, inverse
 from symtriple.scalars import HALF, ONE, ZERO, qi
 
 from conftest import (
-    LIGHT_CASES, apply, basis, bilinear, curvature, curvature_pairs, dmat, scalars,
+    LIGHT_CASES, apply, basis, bilinear, combination, comm_minus, curvature, curvature_pairs,
+    dmat, scalars,
 )
 from test_matrix_reference import assert_canonical
 

@@ -9,13 +9,15 @@ from symtriple.enveloping import (
 )
 from symtriple.errors import ValidationError
 from symtriple.linalg import (
-    Matrix, bracket_closure, combination, comm, lie_generators, numerators, rank,
+    Matrix, bracket_closure, comm, lie_generators, numerators, rank,
     trace_product,
 )
 from symtriple.scalars import HALF, ONE, ZERO, GaussianRational, qi
 from symtriple.triples import SymplecticTripleSystem, build_symplectic_type, inder_basis
 
-from conftest import LIGHT_CASES, ad, apply, basis, dmat, matrices_of, scalar_table, scalars
+from conftest import (
+    LIGHT_CASES, ad, apply, basis, combination, dmat, matrices_of, scalar_table, scalars,
+)
 
 ENVELOPING_DIMS = {
     ("symplectic", 1): 10,  # sp(4)

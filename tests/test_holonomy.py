@@ -29,7 +29,7 @@ from symtriple.linalg import (
 from symtriple.scalars import GaussianRational, qi
 from symtriple.triples import verify_axioms
 
-from conftest import LIGHT_CASES, curvature_pairs, independent_mod_p, matrices_of
+from conftest import LIGHT_CASES, curvature_pairs, independent_mod_p, matrices_of, mod_p
 
 
 @pytest.mark.parametrize("family,param", LIGHT_CASES)
@@ -321,7 +321,7 @@ def _assert_certificate_agrees(conn, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(holonomy, "independent_fp", lambda vectors: read.extend(vectors))
         certifies_so(conn)
-    want = [_unit_leading(linalg.mod_p(v)) for v in reference_vectors(conn)]
+    want = [_unit_leading(mod_p(v)) for v in reference_vectors(conn)]
     assert [_unit_leading(v) for v in read] == want, conn.label
     return verdict
 

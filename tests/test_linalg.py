@@ -14,9 +14,7 @@ from symtriple.linalg import (
     add_numerators,
     bracket_closure,
     center_of,
-    combination,
     comm,
-    comm_minus,
     kernel,
     rank,
     table_product,
@@ -25,7 +23,11 @@ from symtriple.linalg import (
 )
 from symtriple.scalars import ONE, GaussianRational, qi
 
-from conftest import apply, bilinear, cleared, independent_mod_p, integer_terms, matrices_of
+from conftest import (
+    apply, bilinear, cleared, combination, comm_minus, independent_mod_p, integer_terms,
+    matrices_of,
+)
+from test_matrix_reference import dense, ref_axpy, ref_matmul
 
 E12 = Matrix.from_rows([[0, 1], [0, 0]])
 E21 = Matrix.from_rows([[0, 0], [1, 0]])
@@ -337,15 +339,21 @@ _small_matrices = st.dictionaries(
     st.lists(st.tuples(_entries | st.integers(-2, 2), _small_matrices), max_size=3),
 )
 def test_comm_minus_matches_matrix_arithmetic(a, b, terms):
-    want = a @ b - b @ a
-    total = Matrix(3, 3)
+    # comm, - and + against the dense references, and the tests' comm_minus
+    # and combination against both
+    da, db = dense(a), dense(b)
+    want = ref_axpy(ref_matmul(da, db), (-1, 0), ref_matmul(db, da))
+    got = comm(a, b)
+    assert dense(got) == want
+    total, want_total = Matrix(3, 3), dense(Matrix(3, 3))
     for c, m in terms:
         cm = Matrix(3, 3, {i: {j: c * x for j, x in m.row(i).items()} for i in m.num})
-        want = want - cm
-        total = total + cm
-    got = comm_minus(a, b, *integer_terms(terms))
-    assert got == want and all(x for _, _, x in got.entries())
-    assert comm(a, b) == a @ b - b @ a
+        got, total = got - cm, total + cm
+        want = ref_axpy(want, (-1, 0), dense(cm))
+        want_total = ref_axpy(want_total, (1, 0), dense(cm))
+        assert dense(got) == want and dense(total) == want_total
+    assert comm_minus(a, b, *integer_terms(terms)) == got
+    assert all(x for _, _, x in got.entries())
     assert combination(terms, 3) == total
     # [a, b] minus itself cancels to the zero matrix
     assert comm_minus(a, b, [((1, 0), a @ b), ((-1, 0), b @ a)]).is_zero()

@@ -19,10 +19,10 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from symtriple.errors import ValidationError
-from symtriple.linalg import Matrix, combination, comm_minus, inverse, trace_product
+from symtriple.linalg import Matrix, comm, inverse, trace_product
 from symtriple.scalars import GaussianRational, ZERO
 
-from conftest import apply, bilinear, integer_terms
+from conftest import apply, bilinear, combination, comm_minus, integer_terms
 
 Z = (Fraction(0), Fraction(0))
 
@@ -128,23 +128,33 @@ def product_cases(draw):
 def test_products_match_reference(case):
     a, b, terms = case
     da, db = dense(a), dense(b)
-    assert dense(assert_canonical(a @ b)) == ref_matmul(da, db)
+    ab = assert_canonical(a @ b)
+    assert dense(ab) == ref_matmul(da, db)
+    if not ab.is_zero() and ab.den < a.den * b.den:
+        event("@ numerators share a factor with a.den * b.den")
     assert dense(assert_canonical(a.transpose())) == [list(r) for r in zip(*da)]
     t = _sum(_mul(da[i][k], db[k][i]) for i in range(len(da)) for k in range(len(da)))
-    assert _pair(trace_product(a, b)) == t == _pair((a @ b).trace())
+    assert _pair(trace_product(a, b)) == t == _pair(ab.trace())
 
     want_comb = [[Z] * a.cols for _ in range(a.rows)]
     want_comm = ref_axpy(ref_matmul(da, db), (Fraction(-1), Fraction(0)), ref_matmul(db, da))
+    x = assert_canonical(comm(a, b))
+    assert dense(x) == want_comm
     for c, m in terms:
         want_comb = ref_axpy(want_comb, _pair(c), dense(m))
-        want_comm = ref_axpy(want_comm, _pair(-c), dense(m))
-    got = assert_canonical(comm_minus(a, b, *integer_terms(terms)))
-    assert dense(got) == want_comm
-    assert dense(assert_canonical(combination(terms, a.rows))) == want_comb
-    if got.is_zero():
-        event("comm_minus cancels to the zero matrix")
-    elif got.den < lcm(a.den * b.den, *(c.d * m.den for c, m in terms)):
-        event("comm_minus numerators share a factor with the common denominator")
+    rest = assert_canonical(combination(terms, a.rows))
+    assert dense(rest) == want_comb
+    got = assert_canonical(x - rest)
+    assert dense(got) == ref_axpy(want_comm, (Fraction(-1), Fraction(0)), want_comb)
+    total = assert_canonical(rest + x)
+    assert dense(total) == ref_axpy(want_comb, (Fraction(1), Fraction(0)), want_comm)
+    assert comm_minus(a, b, *integer_terms(terms)) == got
+    ba = b @ a
+    sums = ((ab, ba, x), (x, rest, got), (rest, x, total))
+    if any(s.is_zero() and not (u.is_zero() and v.is_zero()) for u, v, s in sums):
+        event("+ or - cancels to the zero matrix")
+    if any(not s.is_zero() and s.den < lcm(u.den, v.den) for u, v, s in sums):
+        event("+ or - numerators share a factor with the lcm of the denominators")
 
 
 @settings(max_examples=60)

@@ -9,7 +9,7 @@ from symtriple import triples
 from symtriple.enveloping import build_enveloping
 from symtriple.errors import ParseError, ValidationError
 from symtriple.families import ALL_LIGHT_TABLE_CASES, build_triple, case_m_dim
-from symtriple.linalg import Matrix, combination, vec
+from symtriple.linalg import Matrix, vec
 from symtriple.scalars import ONE, qi
 from symtriple.triples import (
     SymplecticTripleSystem,
@@ -24,7 +24,9 @@ from symtriple.triples import (
     verify_axioms,
 )
 
-from conftest import AXIOM_CASES, bilinear, dmat, scalar_cols, scalars, triple_product
+from conftest import (
+    AXIOM_CASES, bilinear, combination, dmat, scalar_cols, scalars, triple_product,
+)
 
 INDER_DIMS = {
     ("symplectic", 1): 3,  # sp(2)

@@ -15,11 +15,11 @@ import pytest
 from symtriple import enveloping, linalg, triples
 from symtriple.connections import NomizuMap, admissibility_failures, named_alpha
 from symtriple.enveloping import GradedLieAlgebra, build_model, verify_jacobi
-from symtriple.linalg import Matrix, comm_minus, numerators
+from symtriple.linalg import Matrix, numerators
 from symtriple.scalars import ONE, qi
 from symtriple.triples import SymplecticTripleSystem, check_witnesses, verify_axioms
 
-from conftest import LIGHT_CASES, ad, dmat, scalar_cols, scalar_table
+from conftest import LIGHT_CASES, ad, comm_minus, dmat, scalar_cols, scalar_table
 from test_connections import fractional_members
 from test_triples import _mutated
 
@@ -167,7 +167,7 @@ def test_identity3_and_jacobi_with_mixed_denominators(triple_cache, model_cache)
 
 def test_verifiers_build_no_ad_or_commutator_matrix(triple_cache, model_cache, monkeypatch):
     # identity (3), (4) and Jacobi residues are summed on flat integer
-    # vectors; with Matrix.from_flat and comm_minus refused wherever triples
+    # vectors; with Matrix.from_flat and linalg.comm refused wherever triples
     # and enveloping could reach them, the same reports and g(T) tables come
     # out, also from the all-pairs loops of failing tables in audit mode
     systems = [triple_cache(*case) for case in LIGHT_CASES]
@@ -192,10 +192,10 @@ def test_verifiers_build_no_ad_or_commutator_matrix(triple_cache, model_cache, m
     monkeypatch.setattr(Matrix, "from_flat", refuse)
     patched = [name for name, mod in sys.modules.items()
                if name.startswith("symtriple")
-               and getattr(mod, "comm_minus", None) is linalg.comm_minus]
+               and getattr(mod, "comm", None) is linalg.comm]
     assert "symtriple.linalg" in patched
     for name in patched:
-        monkeypatch.setattr(sys.modules[name], "comm_minus", refuse)
+        monkeypatch.setattr(sys.modules[name], "comm", refuse)
     got = results()
     monkeypatch.undo()
     assert got == want
