@@ -31,7 +31,6 @@ from .enveloping import HomogeneousModel
 from .errors import ConstructionError, DimensionError
 from .linalg import _EMPTY, _ZZ, Matrix, _times, ad_flat, add_numerators
 from .scalars import HALF, ONE, ZERO, GaussianRational, qi
-from .triples import check_witnesses
 
 __all__ = [
     "NomizuMap",
@@ -261,8 +260,8 @@ def admissibility_failures(model: HomogeneousModel, alpha: NomizuMap) -> list:
     nonzero F_i; it passes when every entry cancels.  Where F_i = 0 and
     every F_l it subtracts is zero, as on the odd block of the
     distinguished and canonical maps, the residue is zero and nothing is
-    summed.  All h_dim * m_dim residues go through ``check_witnesses`` in
-    ``fast`` mode, in (t, i) order.  Lie generators of h found through
+    summed.  The h_dim * m_dim residues are read in (t, i) order, up to
+    the first nonzero one.  Lie generators of h found through
     g(T)'s bracket would certify the rest only if g(T) is a Lie algebra,
     which this check must not assume.  Generators of ad_m(h) in gl(m) are
     sound, but found per call they cost more than this loop, on one Xeon
@@ -271,21 +270,20 @@ def admissibility_failures(model: HomogeneousModel, alpha: NomizuMap) -> list:
     flats = [{p: (x * s, y * s) for p, (x, y) in op.flatten().items()}
              for op in alpha.ops for s in (den // op.den,)]
 
-    def residues():
-        for t in range(model.h_dim):
-            d = model.ad_m_inder(t)
-            image = None
-            cols = d.transpose().num  # cols[i] = d(e_i), over d.den
-            for i, f in enumerate(flats):
-                v = {}
-                if f:  # K(0) = 0: a t whose residues read no nonzero F_i builds no K
-                    image = image or ad_flat(d.flatten(), model.m_dim)
-                    v = image(f)
-                for l, (x, y) in cols.get(i, {}).items():
-                    add_numerators(v, -x, -y, flats[l])
-                yield (t, i), not any(x or y for x, y in v.values())
-
-    return check_witnesses(residues(), "fast", 1)[1]
+    for t in range(model.h_dim):
+        d = model.ad_m_inder(t)
+        image = None
+        cols = d.transpose().num  # cols[i] = d(e_i), over d.den
+        for i, f in enumerate(flats):
+            v = {}
+            if f:  # K(0) = 0: a t whose residues read no nonzero F_i builds no K
+                image = image or ad_flat(d.flatten(), model.m_dim)
+                v = image(f)
+            for l, (x, y) in cols.get(i, {}).items():
+                add_numerators(v, -x, -y, flats[l])
+            if any(x or y for x, y in v.values()):
+                return [(t, i)]
+    return []
 
 
 class Connection:

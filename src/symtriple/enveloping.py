@@ -24,17 +24,11 @@ from math import lcm
 
 from .errors import ConstructionError, ValidationError
 from .linalg import (
-    Matrix, Subspace, ad_flat, add_numerators, canonical, inverse, lie_generators, numerators,
+    _EMPTY, Matrix, Subspace, ad_flat, add_numerators, canonical, inverse, lie_generators,
+    numerators,
 )
-from .scalars import HALF, I, ONE, ZERO, qi
-from .triples import (
-    _EMPTY,
-    SymplecticTripleSystem,
-    _flat_d,
-    _gamma_mat,
-    check_witnesses,
-    inder_basis,
-)
+from .scalars import HALF, ONE
+from .triples import SymplecticTripleSystem, _flat_d, check_witnesses, inder_basis
 
 __all__ = [
     "GradedLieAlgebra",
@@ -48,24 +42,20 @@ __all__ = [
     "metric_g",
 ]
 
-# The vertical basis of sp(V) as 2x2 matrices: xi_1 = diag(i, -i),
+# The vertical basis of sp(V) acts on V as xi_1 = diag(i, -i),
 # xi_2 = [[0,-1],[1,0]], xi_3 = [[0,-i],[-i,0]]; [xi_i, xi_j] = 2 eps_ijk xi_k.
-_XI = (
-    Matrix.from_rows([[I, ZERO], [ZERO, -I]]),
-    Matrix.from_rows([[ZERO, -ONE], [ONE, ZERO]]),
-    Matrix.from_rows([[ZERO, -I], [-I, ZERO]]),
+# All three tables are Gaussian-integer numerators over 1.
+# xi_i(e_a) as _XI_ON_V[i][a] = {b: coefficient of e_b}
+_XI_ON_V = (
+    {0: {0: (0, 1)}, 1: {1: (0, -1)}},
+    {0: {1: (1, 0)}, 1: {0: (-1, 0)}},
+    {0: {1: (0, -1)}, 1: {0: (0, -1)}},
 )
-# [xi_i, xi_j], i < j, as numerators over 1
+# [xi_i, xi_j], i < j
 _XI_BRACKETS = {(0, 1): {2: (2, 0)}, (0, 2): {1: (-2, 0)}, (1, 2): {0: (2, 0)}}
-
-
-def _sl2_to_xi(m: Matrix) -> tuple[dict, int]:
-    """(numerators, den) of a traceless 2x2 matrix in the xi_1, xi_2, xi_3 basis."""
-    p, q, r = m[0, 0], m[0, 1], m[1, 0]
-    if m[1, 1] != -p:
-        raise ValidationError("matrix is not traceless")
-    num, den = numerators({0: {0: -I * p, 1: (r - q) * HALF, 2: I * (q + r) * HALF}})
-    return num.get(0, {}), den
+# gamma_{e_a, e_b} = <e_a, .> e_b + <e_b, .> e_a, a <= b, in the xi basis
+_GAMMA_XI = {(0, 0): {1: (-1, 0), 2: (0, 1)}, (0, 1): {0: (0, 1)},
+             (1, 1): {1: (-1, 0), 2: (0, -1)}}
 
 
 class GradedLieAlgebra:
@@ -151,11 +141,10 @@ def build_enveloping(T: SymplecticTripleSystem, inder: Subspace):
                 )
             put(3 + r, 3 + s, {3 + t: z for t, z in coords.items()}, dens[r] * dens[s])
     # vertical-odd:  [xi, e_a (x) t_k] = xi(e_a) (x) t_k
-    for i in range(3):
-        xi = _XI[i].transpose().num  # xi[a] = xi(e_a)
+    for i, xi in enumerate(_XI_ON_V):
         for a, col in xi.items():
             for k in range(t_dim):
-                put(i, odd(a, k), {odd(b, k): z for b, z in col.items()}, _XI[i].den)
+                put(i, odd(a, k), {odd(b, k): z for b, z in col.items()}, 1)
     # h-odd:  [d_r, e_a (x) t_k] = e_a (x) d_r(t_k), over the nonzero columns of d_r
     for r, v in enumerate(flat):
         cols: dict = {}  # k -> D_r d_r(t_k)
@@ -166,14 +155,13 @@ def build_enveloping(T: SymplecticTripleSystem, inder: Subspace):
             for k, col in cols.items():
                 put(3 + r, odd(a, k), {odd(a, l): z for l, z in col.items()}, dens[r])
     # odd-odd:  [e_a (x) x, e_b (x) y] = (x,y) gamma_{a,b} + <a,b> d_{x,y}, a <= b
-    for a, b in ((0, 0), (0, 1), (1, 1)):
-        coords, den = _sl2_to_xi(_gamma_mat(a, b))
+    for (a, b), coords in _GAMMA_XI.items():
         for k, row in T.omega.num.items():
             for l, z in row.items():
                 if odd(a, k) < odd(b, l):
                     entry: dict = {}
                     add_numerators(entry, *z, coords)
-                    put(odd(a, k), odd(b, l), entry, T.omega.den * den)
+                    put(odd(a, k), odd(b, l), entry, T.omega.den)
     flat_d = _flat_d(T)  # T.den d_{k,l}, flattened, for each nonzero d_{k,l}
     for k in range(t_dim):  # <e_1, e_2> = 1, and d_{x,y} = d_{y,x}
         for l in range(k, t_dim):
@@ -328,29 +316,27 @@ def metric_g(L: GradedLieAlgebra, split: ReductiveSplit, kappa: Matrix) -> Invar
     """Metric gram matrix from the Killing form kappa of L: -kappa/(4(n+2))
     on sp(V), -kappa/(8(n+2)) on the odd block, zero mixed; validated
     against the structural expectations."""
-    n = L.n
-    m_idx = split.m_indices
-    m_dim = len(m_idx)
-    denom_v = qi(-4 * (n + 2)).inverse()
-    denom_o = qi(-8 * (n + 2)).inverse()
-    position = {i: p for p, i in enumerate(m_idx)}
-    data: dict = {}
-    for i, j, k in kappa.entries():
-        p, q = position.get(i), position.get(j)
-        if p is None or q is None:
+    position = {i: p for p, i in enumerate(split.m_indices)}
+    num: dict = {}
+    for i, row in kappa.num.items():
+        p = position.get(i)
+        if p is None:
             continue
-        vertical_i, vertical_j = p < 3, q < 3
-        if vertical_i != vertical_j:
-            raise ConstructionError(
-                "Killing form does not vanish on the mixed sp(V) x odd block"
-            )
-        data.setdefault(p, {})[q] = k * (denom_v if vertical_i else denom_o)
-    gram = Matrix(m_dim, m_dim, data)
-    for i in range(3):
-        for j in range(3):
-            expect = ONE if i == j else ZERO
-            if gram[i, j] != expect:
-                raise ConstructionError("vertical block of the metric is not orthonormal")
+        s = -2 if p < 3 else -1  # over 8(n+2) kappa.den
+        out = num[p] = {}
+        for j, (x, y) in row.items():
+            q = position.get(j)
+            if q is None:
+                continue
+            if (p < 3) != (q < 3):
+                raise ConstructionError(
+                    "Killing form does not vanish on the mixed sp(V) x odd block"
+                )
+            out[q] = (s * x, s * y)
+    m_dim = len(position)
+    gram = Matrix.from_numerators(m_dim, m_dim, num, 8 * (L.n + 2) * kappa.den)
+    if any(gram.num.get(i) != {i: (gram.den, 0)} for i in range(3)):
+        raise ConstructionError("vertical block of the metric is not orthonormal")
     return InvariantMetric(gram, inverse(gram))  # inverse raises if degenerate
 
 

@@ -39,8 +39,8 @@ from .connections import (CONNECTION_NAMES, Connection, connection_by_name, curv
                           metric_products)
 from .enveloping import HomogeneousModel, build_model
 from .errors import DimensionError, ValidationError
-from .linalg import (Matrix, Subspace, add_numerators, bracket_closure, center_of,
-                     independent_fp, trace_product)
+from .linalg import (_EMPTY, _ZZ, Matrix, Subspace, add_numerators, bracket_closure,
+                     center_of, independent_fp, trace_product)
 from .scalars import GaussianRational, ZERO, qi
 from . import families, linalg
 
@@ -342,30 +342,24 @@ def ricci(conn: Connection) -> RicciData:
     gram = model.metric.gram
     vertical = _block_constant(ric, gram, range(0, 3))
     horizontal = _block_constant(ric, gram, range(3, md))
-    mixed_zero = all(
-        not ric[i, j] and not ric[j, i] for i in range(3) for j in range(3, md)
-    )
+    mixed_zero = all((i < 3) == (j < 3) for i, row in ric.num.items() for j in row)
     scal = trace_product(model.metric.inverse(), ric)
     return RicciData(ric, vertical, horizontal, mixed_zero, scal)
 
 
-def _block_constant(ric: Matrix, gram: Matrix, idx) -> GaussianRational | None:
+def _block_constant(ric: Matrix, gram: Matrix, idx: range) -> GaussianRational | None:
     """c with ric = c * gram on the block, or None when not proportional."""
-    idx = list(idx)
-    c = None
+    cells = []  # (ric, gram) numerators where either is nonzero
     for i in idx:
-        for j in idx:
-            g = gram[i, j]
-            r = ric[i, j]
-            if g:
-                ratio = r / g
-                if c is None:
-                    c = ratio
-                elif ratio != c:
-                    return None
-            elif r:
-                return None
-    return c if c is not None else ZERO
+        r, g = ric.num.get(i, _EMPTY), gram.num.get(i, _EMPTY)
+        cells += [(r.get(j, _ZZ), g.get(j, _ZZ)) for j in {*r, *g} if j in idx]
+    # c = r0 / g0 at one nonzero Gram entry g0, or 0 on a zero Gram block
+    (rx, ry), (gx, gy) = next((c for c in cells if c[1] != _ZZ), (_ZZ, (1, 0)))
+    for (a, b), (u, v) in cells:  # ric g0 = gram r0
+        if a * gx - b * gy != u * rx - v * ry or a * gy + b * gx != u * ry + v * rx:
+            return None
+    return GaussianRational((rx * gx + ry * gy) * gram.den, (ry * gx - rx * gy) * gram.den,
+                            (gx * gx + gy * gy) * ric.den)
 
 
 def scalar_curvature_formula(n: int, a, b_matrix) -> GaussianRational:

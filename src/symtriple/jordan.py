@@ -35,13 +35,12 @@ from __future__ import annotations
 
 from .composition import CompositionAlgebra
 from .errors import DimensionError, ValidationError
-from .linalg import Matrix, add_numerators, canonical, table_product
+from .linalg import _ZZ, Matrix, add_numerators, canonical, table_product
 from .scalars import ONE, ZERO
 
 __all__ = ["CubicJordan", "build_jordan"]
 
 _OFFDIAG = ((0, 1), (0, 2), (1, 2))
-_ZZ = (0, 0)
 
 
 class CubicJordan:

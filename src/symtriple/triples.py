@@ -32,7 +32,8 @@ from math import lcm
 from .errors import DimensionError, ParseError, ValidationError
 from .jordan import CubicJordan
 from .linalg import (
-    Matrix, Subspace, ad_flat, add_numerators, canonical, lie_generators, numerators, rank,
+    _EMPTY, _ZZ, Matrix, Subspace, ad_flat, add_numerators, canonical, lie_generators, numerators,
+    rank,
 )
 from .scalars import GaussianRational, HALF, ONE, qi
 
@@ -110,10 +111,6 @@ class SymplecticTripleSystem:
         return f"SymplecticTripleSystem({self.label!r}, dim={self.dim})"
 
 
-_EMPTY: dict = {}
-_ZZ = (0, 0)
-
-
 def _add_entry(num: dict, i: int, j: int, k: int, l: int, x: int) -> None:
     """[e_i, e_j, e_k] += x e_l in the numerator table ``num``, x an int."""
     col = num.setdefault((i, j, k), {})
@@ -121,12 +118,9 @@ def _add_entry(num: dict, i: int, j: int, k: int, l: int, x: int) -> None:
     col[l] = (re + x, im)
 
 
-_EPS2 = Matrix.from_rows([[0, 1], [-1, 0]])  # <e_a, e_b>
-
-
-def _gamma_mat(a: int, b: int) -> Matrix:
-    """gamma_{e_a, e_b} = <e_a,.>e_b + <e_b,.>e_a as a 2x2 matrix."""
-    return Matrix(2, 2, {b: _EPS2.row(a)}) + Matrix(2, 2, {a: _EPS2.row(b)})
+# gamma_{e_a, e_b}(e_c) = <e_a, e_c> e_b + <e_b, e_c> e_a as _GAMMA[a][b][c],
+# the integer coefficients {d: x} of e_d
+_GAMMA = (({1: {0: 2}}, {0: {0: -1}, 1: {1: 1}}), ({0: {0: -1}, 1: {1: 1}}, {0: {1: -2}}))
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +160,11 @@ def build_orthogonal_type(w: int) -> SymplecticTripleSystem:
         **{idx(0, p): {idx(1, p): HALF} for p in range(w)},
         **{idx(1, p): {idx(0, p): -HALF} for p in range(w)},
     })
-    # gamma[a][b][c] = gamma_{e_a, e_b}(e_c), sparse over V with integer entries
-    gamma = [[_gamma_mat(a, b).transpose().num for b in range(2)] for a in range(2)]
     num: dict = {}  # twice the structure constants
     for (a, p), (b, q), (c, r) in product(product(range(2), range(w)), repeat=3):
         key = (idx(a, p), idx(b, q), idx(c, r))
         if p == q:  # (1/2) gamma_{a,b}(c) (x) b(p,q) r-slot
-            for vc, (coeff, _) in gamma[a][b].get(c, {}).items():
+            for vc, coeff in _GAMMA[a][b].get(c, _EMPTY).items():
                 _add_entry(num, *key, idx(vc, r), coeff)
         eps = b - a  # <e_a, e_b>
         if eps:  # <a,b> c (x) (b(p,r) q - b(q,r) p)

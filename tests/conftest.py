@@ -8,8 +8,8 @@ from symtriple.connections import Connection, connection_by_name
 from symtriple.enveloping import build_model
 from symtriple.errors import DimensionError
 from symtriple.families import build_triple
-from symtriple.linalg import Matrix, add_numerators, independent_fp, vec
-from symtriple.scalars import ZERO, GaussianRational, qi
+from symtriple.linalg import Matrix, add_numerators, independent_fp, numerators, vec
+from symtriple.scalars import HALF, I, ONE, ZERO, GaussianRational, qi
 from symtriple.triples import _flat_d
 
 # the quick tier exercised by most suites (tangent dimension <= 19)
@@ -167,6 +167,30 @@ def ad(L, i: int) -> Matrix:
     d = L.dim
     return _memo(L, i, lambda: Matrix.from_flat(
         {l * d + j: z for j in range(d) for l, z in L.bracket_basis(i, j).items()}, d, d, L.den))
+
+
+# sp(V) on V = span(e_1, e_2), <e_1, e_2> = 1, as 2x2 matrices: the
+# references for the integer tables ``triples._GAMMA`` and
+# ``enveloping._XI_ON_V``, ``_XI_BRACKETS`` and ``_GAMMA_XI``
+XI = (
+    Matrix.from_rows([[I, ZERO], [ZERO, -I]]),
+    Matrix.from_rows([[ZERO, -ONE], [ONE, ZERO]]),
+    Matrix.from_rows([[ZERO, -I], [-I, ZERO]]),
+)
+_EPS2 = Matrix.from_rows([[0, 1], [-1, 0]])  # <e_a, e_b>
+
+
+def gamma_mat(a: int, b: int) -> Matrix:
+    """gamma_{e_a, e_b} = <e_a,.>e_b + <e_b,.>e_a as a 2x2 matrix."""
+    return Matrix(2, 2, {b: _EPS2.row(a)}) + Matrix(2, 2, {a: _EPS2.row(b)})
+
+
+def sl2_to_xi(m: Matrix) -> tuple[dict, int]:
+    """(numerators, den) of a traceless 2x2 matrix in the xi_1, xi_2, xi_3 basis."""
+    p, q, r = m[0, 0], m[0, 1], m[1, 0]
+    assert m[1, 1] == -p, "matrix is not traceless"
+    num, den = numerators({0: {0: -I * p, 1: (r - q) * HALF, 2: I * (q + r) * HALF}})
+    return num.get(0, {}), den
 
 
 def matrices_of(space) -> list:

@@ -27,7 +27,7 @@ from symtriple.scalars import HALF, ONE, ZERO, qi
 
 from conftest import (
     LIGHT_CASES, apply, basis, bilinear, combination, comm_minus, curvature, curvature_pairs,
-    dmat, scalars,
+    dmat, gamma_mat, scalars, sl2_to_xi,
 )
 from test_matrix_reference import assert_canonical
 
@@ -610,9 +610,7 @@ def skew_closed_form(model, i, j, canonical):
 
 
 def _gamma_xi_coords(a, b):
-    from symtriple.enveloping import _gamma_mat, _sl2_to_xi
-
-    coords = scalars(*_sl2_to_xi(_gamma_mat(a, b)))
+    coords = scalars(*sl2_to_xi(gamma_mat(a, b)))
     return tuple(coords.get(k, ZERO) for k in range(3))
 
 

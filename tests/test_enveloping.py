@@ -1,13 +1,16 @@
+import itertools
+
 import pytest
 
-from symtriple import enveloping
+from symtriple import enveloping, triples
 from symtriple.enveloping import (
     GradedLieAlgebra,
     build_enveloping,
     killing_form,
+    metric_g,
     verify_jacobi,
 )
-from symtriple.errors import ValidationError
+from symtriple.errors import ConstructionError, ValidationError
 from symtriple.linalg import (
     Matrix, bracket_closure, comm, lie_generators, numerators, rank,
     trace_product,
@@ -16,7 +19,8 @@ from symtriple.scalars import HALF, ONE, ZERO, GaussianRational, qi
 from symtriple.triples import SymplecticTripleSystem, build_symplectic_type, inder_basis
 
 from conftest import (
-    LIGHT_CASES, ad, apply, basis, combination, dmat, matrices_of, scalar_table, scalars,
+    XI, LIGHT_CASES, ad, apply, basis, combination, dmat, gamma_mat, matrices_of, scalar_table,
+    scalars, sl2_to_xi,
 )
 
 ENVELOPING_DIMS = {
@@ -51,8 +55,24 @@ def test_xi_bracket_relations(model_cache):
     assert scalars(L.bracket_basis(1, 2), L.den) == {0: qi(2)}
     assert scalars(L.bracket_basis(2, 0), L.den) == {1: qi(2)}
     # 2x2 matrix commutators agree
-    x1, x2, x3 = enveloping._XI
+    x1, x2, x3 = XI
     assert comm(x1, x2) == x3 + x3
+
+
+def test_integer_tables_match_2x2_references():
+    # each integer table of sp(V) is what its 2x2 matrices give
+    for xi, table in zip(XI, enveloping._XI_ON_V):
+        assert xi.den == 1 and xi.transpose().num == table
+    for (i, j), want in enveloping._XI_BRACKETS.items():
+        assert sl2_to_xi(comm(XI[i], XI[j])) == (want, 1)
+    for a, b in itertools.product(range(2), repeat=2):
+        gamma = gamma_mat(a, b)
+        assert gamma.den == 1 and gamma.transpose().num == {
+            c: {d: (x, 0) for d, x in col.items()} for c, col in triples._GAMMA[a][b].items()
+        }
+        if a <= b:
+            assert sl2_to_xi(gamma) == (enveloping._GAMMA_XI[(a, b)], 1)
+    assert len(enveloping._GAMMA_XI) == 3
 
 
 def test_inder_acts_on_odd(model_cache):
@@ -103,7 +123,7 @@ def _direct_ad_m_xi(model, i):
     e_a (x) t_k -> xi_i(e_a) (x) t_k on the odd block."""
     L = model.algebra
     td = L.t_dim
-    xi = enveloping._XI[i - 1]
+    xi = XI[i - 1]
     data = {}
     for j in range(3):
         for l, v in scalars(L.bracket_basis(i - 1, j), L.den).items():
@@ -418,6 +438,29 @@ def test_metric_inverse(model_cache):
     model = model_cache("orthogonal", 3)
     ginv = model.metric.inverse()
     assert ginv @ model.metric.gram == Matrix.identity(model.m_dim)
+
+
+def test_metric_refuses_a_killing_form_off_its_blocks(model_cache):
+    # an entry on the mixed sp(V) x odd block, either way round, and a
+    # vertical block off the identity, on or off its diagonal
+    model = model_cache("symplectic", 1)
+    L, split, kappa = model.algebra, model.split, model.kappa
+    assert metric_g(L, split, kappa).gram == model.metric.gram
+    odd = split.m_indices[3]
+
+    def plus(i, j):
+        num = {r: dict(row) for r, row in kappa.num.items()}
+        num.setdefault(i, {})[j] = (1, 0)
+        return Matrix.from_numerators(L.dim, L.dim, num, kappa.den)
+
+    for i, j in ((0, odd), (odd, 2)):
+        with pytest.raises(ConstructionError, match=r"^Killing form does not vanish on the "
+                                                     r"mixed sp\(V\) x odd block$"):
+            metric_g(L, split, plus(i, j))
+    for off in (kappa + kappa, plus(0, 1)):
+        with pytest.raises(ConstructionError,
+                           match="^vertical block of the metric is not orthonormal$"):
+            metric_g(L, split, off)
 
 
 @pytest.mark.parametrize("i", [0, 4, -1])

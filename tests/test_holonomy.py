@@ -26,7 +26,7 @@ from symtriple.holonomy import (
 from symtriple.linalg import (
     Matrix, Subspace, add_numerators, bracket_closure, center_of, comm,
 )
-from symtriple.scalars import GaussianRational, qi
+from symtriple.scalars import ZERO, GaussianRational, qi
 from symtriple.triples import verify_axioms
 
 from conftest import LIGHT_CASES, curvature_pairs, independent_mod_p, matrices_of, mod_p
@@ -522,6 +522,58 @@ def test_ricci_blocks_and_scalars(family, param, connection_cache):
         assert data.vertical_constant == qi(fv(n))
         assert data.horizontal_constant == qi(fh(n))
         assert data.scalar_curvature == qi(fs(n))
+
+
+def _block_constant_reference(ric: Matrix, gram: Matrix, idx) -> GaussianRational | None:
+    """c with ric = c * gram on the block, or None, entry by entry on
+    ``GaussianRational`` values."""
+    c = None
+    for i in idx:
+        for j in idx:
+            g, r = gram[i, j], ric[i, j]
+            if g:
+                if c is None:
+                    c = r / g
+                elif r / g != c:
+                    return None
+            elif r:
+                return None
+    return ZERO if c is None else c
+
+
+def test_block_constant_matches_entrywise_reference(connection_cache):
+    # a proportional block (Levi-Civita, 4n + 2 = 10), a block with
+    # constant 0 (the distinguished vertical block) and non-proportional
+    # ones (a seeded member), also against a Gram matrix scaled by
+    # (1 + 2i)/3, and zero blocks
+    lc = connection_cache("special", 2, "levi-civita")
+    model = lc.model
+    md = model.m_dim
+    gram = model.metric.gram
+    scaled = Matrix.from_numerators(md, md, {
+        i: {j: (x - 2 * y, 2 * x + y) for j, (x, y) in row.items()}
+        for i, row in gram.num.items()}, 3 * gram.den)
+    zero = Matrix(md, md)
+    proportional = ricci(lc).ricci
+    member = ricci(next(_seeded_members(model, 13))).ricci
+    dist = ricci(connection_cache("special", 2, "distinguished")).ricci
+    vertical, horizontal = range(3), range(3, md)
+    cases = [
+        (proportional, gram, vertical, qi(10)),
+        (proportional, gram, horizontal, qi(10)),
+        (proportional, scaled, horizontal, qi(30) / GaussianRational(1, 2)),
+        (dist, gram, vertical, ZERO),
+        (dist, scaled, vertical, ZERO),
+        (member, gram, vertical, None),
+        (member, gram, horizontal, None),
+        (member, scaled, vertical, None),
+        (zero, zero, vertical, ZERO),
+        (member, zero, horizontal, None),
+        (zero, gram, horizontal, ZERO),
+    ]
+    for ric, g, idx, want in cases:
+        assert holonomy._block_constant(ric, g, idx) == want
+        assert _block_constant_reference(ric, g, idx) == want
 
 
 def ricci_reference(conn: Connection) -> Matrix:
